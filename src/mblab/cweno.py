@@ -58,17 +58,13 @@ C_CENTER = 0.5
 
 @dataclass
 class Reconstruction:
-    """Per-cell quadratics and the interface values they induce.
+    """Interface values of the per-cell quadratics.
 
-    a_coef/b_coef/c_coef have one entry per input cell (edge cells use
-    copied ghost averages); w_minus[i] and w_plus[i] are the two one-sided
-    values at the interface between cells i and i+1.  weights stacks
-    (W_L, W_C, W_R) per cell.
+    w_minus[i] and w_plus[i] are the two one-sided values at the interface
+    between cells i and i+1.  weights stacks (W_L, W_C, W_R) per cell (edge
+    cells use copied ghost averages).
     """
 
-    a_coef: np.ndarray
-    b_coef: np.ndarray
-    c_coef: np.ndarray
     w_minus: np.ndarray
     w_plus: np.ndarray
     weights: np.ndarray
@@ -98,8 +94,7 @@ def cweno_reconstruct(wbar, dx: float) -> Reconstruction:
 
     w_minus = a[:-1] + 0.5 * dx * b[:-1] + 0.125 * dx ** 2 * c[:-1]
     w_plus = a[1:] - 0.5 * dx * b[1:] + 0.125 * dx ** 2 * c[1:]
-    return Reconstruction(a_coef=a, b_coef=b, c_coef=c,
-                          w_minus=w_minus, w_plus=w_plus,
+    return Reconstruction(w_minus=w_minus, w_plus=w_plus,
                           weights=np.stack([w_l, w_c, w_r], axis=1))
 
 

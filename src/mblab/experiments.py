@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -23,8 +21,9 @@ import pydantic
 from . import __version__
 from .bounds import compare_domains
 from .cweno import RhsContext, rk4_step
+from .march import land_snapshots
 from .errors import ManifestError, NumericalError
-from .flux import FluxModel, flux_deriv
+from .flux import FluxModel
 from .operators import (
     Field,
     GridSpec,
@@ -202,28 +201,27 @@ def _run_third_order(manifest: RunManifest) -> list[Field]:
     grid = _grid_for(manifest)
     params = MBLParams(manifest.epsilon, manifest.tau)
     model = FluxModel(manifest.M)
+    # |f'| <= C everywhere (f' is clamped), so this bounds the speed of u
+    if grid.lam * model.C >= 0.5:
+        raise NumericalError(
+            f"CFL violation: lambda*C = {grid.lam * model.C:.6g} >= 0.5")
     bc = _bc_for(manifest)
     ctx = RhsContext(grid=grid, params=params, model=model, bc=bc)
     wbar = _initial_cell_w(manifest, grid, params)
-    dt_nom = grid.lam * grid.dx
     t = 0.0
-    targets = sorted(set(manifest.snapshot_times) | {manifest.t_final})
-    if any(s <= 0 or s > manifest.t_final + 1e-12 for s in targets):
-        raise ValueError("snapshot times must lie in (0, t_final]")
-    out: list[Field] = []
-    for target in targets:
-        while target - t > 1e-12:
-            dt = min(dt_nom, target - t)
-            speed = float(np.max(np.abs(flux_deriv(wbar, model))))
-            if dt / grid.dx * speed >= 0.5:
-                raise NumericalError(
-                    f"CFL violation: lambda*max|f'| = {dt / grid.dx * speed:.6g} >= 0.5")
-            wbar = rk4_step(wbar, t, dt, ctx)
-            t += dt
-        ubar = helmholtz_solve(Field(wbar, HALF_GRID, t), bc[0](t), bc[1](t),
+
+    def advance(dt: float) -> float:
+        nonlocal wbar, t
+        wbar = rk4_step(wbar, t, dt, ctx)
+        t += dt
+        return t
+
+    def read() -> Field:
+        return helmholtz_solve(Field(wbar, HALF_GRID, t), bc[0](t), bc[1](t),
                                params, grid.dx, order=4)
-        out.append(ubar)
-    return out
+
+    return land_snapshots(advance, read, 0.0, manifest.t_final,
+                          manifest.snapshot_times, grid.lam * grid.dx)
 
 
 def run_manifest(manifest: RunManifest) -> list[Field]:
@@ -247,7 +245,10 @@ def run_cached(manifest: RunManifest) -> list[Field]:
     """Memoized run_manifest (runs are deterministic, results read-only)."""
     key = manifest.model_dump_json(by_alias=True)
     if key not in _RUN_CACHE:
-        _RUN_CACHE[key] = run_manifest(manifest)
+        fields = run_manifest(manifest)
+        for f in fields:
+            f.values.setflags(write=False)
+        _RUN_CACHE[key] = fields
     return _RUN_CACHE[key]
 
 
@@ -415,19 +416,15 @@ def bifurcation_sweep(pairs=None, base: Optional[RunManifest] = None) -> list[di
         base = desk_manifest()
     model = FluxModel(base.M)
 
-    def one(pair):
-        tau, u_B = pair
+    entries = []
+    for tau, u_B in pairs:
         entry = {"tau": tau, "u_B": u_B, "report": None, "error": None}
         try:
             m = base.model_copy(update={"tau": tau, "u_B": u_B})
             entry["report"] = classify_profile(run_cached(m)[-1], m, model)
         except Exception as exc:  # per-run isolation
             entry["error"] = f"{type(exc).__name__}: {exc}"
-        return entry
-
-    workers = min(len(pairs), os.cpu_count() or 1) or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        entries = list(pool.map(one, pairs))
+        entries.append(entry)
     return sorted(entries, key=lambda e: (e["tau"], e["u_B"]))
 
 

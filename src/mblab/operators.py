@@ -14,7 +14,8 @@ agree whenever the data is flat next to the boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -27,7 +28,6 @@ __all__ = [
     "MBLParams",
     "INTEGER_GRID",
     "HALF_GRID",
-    "d2_central",
     "helmholtz_apply",
     "helmholtz_solve",
     "weighted_h1_norm",
@@ -110,18 +110,10 @@ def _check_finite(values: np.ndarray) -> None:
         raise NumericalError("field contains NaN/Inf values")
 
 
-def d2_central(f: Field, dx: float, bc_left: float, bc_right: float) -> Field:
-    """Three-point second difference; ghost neighbors take the supplied values."""
-    v = f.values
-    if v.size < 3:
-        raise ValueError("field too short for a second difference")
-    ext = np.empty(v.size + 2)
-    ext[0] = bc_left
-    ext[1:-1] = v
-    ext[-1] = bc_right
-    out = (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / dx ** 2
-    _check_finite(out)
-    return Field(out, phase=f.phase, time=f.time)
+def _d2_order2(v: np.ndarray, dx: float, left: float, right: float) -> np.ndarray:
+    """Three-point second difference; the ghost neighbors take left/right."""
+    ext = np.concatenate([[left], v, [right]])
+    return (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / dx ** 2
 
 
 # one-sided second-derivative closures, exact through degree 4
@@ -164,126 +156,57 @@ def helmholtz_apply(u: Field, params: MBLParams, dx: float, order: int = 2) -> F
     return Field(w, phase=u.phase, time=u.time)
 
 
-def _solve_node2(w: np.ndarray, bc_l: float, bc_r: float, c: float, dx: float) -> np.ndarray:
-    n = w.size - 1
-    ct = c / dx ** 2
-    rhs = w[1:-1].copy()
-    ab = np.zeros((3, n - 1))
-    ab[0, 1:] = -ct
-    ab[1, :] = 1.0 + 2.0 * ct
-    ab[2, :-1] = -ct
-    rhs[0] += ct * bc_l
-    rhs[-1] += ct * bc_r
-    out = np.empty(n + 1)
-    out[0] = bc_l
-    out[-1] = bc_r
-    out[1:-1] = solve_banded((1, 1), ab, rhs)
-    return out
+# Band tables of (I - c D^2) u = w.  An interior row is the identity plus
+# ct times the stencil, with ct = c / (scale dx^2).  Each closure gives the
+# rows that replace the interior ones at the left edge (column -> weight,
+# the diagonal adding 1) and the weights of the boundary value on the
+# right-hand side of the first rows.  The right edge mirrors the left.  A
+# tuple of weights is added term by term: the order-2 half-grid edge adds
+# its ghost term to the interior diagonal, and 1 + 3ct would round
+# differently.
+_STENCILS = {2: (1.0, (-1.0, 2.0, -1.0)),
+             4: (12.0, (1.0, -16.0, 30.0, -16.0, 1.0))}
+_CLOSURES = {
+    # nodes: the endpoints are pinned and move to the right-hand side; at
+    # order 4 the first unknown takes the one-sided closure over nodes 0..4
+    (INTEGER_GRID, 2): ((), (1.0,)),
+    (INTEGER_GRID, 4): (({0: 20.0, 1: -6.0, 2: -4.0, 3: 1.0},), (11.0, -1.0)),
+    # half grid: reflected ghosts v(-1/2) = 2 bc - v(1/2), v(-3/2) = 2 bc - v(3/2)
+    (HALF_GRID, 2): (({0: (2.0, 1.0), 1: -1.0},), (2.0,)),
+    (HALF_GRID, 4): (({0: 46.0, 1: -17.0, 2: 1.0},
+                      {0: -17.0, 1: 30.0, 2: -16.0, 3: 1.0}), (30.0, -2.0)),
+}
 
 
-def _solve_node4(w: np.ndarray, bc_l: float, bc_r: float, c: float, dx: float) -> np.ndarray:
-    n = w.size - 1
-    if n < 5:
-        raise ValueError("order-4 solve needs at least 5 cells")
-    ct = c / (12.0 * dx ** 2)
-    m = n - 1  # unknowns u_1 .. u_{n-1}
-    ab = np.zeros((7, m))  # bands (3, 3)
-    rhs = w[1:-1].copy()
-
-    def put(row: int, col: int, val: float) -> None:
-        ab[3 + row - col, col] += val
-
-    for i in range(2, m - 2):
-        put(i, i, 1.0 + 30.0 * ct)
-        put(i, i - 1, -16.0 * ct)
-        put(i, i + 1, -16.0 * ct)
-        put(i, i - 2, ct)
-        put(i, i + 2, ct)
-    # j=1: one-sided stencil over nodes 0..4
-    put(0, 0, 1.0 + 20.0 * ct)
-    put(0, 1, -6.0 * ct)
-    put(0, 2, -4.0 * ct)
-    put(0, 3, ct)
-    rhs[0] += 11.0 * ct * bc_l
-    # j=2: symmetric stencil, node 0 known
-    put(1, 0, -16.0 * ct)
-    put(1, 1, 1.0 + 30.0 * ct)
-    put(1, 2, -16.0 * ct)
-    put(1, 3, ct)
-    rhs[1] += -ct * bc_l
-    # mirrored rows at the right end
-    put(m - 1, m - 1, 1.0 + 20.0 * ct)
-    put(m - 1, m - 2, -6.0 * ct)
-    put(m - 1, m - 3, -4.0 * ct)
-    put(m - 1, m - 4, ct)
-    rhs[m - 1] += 11.0 * ct * bc_r
-    put(m - 2, m - 1, -16.0 * ct)
-    put(m - 2, m - 2, 1.0 + 30.0 * ct)
-    put(m - 2, m - 3, -16.0 * ct)
-    put(m - 2, m - 4, ct)
-    rhs[m - 2] += -ct * bc_r
-
-    out = np.empty(n + 1)
-    out[0] = bc_l
-    out[-1] = bc_r
-    out[1:-1] = solve_banded((3, 3), ab, rhs)
-    return out
+def _entry(weight, ct: float, diagonal: bool) -> float:
+    terms = weight if isinstance(weight, tuple) else (weight,)
+    value = 1.0 + terms[0] * ct if diagonal else terms[0] * ct
+    for extra in terms[1:]:
+        value += extra * ct
+    return value
 
 
-def _solve_half2(w: np.ndarray, bc_l: float, bc_r: float, c: float, dx: float) -> np.ndarray:
-    """Half-grid solve; reflected ghosts put the boundary value at the endpoint."""
-    n = w.size
-    ct = c / dx ** 2
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -ct
-    ab[1, :] = 1.0 + 2.0 * ct
-    ab[2, :-1] = -ct
-    rhs = w.copy()
-    ab[1, 0] += ct
-    rhs[0] += 2.0 * ct * bc_l
-    ab[1, -1] += ct
-    rhs[-1] += 2.0 * ct * bc_r
-    return solve_banded((1, 1), ab, rhs)
-
-
-def _solve_half4(w: np.ndarray, bc_l: float, bc_r: float, c: float, dx: float) -> np.ndarray:
-    """Order-4 half-grid solve with two reflected ghost cells per side."""
-    n = w.size
-    if n < 5:
-        raise ValueError("order-4 solve needs at least 5 cells")
-    ct = c / (12.0 * dx ** 2)
-    ab = np.zeros((5, n))  # bands (2, 2)
-    rhs = w.copy()
-
-    def put(row: int, col: int, val: float) -> None:
-        ab[2 + row - col, col] += val
-
-    for i in range(2, n - 2):
-        put(i, i, 1.0 + 30.0 * ct)
-        put(i, i - 1, -16.0 * ct)
-        put(i, i + 1, -16.0 * ct)
-        put(i, i - 2, ct)
-        put(i, i + 2, ct)
-    # ghosts: v(-1/2) = 2 bc - v(1/2), v(-3/2) = 2 bc - v(3/2)
-    put(0, 0, 1.0 + 46.0 * ct)
-    put(0, 1, -17.0 * ct)
-    put(0, 2, ct)
-    rhs[0] += 30.0 * ct * bc_l
-    put(1, 0, -17.0 * ct)
-    put(1, 1, 1.0 + 30.0 * ct)
-    put(1, 2, -16.0 * ct)
-    put(1, 3, ct)
-    rhs[1] += -2.0 * ct * bc_l
-    put(n - 1, n - 1, 1.0 + 46.0 * ct)
-    put(n - 1, n - 2, -17.0 * ct)
-    put(n - 1, n - 3, ct)
-    rhs[n - 1] += 30.0 * ct * bc_r
-    put(n - 2, n - 1, -17.0 * ct)
-    put(n - 2, n - 2, 1.0 + 30.0 * ct)
-    put(n - 2, n - 3, -16.0 * ct)
-    put(n - 2, n - 4, ct)
-    rhs[n - 2] += -2.0 * ct * bc_r
-    return solve_banded((2, 2), ab, rhs)
+@functools.lru_cache(maxsize=32)
+def _bands(m: int, phase: str, order: int, ct: float) -> np.ndarray:
+    """Read-only band storage (solve_banded layout) of the m-unknown matrix."""
+    stencil = _STENCILS[order][1]
+    rows = _CLOSURES[phase, order][0]
+    half = len(stencil) // 2
+    width = max([half] + [abs(j - i) for i, row in enumerate(rows) for j in row])
+    ab = np.zeros((2 * width + 1, m))
+    for k, weight in enumerate(stencil):
+        off = k - half  # column minus row
+        ab[width - off, max(off, 0):m + min(off, 0)] = _entry(weight, ct, off == 0)
+    # entry (i, j) sits at ab[width + i - j, j]; its mirror (m-1-i, m-1-j)
+    # at ab[width + j - i, m-1-j]
+    for i, row in enumerate(rows):
+        for j in range(max(i - width, 0), min(i + width + 1, m)):
+            ab[width + i - j, j] = ab[width + j - i, m - 1 - j] = 0.0
+        for j, weight in row.items():
+            ab[width + i - j, j] = ab[width + j - i, m - 1 - j] = \
+                _entry(weight, ct, i == j)
+    ab.setflags(write=False)
+    return ab
 
 
 def helmholtz_solve(w: Field, bc_left: float, bc_right: float, params: MBLParams,
@@ -299,17 +222,28 @@ def helmholtz_solve(w: Field, bc_left: float, bc_right: float, params: MBLParams
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
     v = w.values
+    node = w.phase == INTEGER_GRID
     if c == 0.0:
         out = v.copy()
-        if w.phase == INTEGER_GRID:
+        if node:
             out[0] = bc_left
             out[-1] = bc_right
-    elif w.phase == INTEGER_GRID:
-        solver = _solve_node2 if order == 2 else _solve_node4
-        out = solver(v, bc_left, bc_right, c, dx)
     else:
-        solver = _solve_half2 if order == 2 else _solve_half4
-        out = solver(v, bc_left, bc_right, c, dx)
+        # fewer cells and the two edge closures would overlap
+        need = 5 if order == 4 else 2
+        if (v.size - 1 if node else v.size) < need:
+            raise ValueError(f"order-{order} solve needs at least {need} cells")
+        scale = _STENCILS[order][0]
+        ct = c / (scale * dx ** 2)
+        rhs = v[1:-1].copy() if node else v.copy()
+        for i, weight in enumerate(_CLOSURES[w.phase, order][1]):
+            rhs[i] += weight * ct * bc_left
+            rhs[-1 - i] += weight * ct * bc_right
+        ab = _bands(rhs.size, w.phase, order, ct)
+        width = ab.shape[0] // 2
+        out = solve_banded((width, width), ab, rhs)
+        if node:
+            out = np.concatenate([[bc_left], out, [bc_right]])
     _check_finite(out)
     return Field(out, phase=w.phase, time=w.time)
 

@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .march import land_snapshots
 from .errors import NumericalError
 from .flux import FluxModel, flux, flux_deriv
 from .operators import (
@@ -34,17 +35,16 @@ from .operators import (
     HALF_GRID,
     INTEGER_GRID,
     MBLParams,
+    _d2_order2,
+    helmholtz_apply,
     helmholtz_solve,
 )
 
 __all__ = [
     "Scheme2State",
     "make_state",
-    "minmod",
-    "slopes",
     "predictor",
-    "step_trapezoid",
-    "step_midpoint",
+    "step",
     "cfl_check",
     "run",
 ]
@@ -76,52 +76,24 @@ def make_state(u0, grid: GridSpec, params: MBLParams, model: FluxModel,
     return state
 
 
-def minmod(a: float, b: float) -> float:
-    """(sgn a + sgn b)/2 * min(|a|, |b|)."""
-    return 0.5 * (np.sign(a) + np.sign(b)) * min(abs(a), abs(b))
-
-
-def _minmod_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(sgn a + sgn b)/2 * min(|a|, |b|), elementwise."""
     return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
-
-
-def slopes(values: Sequence[float]) -> np.ndarray:
-    """Minmod-limited undivided differences; one-sided at the endpoints."""
-    v = np.asarray(values, dtype=float)
-    if v.size < 3:
-        raise ValueError("need at least 3 values")
-    out = np.empty_like(v)
-    out[1:-1] = _minmod_arr(v[2:] - v[1:-1], v[1:-1] - v[:-2])
-    out[0] = v[1] - v[0]
-    out[-1] = v[-1] - v[-2]
-    return out
 
 
 def _ghost_slopes(v: np.ndarray, g: float, h: float) -> np.ndarray:
     """Minmod slopes against constant-value ghosts at both ends."""
     ext = np.concatenate([[g], v, [h]])
-    return _minmod_arr(ext[2:] - ext[1:-1], ext[1:-1] - ext[:-2])
-
-
-def _apply_d2(v: np.ndarray, g: float, h: float, dx: float) -> np.ndarray:
-    """Three-point D^2 with constant ghosts; full length output."""
-    ext = np.concatenate([[g], v, [h]])
-    return (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / dx ** 2
+    return _minmod(ext[2:] - ext[1:-1], ext[1:-1] - ext[:-2])
 
 
 def _to_w(state: Scheme2State) -> Field:
     """w = (I - eps^2 tau D^2) u under the ghost policy of u's phase."""
     u = state.u
-    g, h = state.bc[0](u.time), state.bc[1](u.time)
-    c = state.params.disp
-    v = u.values
-    dx = state.grid.dx
     if u.phase == INTEGER_GRID:
-        w = v.copy()
-        if c != 0.0:
-            w[1:-1] = v[1:-1] - c * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dx ** 2
-    else:
-        w = v - c * _apply_d2(v, g, h, dx)
+        return helmholtz_apply(u, state.params, state.grid.dx)
+    g, h = state.bc[0](u.time), state.bc[1](u.time)
+    w = u.values - state.params.disp * _d2_order2(u.values, state.grid.dx, g, h)
     return Field(w, phase=u.phase, time=u.time)
 
 
@@ -145,7 +117,7 @@ def predictor(state: Scheme2State) -> Field:
     g, h = state.bc[0](t), state.bc[1](t)
     u, w = state.u.values, state.w.values
     f = flux(u, model)
-    d2u = _apply_d2(u, g, h, dx)
+    d2u = _d2_order2(u, dx, g, h)
     fslope = _ghost_slopes(f, flux(g, model), flux(h, model))
     wp = w + (params.epsilon * dx * d2u - fslope) * lam / 2.0
     if state.u.phase == INTEGER_GRID:
@@ -158,12 +130,8 @@ def _staggered_average(w: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return 0.5 * (w[:-1] + w[1:]) + 0.125 * (slope[:-1] - slope[1:])
 
 
-def _pad(values: np.ndarray, left: float, right: float) -> np.ndarray:
-    return np.concatenate([[left], values, [right]])
-
-
-def _step(state: Scheme2State) -> Scheme2State:
-    """One staggered step; output phase is toggled."""
+def step(state: Scheme2State) -> Scheme2State:
+    """One staggered step of the state's variant; the output phase is toggled."""
     grid, params, model = state.grid, state.params, state.model
     dx, lam = grid.dx, grid.lam
     dt = lam * dx
@@ -173,8 +141,16 @@ def _step(state: Scheme2State) -> Scheme2State:
     g0, h0 = state.bc[0](t), state.bc[1](t)
     gh, hh = state.bc[0](t + dt / 2.0), state.bc[1](t + dt / 2.0)
     g1, h1 = state.bc[0](t + dt), state.bc[1](t + dt)
-    phase = state.u.phase
-    to_half = phase == INTEGER_GRID
+    new_phase = HALF_GRID if state.u.phase == INTEGER_GRID else INTEGER_GRID
+    # the unknowns on the new points: every half cell, or the interior nodes
+    inner = slice(None) if new_phase == HALF_GRID else slice(1, -1)
+
+    def solve_new(values, g, h, time, coefficient=None):
+        """u on the new staggered points from values at their unknowns."""
+        if new_phase == INTEGER_GRID:
+            values = np.concatenate([[g], values, [h]])
+        return helmholtz_solve(Field(values, new_phase, time), g, h, params,
+                               dx, order=2, coefficient=coefficient).values
 
     check = cfl_check(state.u, grid, model)
     if not check["ok"]:
@@ -191,56 +167,19 @@ def _step(state: Scheme2State) -> Scheme2State:
     df = fph[1:] - fph[:-1]
 
     if state.variant == TRAPEZOID:
-        if to_half:
-            ubar = helmholtz_solve(Field(wbar, HALF_GRID, t), g0, h0,
-                                   params, dx, order=2).values
-            rhs = (ubar - (c - eps * dt / 2.0) * _apply_d2(ubar, g0, h0, dx)
-                   - lam * df)
-            u_new = helmholtz_solve(Field(rhs, HALF_GRID, t + dt), g1, h1,
-                                    params, dx, order=2,
-                                    coefficient=c + eps * dt / 2.0).values
-        else:
-            ubar = helmholtz_solve(Field(_pad(wbar, g0, h0), INTEGER_GRID, t),
-                                   g0, h0, params, dx, order=2).values
-            d2 = (ubar[:-2] - 2.0 * ubar[1:-1] + ubar[2:]) / dx ** 2
-            rhs = ubar[1:-1] - (c - eps * dt / 2.0) * d2 - lam * df
-            u_new = helmholtz_solve(
-                Field(_pad(rhs, g1, h1), INTEGER_GRID, t + dt), g1, h1,
-                params, dx, order=2, coefficient=c + eps * dt / 2.0).values
+        ubar = solve_new(wbar, g0, h0, t)[inner]
+        rhs = ubar - (c - eps * dt / 2.0) * _d2_order2(ubar, dx, g0, h0) - lam * df
+        coefficient = c + eps * dt / 2.0
     else:  # MIDPOINT
         wbar_mid = _staggered_average(wp.values, _ghost_slopes(wp.values, gh, hh))
-        if to_half:
-            ubar_mid = helmholtz_solve(Field(wbar_mid, HALF_GRID, t + dt / 2.0),
-                                       gh, hh, params, dx, order=2).values
-            rhs = wbar - lam * df + eps * dt * _apply_d2(ubar_mid, gh, hh, dx)
-            u_new = helmholtz_solve(Field(rhs, HALF_GRID, t + dt), g1, h1,
-                                    params, dx, order=2).values
-        else:
-            ubar_mid = helmholtz_solve(
-                Field(_pad(wbar_mid, gh, hh), INTEGER_GRID, t + dt / 2.0),
-                gh, hh, params, dx, order=2).values
-            d2m = (ubar_mid[:-2] - 2.0 * ubar_mid[1:-1] + ubar_mid[2:]) / dx ** 2
-            rhs = wbar - lam * df + eps * dt * d2m
-            u_new = helmholtz_solve(
-                Field(_pad(rhs, g1, h1), INTEGER_GRID, t + dt), g1, h1,
-                params, dx, order=2).values
+        ubar_mid = solve_new(wbar_mid, gh, hh, t + dt / 2.0)[inner]
+        rhs = wbar - lam * df + eps * dt * _d2_order2(ubar_mid, dx, gh, hh)
+        coefficient = None
+    u_new = solve_new(rhs, g1, h1, t + dt, coefficient)
 
-    new_phase = HALF_GRID if to_half else INTEGER_GRID
     out = replace(state, u=Field(u_new, new_phase, t + dt))
     out.w = _to_w(out)
     return out
-
-
-def step_trapezoid(state: Scheme2State) -> Scheme2State:
-    if state.variant != TRAPEZOID:
-        state = replace(state, variant=TRAPEZOID)
-    return _step(state)
-
-
-def step_midpoint(state: Scheme2State) -> Scheme2State:
-    if state.variant != MIDPOINT:
-        state = replace(state, variant=MIDPOINT)
-    return _step(state)
 
 
 def run(state: Scheme2State, t_final: float, snapshot_times: Sequence[float] = ()
@@ -250,29 +189,18 @@ def run(state: Scheme2State, t_final: float, snapshot_times: Sequence[float] = (
     Snapshot times (and t_final) are hit by shrinking the final pair's dt;
     returned fields all live on the integer grid, the final state last.
     """
-    if t_final <= state.u.time:
-        raise ValueError("t_final must exceed the current time")
-    times = sorted(set(float(s) for s in snapshot_times))
-    if any(s <= state.u.time or s > t_final + 1e-12 for s in times):
-        raise ValueError("snapshot times must lie in (t0, t_final]")
-    targets = times if times and abs(times[-1] - t_final) < 1e-12 else times + [t_final]
-
     lam_nom = state.grid.lam
-    dt_nom = lam_nom * state.grid.dx
-    out: list[Field] = []
-    for target in targets:
-        while target - state.u.time > 1e-12:
-            remaining = target - state.u.time
-            if remaining >= 2.0 * dt_nom - 1e-12:
-                state = _step(state)
-                state = _step(state)
-            else:
-                state = _with_lam(state, remaining / 2.0 / state.grid.dx)
-                state = _step(state)
-                state = _step(state)
-                state = _with_lam(state, lam_nom)
-        out.append(state.u)
-    return out
+    dx = state.grid.dx
+    pair = 2.0 * (lam_nom * dx)  # two steps of dt = lam_nom * dx
+
+    def advance(dt: float) -> float:
+        nonlocal state
+        state = _with_lam(state, lam_nom if dt == pair else dt / 2.0 / dx)
+        state = step(step(state))
+        return state.u.time
+
+    return land_snapshots(advance, lambda: state.u, state.u.time, t_final,
+                          snapshot_times, pair)
 
 
 def _with_lam(state: Scheme2State, lam: float) -> Scheme2State:

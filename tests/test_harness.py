@@ -9,7 +9,7 @@ import pydantic
 import pytest
 
 from mblab import cli
-from mblab.errors import ManifestError
+from mblab.errors import ManifestError, NumericalError
 from mblab.experiments import (
     TAU_STAR,
     bifurcation_sweep,
@@ -190,6 +190,24 @@ def test_run_cached_returns_same_object():
     m2 = _tiny(t_final=0.005)
     assert m1 is not m2
     assert run_cached(m1) is run_cached(m2)
+
+
+def test_run_cached_results_are_read_only():
+    fields = run_cached(_tiny(t_final=0.005))
+    with pytest.raises(ValueError):
+        fields[-1].values[0] = 1.0
+
+
+def test_third_order_rejects_cfl_violation(tmp_path):
+    # lambda*max|f'(u)| is about 0.6 from the first step, while f' of the
+    # evolved w stays near 0.2 or below
+    m = desk_manifest(scheme="third_order", dx=2e-3, lam=0.3, t_final=0.0024)
+    with pytest.raises(NumericalError, match="CFL"):
+        run_manifest(m)
+    path = tmp_path / "m.json"
+    path.write_text(m.model_dump_json(by_alias=True))
+    assert cli.main(["riemann", "--manifest", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 3
 
 
 def test_export_round_trip(tmp_path):

@@ -13,7 +13,7 @@ from mblab.operators import (
     HALF_GRID,
     INTEGER_GRID,
     MBLParams,
-    d2_central,
+    _d2_order2,
     helmholtz_apply,
     helmholtz_solve,
     weighted_h1_norm,
@@ -62,13 +62,13 @@ def test_field_rejects_nan():
         Field(np.zeros(4), phase="diagonal")
 
 
-def test_d2_central_exact_on_quadratic():
+def test_d2_order2_exact_on_quadratic():
     x = np.linspace(0.0, 1.0, 21)
     u = 3.0 * x * x - x + 2.0
-    out = d2_central(Field(u), x[1] - x[0], bc_left=u[0], bc_right=u[-1])
-    assert np.allclose(out.values[1:-1], 6.0, rtol=0, atol=1e-10)
-    with pytest.raises(ValueError):
-        d2_central(Field(np.zeros(2)), 0.1, 0.0, 0.0)
+    out = _d2_order2(u, x[1] - x[0], u[0], u[-1])
+    assert np.allclose(out[1:-1], 6.0, rtol=0, atol=1e-10)
+    # the ghosts stand in for missing neighbors, so one value suffices
+    assert _d2_order2(np.array([1.0]), 0.5, 2.0, 4.0)[0] == pytest.approx(16.0)
 
 
 def _random_node_field(n, seed):
@@ -174,6 +174,51 @@ def test_coefficient_override():
     out = helmholtz_solve(w, u[0], u[-1], params, dx, coefficient=0.0)
     assert np.array_equal(out.values[1:-1], w.values[1:-1])
     assert out.values[0] == u[0] and out.values[-1] == u[-1]
+
+
+# Solutions frozen from the four hand-assembled solvers that the band table
+# replaced: a non-symmetric input, unequal boundary values and c != 0.
+_FROZEN_INPUT = [0.1, 0.35, 0.2, 0.8, 0.65, 0.9, 0.4, 0.55, 0.7]
+_FROZEN = {
+    (INTEGER_GRID, 2): [0.25, 0.3167812335819706, 0.38067889369015384,
+                        0.4602604855422741, 0.5103508000977168,
+                        0.5483187882727529, 0.5557588934853545,
+                        0.5767197359796707, 0.6],
+    (INTEGER_GRID, 4): [0.25, 0.32160611403726885, 0.38612581697540405,
+                        0.462180610805563, 0.5129320288738105,
+                        0.549796292460813, 0.5603229056620769,
+                        0.5808050966309023, 0.6],
+    (HALF_GRID, 2): [0.28397163702376144, 0.36788467122959695,
+                     0.44900991647966837, 0.5430700503130443,
+                     0.6018064037916497, 0.6389981742660581,
+                     0.6318321473677284, 0.6187487721506252],
+    (HALF_GRID, 4): [0.2850709274080394, 0.36800937632726355,
+                     0.45011452074362623, 0.5410803743425509,
+                     0.600560168558928, 0.6363323656302544,
+                     0.6315174198045388, 0.6172605230337694],
+}
+
+
+@pytest.mark.parametrize("phase, order", sorted(_FROZEN))
+def test_solve_matches_frozen_values(phase, order):
+    v = np.array(_FROZEN_INPUT)
+    if phase == HALF_GRID:
+        v = v[:-1] + 0.05 * np.arange(8)
+    out = helmholtz_solve(Field(v, phase=phase), 0.25, 0.6,
+                          MBLParams(epsilon=0.3, tau=2.0), 0.125, order=order)
+    assert np.array_equal(out.values, _FROZEN[phase, order])
+
+
+def test_solve_rejects_fields_too_short_for_the_closures():
+    params = MBLParams(epsilon=0.3, tau=2.0)
+    with pytest.raises(ValueError):
+        helmholtz_solve(Field(np.zeros(1), phase=HALF_GRID), 0.2, 0.8,
+                        params, 0.1, order=2)
+    with pytest.raises(ValueError):
+        helmholtz_solve(Field(np.zeros(4), phase=HALF_GRID), 0.2, 0.8,
+                        params, 0.1, order=4)
+    with pytest.raises(ValueError):
+        helmholtz_solve(Field(np.zeros(5)), 0.2, 0.8, params, 0.1, order=4)
 
 
 def test_half_grid_solve_constant():

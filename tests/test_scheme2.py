@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from mblab.errors import NumericalError
+from mblab.experiments import desk_manifest, run_manifest
 from mblab.flux import FluxModel, flux
 from mblab.operators import (
     Field,
@@ -13,14 +14,13 @@ from mblab.operators import (
     helmholtz_solve,
 )
 from mblab.staggered import (
+    _ghost_slopes,
+    _minmod,
     cfl_check,
     make_state,
-    minmod,
     predictor,
     run,
-    slopes,
-    step_midpoint,
-    step_trapezoid,
+    step,
 )
 
 GRID = GridSpec(L=1.0, n_cells=4, dx=0.25, lam=0.1)
@@ -64,7 +64,7 @@ def test_predictor_case_a():
 
 
 def test_trapezoid_step_case_a():
-    new = step_trapezoid(_state_a())
+    new = step(_state_a())
     assert new.u.phase == HALF_GRID
     assert new.u.values.shape == (4,)
     assert new.u.time == pytest.approx(0.025)
@@ -74,29 +74,29 @@ def test_trapezoid_step_case_a():
 
 
 def test_midpoint_step_case_a():
-    new = step_midpoint(_state_a("midpoint"))
+    new = step(_state_a("midpoint"))
     assert new.u.values == pytest.approx(
         [0.0036321628863597473, 0.37420546073572414,
          0.87677504625812142, 0.89728924995968284], rel=1e-12)
 
 
 def test_trapezoid_step_case_b():
-    new = step_trapezoid(_state_b())
+    new = step(_state_b())
     assert new.u.values == pytest.approx(
         [0.17728750706436602, 0.34117617112801873,
          0.41789737750046152, 0.47372118639661648], rel=1e-12)
 
 
 def test_midpoint_step_case_b():
-    new = step_midpoint(_state_b("midpoint"))
+    new = step(_state_b("midpoint"))
     assert new.u.values == pytest.approx(
         [0.18827092037804416, 0.34255200884069575,
          0.4178001538204017, 0.47100172623565684], rel=1e-12)
 
 
 def test_variants_differ():
-    a = step_trapezoid(_state_b()).u.values
-    b = step_midpoint(_state_b("midpoint")).u.values
+    a = step(_state_b()).u.values
+    b = step(_state_b("midpoint")).u.values
     assert not np.allclose(a, b, rtol=1e-6)
 
 
@@ -106,21 +106,18 @@ def test_unknown_variant():
 
 
 def test_minmod():
-    assert minmod(1.0, 2.0) == 1.0
-    assert minmod(-3.0, -1.0) == -1.0
-    assert minmod(1.0, -1.0) == 0.0
-    assert minmod(0.0, 5.0) == 0.0
-    assert minmod(2.0, 0.5) == 0.5
+    a = np.array([1.0, -3.0, 1.0, 0.0, 2.0])
+    b = np.array([2.0, -1.0, -1.0, 5.0, 0.5])
+    assert np.array_equal(_minmod(a, b), [1.0, -1.0, 0.0, 0.0, 0.5])
 
 
 def test_slopes():
     v = np.array([0.0, 1.0, 3.0, 4.0])
-    s = slopes(v)
+    s = _ghost_slopes(v, 0.0, 4.0)
     assert s.shape == v.shape
     assert s[1] == 1.0  # minmod(3-1, 1-0)
     assert s[2] == 1.0
-    with pytest.raises(ValueError):
-        slopes(np.array([1.0, 2.0]))
+    assert s[0] == 0.0 and s[-1] == 0.0  # flat against the ghosts
 
 
 def test_cfl_check():
@@ -138,17 +135,16 @@ def test_step_raises_on_cfl_violation():
     bc = (lambda t: 0.6, lambda t: 0.6)
     st = make_state(u0, grid, PARAMS, MODEL, "trapezoid", bc)
     with pytest.raises(NumericalError, match="CFL"):
-        step_trapezoid(st)
+        step(st)
 
 
 def test_constant_state_is_preserved_exactly():
     grid = GridSpec(L=1.0, n_cells=8, dx=0.125, lam=0.1)
     u0 = np.full(9, 0.4)
     bc = (lambda t: 0.4, lambda t: 0.4)
-    for variant, stepper in (("trapezoid", step_trapezoid),
-                             ("midpoint", step_midpoint)):
+    for variant in ("trapezoid", "midpoint"):
         st = make_state(u0, grid, PARAMS, MODEL, variant, bc)
-        st = stepper(stepper(st))
+        st = step(step(st))
         assert st.u.phase == INTEGER_GRID
         assert np.allclose(st.u.values, 0.4, rtol=0, atol=1e-14)
 
@@ -163,22 +159,30 @@ def test_mass_change_per_step_pair_matches_boundary_fluxes():
     bc = (lambda t: g, lambda t: h)
     st = make_state(u0, grid, params, MODEL, "trapezoid", bc)
     mass0 = grid.dx * st.w.values.sum()
-    st = step_trapezoid(step_trapezoid(st))
+    st = step(step(st))
     mass2 = grid.dx * st.w.values.sum()
     expected = 2.0 * grid.lam * grid.dx * (flux(g, MODEL) - flux(h, MODEL))
     assert mass2 - mass0 == pytest.approx(expected, abs=1e-10)
 
 
-def test_run_lands_snapshots_exactly():
-    st = _state_a()
+@pytest.mark.parametrize("scheme", ["trapezoid", "third_order"])
+def test_run_lands_snapshots_exactly(scheme):
     dt = GRID.lam * GRID.dx  # 0.025
     t_mid = 3.3 * dt         # not a multiple of a full pair
-    fields = run(st, t_final=5.0 * dt, snapshot_times=[t_mid])
+    if scheme == "trapezoid":
+        fields = run(_state_a(), t_final=5.0 * dt, snapshot_times=[t_mid])
+        phase, size = INTEGER_GRID, 5
+    else:  # the order-4 solves need a few more cells
+        m = desk_manifest(scheme=scheme, epsilon=0.1, tau=1.0, L=1.0, L0=0.25,
+                          dx=0.125, lam=0.2, t_final=5.0 * dt,
+                          snapshot_times=[t_mid])
+        fields = run_manifest(m)
+        phase, size = HALF_GRID, 8
     assert len(fields) == 2
     assert [f.time for f in fields] == pytest.approx([t_mid, 5.0 * dt])
     for f in fields:
-        assert f.phase == INTEGER_GRID
-        assert f.values.shape == (5,)
+        assert f.phase == phase
+        assert f.values.shape == (size,)
 
 
 def test_run_is_deterministic():
