@@ -1,6 +1,7 @@
 """The snapshot-landing time loop shared by both marching schemes."""
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Sequence
 
 from .operators import Field
@@ -14,7 +15,9 @@ def land_snapshots(advance: Callable[[float], float], read: Callable[[], Field],
 
     advance(dt) moves the scheme on by dt and returns its new time.  A time
     left within 1e-12 short of dt_nom still takes a nominal step.  The
-    result holds one read() per snapshot time plus the final state, last.
+    result holds one read() per snapshot time plus the final state, last,
+    each stamped with its requested time exactly; the scheme's own clock,
+    which sums the steps, is left as it is.
     """
     if t_final <= t0:
         raise ValueError("t_final must exceed the current time")
@@ -28,5 +31,5 @@ def land_snapshots(advance: Callable[[float], float], read: Callable[[], Field],
         while target - t > 1e-12:
             remaining = target - t
             t = advance(dt_nom if remaining >= dt_nom - 1e-12 else remaining)
-        out.append(read())
+        out.append(replace(read(), time=target))
     return out

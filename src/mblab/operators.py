@@ -4,7 +4,7 @@ Node-centered fields on [x0, x0+L] carry n_cells+1 values with the
 boundary (Dirichlet) values stored in the array; half-grid fields carry
 n_cells values at the staggered points x0 + (j+1/2)dx.  The elliptic
 operator is (I - c D^2) with c = eps^2 tau (or a scheme-supplied
-coefficient); its inverse is a direct banded solve.
+coefficient); its inverse is a banded LU solve, factored once per matrix.
 
 Boundary closures for half-grid fields: a solve places the boundary value
 midway between the first unknown and a reflected ghost (linear
@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .errors import NumericalError
 
@@ -102,12 +102,8 @@ class Field:
         self.values = np.asarray(self.values, dtype=float)
         if self.phase not in (INTEGER_GRID, HALF_GRID):
             raise ValueError(f"unknown phase {self.phase!r}")
-        _check_finite(self.values)
-
-
-def _check_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("field contains NaN/Inf values")
+        if not np.all(np.isfinite(self.values)):
+            raise NumericalError("field contains NaN/Inf values")
 
 
 def _d2_order2(v: np.ndarray, dx: float, left: float, right: float) -> np.ndarray:
@@ -152,7 +148,6 @@ def helmholtz_apply(u: Field, params: MBLParams, dx: float, order: int = 2) -> F
             raise ValueError(f"order must be 2 or 4, got {order}")
     elif order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
-    _check_finite(w)
     return Field(w, phase=u.phase, time=u.time)
 
 
@@ -186,9 +181,8 @@ def _entry(weight, ct: float, diagonal: bool) -> float:
     return value
 
 
-@functools.lru_cache(maxsize=32)
 def _bands(m: int, phase: str, order: int, ct: float) -> np.ndarray:
-    """Read-only band storage (solve_banded layout) of the m-unknown matrix."""
+    """Band storage of the m-unknown matrix: entry (i, j) at [width + i - j, j]."""
     stencil = _STENCILS[order][1]
     rows = _CLOSURES[phase, order][0]
     half = len(stencil) // 2
@@ -205,8 +199,34 @@ def _bands(m: int, phase: str, order: int, ct: float) -> np.ndarray:
         for j, weight in row.items():
             ab[width + i - j, j] = ab[width + j - i, m - 1 - j] = \
                 _entry(weight, ct, i == j)
-    ab.setflags(write=False)
     return ab
+
+
+@functools.lru_cache(maxsize=32)
+def _factored_solve(m: int, phase: str, order: int, ct: float) -> functools.partial:
+    """LAPACK solve of the m-unknown matrix, bound to its read-only LU factors.
+
+    Width 1 keeps the tridiagonal factors (dgttrf, solved by dgttrs).  Wider
+    bands go in the last 2 width + 1 of 3 width + 1 rows, the general band
+    layout (dgbtrf, solved by dgbtrs).  Called on a right-hand side, the
+    result returns (solution, info).
+    """
+    ab = _bands(m, phase, order, ct)
+    width = ab.shape[0] // 2
+    if width == 1:
+        *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        solve = functools.partial(dgttrs, *factors)
+    else:
+        gb = np.zeros((3 * width + 1, m))
+        gb[width:] = ab
+        lu, ipiv, info = dgbtrf(gb, width, width, overwrite_ab=1)
+        factors = lu, ipiv
+        solve = functools.partial(dgbtrs, lu, width, width, ipiv=ipiv)
+    if info != 0:
+        raise NumericalError(f"Helmholtz factorisation failed (info={info})")
+    for a in factors:
+        a.setflags(write=False)
+    return solve
 
 
 def helmholtz_solve(w: Field, bc_left: float, bc_right: float, params: MBLParams,
@@ -229,8 +249,9 @@ def helmholtz_solve(w: Field, bc_left: float, bc_right: float, params: MBLParams
             out[0] = bc_left
             out[-1] = bc_right
     else:
-        # fewer cells and the two edge closures would overlap
-        need = 5 if order == 4 else 2
+        # fewer cells and the order-4 edge closures would overlap; scipy's
+        # dgttrf takes no fewer than the three unknowns that four cells leave
+        need = 5 if order == 4 else 4
         if (v.size - 1 if node else v.size) < need:
             raise ValueError(f"order-{order} solve needs at least {need} cells")
         scale = _STENCILS[order][0]
@@ -239,12 +260,12 @@ def helmholtz_solve(w: Field, bc_left: float, bc_right: float, params: MBLParams
         for i, weight in enumerate(_CLOSURES[w.phase, order][1]):
             rhs[i] += weight * ct * bc_left
             rhs[-1 - i] += weight * ct * bc_right
-        ab = _bands(rhs.size, w.phase, order, ct)
-        width = ab.shape[0] // 2
-        out = solve_banded((width, width), ab, rhs)
+        solve = _factored_solve(rhs.size, w.phase, order, ct)
+        out, info = solve(rhs, overwrite_b=1)
+        if info != 0:
+            raise NumericalError(f"Helmholtz solve failed (info={info})")
         if node:
             out = np.concatenate([[bc_left], out, [bc_right]])
-    _check_finite(out)
     return Field(out, phase=w.phase, time=w.time)
 
 

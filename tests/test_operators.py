@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mblab.errors import NumericalError
+from mblab.experiments import desk_manifest, run_manifest
 from mblab.operators import (
     Field,
     GridSpec,
@@ -14,6 +15,7 @@ from mblab.operators import (
     INTEGER_GRID,
     MBLParams,
     _d2_order2,
+    _factored_solve,
     helmholtz_apply,
     helmholtz_solve,
     weighted_h1_norm,
@@ -214,11 +216,33 @@ def test_solve_rejects_fields_too_short_for_the_closures():
     with pytest.raises(ValueError):
         helmholtz_solve(Field(np.zeros(1), phase=HALF_GRID), 0.2, 0.8,
                         params, 0.1, order=2)
+    with pytest.raises(ValueError):  # three cells, two unknowns
+        helmholtz_solve(Field(np.zeros(4)), 0.2, 0.8, params, 0.1, order=2)
     with pytest.raises(ValueError):
         helmholtz_solve(Field(np.zeros(4), phase=HALF_GRID), 0.2, 0.8,
                         params, 0.1, order=4)
     with pytest.raises(ValueError):
         helmholtz_solve(Field(np.zeros(5)), 0.2, 0.8, params, 0.1, order=4)
+
+
+@pytest.mark.parametrize("phase", [INTEGER_GRID, HALF_GRID])
+def test_solve_with_nan_boundary_value_is_a_numerical_error(phase):
+    # exit code 3 in the CLI, not the validation error of exit code 2
+    with pytest.raises(NumericalError):
+        helmholtz_solve(Field(np.zeros(10), phase=phase), math.nan, 0.0,
+                        MBLParams(epsilon=0.1, tau=1.0), 0.1)
+
+
+def test_each_matrix_is_factored_once_per_run():
+    _factored_solve.cache_clear()
+    run_manifest(desk_manifest(tau=5.0, t_final=0.002))  # 20 step pairs
+    # both phases, each with eps^2 tau and the corrector's eps^2 tau + eps dt/2
+    assert _factored_solve.cache_info().misses == 4
+    for order in (2, 4):  # tridiagonal and general band factors
+        solve = _factored_solve(9, HALF_GRID, order, 0.5)
+        factors = [a for a in (*solve.args, *solve.keywords.values())
+                   if isinstance(a, np.ndarray)]
+        assert factors and not any(a.flags.writeable for a in factors)
 
 
 def test_half_grid_solve_constant():

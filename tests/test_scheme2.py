@@ -179,7 +179,7 @@ def test_run_lands_snapshots_exactly(scheme):
         fields = run_manifest(m)
         phase, size = HALF_GRID, 8
     assert len(fields) == 2
-    assert [f.time for f in fields] == pytest.approx([t_mid, 5.0 * dt])
+    assert [f.time for f in fields] == [t_mid, 5.0 * dt]
     for f in fields:
         assert f.phase == phase
         assert f.values.shape == (size,)
