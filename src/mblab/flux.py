@@ -13,6 +13,7 @@ __all__ = [
     "FluxModel",
     "flux",
     "flux_deriv",
+    "flux_and_deriv",
     "shock_speed",
     "oleinik_admissible",
     "classical_bl_profile",
@@ -45,11 +46,22 @@ class FluxModel:
         object.__setattr__(self, "C", (self.M + 1.0) ** 2 / (2.0 * self.M))
 
 
+def _clamped(u: np.ndarray, M: float) -> tuple[np.ndarray, np.ndarray]:
+    """u clipped to [0, 1] and the flux denominator u^2 + M (1-u)^2 there."""
+    uc = np.minimum(np.maximum(u, 0.0), 1.0)  # np.clip, without its dispatch cost
+    return uc, uc * uc + M * (1.0 - uc) ** 2
+
+
+def _deriv(u: np.ndarray, uc: np.ndarray, den: np.ndarray, M: float) -> np.ndarray:
+    """df/du from the clamped parts; zero outside (0, 1), where f is flat."""
+    return np.where((u > 0.0) & (u < 1.0), 2.0 * M * uc * (1.0 - uc) / den ** 2, 0.0)
+
+
 def flux(u, model: FluxModel):
     """Clamped fractional-flow function; accepts scalars or arrays."""
     u = np.asarray(u, dtype=float)
-    uc = np.clip(u, 0.0, 1.0)
-    out = uc * uc / (uc * uc + model.M * (1.0 - uc) ** 2)
+    uc, den = _clamped(u, model.M)
+    out = uc * uc / den
     if out.ndim == 0:
         return float(out)
     return out
@@ -58,13 +70,16 @@ def flux(u, model: FluxModel):
 def flux_deriv(u, model: FluxModel):
     """df/du; zero outside [0, 1] to match the clamped flux."""
     u = np.asarray(u, dtype=float)
-    inside = (u > 0.0) & (u < 1.0)
-    uc = np.where(inside, u, 0.5)  # dummy value, masked below
-    den = (uc * uc + model.M * (1.0 - uc) ** 2) ** 2
-    out = np.where(inside, 2.0 * model.M * uc * (1.0 - uc) / den, 0.0)
+    out = _deriv(u, *_clamped(u, model.M), model.M)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def flux_and_deriv(u: np.ndarray, model: FluxModel) -> tuple[np.ndarray, np.ndarray]:
+    """flux(u) and flux_deriv(u) of an array, from one clip and one denominator."""
+    uc, den = _clamped(u, model.M)
+    return uc * uc / den, _deriv(u, uc, den, model.M)
 
 
 def shock_speed(u_l: float, u_r: float, model: FluxModel) -> float:

@@ -102,7 +102,7 @@ class Field:
         self.values = np.asarray(self.values, dtype=float)
         if self.phase not in (INTEGER_GRID, HALF_GRID):
             raise ValueError(f"unknown phase {self.phase!r}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise NumericalError("field contains NaN/Inf values")
 
 
@@ -229,6 +229,33 @@ def _factored_solve(m: int, phase: str, order: int, ct: float) -> functools.part
     return solve
 
 
+def _solve_unknowns(rhs: np.ndarray, phase: str, bc_left: float, bc_right: float,
+                    c: float, dx: float, order: int = 2) -> np.ndarray:
+    """The unknowns of (I - c D^2) u = w: every half cell, or the interior nodes.
+
+    rhs holds w at those unknowns and is overwritten; the boundary values
+    enter through the closures.  No finiteness check: callers decide where
+    NaN/Inf is caught.
+    """
+    if order not in (2, 4):
+        raise ValueError(f"order must be 2 or 4, got {order}")
+    if c == 0.0:
+        return rhs
+    # fewer cells and the order-4 edge closures would overlap; scipy's
+    # dgttrf takes no fewer than the three unknowns that four cells leave
+    need = 5 if order == 4 else 4
+    if (rhs.size + 1 if phase == INTEGER_GRID else rhs.size) < need:
+        raise ValueError(f"order-{order} solve needs at least {need} cells")
+    ct = c / (_STENCILS[order][0] * dx ** 2)
+    for i, weight in enumerate(_CLOSURES[phase, order][1]):
+        rhs[i] += weight * ct * bc_left
+        rhs[-1 - i] += weight * ct * bc_right
+    out, info = _factored_solve(rhs.size, phase, order, ct)(rhs, overwrite_b=1)
+    if info != 0:
+        raise NumericalError(f"Helmholtz solve failed (info={info})")
+    return out
+
+
 def helmholtz_solve(w: Field, bc_left: float, bc_right: float, params: MBLParams,
                     dx: float, order: int = 2, coefficient: float = None) -> Field:
     """Solve (I - c D^2) u = w under Dirichlet data; c = eps^2 tau by default.
@@ -239,33 +266,12 @@ def helmholtz_solve(w: Field, bc_left: float, bc_right: float, params: MBLParams
     operators like (I - (eps^2 tau + eps dt/2) D^2).
     """
     c = params.disp if coefficient is None else coefficient
-    if order not in (2, 4):
-        raise ValueError(f"order must be 2 or 4, got {order}")
     v = w.values
-    node = w.phase == INTEGER_GRID
-    if c == 0.0:
-        out = v.copy()
-        if node:
-            out[0] = bc_left
-            out[-1] = bc_right
+    if w.phase == INTEGER_GRID:
+        out = _solve_unknowns(v[1:-1].copy(), w.phase, bc_left, bc_right, c, dx, order)
+        out = np.concatenate([[bc_left], out, [bc_right]])
     else:
-        # fewer cells and the order-4 edge closures would overlap; scipy's
-        # dgttrf takes no fewer than the three unknowns that four cells leave
-        need = 5 if order == 4 else 4
-        if (v.size - 1 if node else v.size) < need:
-            raise ValueError(f"order-{order} solve needs at least {need} cells")
-        scale = _STENCILS[order][0]
-        ct = c / (scale * dx ** 2)
-        rhs = v[1:-1].copy() if node else v.copy()
-        for i, weight in enumerate(_CLOSURES[w.phase, order][1]):
-            rhs[i] += weight * ct * bc_left
-            rhs[-1 - i] += weight * ct * bc_right
-        solve = _factored_solve(rhs.size, w.phase, order, ct)
-        out, info = solve(rhs, overwrite_b=1)
-        if info != 0:
-            raise NumericalError(f"Helmholtz solve failed (info={info})")
-        if node:
-            out = np.concatenate([[bc_left], out, [bc_right]])
+        out = _solve_unknowns(v.copy(), w.phase, bc_left, bc_right, c, dx, order)
     return Field(out, phase=w.phase, time=w.time)
 
 

@@ -21,6 +21,7 @@ half time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .march import land_snapshots
 from .errors import NumericalError
-from .flux import FluxModel, flux, flux_deriv
+from .flux import FluxModel, flux, flux_and_deriv, flux_deriv
 from .operators import (
     Field,
     GridSpec,
@@ -36,8 +37,8 @@ from .operators import (
     INTEGER_GRID,
     MBLParams,
     _d2_order2,
+    _solve_unknowns,
     helmholtz_apply,
-    helmholtz_solve,
 )
 
 __all__ = [
@@ -70,10 +71,8 @@ def make_state(u0, grid: GridSpec, params: MBLParams, model: FluxModel,
     if variant not in (TRAPEZOID, MIDPOINT):
         raise ValueError(f"unknown variant {variant!r}")
     u = Field(np.asarray(u0, dtype=float).copy(), INTEGER_GRID, 0.0)
-    state = Scheme2State(u=u, w=u, grid=grid, params=params, model=model,
-                         variant=variant, bc=bc)
-    state.w = _to_w(state)
-    return state
+    return Scheme2State(u=u, w=helmholtz_apply(u, params, grid.dx), grid=grid,
+                        params=params, model=model, variant=variant, bc=bc)
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,49 +80,52 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
 
 
+def _slopes(ext: np.ndarray) -> np.ndarray:
+    """Minmod slopes of ghost-extended values, along the last axis."""
+    d = ext[..., 1:] - ext[..., :-1]
+    return _minmod(d[..., 1:], d[..., :-1])
+
+
 def _ghost_slopes(v: np.ndarray, g: float, h: float) -> np.ndarray:
     """Minmod slopes against constant-value ghosts at both ends."""
-    ext = np.concatenate([[g], v, [h]])
-    return _minmod(ext[2:] - ext[1:-1], ext[1:-1] - ext[:-2])
+    return _slopes(np.concatenate([[g], v, [h]]))
 
 
-def _to_w(state: Scheme2State) -> Field:
-    """w = (I - eps^2 tau D^2) u under the ghost policy of u's phase."""
-    u = state.u
-    if u.phase == INTEGER_GRID:
-        return helmholtz_apply(u, state.params, state.grid.dx)
-    g, h = state.bc[0](u.time), state.bc[1](u.time)
-    w = u.values - state.params.disp * _d2_order2(u.values, state.grid.dx, g, h)
-    return Field(w, phase=u.phase, time=u.time)
+def _cfl_margin(speeds: np.ndarray, lam: float) -> float:
+    """1/2 - lam * max|f'|: positive iff the step is stable."""
+    return 0.5 - lam * float(np.abs(speeds).max())
 
 
 def cfl_check(u: Field, grid: GridSpec, model: FluxModel) -> dict:
     """ok iff lam * max|f'(u_j)| < 1/2; margin is the distance to the limit."""
-    speed = float(np.max(np.abs(flux_deriv(u.values, model))))
-    margin = 0.5 - grid.lam * speed
+    margin = _cfl_margin(flux_deriv(u.values, model), grid.lam)
     return {"ok": margin > 0.0, "margin": margin}
 
 
-def predictor(state: Scheme2State) -> Field:
-    """w at t + dt/2 on the current grid phase.
+def _predict(state: Scheme2State, fslope: np.ndarray, g: float, h: float,
+             gh: float, hh: float) -> np.ndarray:
+    """w at t + dt/2 from the flux slopes, with ghosts g, h at t.
 
-    Boundary nodes of an integer-phase field are replaced by the Dirichlet
-    values at the half time; half-phase nodes are all interior.
+    Boundary nodes of an integer-phase field take the Dirichlet values gh,
+    hh at the half time; half-phase nodes are all interior.
     """
-    grid, params, model = state.grid, state.params, state.model
-    dx, lam = grid.dx, grid.lam
-    dt = lam * dx
-    t = state.u.time
-    g, h = state.bc[0](t), state.bc[1](t)
-    u, w = state.u.values, state.w.values
-    f = flux(u, model)
-    d2u = _d2_order2(u, dx, g, h)
-    fslope = _ghost_slopes(f, flux(g, model), flux(h, model))
-    wp = w + (params.epsilon * dx * d2u - fslope) * lam / 2.0
+    dx, lam = state.grid.dx, state.grid.lam
+    d2u = _d2_order2(state.u.values, dx, g, h)
+    wp = state.w.values + (state.params.epsilon * dx * d2u - fslope) * lam / 2.0
     if state.u.phase == INTEGER_GRID:
-        wp[0] = state.bc[0](t + dt / 2.0)
-        wp[-1] = state.bc[1](t + dt / 2.0)
-    return Field(wp, phase=state.u.phase, time=t + dt / 2.0)
+        wp[0], wp[-1] = gh, hh
+    return wp
+
+
+def predictor(state: Scheme2State) -> Field:
+    """w at t + dt/2 on the current grid phase."""
+    t = state.u.time
+    t_half = t + state.grid.lam * state.grid.dx / 2.0
+    left, right = state.bc
+    g, h = left(t), right(t)
+    f_ext = flux(np.concatenate([[g], state.u.values, [h]]), state.model)
+    wp = _predict(state, _slopes(f_ext), g, h, left(t_half), right(t_half))
+    return Field(wp, phase=state.u.phase, time=t_half)
 
 
 def _staggered_average(w: np.ndarray, slope: np.ndarray) -> np.ndarray:
@@ -131,55 +133,72 @@ def _staggered_average(w: np.ndarray, slope: np.ndarray) -> np.ndarray:
 
 
 def step(state: Scheme2State) -> Scheme2State:
-    """One staggered step of the state's variant; the output phase is toggled."""
+    """One staggered step of the state's variant; the output phase is toggled.
+
+    Works on arrays from the state's two Fields to the new state's two.  A
+    NaN/Inf anywhere is a NumericalError: the new Fields check themselves,
+    and the six boundary values and the half-time u are checked here,
+    because minmod and the clamped flux can turn an Inf there finite.
+    """
     grid, params, model = state.grid, state.params, state.model
     dx, lam = grid.dx, grid.lam
     dt = lam * dx
     eps = params.epsilon
     c = params.disp
     t = state.u.time
-    g0, h0 = state.bc[0](t), state.bc[1](t)
-    gh, hh = state.bc[0](t + dt / 2.0), state.bc[1](t + dt / 2.0)
-    g1, h1 = state.bc[0](t + dt), state.bc[1](t + dt)
-    new_phase = HALF_GRID if state.u.phase == INTEGER_GRID else INTEGER_GRID
-    # the unknowns on the new points: every half cell, or the interior nodes
-    inner = slice(None) if new_phase == HALF_GRID else slice(1, -1)
+    left, right = state.bc
+    g0, h0 = left(t), right(t)
+    gh, hh = left(t + dt / 2.0), right(t + dt / 2.0)
+    g1, h1 = left(t + dt), right(t + dt)
+    if not all(map(math.isfinite, (g0, h0, gh, hh, g1, h1))):
+        raise NumericalError("boundary value is NaN/Inf")
+    phase = state.u.phase
+    new_phase = HALF_GRID if phase == INTEGER_GRID else INTEGER_GRID
+    u, w = state.u.values, state.w.values
 
-    def solve_new(values, g, h, time, coefficient=None):
-        """u on the new staggered points from values at their unknowns."""
-        if new_phase == INTEGER_GRID:
-            values = np.concatenate([[g], values, [h]])
-        return helmholtz_solve(Field(values, new_phase, time), g, h, params,
-                               dx, order=2, coefficient=coefficient).values
-
-    check = cfl_check(state.u, grid, model)
-    if not check["ok"]:
+    # one flux evaluation on u and its ghosts gives the slopes and the speed
+    f_ext, speeds = flux_and_deriv(np.concatenate([[g0], u, [h0]]), model)
+    margin = _cfl_margin(speeds[1:-1], lam)
+    if not margin > 0.0:
         raise NumericalError(
-            f"CFL violation: lambda*max|f'| = {0.5 - check['margin']:.6g} >= 0.5")
+            f"CFL violation: lambda*max|f'| = {0.5 - margin:.6g} >= 0.5")
 
-    w = state.w.values
-    wbar = _staggered_average(w, _ghost_slopes(w, g0, h0))
+    ext = np.empty((2, u.size + 2))
+    ext[0, 0], ext[0, 1:-1], ext[0, -1] = g0, w, h0
+    ext[1] = f_ext
+    wslope, fslope = _slopes(ext)
+    wbar = _staggered_average(w, wslope)
 
     # predictor, converted to u at the half time
-    wp = predictor(state)
-    up = helmholtz_solve(wp, gh, hh, params, dx, order=2)
-    fph = flux(up.values, model)
+    wp = _predict(state, fslope, g0, h0, gh, hh)
+    up = wp.copy()
+    unknowns = slice(1, -1) if phase == INTEGER_GRID else slice(None)
+    up[unknowns] = _solve_unknowns(up[unknowns], phase, gh, hh, c, dx)
+    if not np.isfinite(up).all():
+        raise NumericalError("half-time u contains NaN/Inf values")
+    fph = flux(up, model)
     df = fph[1:] - fph[:-1]
 
+    # the unknowns on the new points: every half cell, or the interior nodes
     if state.variant == TRAPEZOID:
-        ubar = solve_new(wbar, g0, h0, t)[inner]
+        ubar = _solve_unknowns(wbar, new_phase, g0, h0, c, dx)
         rhs = ubar - (c - eps * dt / 2.0) * _d2_order2(ubar, dx, g0, h0) - lam * df
         coefficient = c + eps * dt / 2.0
     else:  # MIDPOINT
-        wbar_mid = _staggered_average(wp.values, _ghost_slopes(wp.values, gh, hh))
-        ubar_mid = solve_new(wbar_mid, gh, hh, t + dt / 2.0)[inner]
+        wbar_mid = _staggered_average(wp, _ghost_slopes(wp, gh, hh))
+        ubar_mid = _solve_unknowns(wbar_mid, new_phase, gh, hh, c, dx)
         rhs = wbar - lam * df + eps * dt * _d2_order2(ubar_mid, dx, gh, hh)
-        coefficient = None
-    u_new = solve_new(rhs, g1, h1, t + dt, coefficient)
+        coefficient = c
+    u_new = _solve_unknowns(rhs, new_phase, g1, h1, coefficient, dx)
 
-    out = replace(state, u=Field(u_new, new_phase, t + dt))
-    out.w = _to_w(out)
-    return out
+    if new_phase == INTEGER_GRID:
+        u_out = Field(np.concatenate([[g1], u_new, [h1]]), new_phase, t + dt)
+        w_out = helmholtz_apply(u_out, params, dx)
+    else:
+        u_out = Field(u_new, new_phase, t + dt)
+        w_out = Field(u_new - c * _d2_order2(u_new, dx, g1, h1), new_phase, t + dt)
+    return Scheme2State(u=u_out, w=w_out, grid=grid, params=params, model=model,
+                        variant=state.variant, bc=state.bc)
 
 
 def run(state: Scheme2State, t_final: float, snapshot_times: Sequence[float] = ()

@@ -91,6 +91,7 @@ def test_criterion_3_nonclassical_plateau_profile():
              f"lead_speed={speed:.4f} {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_4_bifurcation_matrix():
     t0 = time.perf_counter()
     pairs = [(tau, u_b) for tau in (0.2, 1.0, 5.0)
@@ -130,6 +131,7 @@ def test_criterion_4_bifurcation_matrix():
              f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_domain_truncation_agreement():
     base = desk_manifest(tau=5.0, u_B=ALPHA, epsilon=0.001, dx=1e-4,
                          t_final=0.1)

@@ -8,7 +8,7 @@ import numpy as np
 import pydantic
 import pytest
 
-from mblab import cli
+from mblab import cli, experiments
 from mblab.errors import ManifestError, NumericalError
 from mblab.experiments import (
     TAU_STAR,
@@ -326,6 +326,21 @@ def test_cli_rejects_bad_override(manifest_file):
 def test_cli_cfl_violation_exit_code(manifest_file, tmp_path, capsys):
     rc = cli.main(["riemann", "--manifest", str(manifest_file),
                    "--u-B", "0.6", "--lambda", "0.5",
+                   "--output-dir", str(tmp_path / "x")])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_non_finite_boundary_value_exit_code(manifest_file, tmp_path, capsys,
+                                                 monkeypatch):
+    inflow = experiments._bc_for
+
+    def failing_bc(manifest):
+        left, right = inflow(manifest)
+        return (lambda t: math.nan if t > 0.005 else left(t), right)
+
+    monkeypatch.setattr(experiments, "_bc_for", failing_bc)
+    rc = cli.main(["riemann", "--manifest", str(manifest_file),
                    "--output-dir", str(tmp_path / "x")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err

@@ -1,4 +1,7 @@
 """Staggered predictor-corrector scheme: frozen single-step values and invariants."""
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -127,6 +130,71 @@ def test_cfl_check():
     tight = GridSpec(L=1.0, n_cells=4, dx=0.25, lam=0.5)
     bad = cfl_check(Field(np.array([0.6, 0.6, 0.6])), tight, MODEL)
     assert not bad["ok"]
+
+
+# Final u of a 40-step Riemann run through both grid phases, with u above 1
+# so that the flux clamp acts; frozen from the step that built a Field per
+# operation, which the array-level step must match bit for bit.
+_RIEMANN_40 = {
+    "trapezoid": [0.98, 0.9924610116492456, 1.0154983242531317,
+                  1.0322356511842783, 1.032416824676687, 1.013681006729668,
+                  0.9747345600722574, 0.9154557121448639, 0.8348655312739799,
+                  0.7297626895420738, 0.600025402282415, 0.4597067799727457,
+                  0.3277082218833994, 0.21192896685242527, 0.11431658515698426,
+                  0.03881424406620042, 0.0],
+    "midpoint": [0.98, 0.9963425481428951, 1.020503229496715,
+                 1.0368119840888539, 1.0361924885157274, 1.0165723336954386,
+                 0.9769247014675126, 0.9174303432768227, 0.8371942312160164,
+                 0.7328731380729975, 0.604065498444486, 0.46457106120700276,
+                 0.3335345715111682, 0.21903640714759923, 0.1224634092003983,
+                 0.046156667714997116, 0.0],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_RIEMANN_40))
+def test_short_riemann_run_matches_frozen_values(variant):
+    grid = GridSpec(L=1.0, n_cells=16, lam=0.2)
+    u0 = np.where(grid.nodes() <= 0.25, 0.98, 0.0)
+    st = make_state(u0, grid, MBLParams(epsilon=0.05, tau=10.0), MODEL, variant,
+                    (lambda t: 0.98, lambda t: 0.0))
+    for _ in range(40):
+        st = step(st)
+    assert st.u.phase == INTEGER_GRID
+    assert np.array_equal(st.u.values, _RIEMANN_40[variant])
+
+
+@pytest.mark.parametrize("variant", ["trapezoid", "midpoint"])
+@pytest.mark.parametrize("phase", [INTEGER_GRID, HALF_GRID])
+@pytest.mark.parametrize("fraction", [0.5, 1.0])  # t + dt/2 or t + dt
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_boundary_value_within_a_step_is_a_numerical_error(
+        variant, phase, fraction, bad):
+    st = _state_b(variant)
+    if phase == HALF_GRID:
+        st = step(st)
+    t_bad = st.u.time + fraction * GRID.lam * GRID.dx
+    st = replace(st, bc=(lambda t: bad if t == t_bad else 0.1, st.bc[1]))
+    with pytest.raises(NumericalError):
+        step(st)
+
+
+def test_a_run_builds_at_most_two_fields_per_step(monkeypatch):
+    built = []
+    check = Field.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    pairs = 10
+    for variant in ("trapezoid", "midpoint"):
+        st = _state_b(variant)
+        built.clear()
+        monkeypatch.setattr(Field, "__post_init__", counting)
+        fields = run(st, t_final=pairs * 2.0 * GRID.lam * GRID.dx)
+        monkeypatch.undo()
+        # the new state's u and w per step, one stamped copy per returned field
+        assert len(built) <= 2 * (2 * pairs) + len(fields)
 
 
 def test_step_raises_on_cfl_violation():
