@@ -25,11 +25,13 @@ integrated by classical RK4 with dt = lam dx.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .flux import FluxModel, flux, flux_deriv
+from .errors import NumericalError
+from .flux import FluxModel, flux_and_deriv
+from .march import land_snapshots
 from .operators import (
     Field,
     GridSpec,
@@ -41,14 +43,12 @@ from .operators import (
 )
 
 __all__ = [
-    "Reconstruction",
     "RhsContext",
     "cweno_reconstruct",
-    "local_speed",
     "numerical_flux",
-    "diffusion_q",
     "semidiscrete_rhs",
     "rk4_step",
+    "run",
 ]
 
 EPS0 = 1e-6
@@ -56,21 +56,12 @@ C_SIDE = 0.25
 C_CENTER = 0.5
 
 
-@dataclass
-class Reconstruction:
-    """Interface values of the per-cell quadratics.
+def cweno_reconstruct(wbar, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Interface values (w_minus, w_plus) of the per-cell quadratics.
 
     w_minus[i] and w_plus[i] are the two one-sided values at the interface
-    between cells i and i+1.  weights stacks (W_L, W_C, W_R) per cell (edge
-    cells use copied ghost averages).
+    between cells i and i+1 (edge cells use copied ghost averages).
     """
-
-    w_minus: np.ndarray
-    w_plus: np.ndarray
-    weights: np.ndarray
-
-
-def cweno_reconstruct(wbar, dx: float) -> Reconstruction:
     v = np.asarray(wbar, dtype=float)
     if v.size < 5:
         raise ValueError(f"need at least 5 cell averages, got {v.size}")
@@ -94,28 +85,17 @@ def cweno_reconstruct(wbar, dx: float) -> Reconstruction:
 
     w_minus = a[:-1] + 0.5 * dx * b[:-1] + 0.125 * dx ** 2 * c[:-1]
     w_plus = a[1:] - 0.5 * dx * b[1:] + 0.125 * dx ** 2 * c[1:]
-    return Reconstruction(w_minus=w_minus, w_plus=w_plus,
-                          weights=np.stack([w_l, w_c, w_r], axis=1))
+    return w_minus, w_plus
 
 
-def local_speed(u_minus, u_plus, model: FluxModel):
-    """max of the flux derivative over the two interface states."""
-    a = np.maximum(flux_deriv(u_minus, model), flux_deriv(u_plus, model))
-    return float(a) if np.isscalar(u_minus) and np.isscalar(u_plus) else a
-
-
-def numerical_flux(u_minus, u_plus, w_minus, w_plus, model: FluxModel):
-    """(f(u+) + f(u-))/2 - (a/2)(w+ - w-)."""
-    a = local_speed(u_minus, u_plus, model)
-    h = 0.5 * (flux(u_plus, model) + flux(u_minus, model)) \
-        - 0.5 * a * (np.asarray(w_plus) - np.asarray(w_minus))
-    return float(h) if np.ndim(h) == 0 else h
-
-
-def diffusion_q(u, dx: float) -> np.ndarray:
-    """(-u_{j-2} + 16u_{j-1} - 30u_j + 16u_{j+1} - u_{j+2}) / (12 dx^2),
-    with one-sided closures of the same order at the two nodes per end."""
-    return _d2_order4(np.asarray(u, dtype=float), dx)
+def numerical_flux(u_minus: np.ndarray, u_plus: np.ndarray, w_minus: np.ndarray,
+                   w_plus: np.ndarray, model: FluxModel) -> np.ndarray:
+    """(f(u+) + f(u-))/2 - (a/2)(w+ - w-) with the local speed
+    a = max(f'(u-), f'(u+))."""
+    f_minus, d_minus = flux_and_deriv(u_minus, model)
+    f_plus, d_plus = flux_and_deriv(u_plus, model)
+    a = np.maximum(d_minus, d_plus)
+    return 0.5 * (f_plus + f_minus) - 0.5 * a * (w_plus - w_minus)
 
 
 @dataclass
@@ -140,8 +120,7 @@ def semidiscrete_rhs(wbar: np.ndarray, t: float, ctx: RhsContext) -> np.ndarray:
     g, h = ctx.bc[0](t), ctx.bc[1](t)
     dx = grid.dx
     padded = np.concatenate([[g], wbar, [h]])
-    rec = cweno_reconstruct(padded, dx)
-    wm, wp = rec.w_minus, rec.w_plus
+    wm, wp = cweno_reconstruct(padded, dx)
     um = helmholtz_solve(Field(wm, INTEGER_GRID, t), wm[0], wm[-1],
                          params, dx, order=4).values
     up = helmholtz_solve(Field(wp, INTEGER_GRID, t), wp[0], wp[-1],
@@ -151,16 +130,44 @@ def semidiscrete_rhs(wbar: np.ndarray, t: float, ctx: RhsContext) -> np.ndarray:
     if params.epsilon != 0.0:
         ubar = helmholtz_solve(Field(wbar, HALF_GRID, t), g, h,
                                params, dx, order=2).values
-        out = out + params.epsilon * diffusion_q(ubar, dx)
+        out = out + params.epsilon * _d2_order4(ubar, dx)
     return out
 
 
-def rk4_step(wbar: np.ndarray, t: float, dt: float, ctx: RhsContext,
-             rhs: Callable = semidiscrete_rhs) -> np.ndarray:
+def rk4_step(wbar: np.ndarray, t: float, dt: float, ctx: RhsContext) -> np.ndarray:
     if dt <= 0:
         raise ValueError("dt must be positive")
-    k1 = rhs(wbar, t, ctx)
-    k2 = rhs(wbar + 0.5 * dt * k1, t + 0.5 * dt, ctx)
-    k3 = rhs(wbar + 0.5 * dt * k2, t + 0.5 * dt, ctx)
-    k4 = rhs(wbar + dt * k3, t + dt, ctx)
+    k1 = semidiscrete_rhs(wbar, t, ctx)
+    k2 = semidiscrete_rhs(wbar + 0.5 * dt * k1, t + 0.5 * dt, ctx)
+    k3 = semidiscrete_rhs(wbar + 0.5 * dt * k2, t + 0.5 * dt, ctx)
+    k4 = semidiscrete_rhs(wbar + dt * k3, t + dt, ctx)
     return wbar + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def run(wbar0: np.ndarray, ctx: RhsContext, t_final: float,
+        snapshot_times: Sequence[float] = ()) -> list[Field]:
+    """Advance the cell averages of w from t = 0 by RK4 steps of dt = lam dx,
+    landing exactly on each requested time.
+
+    Returned fields hold the cell averages of u (the order-4 half-grid
+    solve), the final state last.  lam * C >= 1/2 is rejected before the
+    first step: f' is clamped, so C bounds the speed of u everywhere.
+    """
+    grid, params = ctx.grid, ctx.params
+    if grid.lam * ctx.model.C >= 0.5:
+        raise NumericalError(
+            f"CFL violation: lambda*C = {grid.lam * ctx.model.C:.6g} >= 0.5")
+    wbar, t = wbar0, 0.0
+
+    def advance(dt: float) -> float:
+        nonlocal wbar, t
+        wbar = rk4_step(wbar, t, dt, ctx)
+        t += dt
+        return t
+
+    def read() -> Field:
+        return helmholtz_solve(Field(wbar, HALF_GRID, t), ctx.bc[0](t), ctx.bc[1](t),
+                               params, grid.dx, order=4)
+
+    return land_snapshots(advance, read, 0.0, t_final, snapshot_times,
+                          grid.lam * grid.dx)

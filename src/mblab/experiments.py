@@ -20,20 +20,10 @@ import pydantic
 
 from . import __version__
 from .bounds import compare_domains
-from .cweno import RhsContext, rk4_step
-from .march import land_snapshots
-from .errors import ManifestError, NumericalError
+from .errors import ManifestError
 from .flux import FluxModel
-from .operators import (
-    Field,
-    GridSpec,
-    HALF_GRID,
-    INTEGER_GRID,
-    MBLParams,
-    _d2_order4,
-    helmholtz_solve,
-)
-from . import staggered
+from .operators import Field, GridSpec, INTEGER_GRID, MBLParams, _d2_order4
+from . import cweno, staggered
 
 __all__ = [
     "RunManifest",
@@ -197,44 +187,20 @@ def _initial_cell_w(manifest: RunManifest, grid: GridSpec,
     return ubar - params.disp * _d2_order4(ubar, grid.dx)
 
 
-def _run_third_order(manifest: RunManifest) -> list[Field]:
-    grid = _grid_for(manifest)
-    params = MBLParams(manifest.epsilon, manifest.tau)
-    model = FluxModel(manifest.M)
-    # |f'| <= C everywhere (f' is clamped), so this bounds the speed of u
-    if grid.lam * model.C >= 0.5:
-        raise NumericalError(
-            f"CFL violation: lambda*C = {grid.lam * model.C:.6g} >= 0.5")
-    bc = _bc_for(manifest)
-    ctx = RhsContext(grid=grid, params=params, model=model, bc=bc)
-    wbar = _initial_cell_w(manifest, grid, params)
-    t = 0.0
-
-    def advance(dt: float) -> float:
-        nonlocal wbar, t
-        wbar = rk4_step(wbar, t, dt, ctx)
-        t += dt
-        return t
-
-    def read() -> Field:
-        return helmholtz_solve(Field(wbar, HALF_GRID, t), bc[0](t), bc[1](t),
-                               params, grid.dx, order=4)
-
-    return land_snapshots(advance, read, 0.0, manifest.t_final,
-                          manifest.snapshot_times, grid.lam * grid.dx)
-
-
 def run_manifest(manifest: RunManifest) -> list[Field]:
     """Run to t_final, returning one Field per requested snapshot time plus
     the final state (staggered schemes: node values; third_order: cell
     averages of u)."""
-    if manifest.scheme == "third_order":
-        return _run_third_order(manifest)
     grid = _grid_for(manifest)
     params = MBLParams(manifest.epsilon, manifest.tau)
     model = FluxModel(manifest.M)
+    bc = _bc_for(manifest)
+    if manifest.scheme == "third_order":
+        ctx = cweno.RhsContext(grid=grid, params=params, model=model, bc=bc)
+        return cweno.run(_initial_cell_w(manifest, grid, params), ctx,
+                         manifest.t_final, manifest.snapshot_times)
     state = staggered.make_state(_initial_nodes(manifest, grid), grid, params,
-                                 model, manifest.scheme, _bc_for(manifest))
+                                 model, manifest.scheme, bc)
     return staggered.run(state, manifest.t_final, manifest.snapshot_times)
 
 

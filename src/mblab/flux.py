@@ -47,14 +47,19 @@ class FluxModel:
 
 
 def _clamped(u: np.ndarray, M: float) -> tuple[np.ndarray, np.ndarray]:
-    """u clipped to [0, 1] and the flux denominator u^2 + M (1-u)^2 there."""
+    """u clipped to [0, 1] and the flux denominator u^2 + M (1-u)^2 there.
+
+    Squares are products: a 0-d ** 2 goes through C pow, which can differ
+    from an array's squaring in the last bit.
+    """
     uc = np.minimum(np.maximum(u, 0.0), 1.0)  # np.clip, without its dispatch cost
-    return uc, uc * uc + M * (1.0 - uc) ** 2
+    d = 1.0 - uc
+    return uc, uc * uc + M * (d * d)
 
 
 def _deriv(u: np.ndarray, uc: np.ndarray, den: np.ndarray, M: float) -> np.ndarray:
     """df/du from the clamped parts; zero outside (0, 1), where f is flat."""
-    return np.where((u > 0.0) & (u < 1.0), 2.0 * M * uc * (1.0 - uc) / den ** 2, 0.0)
+    return np.where((u > 0.0) & (u < 1.0), 2.0 * M * uc * (1.0 - uc) / (den * den), 0.0)
 
 
 def flux(u, model: FluxModel):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .march import land_snapshots
 from .errors import NumericalError
-from .flux import FluxModel, flux, flux_and_deriv, flux_deriv
+from .flux import FluxModel, flux, flux_and_deriv
 from .operators import (
     Field,
     GridSpec,
@@ -44,9 +44,7 @@ from .operators import (
 __all__ = [
     "Scheme2State",
     "make_state",
-    "predictor",
     "step",
-    "cfl_check",
     "run",
 ]
 
@@ -67,12 +65,32 @@ class Scheme2State:
 
 def make_state(u0, grid: GridSpec, params: MBLParams, model: FluxModel,
                variant: str, bc) -> Scheme2State:
-    """Build a consistent state from node-centered initial values."""
+    """Build a consistent state from node-centered initial values.
+
+    A midpoint state whose linear amplification exceeds 1 is a
+    NumericalError: its run would grow without bound yet stay finite, and
+    the clamped f' hides it from the CFL test.
+    """
     if variant not in (TRAPEZOID, MIDPOINT):
         raise ValueError(f"unknown variant {variant!r}")
+    if variant == MIDPOINT:
+        r = params.epsilon * grid.lam / grid.dx
+        gain = _midpoint_gain(r, params.disp / grid.dx ** 2)
+        if gain > 1.0:
+            raise NumericalError(f"midpoint scheme unstable: max|G| = {gain:.6g} > 1 "
+                                 f"at eps*lam/dx = {r:.6g}")
     u = Field(np.asarray(u0, dtype=float).copy(), INTEGER_GRID, 0.0)
     return Scheme2State(u=u, w=helmholtz_apply(u, params, grid.dx), grid=grid,
                         params=params, model=model, variant=variant, bc=bc)
+
+
+def _midpoint_gain(r: float, kappa: float) -> float:
+    """max over s = 4 sin^2(theta/2) in [0, 4] of the midpoint corrector's
+    linear amplification |G| = cos(theta/2) |1 - z + z^2/2|, with
+    z = r s / (1 + kappa s), r = eps lam / dx and kappa = eps^2 tau / dx^2."""
+    s = np.linspace(0.0, 4.0, 4001)
+    z = r * s / (1.0 + kappa * s)
+    return float(np.max(np.sqrt(1.0 - s / 4.0) * (1.0 - z + 0.5 * z * z)))
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,12 +114,6 @@ def _cfl_margin(speeds: np.ndarray, lam: float) -> float:
     return 0.5 - lam * float(np.abs(speeds).max())
 
 
-def cfl_check(u: Field, grid: GridSpec, model: FluxModel) -> dict:
-    """ok iff lam * max|f'(u_j)| < 1/2; margin is the distance to the limit."""
-    margin = _cfl_margin(flux_deriv(u.values, model), grid.lam)
-    return {"ok": margin > 0.0, "margin": margin}
-
-
 def _predict(state: Scheme2State, fslope: np.ndarray, g: float, h: float,
              gh: float, hh: float) -> np.ndarray:
     """w at t + dt/2 from the flux slopes, with ghosts g, h at t.
@@ -115,17 +127,6 @@ def _predict(state: Scheme2State, fslope: np.ndarray, g: float, h: float,
     if state.u.phase == INTEGER_GRID:
         wp[0], wp[-1] = gh, hh
     return wp
-
-
-def predictor(state: Scheme2State) -> Field:
-    """w at t + dt/2 on the current grid phase."""
-    t = state.u.time
-    t_half = t + state.grid.lam * state.grid.dx / 2.0
-    left, right = state.bc
-    g, h = left(t), right(t)
-    f_ext = flux(np.concatenate([[g], state.u.values, [h]]), state.model)
-    wp = _predict(state, _slopes(f_ext), g, h, left(t_half), right(t_half))
-    return Field(wp, phase=state.u.phase, time=t_half)
 
 
 def _staggered_average(w: np.ndarray, slope: np.ndarray) -> np.ndarray:

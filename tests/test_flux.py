@@ -56,6 +56,15 @@ def test_flux_array_shapes():
     assert isinstance(flux(0.4, M2), float)
 
 
+@pytest.mark.parametrize("m", [0.3, 1.0, 2.0, 4.0, 7.5])
+def test_scalar_and_array_evaluations_agree_bit_for_bit(m):
+    model = FluxModel(m)
+    u = np.random.default_rng(0).uniform(-0.2, 1.2, 20000)
+    assert np.array_equal([flux(float(v), model) for v in u], flux(u, model))
+    assert np.array_equal([flux_deriv(float(v), model) for v in u],
+                          flux_deriv(u, model))
+
+
 def test_flux_deriv_matches_finite_difference():
     h = 1e-7
     for u in (0.1, 0.3, 0.5, M2.alpha, 0.9):

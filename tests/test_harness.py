@@ -1,13 +1,16 @@
 """Run manifests, profile classification, exports, sweeps, and the CLI."""
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pydantic
 import pytest
 
+import mblab
 from mblab import cli, experiments
 from mblab.errors import ManifestError, NumericalError
 from mblab.experiments import (
@@ -395,3 +398,11 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["--version"])
     assert exc_info.value.code == 0
+
+
+@pytest.mark.parametrize("name", ["mblab"] + sorted(
+    f"mblab.{m.name}" for m in pkgutil.iter_modules(mblab.__path__)
+    if m.name != "__main__"))  # importing __main__ runs the CLI
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -7,7 +7,7 @@ import pytest
 
 from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
-from mblab.flux import FluxModel, flux
+from mblab.flux import FluxModel, classical_bl_profile, flux, flux_deriv
 from mblab.operators import (
     Field,
     GridSpec,
@@ -17,11 +17,12 @@ from mblab.operators import (
     helmholtz_solve,
 )
 from mblab.staggered import (
+    _cfl_margin,
     _ghost_slopes,
     _minmod,
-    cfl_check,
+    _predict,
+    _slopes,
     make_state,
-    predictor,
     run,
     step,
 )
@@ -58,9 +59,9 @@ def test_initial_transform_case_b():
 def test_predictor_case_a():
     st = _state_a()
     dt = GRID.lam * GRID.dx
-    wp = predictor(st)
-    assert wp.time == pytest.approx(dt / 2)
-    up = helmholtz_solve(wp, 0.0, 0.9, PARAMS, GRID.dx)
+    fslope = _slopes(flux(np.concatenate([[0.0], st.u.values, [0.9]]), MODEL))
+    wp = _predict(st, fslope, 0.0, 0.9, 0.0, 0.9)
+    up = helmholtz_solve(Field(wp, INTEGER_GRID, dt / 2), 0.0, 0.9, PARAMS, GRID.dx)
     assert up.values == pytest.approx(
         [0.0, 0.012139846908058789, 0.8876537369914852,
          0.89850348327169527, 0.9], rel=1e-12, abs=1e-15)
@@ -123,13 +124,39 @@ def test_slopes():
     assert s[0] == 0.0 and s[-1] == 0.0  # flat against the ghosts
 
 
-def test_cfl_check():
-    ok = cfl_check(Field(np.array([0.0, 0.1, 0.2])), GRID, MODEL)
-    assert ok["ok"] and ok["margin"] > 0
+def test_cfl_margin():
+    assert _cfl_margin(flux_deriv(np.array([0.0, 0.1, 0.2]), MODEL), GRID.lam) > 0
+    assert not _cfl_margin(flux_deriv(np.array([0.6, 0.6, 0.6]), MODEL), 0.5) > 0
 
-    tight = GridSpec(L=1.0, n_cells=4, dx=0.25, lam=0.5)
-    bad = cfl_check(Field(np.array([0.6, 0.6, 0.6])), tight, MODEL)
-    assert not bad["ok"]
+
+@pytest.mark.parametrize("lam, stable", [(0.085, True), (0.09, False)])
+def test_midpoint_state_with_growing_linear_modes_is_rejected(lam, stable):
+    # tau = 0, so r = eps*lam/dx is 0.85 or 0.9 against a limit near 0.892;
+    # unguarded, the r = 0.9 run reaches max|u| ~ 4e23 by t = 0.1, finite
+    # throughout, while its clamped f' keeps the CFL test quiet
+    m = desk_manifest(scheme="midpoint", tau=0.0, u_B=0.9, epsilon=0.02,
+                      dx=0.002, lam=lam, t_final=0.1)
+    if stable:
+        assert np.abs(run_manifest(m)[-1].values).max() <= m.u_B + 1e-12
+    else:
+        with pytest.raises(NumericalError, match="midpoint"):
+            run_manifest(m)
+
+
+@pytest.mark.parametrize("u_B", [0.9, 0.75])
+def test_tau_zero_runs_converge_to_the_classical_profile(u_B):
+    # at tau = 0 the eps -> 0 limit is the entropy solution (van Duijn,
+    # Peletier & Pop, SIAM J. Math. Anal. 39, 2007); no run overshoots u_B
+    distances = []
+    for eps in (0.02, 0.01, 0.005):
+        m = desk_manifest(tau=0.0, u_B=u_B, epsilon=eps, dx=eps / 10, t_final=0.25)
+        u = run_manifest(m)[-1].values
+        assert u.max() - u_B <= 1e-12
+        x = m.dx * np.arange(u.size)
+        reference = classical_bl_profile(u_B, MODEL, x / m.t_final)
+        distances.append(m.dx * np.abs(u - reference).sum())
+    assert distances[1] <= 0.7 * distances[0]
+    assert distances[2] <= 0.7 * distances[1]
 
 
 # Final u of a 40-step Riemann run through both grid phases, with u above 1

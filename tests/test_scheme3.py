@@ -4,17 +4,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mblab import cweno
 from mblab.cweno import (
     RhsContext,
     cweno_reconstruct,
-    diffusion_q,
-    local_speed,
     numerical_flux,
     rk4_step,
     semidiscrete_rhs,
 )
-from mblab.flux import FluxModel, flux, flux_deriv
-from mblab.operators import GridSpec, MBLParams
+from mblab.flux import FluxModel, flux
+from mblab.operators import GridSpec, MBLParams, _d2_order4
 
 MODEL = FluxModel(2.0)
 
@@ -27,42 +26,30 @@ def _quadratic_cell_averages():
 
 
 def test_reconstruct_quadratic_interfaces():
-    rec = cweno_reconstruct(_quadratic_cell_averages(), 0.1)
-    assert rec.w_minus == pytest.approx(
+    w_minus, w_plus = cweno_reconstruct(_quadratic_cell_averages(), 0.1)
+    assert w_minus == pytest.approx(
         [1.1100000000307042, 1.5153107283783902, 1.8663600398037543,
          2.2770424587759588, 2.747516303785591, 3.2778624149685154],
         rel=1e-12)
-    assert rec.w_plus == pytest.approx(
+    assert w_plus == pytest.approx(
         [1.2324969996561641, 1.522090460217576, 1.8718095846362204,
          2.2816011329819221, 2.7514388036574511, 3.5699999999969272],
         rel=1e-12)
 
 
-def test_reconstruct_weights_partition_of_unity():
-    rec = cweno_reconstruct(_quadratic_cell_averages(), 0.1)
-    assert rec.weights.shape == (7, 3)
-    assert np.allclose(rec.weights.sum(axis=1), 1.0, rtol=0, atol=1e-14)
-    assert np.all(rec.weights >= 0.0) and np.all(rec.weights <= 1.0)
-    assert rec.weights[3] == pytest.approx(
-        [0.35815101, 0.44260217, 0.19924682], abs=1e-7)
-
-
 def test_reconstruct_constant_data():
-    rec = cweno_reconstruct(np.full(9, 0.6), 0.05)
-    assert np.allclose(rec.w_minus, 0.6, rtol=0, atol=1e-15)
-    assert np.allclose(rec.w_plus, 0.6, rtol=0, atol=1e-15)
-    # all smoothness indicators vanish, so the ideal split is used
-    assert np.allclose(rec.weights, np.tile([0.25, 0.5, 0.25], (9, 1)),
-                       rtol=0, atol=1e-15)
+    w_minus, w_plus = cweno_reconstruct(np.full(9, 0.6), 0.05)
+    assert np.allclose(w_minus, 0.6, rtol=0, atol=1e-15)
+    assert np.allclose(w_plus, 0.6, rtol=0, atol=1e-15)
 
 
 def test_reconstruct_scale_invariance():
     x = np.linspace(0.0, 2.0, 30)
     wbar = 2.0 + np.sin(2.0 * x)
-    a = cweno_reconstruct(wbar, x[1] - x[0])
-    b = cweno_reconstruct(10.0 * wbar, x[1] - x[0])
-    assert np.allclose(b.w_minus, 10.0 * a.w_minus, rtol=1e-5)
-    assert np.allclose(b.w_plus, 10.0 * a.w_plus, rtol=1e-5)
+    a_minus, a_plus = cweno_reconstruct(wbar, x[1] - x[0])
+    b_minus, b_plus = cweno_reconstruct(10.0 * wbar, x[1] - x[0])
+    assert np.allclose(b_minus, 10.0 * a_minus, rtol=1e-5)
+    assert np.allclose(b_plus, 10.0 * a_plus, rtol=1e-5)
 
 
 def test_reconstruct_needs_five_cells():
@@ -70,18 +57,16 @@ def test_reconstruct_needs_five_cells():
         cweno_reconstruct(np.ones(4), 0.1)
 
 
-def test_local_speed():
-    a = local_speed(np.array([0.3]), np.array([0.6]), MODEL)
-    assert a[0] == pytest.approx(2.0761245674740478, rel=1e-13)
-    # symmetric in the two states
-    b = local_speed(np.array([0.6]), np.array([0.3]), MODEL)
-    assert a[0] == b[0]
-
-
 def test_numerical_flux_hand_value():
-    h = numerical_flux(np.array([0.3]), np.array([0.6]),
-                       np.array([0.3]), np.array([0.6]), MODEL)
+    lo, hi = np.array([0.3]), np.array([0.6])
+    h = numerical_flux(lo, hi, lo, hi, MODEL)
     assert h[0] == pytest.approx(-0.0046567280018108836, rel=1e-13)
+    # the local speed max(f'(0.3), f'(0.6)), read back from the jump term
+    a = (0.5 * (flux(0.3, MODEL) + flux(0.6, MODEL)) - h[0]) / (0.5 * 0.3)
+    assert a == pytest.approx(2.0761245674740478, rel=1e-13)
+    # symmetric in the two states
+    swapped = numerical_flux(hi, lo, lo, hi, MODEL)
+    assert swapped[0] == h[0]
 
 
 def test_numerical_flux_consistency():
@@ -91,16 +76,17 @@ def test_numerical_flux_consistency():
         assert h[0] == pytest.approx(flux(u, MODEL), abs=1e-15)
 
 
-def test_diffusion_q_polynomials():
+def test_d2_order4_polynomials():
+    # the diffusion term Q of the semi-discrete scheme
     n = 24
     dx = 1.0 / n
     xc = (np.arange(n) + 0.5) * dx
-    assert np.allclose(diffusion_q(np.full(n, 0.3), dx), 0.0, rtol=0, atol=1e-12)
+    assert np.allclose(_d2_order4(np.full(n, 0.3), dx), 0.0, rtol=0, atol=1e-12)
     # degree <= 4 is exact everywhere, closures included
-    assert np.allclose(diffusion_q(xc**2, dx), 2.0, rtol=0, atol=1e-9)
-    assert np.allclose(diffusion_q(xc**4, dx), 12.0 * xc**2, rtol=0, atol=1e-8)
+    assert np.allclose(_d2_order4(xc**2, dx), 2.0, rtol=0, atol=1e-9)
+    assert np.allclose(_d2_order4(xc**4, dx), 12.0 * xc**2, rtol=0, atol=1e-8)
     # degree 5 only on the interior five-point rows
-    out = diffusion_q(xc**5, dx)
+    out = _d2_order4(xc**5, dx)
     assert np.allclose(out[2:-2], 20.0 * xc[2:-2] ** 3, rtol=0, atol=1e-8)
 
 
@@ -137,16 +123,17 @@ def test_rk4_rejects_bad_dt():
         rk4_step(np.full(20, 0.1), 0.0, -0.1, ctx)
 
 
-def test_rk4_exact_on_polynomial_rhs():
+def test_rk4_exact_on_polynomial_rhs(monkeypatch):
     # dw/dt = 1 + 2t + 3t^2 integrates exactly through the quadrature
     ctx = _ctx()
 
     def rhs(wbar, t, _ctx):
         return np.full_like(wbar, 1.0 + 2.0 * t + 3.0 * t * t)
 
+    monkeypatch.setattr(cweno, "semidiscrete_rhs", rhs)
     w0 = np.zeros(20)
     dt = 0.37
-    w1 = rk4_step(w0, 0.0, dt, ctx, rhs=rhs)
+    w1 = rk4_step(w0, 0.0, dt, ctx)
     assert np.allclose(w1, dt + dt**2 + dt**3, rtol=1e-14, atol=0)
 
 
