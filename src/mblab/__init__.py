@@ -28,15 +28,11 @@ from .bounds import (
     BoundReport,
     bound_constants,
     compare_domains,
-    greens_finite,
-    greens_halfline,
     lemma_audit,
-    phi_basis,
 )
 from .experiments import (
     ProfileReport,
     RunManifest,
-    TAU_STAR,
     bifurcation_sweep,
     classify_profile,
     desk_manifest,
@@ -69,13 +65,9 @@ __all__ = [
     "BoundReport",
     "bound_constants",
     "compare_domains",
-    "greens_finite",
-    "greens_halfline",
     "lemma_audit",
-    "phi_basis",
     "ProfileReport",
     "RunManifest",
-    "TAU_STAR",
     "bifurcation_sweep",
     "classify_profile",
     "desk_manifest",

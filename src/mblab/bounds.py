@@ -6,11 +6,17 @@ kernel pair (s = eps sqrt(tau))
   G(x, xi) = (s/2) (e^{-(x+xi)/s} - e^{-|x-xi|/s})
   K(x, xi) = (1/2) (e^{-(x+xi)/s} + sgn(x-xi) e^{-|x-xi|/s})
 
-with K = -dG/dxi; the finite-interval [0, L] versions and the boundary
-basis (phi1, phi2) follow by the method of images.  All finite-interval
-formulas are evaluated with every exponent nonpositive, i.e. the common
-factor e^{2L/s} is cancelled before any exponential is taken, so small s
-never overflows.
+with K = -dG/dxi, and the interval [0, L] has the boundary pair
+
+  phi1(x) = (e^{-x/s} - e^{(x-2L)/s}) / (1 - e^{-2L/s})
+  phi2(x) = (e^{(x-L)/s} - e^{-(x+L)/s}) / (1 - e^{-2L/s})
+
+with phi1(0) = phi2(L) = 1 and phi1(L) = phi2(0) = 0.  Each is written
+once: _kernel_pair gives the two bracketed sums of G and K, with any
+weight e^{w/s} folded into the exponents before exponentiation so that
+small s never overflows, and _phi_pair gives phi1, phi2 and phi2' in
+double or in mpmath precision.  s and its s > 0 check live in
+BoundParams.scale.  No finite-interval kernel is evaluated here.
 
 bound_constants assembles the explicit constants of the truncation
 estimate
@@ -37,9 +43,6 @@ from .operators import Field, MBLParams, weighted_h1_norm
 __all__ = [
     "BoundParams",
     "BoundReport",
-    "greens_halfline",
-    "greens_finite",
-    "phi_basis",
     "bound_constants",
     "lemma_audit",
     "compare_domains",
@@ -80,8 +83,11 @@ class BoundParams:
 
     @property
     def scale(self) -> float:
-        """s = eps sqrt(tau)."""
-        return self.epsilon * math.sqrt(self.tau)
+        """s = eps sqrt(tau); the kernels need s > 0."""
+        s = self.epsilon * math.sqrt(self.tau)
+        if s <= 0.0:
+            raise ValueError("dispersionless kernel undefined (epsilon*sqrt(tau) = 0)")
+        return s
 
 
 @dataclass
@@ -99,52 +105,21 @@ class BoundReport:
     measured: Optional[float] = None
 
 
-def _kernel_scale(params) -> float:
-    s = params.epsilon * math.sqrt(params.tau)
-    if s <= 0.0:
-        raise ValueError("dispersionless kernel undefined (epsilon*sqrt(tau) = 0)")
-    return s
+def _kernel_pair(x: float, xi: float, s: float, w: float) -> tuple:
+    """e^{w/s} times the bracketed sums of G and K: 2 G / s and 2 K."""
+    e_sum = math.exp((w - (x + xi)) / s)
+    e_diff = math.exp((w - abs(x - xi)) / s)
+    sgn_diff = math.copysign(e_diff, x - xi) if x != xi else 0.0
+    return e_sum - e_diff, e_sum + sgn_diff
 
 
-def greens_halfline(x: float, xi: float, params: MBLParams) -> dict:
-    s = _kernel_scale(params)
-    if x < 0 or xi < 0:
-        raise ValueError("half-line kernel needs x, xi >= 0")
-    g = 0.5 * s * (math.exp(-(x + xi) / s) - math.exp(-abs(x - xi) / s))
-    k = 0.5 * (math.exp(-(x + xi) / s)
-               + np.sign(x - xi) * math.exp(-abs(x - xi) / s))
-    return {"G": g, "K": k}
-
-
-def greens_finite(x: float, xi: float, L: float, params: MBLParams) -> dict:
-    s = _kernel_scale(params)
-    if not (0.0 <= x <= L and 0.0 <= xi <= L):
-        raise ValueError("finite-interval kernel needs 0 <= x, xi <= L")
-    denom = 1.0 - math.exp(-2.0 * L / s)
-    e_sum = math.exp(-(x + xi) / s)
-    e_diff = math.exp(-abs(x - xi) / s)
-    e_sum_r = math.exp(-(2.0 * L - x - xi) / s)
-    e_diff_r = math.exp(-(2.0 * L - abs(x - xi)) / s)
-    sgn = np.sign(x - xi)
-    g = 0.5 * s * (e_sum_r + e_sum - e_diff_r - e_diff) / denom
-    k = -(e_sum_r - e_sum + sgn * e_diff_r - sgn * e_diff) / (2.0 * denom)
-    return {"G": g, "K": k}
-
-
-def phi_basis(x: float, L: float, params: MBLParams) -> dict:
-    """Boundary interpolation pair: phi1(0)=1, phi1(L)=0, phi2(0)=0, phi2(L)=1."""
-    s = _kernel_scale(params)
-    if not 0.0 <= x <= L:
-        raise ValueError("phi basis needs 0 <= x <= L")
-    denom = 1.0 - math.exp(-2.0 * L / s)
-    phi1 = (math.exp(-x / s) - math.exp((x - 2.0 * L) / s)) / denom
-    phi2 = (math.exp((x - L) / s) - math.exp(-(x + L) / s)) / denom
-    return {"phi1": phi1, "phi2": phi2}
-
-
-def _phi2_prime(x: float, L: float, s: float) -> float:
-    denom = 1.0 - math.exp(-2.0 * L / s)
-    return (math.exp((x - L) / s) + math.exp(-(x + L) / s)) / (s * denom)
+def _phi_pair(x, L, s, exp=math.exp) -> tuple:
+    """phi1, phi2 and phi2' at x in [0, L]; exp is math.exp, or mpmath.exp
+    on mpf arguments when the result is needed beyond double precision."""
+    denom = 1 - exp(-2 * L / s)
+    phi1 = (exp(-x / s) - exp((x - 2 * L) / s)) / denom
+    right, left = exp((x - L) / s), exp(-(x + L) / s)
+    return phi1, (right - left) / denom, (right + left) / (s * denom)
 
 
 def bound_constants(p: BoundParams, t: float) -> BoundReport:
@@ -152,8 +127,6 @@ def bound_constants(p: BoundParams, t: float) -> BoundReport:
     if t < 0:
         raise ValueError("t must be nonnegative")
     s = p.scale
-    if s <= 0.0 or p.epsilon <= 0.0:
-        raise ValueError("bound constants need epsilon > 0 and tau > 0")
     lam = p.lam
     model = FluxModel(p.M)
     d_chord = model.D
@@ -207,34 +180,13 @@ def _audit_quad(integrand, lo: float, hi: float, x: float) -> float:
     return val
 
 
-def _g_kernel_weighted(x: float, s: float, extra) -> callable:
-    """|e^{-(x+xi)/s} - e^{-|x-xi|/s}| * e^{extra(xi)/s} with the exponents
-    combined before exponentiation."""
-    def integrand(xi: float) -> float:
-        w = extra(xi)
-        return abs(math.exp((-(x + xi) + w) / s)
-                   - math.exp((-abs(x - xi) + w) / s))
-    return integrand
-
-
-def _k_kernel_weighted(x: float, s: float, extra) -> callable:
-    def integrand(xi: float) -> float:
-        w = extra(xi)
-        sgn = np.sign(x - xi)
-        return abs(math.exp((-(x + xi) + w) / s)
-                   + sgn * math.exp((-abs(x - xi) + w) / s))
-    return integrand
-
-
 def _audit_phi_identity(x: float, L: float, s: float) -> tuple[float, float, bool]:
     """|phi1 - e^{-x/s}| vs e^{-L/s}|phi2|: both sides fall below double
     precision (the difference is of size e^{-(L+x)/s}), so the comparison is
     carried out in high-precision arithmetic."""
     with mpmath.workdps(60 + int(1.0 * (L + x) / s)):
         xm, Lm, sm = mpmath.mpf(x), mpmath.mpf(L), mpmath.mpf(s)
-        denom = 1 - mpmath.exp(-2 * Lm / sm)
-        phi1 = (mpmath.exp(-xm / sm) - mpmath.exp((xm - 2 * Lm) / sm)) / denom
-        phi2 = (mpmath.exp((xm - Lm) / sm) - mpmath.exp(-(xm + Lm) / sm)) / denom
+        phi1, phi2, _ = _phi_pair(xm, Lm, sm, mpmath.exp)
         lhs = abs(phi1 - mpmath.exp(-xm / sm))
         rhs = mpmath.exp(-Lm / sm) * abs(phi2)
         holds = bool(lhs <= rhs * (1 + mpmath.mpf(_SLACK)))
@@ -249,8 +201,6 @@ def lemma_audit(lemma_id: str, p: BoundParams, x: float) -> dict:
     if x < 0:
         raise ValueError("x must be nonnegative")
     s = p.scale
-    if s <= 0.0:
-        raise ValueError("dispersionless kernel undefined (epsilon*sqrt(tau) = 0)")
     lam = p.lam
 
     if lemma_id.startswith("L4"):
@@ -259,30 +209,32 @@ def lemma_audit(lemma_id: str, p: BoundParams, x: float) -> dict:
         if lemma_id == "L4i":
             lhs, rhs, holds = _audit_phi_identity(x, p.L, s)
             return {"lhs": lhs, "rhs": rhs, "holds": holds}
+        _, phi2, dphi2 = _phi_pair(x, p.L, s)
         if lemma_id == "L4ii":
-            lhs = abs(phi_basis(x, p.L, MBLParams(p.epsilon, p.tau))["phi2"])
-            rhs = 1.0
+            lhs, rhs = abs(phi2), 1.0
         else:  # L4iii
-            lhs = abs(_phi2_prime(x, p.L, s))
-            rhs = 2.0 / s
+            lhs, rhs = abs(dphi2), 2.0 / s
         return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + _SLACK)}
 
-    kernel = _g_kernel_weighted if lemma_id.startswith("L2") else _k_kernel_weighted
+    # L2 bounds the G sum, L3 the K sum, each under the weight e^{w(xi)/s}
+    which = 0 if lemma_id.startswith("L2") else 1
+    height = 1.0
     item = lemma_id[2:]
     if item == "i":
-        integrand = kernel(x, s, lambda xi: lam * (x - xi))
+        weight = lambda xi: lam * (x - xi)
         hi = x + 40.0 * s
         rhs = 2.0 * s / (1.0 - lam ** 2)
     elif item == "ii":
-        integrand = kernel(x, s, lambda xi: lam * x - xi)
+        weight = lambda xi: lam * x - xi
         hi = x + 40.0 * s
         rhs = (s / (math.e * (1.0 - lam)) if lemma_id == "L2ii"
                else s + s / (math.e * (1.0 - lam)))
     else:  # iii: box initial state of height C_u on [0, L0]
-        base = kernel(x, s, lambda xi: lam * x)
-        integrand = lambda xi: p.C_u * base(xi)
+        weight = lambda xi: lam * x
+        height = p.C_u
         hi = p.L0
         rhs = 2.0 * p.C_u * s * math.exp(lam * p.L0 / s)
+    integrand = lambda xi: height * abs(_kernel_pair(x, xi, s, weight(xi))[which])
     lhs = _audit_quad(integrand, 0.0, hi, x)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + _SLACK)}
 

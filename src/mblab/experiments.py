@@ -28,7 +28,6 @@ from . import cweno, staggered
 __all__ = [
     "RunManifest",
     "ProfileReport",
-    "TAU_STAR",
     "DEFAULT_SWEEP_PAIRS",
     "desk_manifest",
     "load_manifest",
@@ -42,10 +41,6 @@ __all__ = [
     "epsilon_sweep",
     "export",
 ]
-
-# critical dispersion ratio above which non-monotone profiles exist;
-# report annotation only
-TAU_STAR = 0.61
 
 SCHEMES = ("trapezoid", "midpoint", "third_order")
 IC_KINDS = ("riemann", "smooth_ramp")

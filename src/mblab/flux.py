@@ -1,4 +1,4 @@
-"""Fractional-flow flux for two-phase flow and its entropy-theory helpers.
+"""Fractional-flow flux for two-phase flow and its Riemann-problem helpers.
 
 The flux is f(u) = u^2 / (u^2 + M(1-u)^2) with viscosity ratio M > 0,
 extended to a total function by clamping: 0 below u=0, 1 above u=1.
@@ -15,7 +15,6 @@ __all__ = [
     "flux_deriv",
     "flux_and_deriv",
     "shock_speed",
-    "oleinik_admissible",
     "classical_bl_profile",
 ]
 
@@ -87,27 +86,15 @@ def flux_and_deriv(u: np.ndarray, model: FluxModel) -> tuple[np.ndarray, np.ndar
     return uc * uc / den, _deriv(u, uc, den, model.M)
 
 
+# states closer than this make no jump
+_SAME_STATE = 1e-14
+
+
 def shock_speed(u_l: float, u_r: float, model: FluxModel) -> float:
     """Rankine-Hugoniot speed of the jump between u_l and u_r."""
-    if abs(u_l - u_r) < 1e-14:
+    if abs(u_l - u_r) < _SAME_STATE:
         raise ValueError("degenerate jump: states are equal")
     return (flux(u_l, model) - flux(u_r, model)) / (u_l - u_r)
-
-
-def oleinik_admissible(u_l: float, u_r: float, model: FluxModel,
-                       n_samples: int = 1000) -> bool:
-    """Chord condition for the jump (u_l, u_r), sampled strictly between.
-
-    Requires (f(v)-f(u_l))/(v-u_l) >= s >= (f(v)-f(u_r))/(v-u_r) for every
-    v strictly between the two states, with slack 1e-12.
-    """
-    s = shock_speed(u_l, u_r, model)
-    lo, hi = min(u_l, u_r), max(u_l, u_r)
-    v = np.linspace(lo, hi, n_samples + 2)[1:-1]
-    fv = flux(v, model)
-    chord_l = (fv - flux(u_l, model)) / (v - u_l)
-    chord_r = (fv - flux(u_r, model)) / (v - u_r)
-    return bool(np.all(chord_l >= s - 1e-12) and np.all(chord_r <= s + 1e-12))
 
 
 def _invert_fprime(xi: float, lo: float, hi: float, model: FluxModel) -> float:
@@ -130,7 +117,8 @@ def classical_bl_profile(u_B: float, model: FluxModel, xi) -> np.ndarray:
     """Entropy solution of the Riemann problem (u_B, 0) in self-similar form.
 
     Evaluates u(xi) with xi = x/t.  For u_B <= alpha: a single shock moving
-    at f(u_B)/u_B.  For u_B > alpha: a u_B plateau, the rarefaction fan
+    at f(u_B)/u_B, or the zero state when u_B is within shock_speed's
+    tolerance of 0.  For u_B > alpha: a u_B plateau, the rarefaction fan
     obtained by inverting f' on [alpha, u_B], then the shock alpha -> 0 at
     speed f(alpha)/alpha.
     """
@@ -138,8 +126,8 @@ def classical_bl_profile(u_B: float, model: FluxModel, xi) -> np.ndarray:
     out = np.zeros_like(xi)
     a = model.alpha
     if u_B <= a + 1e-12:
-        s = flux(u_B, model) / u_B
-        out[xi < s] = u_B
+        if u_B >= _SAME_STATE:
+            out[xi < shock_speed(u_B, 0.0, model)] = u_B
         return out
     head = flux_deriv(u_B, model)
     tail = model.D  # = f(alpha)/alpha = f'(alpha)

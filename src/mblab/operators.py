@@ -141,6 +141,8 @@ def helmholtz_apply(u: Field, params: MBLParams, dx: float, order: int = 2) -> F
     w = v.copy()
     if c != 0.0:
         if order == 2:
+            # (c X) / dx^2 rounds differently from c * _d2_order2 = c (X / dx^2),
+            # and the staggered step's node-grid w comes from here
             w[1:-1] = v[1:-1] - c * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dx ** 2
         elif order == 4:
             w[1:-1] = v[1:-1] - c * _d2_order4(v, dx)[1:-1]
@@ -257,15 +259,14 @@ def _solve_unknowns(rhs: np.ndarray, phase: str, bc_left: float, bc_right: float
 
 
 def helmholtz_solve(w: Field, bc_left: float, bc_right: float, params: MBLParams,
-                    dx: float, order: int = 2, coefficient: float = None) -> Field:
-    """Solve (I - c D^2) u = w under Dirichlet data; c = eps^2 tau by default.
+                    dx: float, order: int = 2) -> Field:
+    """Solve (I - c D^2) u = w under Dirichlet data, c = eps^2 tau.
 
     Node-centered fields pin the endpoints to the boundary values; half-grid
     fields use reflected ghosts so the boundary value is interpolated at the
-    physical endpoint.  ``coefficient`` overrides c for scheme-internal
-    operators like (I - (eps^2 tau + eps dt/2) D^2).
+    physical endpoint.
     """
-    c = params.disp if coefficient is None else coefficient
+    c = params.disp
     v = w.values
     if w.phase == INTEGER_GRID:
         out = _solve_unknowns(v[1:-1].copy(), w.phase, bc_left, bc_right, c, dx, order)

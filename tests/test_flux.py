@@ -12,7 +12,6 @@ from mblab.flux import (
     classical_bl_profile,
     flux,
     flux_deriv,
-    oleinik_admissible,
     shock_speed,
 )
 
@@ -83,14 +82,14 @@ def test_shock_speed_degenerate_jump():
         shock_speed(0.4, 0.4, M2)
 
 
-def test_oleinik_classification_of_jumps_to_zero():
-    # jumps (u_B, 0) are admissible exactly up to alpha
-    assert oleinik_admissible(0.5, 0.0, M2)
-    assert oleinik_admissible(0.75, 0.0, M2)
-    assert oleinik_admissible(M2.alpha, 0.0, M2)
-    assert not oleinik_admissible(M2.alpha + 0.01, 0.0, M2)
-    assert not oleinik_admissible(0.9, 0.0, M2)
-    assert not oleinik_admissible(0.98, 0.0, M2)
+def test_chord_slope_from_the_origin_peaks_at_alpha():
+    # jumps (u_B, 0) satisfy Oleinik's chord condition exactly up to alpha:
+    # f(u)/u rises on (0, alpha] and falls on [alpha, 1], peaking at D
+    rising = np.linspace(0.0, M2.alpha, 1001)[1:]
+    falling = np.linspace(M2.alpha, 1.0, 1001)
+    assert np.all(np.diff(flux(rising, M2) / rising) > 0.0)
+    assert np.all(np.diff(flux(falling, M2) / falling) < 0.0)
+    assert flux(M2.alpha, M2) / M2.alpha == M2.D
 
 
 def test_bad_viscosity_ratio():
@@ -135,6 +134,11 @@ def test_riemann_profile_below_alpha_is_single_shock():
     xi = np.array([-1.0, 0.0, s - 1e-9, s + 1e-9, 2.0])
     out = classical_bl_profile(0.5, M2, xi)
     assert np.array_equal(out, [0.5, 0.5, 0.5, 0.0, 0.0])
+
+
+def test_riemann_profile_of_the_zero_state_is_zero():
+    out = classical_bl_profile(0.0, M2, [-1.0, 0.0, 0.5, 2.0])
+    assert np.array_equal(out, np.zeros(4))
 
 
 def test_riemann_profile_above_alpha_has_fan():

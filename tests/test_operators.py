@@ -165,15 +165,10 @@ def test_zero_dispersion_solve_is_identity_with_bc_override():
     w = np.array([0.3, 0.5, 0.6, 0.55, 0.2])
     out = helmholtz_solve(Field(w), 0.1, 0.9, params, 0.25, order=2)
     assert np.array_equal(out.values, [0.1, 0.5, 0.6, 0.55, 0.9])
-
-
-def test_coefficient_override():
-    dx = 1.0 / 32
+    # tau = 0 also makes c = 0: the interior passes through, the ends are pinned
     u = _random_node_field(32, seed=3)
-    params = MBLParams(epsilon=0.2, tau=3.0)
-    w = helmholtz_apply(Field(u), params, dx)
-    # solving with coefficient=0 ignores params and just pins the ends
-    out = helmholtz_solve(w, u[0], u[-1], params, dx, coefficient=0.0)
+    w = helmholtz_apply(Field(u), MBLParams(epsilon=0.2, tau=3.0), 1.0 / 32)
+    out = helmholtz_solve(w, u[0], u[-1], MBLParams(epsilon=0.2, tau=0.0), 1.0 / 32)
     assert np.array_equal(out.values[1:-1], w.values[1:-1])
     assert out.values[0] == u[0] and out.values[-1] == u[-1]
 

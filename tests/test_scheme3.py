@@ -12,6 +12,8 @@ from mblab.cweno import (
     rk4_step,
     semidiscrete_rhs,
 )
+from mblab.errors import NumericalError
+from mblab.experiments import desk_manifest, run_manifest
 from mblab.flux import FluxModel, flux
 from mblab.operators import GridSpec, MBLParams, _d2_order4
 
@@ -155,3 +157,17 @@ def test_rhs_moves_a_front_downstream():
     assert np.all(np.isfinite(out))
     # mass flows in from the left boundary faster than it leaves
     assert out.sum() * ctx.grid.dx > 0.0
+
+
+@pytest.mark.parametrize("lam, stable", [(0.045, True), (0.055, False)])
+def test_third_order_run_with_growing_diffusion_modes_is_rejected(lam, stable):
+    # tau = 0, so r = eps*lam/dx is 0.45 or 0.55: max RK4 factor 1.0 or 1.247;
+    # unguarded, the r = 0.55 run overflows in the reconstruction and ends
+    # on the NaN check of a Field
+    m = desk_manifest(scheme="third_order", tau=0.0, u_B=0.9, epsilon=0.02,
+                      dx=0.002, lam=lam, t_final=0.1)
+    if stable:
+        assert run_manifest(m)[-1].values.max() <= m.u_B
+    else:
+        with pytest.raises(NumericalError, match="third-order scheme unstable"):
+            run_manifest(m)

@@ -9,101 +9,114 @@ import pytest
 from mblab.bounds import (
     AUDIT_ITEMS,
     BoundParams,
+    _kernel_pair,
+    _phi_pair,
     bound_constants,
     compare_domains,
-    greens_finite,
-    greens_halfline,
     lemma_audit,
-    phi_basis,
 )
-from mblab.operators import MBLParams
 
 ALPHA = math.sqrt(2.0 / 3.0)
 
 P_DESK = BoundParams(lam=0.5, C_u=ALPHA, L0=0.1, L=0.75,
                      g_sup=ALPHA, M=2.0, epsilon=0.01, tau=5.0)
 
+S = 0.1 * math.sqrt(4.0)  # eps = 0.1, tau = 4
 
-def _params(epsilon=0.1, tau=4.0):
-    return MBLParams(epsilon=epsilon, tau=tau)
+
+def greens_halfline(x, xi, s):
+    """G and K on the half line, from the package's kernel sums."""
+    g_sum, k_sum = _kernel_pair(x, xi, s, 0.0)
+    return {"G": 0.5 * s * g_sum, "K": 0.5 * k_sum}
+
+
+def greens_finite(x, xi, L, s):
+    """Reference G and K on [0, L], by images of the half-line kernel, with
+    the factor e^{2L/s} cancelled so that every exponent is nonpositive."""
+    denom = 1.0 - math.exp(-2.0 * L / s)
+    e_sum = math.exp(-(x + xi) / s)
+    e_diff = math.exp(-abs(x - xi) / s)
+    e_sum_r = math.exp(-(2.0 * L - x - xi) / s)
+    e_diff_r = math.exp(-(2.0 * L - abs(x - xi)) / s)
+    sgn = np.sign(x - xi)
+    g = 0.5 * s * (e_sum_r + e_sum - e_diff_r - e_diff) / denom
+    k = -(e_sum_r - e_sum + sgn * e_diff_r - sgn * e_diff) / (2.0 * denom)
+    return {"G": g, "K": k}
 
 
 def test_halfline_kernel_symmetry():
-    p = _params()
     for x, xi in [(0.3, 0.15), (0.05, 1.2), (0.7, 0.7)]:
-        a = greens_halfline(x, xi, p)
-        b = greens_halfline(xi, x, p)
+        a = greens_halfline(x, xi, S)
+        b = greens_halfline(xi, x, S)
         assert a["G"] == pytest.approx(b["G"], rel=1e-13)
 
 
 def test_finite_kernel_symmetry():
-    p = _params()
     for x, xi in [(0.3, 0.15), (0.05, 0.9), (0.5, 0.5)]:
-        a = greens_finite(x, xi, 1.0, p)
-        b = greens_finite(xi, x, 1.0, p)
+        a = greens_finite(x, xi, 1.0, S)
+        b = greens_finite(xi, x, 1.0, S)
         assert a["G"] == pytest.approx(b["G"], rel=1e-13)
 
 
 def test_k_is_minus_xi_derivative_of_g():
-    p = _params()
-    s = p.epsilon * math.sqrt(p.tau)
-    h = 1e-6 * s
+    h = 1e-6 * S
     for x, xi in [(0.3, 0.15), (0.1, 0.45), (0.8, 0.2)]:
-        gp = greens_halfline(x, xi + h, p)["G"]
-        gm = greens_halfline(x, xi - h, p)["G"]
-        assert greens_halfline(x, xi, p)["K"] == pytest.approx(
+        gp = greens_halfline(x, xi + h, S)["G"]
+        gm = greens_halfline(x, xi - h, S)["G"]
+        assert greens_halfline(x, xi, S)["K"] == pytest.approx(
             -(gp - gm) / (2.0 * h), abs=1e-9)
-        gp = greens_finite(x, xi + h, 1.0, p)["G"]
-        gm = greens_finite(x, xi - h, 1.0, p)["G"]
-        assert greens_finite(x, xi, 1.0, p)["K"] == pytest.approx(
+        gp = greens_finite(x, xi + h, 1.0, S)["G"]
+        gm = greens_finite(x, xi - h, 1.0, S)["G"]
+        assert greens_finite(x, xi, 1.0, S)["K"] == pytest.approx(
             -(gp - gm) / (2.0 * h), abs=1e-9)
 
 
 def test_finite_kernel_approaches_halfline_kernel():
-    p = _params()
-    s = p.epsilon * math.sqrt(p.tau)
-    L = 80.0 * s
+    L = 80.0 * S
     for x, xi in [(0.1, 0.3), (0.5, 0.2)]:
-        a = greens_finite(x, xi, L, p)
-        b = greens_halfline(x, xi, p)
+        a = greens_finite(x, xi, L, S)
+        b = greens_halfline(x, xi, S)
         assert abs(a["G"] - b["G"]) < 1e-15
         assert abs(a["K"] - b["K"]) < 1e-15
 
 
 def test_k_kernel_is_bounded_by_one():
-    p = _params()
     rng = np.random.default_rng(11)
     for x, xi in rng.uniform(0.0, 2.0, size=(50, 2)):
-        assert abs(greens_halfline(x, xi, p)["K"]) <= 1.0 + 1e-14
+        assert abs(greens_halfline(x, xi, S)["K"]) <= 1.0 + 1e-14
 
 
 def test_kernel_domain_and_scale_errors():
-    p = _params()
-    with pytest.raises(ValueError):
-        greens_halfline(-0.1, 0.2, p)
-    with pytest.raises(ValueError):
-        greens_finite(0.2, 1.5, 1.0, p)
+    # s = eps sqrt(tau) and its s > 0 check live in BoundParams.scale, which
+    # every kernel evaluation goes through
+    flat = BoundParams(lam=0.5, C_u=ALPHA, L0=0.1, L=0.75, g_sup=ALPHA,
+                       M=2.0, epsilon=0.01, tau=0.0)
     with pytest.raises(ValueError, match="dispersionless"):
-        greens_halfline(0.1, 0.2, MBLParams(epsilon=0.1, tau=0.0))
+        flat.scale
+    for item in AUDIT_ITEMS:
+        with pytest.raises(ValueError, match="dispersionless"):
+            lemma_audit(item, flat, 0.05)
+        with pytest.raises(ValueError):
+            lemma_audit(item, P_DESK, -0.1)
+    with pytest.raises(ValueError, match="dispersionless"):
+        bound_constants(flat, 0.1)
 
 
 def test_phi_basis_endpoint_values():
-    p = _params()
-    left = phi_basis(0.0, 1.0, p)
-    right = phi_basis(1.0, 1.0, p)
-    assert left["phi1"] == 1.0 and left["phi2"] == 0.0
-    assert right["phi1"] == 0.0 and right["phi2"] == 1.0
+    left = _phi_pair(0.0, 1.0, S)
+    right = _phi_pair(1.0, 1.0, S)
+    assert left[:2] == (1.0, 0.0)
+    assert right[:2] == (0.0, 1.0)
 
 
 def test_phi_basis_identity():
     # phi1(x) - exp(-x/s) = -exp(-L/s) * phi2(x)
-    p = _params(epsilon=0.5, tau=0.25)
-    s = p.epsilon * math.sqrt(p.tau)
+    s = 0.5 * math.sqrt(0.25)
     L = 1.0
     for x in np.linspace(0.0, L, 41):
-        out = phi_basis(x, L, p)
-        lhs = out["phi1"] - math.exp(-x / s)
-        rhs = -math.exp(-L / s) * out["phi2"]
+        phi1, phi2, _ = _phi_pair(x, L, s)
+        lhs = phi1 - math.exp(-x / s)
+        rhs = -math.exp(-L / s) * phi2
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
 
@@ -166,8 +179,30 @@ def test_lemma_audit_spot_checks():
         assert out["lhs"] <= out["rhs"] * (1.0 + 1e-8)
 
 
+# lemma_audit's lhs and rhs at P_DESK, one x per item, recorded from the
+# kernels as written before they were merged into one family
+FROZEN_AUDIT = [
+    ("L2i", 0.05, 0.04013462389760498, 0.05962847939999439),
+    ("L2ii", 0.3, 0.00036625646832793527, 0.016452068759679597),
+    ("L2iii", 0.02, 0.03309503495666508, 0.34164994259937514),
+    ("L3i", 0.05, 0.049540986838653524, 0.05962847939999439),
+    ("L3ii", 0.3, 0.0003935556136738834, 0.03881274853467749),
+    ("L3iii", 0.08, 0.17366135685591622, 0.34164994259937514),
+    ("L4i", 0.05, 6.803979870140214e-29, 6.803979870140214e-29),
+    ("L4ii", 0.5, 1.3945692377873923e-05, 1.0),
+    ("L4iii", 0.7, 4.779726141415824, 89.44271909999159),
+]
+
+
+@pytest.mark.parametrize("item, x, lhs, rhs", FROZEN_AUDIT)
+def test_lemma_audit_matches_frozen_values(item, x, lhs, rhs):
+    out = lemma_audit(item, P_DESK, x)
+    assert (out["lhs"], out["rhs"], out["holds"]) == (lhs, rhs, True)
+
+
 def test_lemma_audit_knows_all_items():
     assert len(AUDIT_ITEMS) == 9
+    assert [row[0] for row in FROZEN_AUDIT] == list(AUDIT_ITEMS)
     for item in AUDIT_ITEMS:
         out = lemma_audit(item, P_DESK, 0.0)
         assert set(out) == {"lhs", "rhs", "holds"}
