@@ -247,10 +247,8 @@ def compare_domains(base, L_small: float, L_large: float, t: float) -> dict:
 
     if not L_large > L_small:
         raise ValueError("need L_large > L_small")
-    small = base.model_copy(update={"L": L_small, "t_final": t,
-                                    "snapshot_times": []})
-    large = base.model_copy(update={"L": L_large, "t_final": t,
-                                    "snapshot_times": []})
+    small = base.derive(L=L_small, t_final=t, snapshot_times=[])
+    large = base.derive(L=L_large, t_final=t, snapshot_times=[])
     u_small = experiments.run_cached(small)[-1]
     u_large = experiments.run_cached(large)[-1]
     n = u_small.values.size

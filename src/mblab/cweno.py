@@ -24,8 +24,9 @@ integrated by classical RK4 with dt = lam dx.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,7 +104,7 @@ class RhsContext:
     grid: GridSpec
     params: MBLParams
     model: FluxModel
-    bc: tuple[Callable[[float], float], Callable[[float], float]]
+    bc: tuple[float, float]
 
 
 def semidiscrete_rhs(wbar: np.ndarray, t: float, ctx: RhsContext) -> np.ndarray:
@@ -117,7 +118,7 @@ def semidiscrete_rhs(wbar: np.ndarray, t: float, ctx: RhsContext) -> np.ndarray:
     convergence behaviour of the scheme.
     """
     grid, params, model = ctx.grid, ctx.params, ctx.model
-    g, h = ctx.bc[0](t), ctx.bc[1](t)
+    g, h = ctx.bc
     dx = grid.dx
     padded = np.concatenate([[g], wbar, [h]])
     wm, wp = cweno_reconstruct(padded, dx)
@@ -161,12 +162,14 @@ def run(wbar0: np.ndarray, ctx: RhsContext, t_final: float,
     landing exactly on each requested time.
 
     Returned fields hold the cell averages of u (the order-4 half-grid
-    solve), the final state last.  Two conditions are rejected before the
-    first step: lam * C >= 1/2 (f' is clamped, so C bounds the speed of u
-    everywhere), and an RK4 factor above 1 for some mode of the diffusion
-    term (_rk4_gain).
+    solve), the final state last.  Three conditions are rejected before
+    the first step: a NaN/Inf boundary value, lam * C >= 1/2 (f' is clamped,
+    so C bounds the speed of u everywhere), and an RK4 factor above 1 for
+    some mode of the diffusion term (_rk4_gain).
     """
     grid, params = ctx.grid, ctx.params
+    if not all(map(math.isfinite, ctx.bc)):
+        raise NumericalError("boundary value is NaN/Inf")
     if grid.lam * ctx.model.C >= 0.5:
         raise NumericalError(
             f"CFL violation: lambda*C = {grid.lam * ctx.model.C:.6g} >= 0.5")
@@ -184,8 +187,8 @@ def run(wbar0: np.ndarray, ctx: RhsContext, t_final: float,
         return t
 
     def read() -> Field:
-        return helmholtz_solve(Field(wbar, HALF_GRID, t), ctx.bc[0](t), ctx.bc[1](t),
-                               params, grid.dx, order=4)
+        return helmholtz_solve(Field(wbar, HALF_GRID, t), *ctx.bc, params, grid.dx,
+                               order=4)
 
     return land_snapshots(advance, read, 0.0, t_final, snapshot_times,
                           grid.lam * grid.dx)

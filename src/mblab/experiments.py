@@ -54,7 +54,8 @@ class RunManifest(pydantic.BaseModel):
     at x=5), riemann runs at [0, L].
     """
 
-    model_config = pydantic.ConfigDict(extra="forbid", populate_by_name=True)
+    model_config = pydantic.ConfigDict(extra="forbid", populate_by_name=True,
+                                       allow_inf_nan=False)
 
     scheme: str = "trapezoid"
     M: float = 2.0
@@ -104,6 +105,11 @@ class RunManifest(pydantic.BaseModel):
                     stacklevel=2)
         return self
 
+    def derive(self, **update) -> RunManifest:
+        """A copy with the given fields replaced, validated like any new
+        manifest (model_copy skips the validators)."""
+        return type(self)(**{**self.model_dump(), **update})
+
 
 @dataclass
 class ProfileReport:
@@ -114,13 +120,9 @@ class ProfileReport:
 
 
 def desk_manifest(**overrides) -> RunManifest:
-    """Desk-scale defaults: M=2, eps=0.005, dx=eps/10, lam=0.1, T=0.5."""
-    base = dict(scheme="trapezoid", M=2.0, epsilon=0.005, tau=5.0,
-                u_B=0.9, L=0.75, L0=0.0, dx=0.0005, lam=0.1,
-                t_final=0.5, snapshot_times=[], ic_kind="riemann",
-                output_dir=".")
-    base.update(overrides)
-    return RunManifest(**base)
+    """The RunManifest defaults (M=2, eps=0.005, dx=eps/10, lam=0.1, T=0.5)
+    with tau=5."""
+    return RunManifest(**{"tau": 5.0, **overrides})
 
 
 def load_manifest(path) -> RunManifest:
@@ -152,9 +154,9 @@ def _grid_for(manifest: RunManifest) -> GridSpec:
                     lam=manifest.lam, x0=x0)
 
 
-def _bc_for(manifest: RunManifest):
-    u_B = manifest.u_B
-    return (lambda t: u_B, lambda t: 0.0)
+def _bc_for(manifest: RunManifest) -> tuple[float, float]:
+    """The Dirichlet pair: u_B at the inflow, 0 at the outflow."""
+    return (manifest.u_B, 0.0)
 
 
 def _initial_nodes(manifest: RunManifest, grid: GridSpec) -> np.ndarray:
@@ -381,7 +383,7 @@ def bifurcation_sweep(pairs=None, base: Optional[RunManifest] = None) -> list[di
     for tau, u_B in pairs:
         entry = {"tau": tau, "u_B": u_B, "report": None, "error": None}
         try:
-            m = base.model_copy(update={"tau": tau, "u_B": u_B})
+            m = base.derive(tau=tau, u_B=u_B)
             entry["report"] = classify_profile(run_cached(m)[-1], m, model)
         except Exception as exc:  # per-run isolation
             entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -402,10 +404,9 @@ def domain_study(base: RunManifest, L_values: list[float],
     entries = []
     for t in times:
         for L in L_values:
-            m = base.model_copy(update={"L": L, "t_final": t,
-                                        "snapshot_times": []})
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
+                m = base.derive(L=L, t_final=t, snapshot_times=[])
                 report = classify_profile(run_cached(m)[-1], m, model)
                 cmp = (compare_domains(base, L, L_ref, t)
                        if L < L_ref else None)
@@ -439,7 +440,7 @@ def epsilon_sweep(base: RunManifest, eps_values: list[float]) -> list[dict]:
     model = FluxModel(base.M)
     out = []
     for eps in sorted(eps_values):
-        m = base.model_copy(update={"epsilon": eps})
+        m = base.derive(epsilon=eps)
         u = run_cached(m)[-1]
         report = classify_profile(u, m, model)
         grid = _grid_for(m)

@@ -136,20 +136,15 @@ def helmholtz_apply(u: Field, params: MBLParams, dx: float, order: int = 2) -> F
     """w = u - eps^2 tau D^2 u on a node-centered field; boundary rows are identity."""
     if u.phase != INTEGER_GRID:
         raise ValueError("helmholtz_apply expects a node-centered field")
+    if order not in (2, 4):
+        raise ValueError(f"order must be 2 or 4, got {order}")
     v = u.values
     c = params.disp
     w = v.copy()
     if c != 0.0:
-        if order == 2:
-            # (c X) / dx^2 rounds differently from c * _d2_order2 = c (X / dx^2),
-            # and the staggered step's node-grid w comes from here
-            w[1:-1] = v[1:-1] - c * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dx ** 2
-        elif order == 4:
-            w[1:-1] = v[1:-1] - c * _d2_order4(v, dx)[1:-1]
-        else:
-            raise ValueError(f"order must be 2 or 4, got {order}")
-    elif order not in (2, 4):
-        raise ValueError(f"order must be 2 or 4, got {order}")
+        d2 = (_d2_order2(v[1:-1], dx, v[0], v[-1]) if order == 2
+              else _d2_order4(v, dx)[1:-1])
+        w[1:-1] = v[1:-1] - c * d2
     return Field(w, phase=u.phase, time=u.time)
 
 

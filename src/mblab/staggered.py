@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,19 +60,24 @@ class Scheme2State:
     params: MBLParams
     model: FluxModel
     variant: str
-    bc: tuple[Callable[[float], float], Callable[[float], float]]
+    bc: tuple[float, float]
 
 
 def make_state(u0, grid: GridSpec, params: MBLParams, model: FluxModel,
                variant: str, bc) -> Scheme2State:
-    """Build a consistent state from node-centered initial values.
+    """Build a consistent state from node-centered initial values and the
+    constant Dirichlet pair bc = (g, h).
 
-    A midpoint state whose linear amplification exceeds 1 is a
-    NumericalError: its run would grow without bound yet stay finite, and
-    the clamped f' hides it from the CFL test.
+    A NaN/Inf boundary value is a NumericalError, checked once here: inside
+    a step, minmod and the clamped flux could turn it finite.  So is a
+    midpoint state whose linear amplification exceeds 1: its run would grow
+    without bound yet stay finite, and the clamped f' hides it from the CFL
+    test.
     """
     if variant not in (TRAPEZOID, MIDPOINT):
         raise ValueError(f"unknown variant {variant!r}")
+    if not all(map(math.isfinite, bc)):
+        raise NumericalError("boundary value is NaN/Inf")
     if variant == MIDPOINT:
         r = params.epsilon * grid.lam / grid.dx
         gain = _midpoint_gain(r, params.disp / grid.dx ** 2)
@@ -114,18 +119,18 @@ def _cfl_margin(speeds: np.ndarray, lam: float) -> float:
     return 0.5 - lam * float(np.abs(speeds).max())
 
 
-def _predict(state: Scheme2State, fslope: np.ndarray, g: float, h: float,
-             gh: float, hh: float) -> np.ndarray:
-    """w at t + dt/2 from the flux slopes, with ghosts g, h at t.
+def _predict(state: Scheme2State, fslope: np.ndarray, g: float, h: float
+             ) -> np.ndarray:
+    """w at t + dt/2 from the flux slopes, with ghosts g, h.
 
-    Boundary nodes of an integer-phase field take the Dirichlet values gh,
-    hh at the half time; half-phase nodes are all interior.
+    Boundary nodes of an integer-phase field keep the Dirichlet values g, h;
+    half-phase nodes are all interior.
     """
     dx, lam = state.grid.dx, state.grid.lam
     d2u = _d2_order2(state.u.values, dx, g, h)
     wp = state.w.values + (state.params.epsilon * dx * d2u - fslope) * lam / 2.0
     if state.u.phase == INTEGER_GRID:
-        wp[0], wp[-1] = gh, hh
+        wp[0], wp[-1] = g, h
     return wp
 
 
@@ -138,8 +143,8 @@ def step(state: Scheme2State) -> Scheme2State:
 
     Works on arrays from the state's two Fields to the new state's two.  A
     NaN/Inf anywhere is a NumericalError: the new Fields check themselves,
-    and the six boundary values and the half-time u are checked here,
-    because minmod and the clamped flux can turn an Inf there finite.
+    and the half-time u is checked here, because the clamped flux can turn
+    an Inf there finite.  The boundary values were checked by make_state.
     """
     grid, params, model = state.grid, state.params, state.model
     dx, lam = grid.dx, grid.lam
@@ -147,34 +152,29 @@ def step(state: Scheme2State) -> Scheme2State:
     eps = params.epsilon
     c = params.disp
     t = state.u.time
-    left, right = state.bc
-    g0, h0 = left(t), right(t)
-    gh, hh = left(t + dt / 2.0), right(t + dt / 2.0)
-    g1, h1 = left(t + dt), right(t + dt)
-    if not all(map(math.isfinite, (g0, h0, gh, hh, g1, h1))):
-        raise NumericalError("boundary value is NaN/Inf")
+    g, h = state.bc
     phase = state.u.phase
     new_phase = HALF_GRID if phase == INTEGER_GRID else INTEGER_GRID
     u, w = state.u.values, state.w.values
 
     # one flux evaluation on u and its ghosts gives the slopes and the speed
-    f_ext, speeds = flux_and_deriv(np.concatenate([[g0], u, [h0]]), model)
+    f_ext, speeds = flux_and_deriv(np.concatenate([[g], u, [h]]), model)
     margin = _cfl_margin(speeds[1:-1], lam)
     if not margin > 0.0:
         raise NumericalError(
             f"CFL violation: lambda*max|f'| = {0.5 - margin:.6g} >= 0.5")
 
     ext = np.empty((2, u.size + 2))
-    ext[0, 0], ext[0, 1:-1], ext[0, -1] = g0, w, h0
+    ext[0, 0], ext[0, 1:-1], ext[0, -1] = g, w, h
     ext[1] = f_ext
     wslope, fslope = _slopes(ext)
     wbar = _staggered_average(w, wslope)
 
     # predictor, converted to u at the half time
-    wp = _predict(state, fslope, g0, h0, gh, hh)
+    wp = _predict(state, fslope, g, h)
     up = wp.copy()
     unknowns = slice(1, -1) if phase == INTEGER_GRID else slice(None)
-    up[unknowns] = _solve_unknowns(up[unknowns], phase, gh, hh, c, dx)
+    up[unknowns] = _solve_unknowns(up[unknowns], phase, g, h, c, dx)
     if not np.isfinite(up).all():
         raise NumericalError("half-time u contains NaN/Inf values")
     fph = flux(up, model)
@@ -182,24 +182,23 @@ def step(state: Scheme2State) -> Scheme2State:
 
     # the unknowns on the new points: every half cell, or the interior nodes
     if state.variant == TRAPEZOID:
-        ubar = _solve_unknowns(wbar, new_phase, g0, h0, c, dx)
-        rhs = ubar - (c - eps * dt / 2.0) * _d2_order2(ubar, dx, g0, h0) - lam * df
+        ubar = _solve_unknowns(wbar, new_phase, g, h, c, dx)
+        rhs = ubar - (c - eps * dt / 2.0) * _d2_order2(ubar, dx, g, h) - lam * df
         coefficient = c + eps * dt / 2.0
     else:  # MIDPOINT
-        wbar_mid = _staggered_average(wp, _ghost_slopes(wp, gh, hh))
-        ubar_mid = _solve_unknowns(wbar_mid, new_phase, gh, hh, c, dx)
-        rhs = wbar - lam * df + eps * dt * _d2_order2(ubar_mid, dx, gh, hh)
+        wbar_mid = _staggered_average(wp, _ghost_slopes(wp, g, h))
+        ubar_mid = _solve_unknowns(wbar_mid, new_phase, g, h, c, dx)
+        rhs = wbar - lam * df + eps * dt * _d2_order2(ubar_mid, dx, g, h)
         coefficient = c
-    u_new = _solve_unknowns(rhs, new_phase, g1, h1, coefficient, dx)
-
-    if new_phase == INTEGER_GRID:
-        u_out = Field(np.concatenate([[g1], u_new, [h1]]), new_phase, t + dt)
-        w_out = helmholtz_apply(u_out, params, dx)
-    else:
-        u_out = Field(u_new, new_phase, t + dt)
-        w_out = Field(u_new - c * _d2_order2(u_new, dx, g1, h1), new_phase, t + dt)
-    return Scheme2State(u=u_out, w=w_out, grid=grid, params=params, model=model,
-                        variant=state.variant, bc=state.bc)
+    u_new = _solve_unknowns(rhs, new_phase, g, h, coefficient, dx)
+    w_new = u_new - c * _d2_order2(u_new, dx, g, h)
+    if new_phase == INTEGER_GRID:  # pad with the pinned boundary nodes
+        u_new = np.concatenate([[g], u_new, [h]])
+        w_new = np.concatenate([[g], w_new, [h]])
+    return Scheme2State(u=Field(u_new, new_phase, t + dt),
+                        w=Field(w_new, new_phase, t + dt), grid=grid,
+                        params=params, model=model, variant=state.variant,
+                        bc=state.bc)
 
 
 def run(state: Scheme2State, t_final: float, snapshot_times: Sequence[float] = ()

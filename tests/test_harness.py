@@ -7,6 +7,7 @@ import json
 import math
 import pathlib
 import pkgutil
+import warnings
 
 import numpy as np
 import pydantic
@@ -14,6 +15,7 @@ import pytest
 
 import mblab
 from mblab import cli, experiments
+from mblab.bounds import compare_domains
 from mblab.errors import ManifestError, NumericalError
 from mblab.experiments import (
     bifurcation_sweep,
@@ -69,6 +71,24 @@ def test_manifest_validation():
         desk_manifest(dx=-0.1)
     with pytest.raises(pydantic.ValidationError):
         desk_manifest(ic_kind="sawtooth")
+
+
+@pytest.mark.parametrize("field", ["t_final", "L", "tau", "epsilon", "M", "dx"])
+def test_manifest_rejects_infinite_numbers(field):
+    with pytest.raises(pydantic.ValidationError):
+        desk_manifest(**{field: math.inf})
+    with pytest.raises(pydantic.ValidationError):
+        desk_manifest(snapshot_times=[0.1, math.inf])
+
+
+def test_derive_validates_and_keeps_the_cache_key():
+    base = desk_manifest(dx=2e-3)
+    for update in ({"tau": 0.2, "u_B": ALPHA}, {"epsilon": 0.01},
+                   {"L": 0.35, "t_final": 0.05, "snapshot_times": []}):
+        assert (base.derive(**update).model_dump_json(by_alias=True)
+                == base.model_copy(update=update).model_dump_json(by_alias=True))
+    with pytest.raises(pydantic.ValidationError):
+        base.derive(u_B=1.5)
 
 
 def test_manifest_warns_when_domain_is_too_short():
@@ -282,6 +302,30 @@ def test_domain_study_smoke():
     assert small["bound"] > 0.0
 
 
+def test_derived_runs_are_validated_before_they_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(experiments, "run_manifest", runs.append)
+    base = _tiny()  # L0 = 0.05
+    with pytest.raises(pydantic.ValidationError):
+        domain_study(base, [0.04, 0.3], [0.01])
+    with pytest.raises(pydantic.ValidationError):
+        compare_domains(base, 0.04, 0.3, 0.01)
+    with pytest.raises(pydantic.ValidationError):
+        epsilon_sweep(base, [-0.01])
+    entries = bifurcation_sweep(pairs=[(5.0, 1.5), (5.0, -0.2)], base=base)
+    assert [e["report"] for e in entries] == [None, None]
+    assert all(e["error"].startswith("ValidationError") for e in entries)
+    assert runs == []
+
+
+def test_domain_study_flags_short_domains_without_a_warning():
+    base = _tiny()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        study = domain_study(base, [0.06, 0.3], [0.06])
+    assert [e["sizing_ok"] for e in study["entries"]] == [False, True]
+
+
 def test_epsilon_sweep_widths_grow():
     out = epsilon_sweep(_tiny(t_final=0.02), [0.02, 0.04])
     assert [r["epsilon"] for r in out] == [0.02, 0.04]
@@ -336,17 +380,21 @@ def test_cli_cfl_violation_exit_code(manifest_file, tmp_path, capsys):
 
 def test_cli_non_finite_boundary_value_exit_code(manifest_file, tmp_path, capsys,
                                                  monkeypatch):
-    inflow = experiments._bc_for
-
-    def failing_bc(manifest):
-        left, right = inflow(manifest)
-        return (lambda t: math.nan if t > 0.005 else left(t), right)
-
-    monkeypatch.setattr(experiments, "_bc_for", failing_bc)
+    monkeypatch.setattr(experiments, "_bc_for", lambda manifest: (math.nan, 0.0))
     rc = cli.main(["riemann", "--manifest", str(manifest_file),
                    "--output-dir", str(tmp_path / "x")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--t-final", "--snapshot-times", "--tau",
+                                  "--epsilon"])
+def test_cli_nan_manifest_number_is_a_validation_error(manifest_file, tmp_path,
+                                                       flag):
+    rc = cli.main(["riemann", "--manifest", str(manifest_file), flag, "nan",
+                   "--output-dir", str(tmp_path / "x")])
+    assert rc == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_order_test(manifest_file, capsys):
@@ -363,6 +411,15 @@ def test_cli_sweep(manifest_file, capsys):
                    "--pairs", "0.2:0.2"])
     assert rc == 0
     assert "->" in capsys.readouterr().out
+
+
+def test_cli_sweep_reports_an_out_of_range_pair_as_its_error(manifest_file, capsys):
+    rc = cli.main(["sweep", "--manifest", str(manifest_file),
+                   "--pairs", "5:1.5,5:-0.2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.count("ERROR ValidationError") == 2
+    assert "u_B must lie in [0, 1]" in out
 
 
 def test_cli_bound(manifest_file, capsys):

@@ -1,10 +1,10 @@
 """Staggered predictor-corrector scheme: frozen single-step values and invariants."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mblab import cweno, staggered
 from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
 from mblab.flux import FluxModel, classical_bl_profile, flux, flux_deriv
@@ -14,6 +14,8 @@ from mblab.operators import (
     HALF_GRID,
     INTEGER_GRID,
     MBLParams,
+    _d2_order2,
+    helmholtz_apply,
     helmholtz_solve,
 )
 from mblab.staggered import (
@@ -34,13 +36,13 @@ MODEL = FluxModel(2.0)
 
 def _state_a(variant="trapezoid"):
     u0 = np.array([0.0, 0.0, 0.9, 0.9, 0.9])
-    bc = (lambda t: 0.0, lambda t: 0.9)
+    bc = (0.0, 0.9)
     return make_state(u0, GRID, PARAMS, MODEL, variant, bc)
 
 
 def _state_b(variant="trapezoid"):
     u0 = np.array([0.1, 0.3, 0.4, 0.45, 0.5])
-    bc = (lambda t: 0.1, lambda t: 0.5)
+    bc = (0.1, 0.5)
     return make_state(u0, GRID, PARAMS, MODEL, variant, bc)
 
 
@@ -60,7 +62,7 @@ def test_predictor_case_a():
     st = _state_a()
     dt = GRID.lam * GRID.dx
     fslope = _slopes(flux(np.concatenate([[0.0], st.u.values, [0.9]]), MODEL))
-    wp = _predict(st, fslope, 0.0, 0.9, 0.0, 0.9)
+    wp = _predict(st, fslope, 0.0, 0.9)
     up = helmholtz_solve(Field(wp, INTEGER_GRID, dt / 2), 0.0, 0.9, PARAMS, GRID.dx)
     assert up.values == pytest.approx(
         [0.0, 0.012139846908058789, 0.8876537369914852,
@@ -183,7 +185,7 @@ def test_short_riemann_run_matches_frozen_values(variant):
     grid = GridSpec(L=1.0, n_cells=16, lam=0.2)
     u0 = np.where(grid.nodes() <= 0.25, 0.98, 0.0)
     st = make_state(u0, grid, MBLParams(epsilon=0.05, tau=10.0), MODEL, variant,
-                    (lambda t: 0.98, lambda t: 0.0))
+                    (0.98, 0.0))
     for _ in range(40):
         st = step(st)
     assert st.u.phase == INTEGER_GRID
@@ -191,18 +193,44 @@ def test_short_riemann_run_matches_frozen_values(variant):
 
 
 @pytest.mark.parametrize("variant", ["trapezoid", "midpoint"])
-@pytest.mark.parametrize("phase", [INTEGER_GRID, HALF_GRID])
-@pytest.mark.parametrize("fraction", [0.5, 1.0])  # t + dt/2 or t + dt
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_non_finite_boundary_value_within_a_step_is_a_numerical_error(
-        variant, phase, fraction, bad):
-    st = _state_b(variant)
-    if phase == HALF_GRID:
+def test_new_w_is_u_minus_c_d2_u_on_both_phases(variant):
+    # desk grid, Riemann data: one three-point stencil, _d2_order2, gives w
+    # on the unknowns bit for bit after a half-phase and a node-phase step,
+    # and helmholtz_apply's order-2 w as well
+    m = desk_manifest()
+    grid = GridSpec(L=m.L, n_cells=round(m.L / m.dx), dx=m.dx, lam=m.lam)
+    params = MBLParams(m.epsilon, m.tau)
+    c, g, h = params.disp, m.u_B, 0.0
+    u0 = np.where(grid.nodes() <= m.L0, g, h)
+    st = make_state(u0, grid, params, MODEL, variant, (g, h))
+    for phase, unknowns in ((HALF_GRID, slice(None)), (INTEGER_GRID, slice(1, -1))):
         st = step(st)
-    t_bad = st.u.time + fraction * GRID.lam * GRID.dx
-    st = replace(st, bc=(lambda t: bad if t == t_bad else 0.1, st.bc[1]))
-    with pytest.raises(NumericalError):
-        step(st)
+        assert st.u.phase == phase
+        u = st.u.values[unknowns]
+        assert np.array_equal(st.w.values[unknowns], u - c * _d2_order2(u, grid.dx, g, h))
+    assert (st.w.values[0], st.w.values[-1]) == (g, h)
+    v = st.u.values
+    w = helmholtz_apply(st.u, params, grid.dx, order=2).values
+    assert np.array_equal(w[1:-1], v[1:-1] - c * _d2_order2(v[1:-1], grid.dx, v[0], v[-1]))
+
+
+@pytest.mark.parametrize("scheme", ["trapezoid", "midpoint", "third_order"])
+@pytest.mark.parametrize("bc", [(math.nan, 0.5), (0.1, math.nan),
+                                (math.inf, 0.5), (0.1, -math.inf)])
+def test_non_finite_boundary_value_is_rejected_before_the_first_step(
+        scheme, bc, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(staggered, "step", no_step)
+    monkeypatch.setattr(cweno, "rk4_step", no_step)
+    with pytest.raises(NumericalError, match="boundary value"):
+        if scheme == "third_order":
+            ctx = cweno.RhsContext(grid=GRID, params=PARAMS, model=MODEL, bc=bc)
+            cweno.run(np.full(GRID.n_cells, 0.3), ctx, t_final=0.1)
+        else:
+            run(make_state(np.full(5, 0.3), GRID, PARAMS, MODEL, scheme, bc),
+                t_final=0.1)
 
 
 def test_a_run_builds_at_most_two_fields_per_step(monkeypatch):
@@ -227,7 +255,7 @@ def test_a_run_builds_at_most_two_fields_per_step(monkeypatch):
 def test_step_raises_on_cfl_violation():
     grid = GridSpec(L=1.0, n_cells=8, dx=0.125, lam=0.5)
     u0 = np.full(9, 0.6)
-    bc = (lambda t: 0.6, lambda t: 0.6)
+    bc = (0.6, 0.6)
     st = make_state(u0, grid, PARAMS, MODEL, "trapezoid", bc)
     with pytest.raises(NumericalError, match="CFL"):
         step(st)
@@ -236,7 +264,7 @@ def test_step_raises_on_cfl_violation():
 def test_constant_state_is_preserved_exactly():
     grid = GridSpec(L=1.0, n_cells=8, dx=0.125, lam=0.1)
     u0 = np.full(9, 0.4)
-    bc = (lambda t: 0.4, lambda t: 0.4)
+    bc = (0.4, 0.4)
     for variant in ("trapezoid", "midpoint"):
         st = make_state(u0, grid, PARAMS, MODEL, variant, bc)
         st = step(step(st))
@@ -251,7 +279,7 @@ def test_mass_change_per_step_pair_matches_boundary_fluxes():
     params = MBLParams(epsilon=0.0, tau=1.0)
     g, h = 0.8, 0.0
     u0 = np.where(np.arange(11) <= 4, g, h).astype(float)
-    bc = (lambda t: g, lambda t: h)
+    bc = (g, h)
     st = make_state(u0, grid, params, MODEL, "trapezoid", bc)
     mass0 = grid.dx * st.w.values.sum()
     st = step(step(st))

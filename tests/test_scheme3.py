@@ -96,7 +96,7 @@ def _ctx(n_cells=20, lam=0.1, epsilon=0.0, tau=1.0, g=0.8, h=0.0):
     grid = GridSpec(L=2.0, n_cells=n_cells, dx=2.0 / n_cells, lam=lam)
     params = MBLParams(epsilon=epsilon, tau=tau)
     return RhsContext(grid=grid, params=params, model=MODEL,
-                      bc=(lambda t: g, lambda t: h))
+                      bc=(g, h))
 
 
 def test_rhs_vanishes_on_constant_state():
