@@ -141,12 +141,16 @@ def bound_constants(p: BoundParams, t: float) -> BoundReport:
     c_tau = p.C_u * (1.0 + d_chord * sqt)
 
     r = t / (p.epsilon * p.tau)
-    e_b = math.exp(b_tau * r)
-    e_bm1 = math.exp((b_tau - 1.0) * r)
+    try:
+        e_b = math.exp(b_tau * r)
+        e_bm1 = math.exp((b_tau - 1.0) * r)
+        growth = math.exp(c_growth * t / s)
+    except OverflowError:
+        raise NumericalError(f"bound constants overflow at t = {t:g}") from None
     E1 = p.g_sup + a_tau * e_b
     E2 = c_tau * r * e_bm1
 
-    pref = math.exp(c_growth * t / s) * (c_growth * sqt + 1.0) * math.sqrt(p.L)
+    pref = growth * (c_growth * sqt + 1.0) * math.sqrt(p.L)
     gamma1 = pref * (p.g_sup * r + (a_tau / b_tau) * (e_b - 1.0))
     gamma2 = pref * c_tau * (r / (b_tau - 1.0) * e_bm1
                              - (e_bm1 - 1.0) / (b_tau - 1.0) ** 2)

@@ -24,27 +24,23 @@ integrated by classical RK4 with dt = lam dx.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericalError
 from .flux import FluxModel, flux_and_deriv
-from .march import land_snapshots
+from .march import RunContext, land_snapshots
 from .operators import (
     Field,
-    GridSpec,
     HALF_GRID,
     INTEGER_GRID,
-    MBLParams,
     _d2_order4,
+    _padded,
     helmholtz_solve,
 )
 
 __all__ = [
-    "RhsContext",
     "cweno_reconstruct",
     "numerical_flux",
     "semidiscrete_rhs",
@@ -99,15 +95,7 @@ def numerical_flux(u_minus: np.ndarray, u_plus: np.ndarray, w_minus: np.ndarray,
     return 0.5 * (f_plus + f_minus) - 0.5 * a * (w_plus - w_minus)
 
 
-@dataclass
-class RhsContext:
-    grid: GridSpec
-    params: MBLParams
-    model: FluxModel
-    bc: tuple[float, float]
-
-
-def semidiscrete_rhs(wbar: np.ndarray, t: float, ctx: RhsContext) -> np.ndarray:
+def semidiscrete_rhs(wbar: np.ndarray, t: float, ctx: RunContext) -> np.ndarray:
     """-(H_{j+1/2} - H_{j-1/2})/dx + eps Q_j on the cell averages.
 
     The Dirichlet values enter as one constant ghost cell per side before
@@ -120,8 +108,7 @@ def semidiscrete_rhs(wbar: np.ndarray, t: float, ctx: RhsContext) -> np.ndarray:
     grid, params, model = ctx.grid, ctx.params, ctx.model
     g, h = ctx.bc
     dx = grid.dx
-    padded = np.concatenate([[g], wbar, [h]])
-    wm, wp = cweno_reconstruct(padded, dx)
+    wm, wp = cweno_reconstruct(_padded(wbar, g, h), dx)
     um = helmholtz_solve(Field(wm, INTEGER_GRID, t), wm[0], wm[-1],
                          params, dx, order=4).values
     up = helmholtz_solve(Field(wp, INTEGER_GRID, t), wp[0], wp[-1],
@@ -135,7 +122,7 @@ def semidiscrete_rhs(wbar: np.ndarray, t: float, ctx: RhsContext) -> np.ndarray:
     return out
 
 
-def rk4_step(wbar: np.ndarray, t: float, dt: float, ctx: RhsContext) -> np.ndarray:
+def rk4_step(wbar: np.ndarray, t: float, dt: float, ctx: RunContext) -> np.ndarray:
     if dt <= 0:
         raise ValueError("dt must be positive")
     k1 = semidiscrete_rhs(wbar, t, ctx)
@@ -156,20 +143,18 @@ def _rk4_gain(r: float, kappa: float) -> float:
     return float(np.max(np.abs(factor)))
 
 
-def run(wbar0: np.ndarray, ctx: RhsContext, t_final: float,
+def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
         snapshot_times: Sequence[float] = ()) -> list[Field]:
     """Advance the cell averages of w from t = 0 by RK4 steps of dt = lam dx,
     landing exactly on each requested time.
 
     Returned fields hold the cell averages of u (the order-4 half-grid
-    solve), the final state last.  Three conditions are rejected before
-    the first step: a NaN/Inf boundary value, lam * C >= 1/2 (f' is clamped,
-    so C bounds the speed of u everywhere), and an RK4 factor above 1 for
-    some mode of the diffusion term (_rk4_gain).
+    solve), the final state last.  Two conditions are rejected before the
+    first step: lam * C >= 1/2 (f' is clamped, so C bounds the speed of u
+    everywhere), and an RK4 factor above 1 for some mode of the diffusion
+    term (_rk4_gain).  The boundary values were checked by the RunContext.
     """
     grid, params = ctx.grid, ctx.params
-    if not all(map(math.isfinite, ctx.bc)):
-        raise NumericalError("boundary value is NaN/Inf")
     if grid.lam * ctx.model.C >= 0.5:
         raise NumericalError(
             f"CFL violation: lambda*C = {grid.lam * ctx.model.C:.6g} >= 0.5")
@@ -186,8 +171,8 @@ def run(wbar0: np.ndarray, ctx: RhsContext, t_final: float,
         t += dt
         return t
 
-    def read() -> Field:
-        return helmholtz_solve(Field(wbar, HALF_GRID, t), *ctx.bc, params, grid.dx,
+    def read(time: float) -> Field:
+        return helmholtz_solve(Field(wbar, HALF_GRID, time), *ctx.bc, params, grid.dx,
                                order=4)
 
     return land_snapshots(advance, read, 0.0, t_final, snapshot_times,

@@ -24,6 +24,7 @@ from .errors import ManifestError
 from .flux import FluxModel
 from .operators import Field, GridSpec, INTEGER_GRID, MBLParams, _d2_order4
 from . import cweno, staggered
+from .march import RunContext
 
 __all__ = [
     "RunManifest",
@@ -188,17 +189,14 @@ def run_manifest(manifest: RunManifest) -> list[Field]:
     """Run to t_final, returning one Field per requested snapshot time plus
     the final state (staggered schemes: node values; third_order: cell
     averages of u)."""
-    grid = _grid_for(manifest)
-    params = MBLParams(manifest.epsilon, manifest.tau)
-    model = FluxModel(manifest.M)
-    bc = _bc_for(manifest)
+    ctx = RunContext(grid=_grid_for(manifest),
+                     params=MBLParams(manifest.epsilon, manifest.tau),
+                     model=FluxModel(manifest.M), bc=_bc_for(manifest))
     if manifest.scheme == "third_order":
-        ctx = cweno.RhsContext(grid=grid, params=params, model=model, bc=bc)
-        return cweno.run(_initial_cell_w(manifest, grid, params), ctx,
+        return cweno.run(_initial_cell_w(manifest, ctx.grid, ctx.params), ctx,
                          manifest.t_final, manifest.snapshot_times)
-    state = staggered.make_state(_initial_nodes(manifest, grid), grid, params,
-                                 model, manifest.scheme, bc)
-    return staggered.run(state, manifest.t_final, manifest.snapshot_times)
+    return staggered.run(_initial_nodes(manifest, ctx.grid), ctx, manifest.scheme,
+                         manifest.t_final, manifest.snapshot_times)
 
 
 _RUN_CACHE: dict[str, list[Field]] = {}
@@ -241,6 +239,8 @@ def order_table(scheme: str, params_triple: tuple[float, float],
     """Self-convergence table on the smooth-ramp configuration (eps=1, M=2,
     domain [-10, 20], T=1).  Row N holds ||u_N - u_2N|| in three norms and
     the orders log2(e_{N/2}/e_N) against the previous row."""
+    if any(n < 1 for n in levels):
+        raise ValueError("levels must be at least 1")
     tau, u_B = params_triple
     rows: list[dict] = []
     prev: Optional[dict] = None
@@ -397,6 +397,8 @@ def domain_study(base: RunManifest, L_values: list[float],
     requested time; each entry carries the difference norms, the
     closed-form bound, the domain-sizing verdict, and the classification
     of the truncated run."""
+    if not L_values:
+        raise ValueError("L_values must not be empty")
     L_values = sorted(L_values)
     L_ref = L_values[-1]
     speed = FluxModel(base.M).D

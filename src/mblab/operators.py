@@ -106,9 +106,14 @@ class Field:
             raise NumericalError("field contains NaN/Inf values")
 
 
-def _d2_order2(v: np.ndarray, dx: float, left: float, right: float) -> np.ndarray:
-    """Three-point second difference; the ghost neighbors take left/right."""
-    ext = np.concatenate([[left], v, [right]])
+def _padded(v: np.ndarray, left: float, right: float) -> np.ndarray:
+    """v with one constant ghost value at each end."""
+    return np.concatenate([[left], v, [right]])
+
+
+def _d2_order2(ext: np.ndarray, dx: float) -> np.ndarray:
+    """Three-point second difference at the inner points of ext, whose first
+    and last values are the ghosts."""
     return (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / dx ** 2
 
 
@@ -142,8 +147,7 @@ def helmholtz_apply(u: Field, params: MBLParams, dx: float, order: int = 2) -> F
     c = params.disp
     w = v.copy()
     if c != 0.0:
-        d2 = (_d2_order2(v[1:-1], dx, v[0], v[-1]) if order == 2
-              else _d2_order4(v, dx)[1:-1])
+        d2 = _d2_order2(v, dx) if order == 2 else _d2_order4(v, dx)[1:-1]
         w[1:-1] = v[1:-1] - c * d2
     return Field(w, phase=u.phase, time=u.time)
 

@@ -21,72 +21,30 @@ half time.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .march import land_snapshots
+from .march import RunContext, land_snapshots
 from .errors import NumericalError
-from .flux import FluxModel, flux, flux_and_deriv
+from .flux import flux, flux_and_deriv
 from .operators import (
     Field,
-    GridSpec,
     HALF_GRID,
     INTEGER_GRID,
-    MBLParams,
     _d2_order2,
+    _padded,
     _solve_unknowns,
     helmholtz_apply,
 )
 
 __all__ = [
-    "Scheme2State",
-    "make_state",
     "step",
     "run",
 ]
 
 TRAPEZOID = "trapezoid"
 MIDPOINT = "midpoint"
-
-
-@dataclass
-class Scheme2State:
-    u: Field
-    w: Field
-    grid: GridSpec
-    params: MBLParams
-    model: FluxModel
-    variant: str
-    bc: tuple[float, float]
-
-
-def make_state(u0, grid: GridSpec, params: MBLParams, model: FluxModel,
-               variant: str, bc) -> Scheme2State:
-    """Build a consistent state from node-centered initial values and the
-    constant Dirichlet pair bc = (g, h).
-
-    A NaN/Inf boundary value is a NumericalError, checked once here: inside
-    a step, minmod and the clamped flux could turn it finite.  So is a
-    midpoint state whose linear amplification exceeds 1: its run would grow
-    without bound yet stay finite, and the clamped f' hides it from the CFL
-    test.
-    """
-    if variant not in (TRAPEZOID, MIDPOINT):
-        raise ValueError(f"unknown variant {variant!r}")
-    if not all(map(math.isfinite, bc)):
-        raise NumericalError("boundary value is NaN/Inf")
-    if variant == MIDPOINT:
-        r = params.epsilon * grid.lam / grid.dx
-        gain = _midpoint_gain(r, params.disp / grid.dx ** 2)
-        if gain > 1.0:
-            raise NumericalError(f"midpoint scheme unstable: max|G| = {gain:.6g} > 1 "
-                                 f"at eps*lam/dx = {r:.6g}")
-    u = Field(np.asarray(u0, dtype=float).copy(), INTEGER_GRID, 0.0)
-    return Scheme2State(u=u, w=helmholtz_apply(u, params, grid.dx), grid=grid,
-                        params=params, model=model, variant=variant, bc=bc)
 
 
 def _midpoint_gain(r: float, kappa: float) -> float:
@@ -109,28 +67,22 @@ def _slopes(ext: np.ndarray) -> np.ndarray:
     return _minmod(d[..., 1:], d[..., :-1])
 
 
-def _ghost_slopes(v: np.ndarray, g: float, h: float) -> np.ndarray:
-    """Minmod slopes against constant-value ghosts at both ends."""
-    return _slopes(np.concatenate([[g], v, [h]]))
-
-
 def _cfl_margin(speeds: np.ndarray, lam: float) -> float:
     """1/2 - lam * max|f'|: positive iff the step is stable."""
     return 0.5 - lam * float(np.abs(speeds).max())
 
 
-def _predict(state: Scheme2State, fslope: np.ndarray, g: float, h: float
-             ) -> np.ndarray:
-    """w at t + dt/2 from the flux slopes, with ghosts g, h.
+def _predict(u_ext: np.ndarray, w: np.ndarray, fslope: np.ndarray,
+             ctx: RunContext, lam: float) -> np.ndarray:
+    """w at t + dt/2 from u with its ghosts and the flux slopes.
 
-    Boundary nodes of an integer-phase field keep the Dirichlet values g, h;
+    Boundary nodes of an integer-phase field keep the Dirichlet values;
     half-phase nodes are all interior.
     """
-    dx, lam = state.grid.dx, state.grid.lam
-    d2u = _d2_order2(state.u.values, dx, g, h)
-    wp = state.w.values + (state.params.epsilon * dx * d2u - fslope) * lam / 2.0
-    if state.u.phase == INTEGER_GRID:
-        wp[0], wp[-1] = g, h
+    dx = ctx.grid.dx
+    wp = w + (ctx.params.epsilon * dx * _d2_order2(u_ext, dx) - fslope) * lam / 2.0
+    if w.size == ctx.grid.n_cells + 1:
+        wp[0], wp[-1] = ctx.bc
     return wp
 
 
@@ -138,27 +90,26 @@ def _staggered_average(w: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return 0.5 * (w[:-1] + w[1:]) + 0.125 * (slope[:-1] - slope[1:])
 
 
-def step(state: Scheme2State) -> Scheme2State:
-    """One staggered step of the state's variant; the output phase is toggled.
+def step(u: np.ndarray, w: np.ndarray, ctx: RunContext, variant: str,
+         lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """One staggered step of dt = lam dx from (u, w) to the other grid phase.
 
-    Works on arrays from the state's two Fields to the new state's two.  A
-    NaN/Inf anywhere is a NumericalError: the new Fields check themselves,
-    and the half-time u is checked here, because the clamped flux can turn
-    an Inf there finite.  The boundary values were checked by make_state.
+    n_cells + 1 values are nodes, n_cells are half cells.  A NaN/Inf in the
+    new u or w, or in the half-time u (the clamped flux can turn an Inf
+    there finite), is a NumericalError.  The boundary values were checked
+    by the RunContext.
     """
-    grid, params, model = state.grid, state.params, state.model
-    dx, lam = grid.dx, grid.lam
+    dx = ctx.grid.dx
     dt = lam * dx
-    eps = params.epsilon
-    c = params.disp
-    t = state.u.time
-    g, h = state.bc
-    phase = state.u.phase
+    eps = ctx.params.epsilon
+    c = ctx.params.disp
+    g, h = ctx.bc
+    phase = INTEGER_GRID if u.size == ctx.grid.n_cells + 1 else HALF_GRID
     new_phase = HALF_GRID if phase == INTEGER_GRID else INTEGER_GRID
-    u, w = state.u.values, state.w.values
 
-    # one flux evaluation on u and its ghosts gives the slopes and the speed
-    f_ext, speeds = flux_and_deriv(np.concatenate([[g], u, [h]]), model)
+    # u with its ghosts gives the flux, its slopes and speed, and D2 u
+    u_ext = _padded(u, g, h)
+    f_ext, speeds = flux_and_deriv(u_ext, ctx.model)
     margin = _cfl_margin(speeds[1:-1], lam)
     if not margin > 0.0:
         raise NumericalError(
@@ -171,60 +122,69 @@ def step(state: Scheme2State) -> Scheme2State:
     wbar = _staggered_average(w, wslope)
 
     # predictor, converted to u at the half time
-    wp = _predict(state, fslope, g, h)
+    wp = _predict(u_ext, w, fslope, ctx, lam)
     up = wp.copy()
     unknowns = slice(1, -1) if phase == INTEGER_GRID else slice(None)
     up[unknowns] = _solve_unknowns(up[unknowns], phase, g, h, c, dx)
     if not np.isfinite(up).all():
         raise NumericalError("half-time u contains NaN/Inf values")
-    fph = flux(up, model)
+    fph = flux(up, ctx.model)
     df = fph[1:] - fph[:-1]
 
     # the unknowns on the new points: every half cell, or the interior nodes
-    if state.variant == TRAPEZOID:
+    if variant == TRAPEZOID:
         ubar = _solve_unknowns(wbar, new_phase, g, h, c, dx)
-        rhs = ubar - (c - eps * dt / 2.0) * _d2_order2(ubar, dx, g, h) - lam * df
+        d2 = _d2_order2(_padded(ubar, g, h), dx)
+        rhs = ubar - (c - eps * dt / 2.0) * d2 - lam * df
         coefficient = c + eps * dt / 2.0
     else:  # MIDPOINT
-        wbar_mid = _staggered_average(wp, _ghost_slopes(wp, g, h))
+        wbar_mid = _staggered_average(wp, _slopes(_padded(wp, g, h)))
         ubar_mid = _solve_unknowns(wbar_mid, new_phase, g, h, c, dx)
-        rhs = wbar - lam * df + eps * dt * _d2_order2(ubar_mid, dx, g, h)
+        d2 = _d2_order2(_padded(ubar_mid, g, h), dx)
+        rhs = wbar - lam * df + eps * dt * d2
         coefficient = c
     u_new = _solve_unknowns(rhs, new_phase, g, h, coefficient, dx)
-    w_new = u_new - c * _d2_order2(u_new, dx, g, h)
-    if new_phase == INTEGER_GRID:  # pad with the pinned boundary nodes
-        u_new = np.concatenate([[g], u_new, [h]])
-        w_new = np.concatenate([[g], w_new, [h]])
-    return Scheme2State(u=Field(u_new, new_phase, t + dt),
-                        w=Field(w_new, new_phase, t + dt), grid=grid,
-                        params=params, model=model, variant=state.variant,
-                        bc=state.bc)
+    u_new_ext = _padded(u_new, g, h)
+    w_new = u_new - c * _d2_order2(u_new_ext, dx)
+    if new_phase == INTEGER_GRID:  # the pinned boundary nodes are the ghosts
+        u_new, w_new = u_new_ext, _padded(w_new, g, h)
+    if not (np.isfinite(u_new).all() and np.isfinite(w_new).all()):
+        raise NumericalError("new u or w contains NaN/Inf values")
+    return u_new, w_new
 
 
-def run(state: Scheme2State, t_final: float, snapshot_times: Sequence[float] = ()
-        ) -> list[Field]:
-    """Advance in step pairs, landing exactly on each requested time.
+def run(u0, ctx: RunContext, variant: str, t_final: float,
+        snapshot_times: Sequence[float] = ()) -> list[Field]:
+    """Advance node values u0 from t = 0 in step pairs, landing exactly on
+    each requested time.
 
     Snapshot times (and t_final) are hit by shrinking the final pair's dt;
-    returned fields all live on the integer grid, the final state last.
+    returned fields all live on the integer grid, the final state last.  A
+    midpoint run whose linear amplification exceeds 1 is a NumericalError
+    before the first step: it would grow without bound yet stay finite, and
+    the clamped f' hides it from the CFL test.
     """
-    lam_nom = state.grid.lam
-    dx = state.grid.dx
+    if variant not in (TRAPEZOID, MIDPOINT):
+        raise ValueError(f"unknown variant {variant!r}")
+    grid, params = ctx.grid, ctx.params
+    lam_nom, dx = grid.lam, grid.dx
+    if variant == MIDPOINT:
+        r = params.epsilon * lam_nom / dx
+        gain = _midpoint_gain(r, params.disp / dx ** 2)
+        if gain > 1.0:
+            raise NumericalError(f"midpoint scheme unstable: max|G| = {gain:.6g} > 1 "
+                                 f"at eps*lam/dx = {r:.6g}")
+    start = Field(u0, INTEGER_GRID, 0.0)
+    u, w, t = start.values, helmholtz_apply(start, params, dx).values, 0.0
     pair = 2.0 * (lam_nom * dx)  # two steps of dt = lam_nom * dx
 
     def advance(dt: float) -> float:
-        nonlocal state
-        state = _with_lam(state, lam_nom if dt == pair else dt / 2.0 / dx)
-        state = step(step(state))
-        return state.u.time
+        nonlocal u, w, t
+        lam = lam_nom if dt == pair else dt / 2.0 / dx
+        for _ in range(2):
+            u, w = step(u, w, ctx, variant, lam)
+            t += lam * dx
+        return t
 
-    return land_snapshots(advance, lambda: state.u, state.u.time, t_final,
-                          snapshot_times, pair)
-
-
-def _with_lam(state: Scheme2State, lam: float) -> Scheme2State:
-    if state.grid.lam == lam:
-        return state
-    grid = GridSpec(L=state.grid.L, n_cells=state.grid.n_cells, dx=state.grid.dx,
-                    lam=lam, x0=state.grid.x0)
-    return replace(state, grid=grid)
+    return land_snapshots(advance, lambda time: Field(u, INTEGER_GRID, time),
+                          0.0, t_final, snapshot_times, pair)

@@ -437,6 +437,19 @@ def test_cli_lemma_audit(manifest_file, capsys):
     assert "# all audits hold" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("verb, args, code", [
+    ("bound", ["--t", "100"], 3),  # exp overflows in the bound constants
+    ("order-test", ["--levels", "0"], 2),
+    ("domain-study", ["--L-values", ",", "--times", "0.1"], 2),
+])
+def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
+                                                        verb, args, code):
+    assert cli.main([verb, "--manifest", str(manifest_file), *args]) == code
+    err = capsys.readouterr().err
+    assert err.startswith({2: "validation error", 3: "numerical failure"}[code])
+    assert "Traceback" not in err
+
+
 def test_cli_domain_study(manifest_file, capsys):
     rc = cli.main(["domain-study", "--manifest", str(manifest_file),
                    "--L-values", "0.2,0.3", "--times", "0.01"])
@@ -470,18 +483,22 @@ REFERENCE_ONLY = {"classical_bl_profile"}
 
 
 def test_every_exported_name_has_a_caller_in_the_package():
-    # a use is a loaded name or an attribute anywhere in the submodules,
-    # outside the name's own top-level definition and the __all__ lists
-    exported, used = set(), set()
+    # every exported name and every top-level function and class, private
+    # ones included; a use is a loaded name or an attribute anywhere in the
+    # submodules, outside the name's own top-level definition and the
+    # __all__ lists
+    defined, used = set(), set()
     for path in pathlib.Path(mblab.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
             if any(getattr(t, "id", None) == "__all__" for t in getattr(node, "targets", ())):
-                exported.update(e.value for e in node.value.elts)
+                defined.update(e.value for e in node.value.elts)
                 continue
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
             names = {sub.id for sub in ast.walk(node)
                      if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
             names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
             used |= names - {getattr(node, "name", None)}
-    assert sorted(exported - used - REFERENCE_ONLY) == []
+    assert sorted(defined - used - REFERENCE_ONLY) == []

@@ -8,6 +8,7 @@ from mblab import cweno, staggered
 from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
 from mblab.flux import FluxModel, classical_bl_profile, flux, flux_deriv
+from mblab.march import RunContext
 from mblab.operators import (
     Field,
     GridSpec,
@@ -15,16 +16,15 @@ from mblab.operators import (
     INTEGER_GRID,
     MBLParams,
     _d2_order2,
+    _padded,
     helmholtz_apply,
     helmholtz_solve,
 )
 from mblab.staggered import (
     _cfl_margin,
-    _ghost_slopes,
     _minmod,
     _predict,
     _slopes,
-    make_state,
     run,
     step,
 )
@@ -34,35 +34,39 @@ PARAMS = MBLParams(epsilon=0.1, tau=1.0)
 MODEL = FluxModel(2.0)
 
 
-def _state_a(variant="trapezoid"):
-    u0 = np.array([0.0, 0.0, 0.9, 0.9, 0.9])
-    bc = (0.0, 0.9)
-    return make_state(u0, GRID, PARAMS, MODEL, variant, bc)
+def _start(u0, bc, grid=GRID, params=PARAMS):
+    """(u, w, ctx) at t = 0 from node values u0 and the boundary pair bc."""
+    u = np.asarray(u0, dtype=float)
+    w = helmholtz_apply(Field(u, INTEGER_GRID), params, grid.dx).values
+    return u, w, RunContext(grid, params, MODEL, bc)
 
 
-def _state_b(variant="trapezoid"):
-    u0 = np.array([0.1, 0.3, 0.4, 0.45, 0.5])
-    bc = (0.1, 0.5)
-    return make_state(u0, GRID, PARAMS, MODEL, variant, bc)
+def _state_a():
+    return _start([0.0, 0.0, 0.9, 0.9, 0.9], (0.0, 0.9))
+
+
+def _state_b():
+    return _start([0.1, 0.3, 0.4, 0.45, 0.5], (0.1, 0.5))
 
 
 def test_initial_transform_case_a():
-    st = _state_a()
-    assert st.w.values == pytest.approx(
+    _, w, _ = _state_a()
+    assert w == pytest.approx(
         [0.0, -0.144, 1.044, 0.9, 0.9], rel=1e-12, abs=1e-15)
 
 
 def test_initial_transform_case_b():
-    st = _state_b()
-    assert st.w.values == pytest.approx(
+    _, w, _ = _state_b()
+    assert w == pytest.approx(
         [0.1, 0.316, 0.40800000000000003, 0.45, 0.5], rel=1e-12)
 
 
 def test_predictor_case_a():
-    st = _state_a()
+    u, w, ctx = _state_a()
     dt = GRID.lam * GRID.dx
-    fslope = _slopes(flux(np.concatenate([[0.0], st.u.values, [0.9]]), MODEL))
-    wp = _predict(st, fslope, 0.0, 0.9)
+    u_ext = _padded(u, 0.0, 0.9)
+    fslope = _slopes(flux(u_ext, MODEL))
+    wp = _predict(u_ext, w, fslope, ctx, GRID.lam)
     up = helmholtz_solve(Field(wp, INTEGER_GRID, dt / 2), 0.0, 0.9, PARAMS, GRID.dx)
     assert up.values == pytest.approx(
         [0.0, 0.012139846908058789, 0.8876537369914852,
@@ -70,45 +74,44 @@ def test_predictor_case_a():
 
 
 def test_trapezoid_step_case_a():
-    new = step(_state_a())
-    assert new.u.phase == HALF_GRID
-    assert new.u.values.shape == (4,)
-    assert new.u.time == pytest.approx(0.025)
-    assert new.u.values == pytest.approx(
+    u_new, w_new = step(*_state_a(), "trapezoid", GRID.lam)
+    assert u_new.shape == w_new.shape == (4,)  # the half cells
+    assert u_new == pytest.approx(
         [0.003034373050424487, 0.37600269414014259,
          0.87614233422734289, 0.89716019326334884], rel=1e-12)
 
 
 def test_midpoint_step_case_a():
-    new = step(_state_a("midpoint"))
-    assert new.u.values == pytest.approx(
+    u_new, _ = step(*_state_a(), "midpoint", GRID.lam)
+    assert u_new == pytest.approx(
         [0.0036321628863597473, 0.37420546073572414,
          0.87677504625812142, 0.89728924995968284], rel=1e-12)
 
 
 def test_trapezoid_step_case_b():
-    new = step(_state_b())
-    assert new.u.values == pytest.approx(
+    u_new, _ = step(*_state_b(), "trapezoid", GRID.lam)
+    assert u_new == pytest.approx(
         [0.17728750706436602, 0.34117617112801873,
          0.41789737750046152, 0.47372118639661648], rel=1e-12)
 
 
 def test_midpoint_step_case_b():
-    new = step(_state_b("midpoint"))
-    assert new.u.values == pytest.approx(
+    u_new, _ = step(*_state_b(), "midpoint", GRID.lam)
+    assert u_new == pytest.approx(
         [0.18827092037804416, 0.34255200884069575,
          0.4178001538204017, 0.47100172623565684], rel=1e-12)
 
 
 def test_variants_differ():
-    a = step(_state_b()).u.values
-    b = step(_state_b("midpoint")).u.values
+    a, _ = step(*_state_b(), "trapezoid", GRID.lam)
+    b, _ = step(*_state_b(), "midpoint", GRID.lam)
     assert not np.allclose(a, b, rtol=1e-6)
 
 
 def test_unknown_variant():
-    with pytest.raises(ValueError):
-        _state_a("leapfrog")
+    u, _, ctx = _state_a()
+    with pytest.raises(ValueError, match="leapfrog"):
+        run(u, ctx, "leapfrog", t_final=0.1)
 
 
 def test_minmod():
@@ -119,7 +122,7 @@ def test_minmod():
 
 def test_slopes():
     v = np.array([0.0, 1.0, 3.0, 4.0])
-    s = _ghost_slopes(v, 0.0, 4.0)
+    s = _slopes(_padded(v, 0.0, 4.0))
     assert s.shape == v.shape
     assert s[1] == 1.0  # minmod(3-1, 1-0)
     assert s[2] == 1.0
@@ -184,12 +187,11 @@ _RIEMANN_40 = {
 def test_short_riemann_run_matches_frozen_values(variant):
     grid = GridSpec(L=1.0, n_cells=16, lam=0.2)
     u0 = np.where(grid.nodes() <= 0.25, 0.98, 0.0)
-    st = make_state(u0, grid, MBLParams(epsilon=0.05, tau=10.0), MODEL, variant,
-                    (0.98, 0.0))
+    u, w, ctx = _start(u0, (0.98, 0.0), grid, MBLParams(epsilon=0.05, tau=10.0))
     for _ in range(40):
-        st = step(st)
-    assert st.u.phase == INTEGER_GRID
-    assert np.array_equal(st.u.values, _RIEMANN_40[variant])
+        u, w = step(u, w, ctx, variant, grid.lam)
+    assert u.size == grid.n_cells + 1  # back on the nodes
+    assert np.array_equal(u, _RIEMANN_40[variant])
 
 
 @pytest.mark.parametrize("variant", ["trapezoid", "midpoint"])
@@ -201,17 +203,16 @@ def test_new_w_is_u_minus_c_d2_u_on_both_phases(variant):
     grid = GridSpec(L=m.L, n_cells=round(m.L / m.dx), dx=m.dx, lam=m.lam)
     params = MBLParams(m.epsilon, m.tau)
     c, g, h = params.disp, m.u_B, 0.0
-    u0 = np.where(grid.nodes() <= m.L0, g, h)
-    st = make_state(u0, grid, params, MODEL, variant, (g, h))
-    for phase, unknowns in ((HALF_GRID, slice(None)), (INTEGER_GRID, slice(1, -1))):
-        st = step(st)
-        assert st.u.phase == phase
-        u = st.u.values[unknowns]
-        assert np.array_equal(st.w.values[unknowns], u - c * _d2_order2(u, grid.dx, g, h))
-    assert (st.w.values[0], st.w.values[-1]) == (g, h)
-    v = st.u.values
-    w = helmholtz_apply(st.u, params, grid.dx, order=2).values
-    assert np.array_equal(w[1:-1], v[1:-1] - c * _d2_order2(v[1:-1], grid.dx, v[0], v[-1]))
+    u, w, ctx = _start(np.where(grid.nodes() <= m.L0, g, h), (g, h), grid, params)
+    for size, unknowns in ((grid.n_cells, slice(None)),
+                           (grid.n_cells + 1, slice(1, -1))):
+        u, w = step(u, w, ctx, variant, grid.lam)
+        assert u.size == w.size == size
+        v = u[unknowns]
+        assert np.array_equal(w[unknowns], v - c * _d2_order2(_padded(v, g, h), grid.dx))
+    assert (w[0], w[-1]) == (g, h)
+    w_apply = helmholtz_apply(Field(u, INTEGER_GRID), params, grid.dx, order=2).values
+    assert np.array_equal(w_apply[1:-1], u[1:-1] - c * _d2_order2(u, grid.dx))
 
 
 @pytest.mark.parametrize("scheme", ["trapezoid", "midpoint", "third_order"])
@@ -225,12 +226,11 @@ def test_non_finite_boundary_value_is_rejected_before_the_first_step(
     monkeypatch.setattr(staggered, "step", no_step)
     monkeypatch.setattr(cweno, "rk4_step", no_step)
     with pytest.raises(NumericalError, match="boundary value"):
+        ctx = RunContext(GRID, PARAMS, MODEL, bc)
         if scheme == "third_order":
-            ctx = cweno.RhsContext(grid=GRID, params=PARAMS, model=MODEL, bc=bc)
             cweno.run(np.full(GRID.n_cells, 0.3), ctx, t_final=0.1)
         else:
-            run(make_state(np.full(5, 0.3), GRID, PARAMS, MODEL, scheme, bc),
-                t_final=0.1)
+            run(np.full(5, 0.3), ctx, scheme, t_final=0.1)
 
 
 def test_a_run_builds_at_most_two_fields_per_step(monkeypatch):
@@ -241,35 +241,33 @@ def test_a_run_builds_at_most_two_fields_per_step(monkeypatch):
         built.append(self)
         check(self)
 
-    pairs = 10
+    dt = GRID.lam * GRID.dx
     for variant in ("trapezoid", "midpoint"):
-        st = _state_b(variant)
+        u, _, ctx = _state_b()
         built.clear()
         monkeypatch.setattr(Field, "__post_init__", counting)
-        fields = run(st, t_final=pairs * 2.0 * GRID.lam * GRID.dx)
+        fields = run(u, ctx, variant, t_final=20.0 * dt, snapshot_times=[7.3 * dt])
         monkeypatch.undo()
-        # the new state's u and w per step, one stamped copy per returned field
-        assert len(built) <= 2 * (2 * pairs) + len(fields)
+        # u0 and its w, then one per returned field: none inside a step
+        assert len(fields) == 2
+        assert len(built) <= 2 + len(fields)
 
 
 def test_step_raises_on_cfl_violation():
     grid = GridSpec(L=1.0, n_cells=8, dx=0.125, lam=0.5)
-    u0 = np.full(9, 0.6)
-    bc = (0.6, 0.6)
-    st = make_state(u0, grid, PARAMS, MODEL, "trapezoid", bc)
+    u, w, ctx = _start(np.full(9, 0.6), (0.6, 0.6), grid)
     with pytest.raises(NumericalError, match="CFL"):
-        step(st)
+        step(u, w, ctx, "trapezoid", grid.lam)
 
 
 def test_constant_state_is_preserved_exactly():
     grid = GridSpec(L=1.0, n_cells=8, dx=0.125, lam=0.1)
-    u0 = np.full(9, 0.4)
-    bc = (0.4, 0.4)
     for variant in ("trapezoid", "midpoint"):
-        st = make_state(u0, grid, PARAMS, MODEL, variant, bc)
-        st = step(step(st))
-        assert st.u.phase == INTEGER_GRID
-        assert np.allclose(st.u.values, 0.4, rtol=0, atol=1e-14)
+        u, w, ctx = _start(np.full(9, 0.4), (0.4, 0.4), grid)
+        for _ in range(2):
+            u, w = step(u, w, ctx, variant, grid.lam)
+        assert u.size == 9
+        assert np.allclose(u, 0.4, rtol=0, atol=1e-14)
 
 
 def test_mass_change_per_step_pair_matches_boundary_fluxes():
@@ -278,14 +276,18 @@ def test_mass_change_per_step_pair_matches_boundary_fluxes():
     grid = GridSpec(L=1.0, n_cells=10, dx=0.1, lam=0.1)
     params = MBLParams(epsilon=0.0, tau=1.0)
     g, h = 0.8, 0.0
-    u0 = np.where(np.arange(11) <= 4, g, h).astype(float)
-    bc = (g, h)
-    st = make_state(u0, grid, params, MODEL, "trapezoid", bc)
-    mass0 = grid.dx * st.w.values.sum()
-    st = step(step(st))
-    mass2 = grid.dx * st.w.values.sum()
+    u, w, ctx = _start(np.where(np.arange(11) <= 4, g, h), (g, h), grid, params)
+    mass0 = grid.dx * w.sum()
+    for _ in range(2):
+        u, w = step(u, w, ctx, "trapezoid", grid.lam)
+    mass2 = grid.dx * w.sum()
     expected = 2.0 * grid.lam * grid.dx * (flux(g, MODEL) - flux(h, MODEL))
     assert mass2 - mass0 == pytest.approx(expected, abs=1e-10)
+
+
+def _run_a(**kwargs):
+    u, _, ctx = _state_a()
+    return run(u, ctx, "trapezoid", **kwargs)
 
 
 @pytest.mark.parametrize("scheme", ["trapezoid", "third_order"])
@@ -293,7 +295,7 @@ def test_run_lands_snapshots_exactly(scheme):
     dt = GRID.lam * GRID.dx  # 0.025
     t_mid = 3.3 * dt         # not a multiple of a full pair
     if scheme == "trapezoid":
-        fields = run(_state_a(), t_final=5.0 * dt, snapshot_times=[t_mid])
+        fields = _run_a(t_final=5.0 * dt, snapshot_times=[t_mid])
         phase, size = INTEGER_GRID, 5
     else:  # the order-4 solves need a few more cells
         m = desk_manifest(scheme=scheme, epsilon=0.1, tau=1.0, L=1.0, L0=0.25,
@@ -309,15 +311,15 @@ def test_run_lands_snapshots_exactly(scheme):
 
 
 def test_run_is_deterministic():
-    a = run(_state_a(), t_final=0.2)[-1].values
-    b = run(_state_a(), t_final=0.2)[-1].values
+    a = _run_a(t_final=0.2)[-1].values
+    b = _run_a(t_final=0.2)[-1].values
     assert np.array_equal(a, b)
 
 
 def test_run_validates_times():
     with pytest.raises(ValueError):
-        run(_state_a(), t_final=0.0)
+        _run_a(t_final=0.0)
     with pytest.raises(ValueError):
-        run(_state_a(), t_final=0.1, snapshot_times=[0.2])
+        _run_a(t_final=0.1, snapshot_times=[0.2])
     with pytest.raises(ValueError):
-        run(_state_a(), t_final=0.1, snapshot_times=[-0.05])
+        _run_a(t_final=0.1, snapshot_times=[-0.05])

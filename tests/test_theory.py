@@ -15,6 +15,7 @@ from mblab.bounds import (
     compare_domains,
     lemma_audit,
 )
+from mblab.errors import NumericalError
 
 ALPHA = math.sqrt(2.0 / 3.0)
 
@@ -161,6 +162,8 @@ def test_bound_constants_errors():
                         M=2.0, epsilon=1.0, tau=1e-30)
     with pytest.raises(ValueError, match="degenerate"):
         bound_constants(degen, 0.1)
+    with pytest.raises(NumericalError, match="overflow"):
+        bound_constants(P_DESK, 100.0)
 
 
 def test_lemma_audit_errors():
