@@ -45,36 +45,47 @@ class FluxModel:
         object.__setattr__(self, "C", (self.M + 1.0) ** 2 / (2.0 * self.M))
 
 
-def _clamped(u: np.ndarray, M: float) -> tuple[np.ndarray, np.ndarray]:
-    """u clipped to [0, 1] and the flux denominator u^2 + M (1-u)^2 there.
+def _clamped(u: np.ndarray, M: float) -> tuple:
+    """u clipped to [0, 1], 1 - u and u^2 there, and the flux denominator
+    u^2 + M (1-u)^2.
 
     Squares are products: a 0-d ** 2 goes through C pow, which can differ
-    from an array's squaring in the last bit.
+    from an array's squaring in the last bit.  The in-place updates here and
+    in _deriv spare temporaries and keep the rounding of the written formula.
     """
     uc = np.minimum(np.maximum(u, 0.0), 1.0)  # np.clip, without its dispatch cost
     d = 1.0 - uc
-    return uc, uc * uc + M * (d * d)
+    sq = uc * uc
+    den = d * d
+    den *= M
+    den += sq
+    return uc, d, sq, den
 
 
-def _deriv(u: np.ndarray, uc: np.ndarray, den: np.ndarray, M: float) -> np.ndarray:
-    """df/du from the clamped parts; zero outside (0, 1), where f is flat."""
-    return np.where((u > 0.0) & (u < 1.0), 2.0 * M * uc * (1.0 - uc) / (den * den), 0.0)
+def _deriv(uc: np.ndarray, d: np.ndarray, den: np.ndarray, M: float) -> np.ndarray:
+    """df/du = 2 M uc (1-uc) / den^2 from the clamped parts; exactly zero
+    outside (0, 1), where uc is 0 or 1 and f is flat."""
+    out = uc * (2.0 * M)
+    out *= d
+    out /= den * den
+    return out
 
 
 def flux(u, model: FluxModel):
     """Clamped fractional-flow function; accepts scalars or arrays."""
     u = np.asarray(u, dtype=float)
-    uc, den = _clamped(u, model.M)
-    out = uc * uc / den
+    _, _, out, den = _clamped(u, model.M)
+    out /= den
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def flux_deriv(u, model: FluxModel):
-    """df/du; zero outside [0, 1] to match the clamped flux."""
+    """df/du; zero outside [0, 1] to match the clamped flux, NaN at NaN."""
     u = np.asarray(u, dtype=float)
-    out = _deriv(u, *_clamped(u, model.M), model.M)
+    uc, d, _, den = _clamped(u, model.M)
+    out = _deriv(uc, d, den, model.M)
     if out.ndim == 0:
         return float(out)
     return out
@@ -82,8 +93,10 @@ def flux_deriv(u, model: FluxModel):
 
 def flux_and_deriv(u: np.ndarray, model: FluxModel) -> tuple[np.ndarray, np.ndarray]:
     """flux(u) and flux_deriv(u) of an array, from one clip and one denominator."""
-    uc, den = _clamped(u, model.M)
-    return uc * uc / den, _deriv(u, uc, den, model.M)
+    uc, d, f, den = _clamped(u, model.M)
+    df = _deriv(uc, d, den, model.M)
+    f /= den
+    return f, df
 
 
 # states closer than this make no jump

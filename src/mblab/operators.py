@@ -108,13 +108,19 @@ class Field:
 
 def _padded(v: np.ndarray, left: float, right: float) -> np.ndarray:
     """v with one constant ghost value at each end."""
-    return np.concatenate([[left], v, [right]])
+    out = np.empty(v.size + 2)
+    out[0], out[1:-1], out[-1] = left, v, right
+    return out
 
 
 def _d2_order2(ext: np.ndarray, dx: float) -> np.ndarray:
     """Three-point second difference at the inner points of ext, whose first
-    and last values are the ghosts."""
-    return (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / dx ** 2
+    and last values are the ghosts: ((a - 2 b) + c) / dx^2, in place."""
+    out = np.multiply(ext[1:-1], 2.0)
+    np.subtract(ext[:-2], out, out=out)
+    out += ext[2:]
+    out /= dx ** 2
+    return out
 
 
 # one-sided second-derivative closures, exact through degree 4

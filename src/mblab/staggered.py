@@ -57,8 +57,9 @@ def _midpoint_gain(r: float, kappa: float) -> float:
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(sgn a + sgn b)/2 * min(|a|, |b|), elementwise."""
-    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
+    """(sgn a + sgn b)/2 * min(|a|, |b|), elementwise, as the common positive
+    part plus the common negative part (at most one is nonzero)."""
+    return np.maximum(np.minimum(a, b), 0.0) + np.minimum(np.maximum(a, b), 0.0)
 
 
 def _slopes(ext: np.ndarray) -> np.ndarray:
@@ -68,8 +69,9 @@ def _slopes(ext: np.ndarray) -> np.ndarray:
 
 
 def _cfl_margin(speeds: np.ndarray, lam: float) -> float:
-    """1/2 - lam * max|f'|: positive iff the step is stable."""
-    return 0.5 - lam * float(np.abs(speeds).max())
+    """1/2 - lam * max|f'|: positive iff the step is stable.  The clamped
+    flux is nondecreasing, so the speeds need no abs."""
+    return 0.5 - lam * float(speeds.max())
 
 
 def _predict(u_ext: np.ndarray, w: np.ndarray, fslope: np.ndarray,
@@ -80,7 +82,13 @@ def _predict(u_ext: np.ndarray, w: np.ndarray, fslope: np.ndarray,
     half-phase nodes are all interior.
     """
     dx = ctx.grid.dx
-    wp = w + (ctx.params.epsilon * dx * _d2_order2(u_ext, dx) - fslope) * lam / 2.0
+    # w + (eps dx D2 u - fslope) lam / 2, in place and in that rounding order
+    wp = _d2_order2(u_ext, dx)
+    wp *= ctx.params.epsilon * dx
+    wp -= fslope
+    wp *= lam
+    wp /= 2.0
+    wp += w
     if w.size == ctx.grid.n_cells + 1:
         wp[0], wp[-1] = ctx.bc
     return wp
@@ -145,7 +153,9 @@ def step(u: np.ndarray, w: np.ndarray, ctx: RunContext, variant: str,
         coefficient = c
     u_new = _solve_unknowns(rhs, new_phase, g, h, coefficient, dx)
     u_new_ext = _padded(u_new, g, h)
-    w_new = u_new - c * _d2_order2(u_new_ext, dx)
+    w_new = _d2_order2(u_new_ext, dx)  # u_new - c D2 u_new, in place
+    w_new *= c
+    np.subtract(u_new, w_new, out=w_new)
     if new_phase == INTEGER_GRID:  # the pinned boundary nodes are the ghosts
         u_new, w_new = u_new_ext, _padded(w_new, g, h)
     if not (np.isfinite(u_new).all() and np.isfinite(w_new).all()):

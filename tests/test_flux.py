@@ -64,6 +64,31 @@ def test_scalar_and_array_evaluations_agree_bit_for_bit(m):
                           flux_deriv(u, model))
 
 
+def _deriv_reference(u, model):
+    """f' in the masked form it had before the clamp alone made it zero
+    outside (0, 1)."""
+    uc = np.minimum(np.maximum(u, 0.0), 1.0)
+    d = 1.0 - uc
+    den = uc * uc + model.M * (d * d)
+    return np.where((u > 0.0) & (u < 1.0),
+                    2.0 * model.M * uc * (1.0 - uc) / (den * den), 0.0)
+
+
+@pytest.mark.parametrize("m", [0.3, 1.0, 2.0, 7.5])
+@given(u=st.lists(st.floats(min_value=-0.5, max_value=1.5)
+                  | st.sampled_from([-math.inf, math.inf]), min_size=1, max_size=64))
+def test_flux_deriv_matches_the_masked_form_byte_for_byte(m, u):
+    model = FluxModel(m)
+    u = np.array(u)
+    assert flux_deriv(u, model).tobytes() == _deriv_reference(u, model).tobytes()
+
+
+def test_flux_deriv_of_nan_is_nan_as_the_flux_is():
+    assert math.isnan(flux_deriv(math.nan, M2)) and math.isnan(flux(math.nan, M2))
+    assert np.array_equal(flux_deriv(np.array([0.5, math.nan]), M2),
+                          [flux_deriv(0.5, M2), math.nan], equal_nan=True)
+
+
 def test_flux_deriv_matches_finite_difference():
     h = 1e-7
     for u in (0.1, 0.3, 0.5, M2.alpha, 0.9):

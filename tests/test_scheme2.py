@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mblab import cweno, staggered
 from mblab.errors import NumericalError
@@ -118,6 +119,26 @@ def test_minmod():
     a = np.array([1.0, -3.0, 1.0, 0.0, 2.0])
     b = np.array([2.0, -1.0, -1.0, 5.0, 0.5])
     assert np.array_equal(_minmod(a, b), [1.0, -1.0, 0.0, 0.0, 0.5])
+
+
+def _minmod_reference(a, b):
+    """The sign form of minmod that the five-pass kernel replaced."""
+    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
+
+
+_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                          -2.2250738585072009e-308, 1.0, -1.0])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | _EDGES
+_PAIRS = st.tuples(_FINITE, _FINITE) | _FINITE.map(lambda v: (v, v))
+
+
+@given(st.lists(_PAIRS, min_size=1, max_size=64))
+def test_minmod_matches_the_sign_form_byte_for_byte(pairs):
+    ab = np.array(pairs, dtype=float)
+    a, b = ab[:, 0].copy(), ab[:, 1].copy()
+    # the sign form gives -0.0 for a negative value against a zero, the
+    # five-pass form +0.0; adding +0.0 changes that and no other bit
+    assert _minmod(a, b).tobytes() == (_minmod_reference(a, b) + 0.0).tobytes()
 
 
 def test_slopes():
