@@ -4,7 +4,9 @@ Node-centered fields on [x0, x0+L] carry n_cells+1 values with the
 boundary (Dirichlet) values stored in the array; half-grid fields carry
 n_cells values at the staggered points x0 + (j+1/2)dx.  The elliptic
 operator is (I - c D^2) with c = eps^2 tau (or a scheme-supplied
-coefficient); its inverse is a banded LU solve, factored once per matrix.
+coefficient); its inverse is a LAPACK solve, factored once per matrix:
+LDL^T (dpttrf/dpttrs) for the symmetric positive definite order-2
+tridiagonal matrices, banded LU (dgbtrf/dgbtrs) for the order-4 ones.
 
 Boundary closures for half-grid fields: a solve places the boundary value
 midway between the first unknown and a reflected ghost (linear
@@ -18,7 +20,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 
 from .errors import NumericalError
 
@@ -211,18 +213,21 @@ def _bands(m: int, phase: str, order: int, ct: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _factored_solve(m: int, phase: str, order: int, ct: float) -> functools.partial:
-    """LAPACK solve of the m-unknown matrix, bound to its read-only LU factors.
+    """LAPACK solve of the m-unknown matrix, bound to its read-only factors.
 
-    Width 1 keeps the tridiagonal factors (dgttrf, solved by dgttrs).  Wider
-    bands go in the last 2 width + 1 of 3 width + 1 rows, the general band
-    layout (dgbtrf, solved by dgbtrs).  Called on a right-hand side, the
-    result returns (solution, info).
+    Width 1 (order 2) is symmetric, and strictly diagonally dominant with a
+    positive diagonal for ct >= 0, so positive definite: its LDL^T factors
+    come from the diagonal and the superdiagonal (dpttrf, solved by dpttrs).
+    The order-4 one-sided closures are not symmetric; those bands go in the
+    last 2 width + 1 of 3 width + 1 rows, the general band layout (dgbtrf,
+    solved by dgbtrs).  Called on a right-hand side, the result returns
+    (solution, info).
     """
     ab = _bands(m, phase, order, ct)
     width = ab.shape[0] // 2
     if width == 1:
-        *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-        solve = functools.partial(dgttrs, *factors)
+        *factors, info = dpttrf(ab[1], ab[0, 1:])
+        solve = functools.partial(dpttrs, *factors)
     else:
         gb = np.zeros((3 * width + 1, m))
         gb[width:] = ab
@@ -248,8 +253,8 @@ def _solve_unknowns(rhs: np.ndarray, phase: str, bc_left: float, bc_right: float
         raise ValueError(f"order must be 2 or 4, got {order}")
     if c == 0.0:
         return rhs
-    # fewer cells and the order-4 edge closures would overlap; scipy's
-    # dgttrf takes no fewer than the three unknowns that four cells leave
+    # fewer cells and the order-4 edge closures would overlap; order 2 asks
+    # for the four cells that a GridSpec needs
     need = 5 if order == 4 else 4
     if (rhs.size + 1 if phase == INTEGER_GRID else rhs.size) < need:
         raise ValueError(f"order-{order} solve needs at least {need} cells")

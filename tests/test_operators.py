@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrs
 
 from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
@@ -14,6 +15,7 @@ from mblab.operators import (
     HALF_GRID,
     INTEGER_GRID,
     MBLParams,
+    _bands,
     _d2_order2,
     _factored_solve,
     helmholtz_apply,
@@ -174,25 +176,40 @@ def test_zero_dispersion_solve_is_identity_with_bc_override():
 
 
 # Solutions frozen from the four hand-assembled solvers that the band table
-# replaced: a non-symmetric input, unequal boundary values and c != 0.
+# replaced: a non-symmetric input, unequal boundary values and c != 0.  The
+# order-2 values were frozen again when those solves moved from LU (dgttrf)
+# to LDL^T (dpttrf); _LU_ANCHOR keeps the LU values, which they match to
+# within 1.2e-16 (at most 2 ulp).
 _FROZEN_INPUT = [0.1, 0.35, 0.2, 0.8, 0.65, 0.9, 0.4, 0.55, 0.7]
 _FROZEN = {
-    (INTEGER_GRID, 2): [0.25, 0.3167812335819706, 0.38067889369015384,
-                        0.4602604855422741, 0.5103508000977168,
+    (INTEGER_GRID, 2): [0.25, 0.3167812335819705, 0.38067889369015384,
+                        0.4602604855422742, 0.5103508000977168,
                         0.5483187882727529, 0.5557588934853545,
                         0.5767197359796707, 0.6],
     (INTEGER_GRID, 4): [0.25, 0.32160611403726885, 0.38612581697540405,
                         0.462180610805563, 0.5129320288738105,
                         0.549796292460813, 0.5603229056620769,
                         0.5808050966309023, 0.6],
-    (HALF_GRID, 2): [0.28397163702376144, 0.36788467122959695,
-                     0.44900991647966837, 0.5430700503130443,
+    (HALF_GRID, 2): [0.2839716370237614, 0.3678846712295969,
+                     0.4490099164796683, 0.5430700503130442,
                      0.6018064037916497, 0.6389981742660581,
                      0.6318321473677284, 0.6187487721506252],
     (HALF_GRID, 4): [0.2850709274080394, 0.36800937632726355,
                      0.45011452074362623, 0.5410803743425509,
                      0.600560168558928, 0.6363323656302544,
                      0.6315174198045388, 0.6172605230337694],
+}
+
+
+_LU_ANCHOR = {
+    INTEGER_GRID: [0.25, 0.3167812335819706, 0.38067889369015384,
+                   0.4602604855422741, 0.5103508000977168,
+                   0.5483187882727529, 0.5557588934853545,
+                   0.5767197359796707, 0.6],
+    HALF_GRID: [0.28397163702376144, 0.36788467122959695,
+                0.44900991647966837, 0.5430700503130443,
+                0.6018064037916497, 0.6389981742660581,
+                0.6318321473677284, 0.6187487721506252],
 }
 
 
@@ -204,6 +221,8 @@ def test_solve_matches_frozen_values(phase, order):
     out = helmholtz_solve(Field(v, phase=phase), 0.25, 0.6,
                           MBLParams(epsilon=0.3, tau=2.0), 0.125, order=order)
     assert np.array_equal(out.values, _FROZEN[phase, order])
+    if order == 2:
+        assert np.allclose(out.values, _LU_ANCHOR[phase], rtol=0, atol=2.5e-16)
 
 
 def test_solve_rejects_fields_too_short_for_the_closures():
@@ -238,6 +257,29 @@ def test_each_matrix_is_factored_once_per_run():
         factors = [a for a in (*solve.args, *solve.keywords.values())
                    if isinstance(a, np.ndarray)]
         assert factors and not any(a.flags.writeable for a in factors)
+
+
+@pytest.mark.parametrize("ct", [1e-6, 0.5, 1e4])
+@pytest.mark.parametrize("m", [3, 4, 9, 1500])
+@pytest.mark.parametrize("phase", [INTEGER_GRID, HALF_GRID])
+def test_order2_matrices_are_symmetric_positive_definite(phase, m, ct):
+    # the premise of the LDL^T solve: sub- and superdiagonal agree, and the
+    # positive diagonal outweighs each row's off-diagonals
+    ab = _bands(m, phase, 2, ct)
+    assert np.array_equal(ab[2, :-1], ab[0, 1:])
+    off = np.zeros(m)
+    off[:-1] += np.abs(ab[0, 1:])
+    off[1:] += np.abs(ab[2, :-1])
+    assert (ab[1] > off).all()
+    solve = _factored_solve(m, phase, 2, ct)
+    assert solve.func is dpttrs
+    assert not any(a.flags.writeable for a in solve.args)
+    rhs = np.random.default_rng(m).uniform(-1.0, 1.0, m)
+    x, info = solve(rhs.copy())
+    resid = ab[1] * x - rhs
+    resid[:-1] += ab[0, 1:] * x[1:]
+    resid[1:] += ab[2, :-1] * x[:-1]
+    assert info == 0 and np.abs(resid).max() <= 1e-12 * ab[1].max()
 
 
 def test_half_grid_solve_constant():
