@@ -159,8 +159,14 @@ def bound_constants(p: BoundParams, t: float) -> BoundReport:
     D1 = gamma1 + root5L * E1
     D2 = gamma2 + root5L * E2
     bound = D1 * math.exp(-lam * p.L / s) + D2 * math.exp(-lam * (p.L - p.L0) / s)
-    return BoundReport(a_tau=a_tau, b_tau=b_tau, c_tau=c_tau, E1=E1, E2=E2,
-                       gamma1=gamma1, gamma2=gamma2, D1=D1, D2=D2, bound=bound)
+    # finite exponentials can still overflow in their products
+    constants = dict(a_tau=a_tau, b_tau=b_tau, c_tau=c_tau, E1=E1, E2=E2,
+                     gamma1=gamma1, gamma2=gamma2, D1=D1, D2=D2, bound=bound)
+    bad = [name for name, value in constants.items() if not math.isfinite(value)]
+    if bad:
+        raise NumericalError(f"bound constants overflow at t = {t:g}: "
+                             f"{', '.join(bad)} not finite")
+    return BoundReport(**constants)
 
 
 # --- lemma audits -----------------------------------------------------------

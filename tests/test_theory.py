@@ -164,6 +164,12 @@ def test_bound_constants_errors():
         bound_constants(degen, 0.1)
     with pytest.raises(NumericalError, match="overflow"):
         bound_constants(P_DESK, 100.0)
+    # the desk manifest (eps = 0.005, L0 = 0): every exponential is finite at
+    # t = 3, their products are not
+    desk = BoundParams(lam=0.5, C_u=ALPHA, L0=0.0, L=0.75, g_sup=ALPHA,
+                       M=2.0, epsilon=0.005, tau=5.0)
+    with pytest.raises(NumericalError, match="gamma1.*not finite"):
+        bound_constants(desk, 3.0)
 
 
 def test_lemma_audit_errors():
