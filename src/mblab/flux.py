@@ -45,7 +45,7 @@ class FluxModel:
         object.__setattr__(self, "C", (self.M + 1.0) ** 2 / (2.0 * self.M))
 
 
-def _clamped(u: np.ndarray, M: float) -> tuple:
+def _clamped(u: np.ndarray, M: float) -> tuple[np.ndarray, ...]:
     """u clipped to [0, 1], 1 - u and u^2 there, and the flux denominator
     u^2 + M (1-u)^2.
 
