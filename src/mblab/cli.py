@@ -145,6 +145,9 @@ def _cmd_domain_study(args) -> int:
     study = experiments.domain_study(manifest, args.L_values, args.times)
     print(f"# reference L = {study['L_ref']:g}")
     for e in study["entries"]:
+        if "error" in e:
+            print(f"t={e['t']:g} L={e['L']:g} ERROR {e['error']}")
+            continue
         diffs = ("" if e["sup_diff"] is None else
                  f" sup_diff={e['sup_diff']:.3e} h1_diff={e['h1_diff']:.3e}"
                  f" bound={e['bound']:.3e}")

@@ -163,17 +163,14 @@ def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
     if gain > 1.0:
         raise NumericalError(f"third-order scheme unstable: max|R| = {gain:.6g} > 1 "
                              f"at eps*lam/dx = {r:.6g}")
-    wbar, t = wbar0, 0.0
 
-    def advance(dt: float) -> float:
-        nonlocal wbar, t
-        wbar = rk4_step(wbar, t, dt, ctx)
-        t += dt
-        return t
+    def advance(state: tuple, dt: float) -> tuple:
+        t, wbar = state
+        return t + dt, rk4_step(wbar, t, dt, ctx)
 
-    def read(time: float) -> Field:
-        return helmholtz_solve(Field(wbar, HALF_GRID, time), *ctx.bc, params, grid.dx,
-                               order=4)
+    def read(state: tuple, time: float) -> Field:
+        return helmholtz_solve(Field(state[1], HALF_GRID, time), *ctx.bc, params,
+                               grid.dx, order=4)
 
-    return land_snapshots(advance, read, 0.0, t_final, snapshot_times,
+    return land_snapshots(advance, read, (0.0, wbar0), t_final, snapshot_times,
                           grid.lam * grid.dx)

@@ -3,11 +3,13 @@ classification, bifurcation/domain/epsilon sweeps, and file export.
 
 A RunManifest pins every knob of one run (scheme, model and grid
 parameters, initial-condition kind, snapshot times); runs are fully
-deterministic, so repeated executions of one manifest are bit-identical
-and results are memoized per process.
+deterministic, so repeated executions of one manifest are bit-identical.
+Results are memoized per process, per manifest and per landed time, so a
+domain study runs each domain once.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import warnings
@@ -20,11 +22,11 @@ import pydantic
 
 from . import __version__
 from .bounds import compare_domains
-from .errors import ManifestError
+from .errors import ManifestError, NumericalError
 from .flux import FluxModel
 from .operators import Field, GridSpec, INTEGER_GRID, MBLParams, _d2_order4
 from . import cweno, staggered
-from .march import RunContext
+from .march import RunContext, landing_targets
 
 __all__ = [
     "RunManifest",
@@ -200,15 +202,29 @@ def run_manifest(manifest: RunManifest) -> list[Field]:
 
 
 _RUN_CACHE: dict[str, list[Field]] = {}
+_LANDED: dict[tuple[str, float], Field] = {}
 
 
 def run_cached(manifest: RunManifest) -> list[Field]:
-    """Memoized run_manifest (runs are deterministic, results read-only)."""
+    """Memoized run_manifest (runs are deterministic, results read-only).
+
+    Every landed field is also indexed by its trajectory (the manifest
+    without t_final and snapshot_times) and its landed time: a field at
+    time s is the final field of a run that ends at s, whatever else the
+    run lands on, so a manifest whose times have all been landed is served
+    without a run.
+    """
     key = manifest.model_dump_json(by_alias=True)
     if key not in _RUN_CACHE:
-        fields = run_manifest(manifest)
-        for f in fields:
-            f.values.setflags(write=False)
+        trajectory = manifest.model_dump_json(
+            by_alias=True, exclude={"t_final", "snapshot_times"})
+        targets = landing_targets(0.0, manifest.t_final, manifest.snapshot_times)
+        fields = [_LANDED.get((trajectory, s)) for s in targets]
+        if any(f is None for f in fields):
+            fields = run_manifest(manifest)
+            for s, f in zip(targets, fields):
+                f.values.setflags(write=False)
+                _LANDED.setdefault((trajectory, s), f)
         _RUN_CACHE[key] = fields
     return _RUN_CACHE[key]
 
@@ -396,30 +412,46 @@ def domain_study(base: RunManifest, L_values: list[float],
     """Compare truncated-domain runs against the largest domain at each
     requested time; each entry carries the difference norms, the
     closed-form bound, the domain-sizing verdict, and the classification
-    of the truncated run."""
+    of the truncated run.
+
+    Each domain runs once, landing on every requested time; its fields
+    serve the per-entry runs through run_cached.  A NumericalError is
+    recorded per entry under "error", with the norms and bound set to
+    None, and the study continues; an entry whose domain run failed falls
+    back to its own run.
+    """
     if not L_values:
         raise ValueError("L_values must not be empty")
+    if not times:
+        raise ValueError("times must not be empty")
     L_values = sorted(L_values)
     L_ref = L_values[-1]
     speed = FluxModel(base.M).D
     model = FluxModel(base.M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        manifests = {(t, L): base.derive(L=L, t_final=t, snapshot_times=[])
+                     for t in times for L in L_values}
+        for L in L_values:  # on a NumericalError the entries run on their own
+            with contextlib.suppress(NumericalError):
+                run_cached(base.derive(L=L, t_final=max(times), snapshot_times=times))
     entries = []
     for t in times:
         for L in L_values:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                m = base.derive(L=L, t_final=t, snapshot_times=[])
-                report = classify_profile(run_cached(m)[-1], m, model)
-                cmp = (compare_domains(base, L, L_ref, t)
-                       if L < L_ref else None)
-            entries.append({
-                "t": t, "L": L,
-                "classification": report.classification,
-                "sizing_ok": L > speed * t,
-                "h1_diff": cmp["h1_diff"] if cmp else None,
-                "sup_diff": cmp["sup_diff"] if cmp else None,
-                "bound": cmp["bound"] if cmp else None,
-            })
+            entry = {"t": t, "L": L, "classification": None,
+                     "sizing_ok": L > speed * t,
+                     "h1_diff": None, "sup_diff": None, "bound": None}
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    m = manifests[t, L]
+                    entry["classification"] = classify_profile(
+                        run_cached(m)[-1], m, model).classification
+                    if L < L_ref:
+                        entry.update(compare_domains(base, L, L_ref, t))
+            except NumericalError as exc:  # per-entry isolation
+                entry["error"] = f"{type(exc).__name__}: {exc}"
+            entries.append(entry)
     return {"L_ref": L_ref, "entries": entries}
 
 

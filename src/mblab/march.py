@@ -30,29 +30,39 @@ class RunContext:
             raise NumericalError("boundary value is NaN/Inf")
 
 
-def land_snapshots(advance: Callable[[float], float], read: Callable[[float], Field],
-                   t0: float, t_final: float, snapshot_times: Sequence[float],
-                   dt_nom: float) -> list[Field]:
-    """Advance from t0 by dt_nom, shortening the last step before each
-    requested time so that it is hit (to 1e-12); read(time) once there.
-
-    advance(dt) moves the scheme on by dt and returns its new time.  A time
-    left within 1e-12 short of dt_nom still takes a nominal step.  The
-    result holds one read() per snapshot time plus the final state, last;
-    read(time) builds a Field stamped with the requested time exactly, and
-    the scheme's own clock, which sums the steps, is left as it is.
-    """
+def landing_targets(t0: float, t_final: float,
+                    snapshot_times: Sequence[float]) -> list[float]:
+    """The times a run from t0 lands on: the sorted distinct snapshot times,
+    then t_final unless the last of them is within 1e-12 of it."""
     if t_final <= t0:
         raise ValueError("t_final must exceed the current time")
     times = sorted(set(float(s) for s in snapshot_times))
     if any(s <= t0 or s > t_final + 1e-12 for s in times):
         raise ValueError("snapshot times must lie in (t0, t_final]")
-    targets = times if times and abs(times[-1] - t_final) < 1e-12 else times + [t_final]
-    t = t0
+    return times if times and abs(times[-1] - t_final) < 1e-12 else times + [t_final]
+
+
+def land_snapshots(advance: Callable[[tuple, float], tuple],
+                   read: Callable[[tuple, float], Field], state: tuple,
+                   t_final: float, snapshot_times: Sequence[float],
+                   dt_nom: float) -> list[Field]:
+    """March state by nominal steps dt_nom and land on each requested time
+    (to 1e-12) with one shorter step on a fork of the state.
+
+    state is a tuple whose first item is the scheme's clock, which sums the
+    steps; advance(state, dt) returns the state one step of dt on.  A time
+    left within 1e-12 short of dt_nom still takes a nominal step.  The march
+    goes on from the unforked state, so the field at time s is the final
+    field of a run that ends at s, whatever else the run lands on.  The
+    result holds one read(state, time) per snapshot time plus the final
+    state, last; read builds a Field stamped with the requested time
+    exactly.
+    """
     out: list[Field] = []
-    for target in targets:
-        while target - t > 1e-12:
-            remaining = target - t
-            t = advance(dt_nom if remaining >= dt_nom - 1e-12 else remaining)
-        out.append(read(target))
+    for target in landing_targets(state[0], t_final, snapshot_times):
+        while target - state[0] >= dt_nom - 1e-12:
+            state = advance(state, dt_nom)
+        remaining = target - state[0]
+        out.append(read(advance(state, remaining) if remaining > 1e-12 else state,
+                        target))
     return out

@@ -168,8 +168,9 @@ def run(u0, ctx: RunContext, variant: str, t_final: float,
     """Advance node values u0 from t = 0 in step pairs, landing exactly on
     each requested time.
 
-    Snapshot times (and t_final) are hit by shrinking the final pair's dt;
-    returned fields all live on the integer grid, the final state last.  A
+    Each snapshot time (and t_final) is hit by one shorter pair on a fork
+    of the march, so a snapshot never moves the later fields; returned
+    fields all live on the integer grid, the final state last.  A
     midpoint run whose linear amplification exceeds 1 is a NumericalError
     before the first step: it would grow without bound yet stay finite, and
     the clamped f' hides it from the CFL test.
@@ -185,16 +186,17 @@ def run(u0, ctx: RunContext, variant: str, t_final: float,
             raise NumericalError(f"midpoint scheme unstable: max|G| = {gain:.6g} > 1 "
                                  f"at eps*lam/dx = {r:.6g}")
     start = Field(u0, INTEGER_GRID, 0.0)
-    u, w, t = start.values, helmholtz_apply(start, params, dx).values, 0.0
+    state = (0.0, start.values, helmholtz_apply(start, params, dx).values)
     pair = 2.0 * (lam_nom * dx)  # two steps of dt = lam_nom * dx
 
-    def advance(dt: float) -> float:
-        nonlocal u, w, t
+    def advance(state: tuple, dt: float) -> tuple:
+        t, u, w = state
         lam = lam_nom if dt == pair else dt / 2.0 / dx
         for _ in range(2):
             u, w = step(u, w, ctx, variant, lam)
             t += lam * dx
-        return t
+        return t, u, w
 
-    return land_snapshots(advance, lambda time: Field(u, INTEGER_GRID, time),
-                          0.0, t_final, snapshot_times, pair)
+    return land_snapshots(advance,
+                          lambda state, time: Field(state[1], INTEGER_GRID, time),
+                          state, t_final, snapshot_times, pair)

@@ -12,9 +12,10 @@ import warnings
 import numpy as np
 import pydantic
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mblab
-from mblab import cli, experiments
+from mblab import bounds, cli, experiments
 from mblab.bounds import compare_domains
 from mblab.errors import ManifestError, NumericalError
 from mblab.experiments import (
@@ -221,6 +222,25 @@ def test_run_cached_results_are_read_only():
         fields[-1].values[0] = 1.0
 
 
+@settings(deadline=None, max_examples=12)
+@given(scheme=st.sampled_from(["trapezoid", "midpoint", "third_order"]),
+       times=st.lists(st.one_of(st.integers(1, 19).map(lambda k: k * 5e-4),
+                                st.floats(0.0, 0.01, exclude_min=True,
+                                          exclude_max=True)),
+                      min_size=1, max_size=3))
+def test_snapshots_never_change_a_run(scheme, times):
+    # _tiny runs to t = 0.01 in pairs of 5e-4; most drawn floats are off
+    # that grid and are landed by a shorter step
+    m = _tiny(scheme=scheme, snapshot_times=times)
+    fields = run_manifest(m)
+    for s, f in zip(sorted(set(times)), fields):
+        alone = run_manifest(m.derive(t_final=s, snapshot_times=[]))[-1]
+        assert f.time == s
+        assert f.values.tobytes() == alone.values.tobytes()
+    plain = run_manifest(m.derive(snapshot_times=[]))[-1]
+    assert fields[-1].values.tobytes() == plain.values.tobytes()
+
+
 def test_third_order_rejects_cfl_violation(tmp_path):
     # lambda*max|f'(u)| is about 0.6 from the first step, while f' of the
     # evolved w stays near 0.2 or below
@@ -300,6 +320,85 @@ def test_domain_study_smoke():
     small = next(e for e in entries if e["L"] == 0.2)
     assert small["h1_diff"] is not None and small["h1_diff"] >= 0.0
     assert small["bound"] > 0.0
+
+
+def _fresh_caches(monkeypatch) -> list:
+    """Empty run caches, and the list of manifests run_manifest runs."""
+    monkeypatch.setattr(experiments, "_RUN_CACHE", {})
+    monkeypatch.setattr(experiments, "_LANDED", {})
+    runs, real = [], experiments.run_manifest
+
+    def counted(manifest):
+        runs.append(manifest)
+        return real(manifest)
+
+    monkeypatch.setattr(experiments, "run_manifest", counted)
+    return runs
+
+
+def test_domain_study_runs_each_domain_once(monkeypatch):
+    runs = _fresh_caches(monkeypatch)
+    base, L_values, times = _tiny(), [0.2, 0.3], [0.0063, 0.01]  # 0.0063 is off-grid
+    study = domain_study(base, L_values, times)
+    assert len(runs) == 2
+    run_cached(_tiny(t_final=0.0063, L=0.2))
+    assert len(runs) == 2
+
+    # the same entries from one fresh run per (t, L)
+    experiments._RUN_CACHE.clear()
+    experiments._LANDED.clear()
+    expected = []
+    for t in times:
+        for L in L_values:
+            m = base.derive(L=L, t_final=t, snapshot_times=[])
+            report = classify_profile(run_cached(m)[-1], m, MODEL)
+            cmp = (compare_domains(base, L, 0.3, t) if L < 0.3
+                   else dict.fromkeys(("h1_diff", "sup_diff", "bound")))
+            expected.append({"t": t, "L": L,
+                             "classification": report.classification,
+                             "sizing_ok": L > MODEL.D * t, **cmp})
+    assert len(runs) == 2 + 4
+    assert study["entries"] == expected
+
+
+def test_domain_study_isolates_a_numerical_error(monkeypatch):
+    real = bounds.bound_constants
+
+    def overflow_at_late_time(p, t):
+        if t == 0.01:
+            raise NumericalError(f"bound constants overflow at t = {t}")
+        return real(p, t)
+
+    base, L_values, times = _tiny(), [0.2, 0.25, 0.3], [0.005, 0.01]
+    intact = domain_study(base, L_values, times)["entries"]
+    monkeypatch.setattr(bounds, "bound_constants", overflow_at_late_time)
+    entries = domain_study(base, L_values, times)["entries"]
+    failed = [e for e in entries if "error" in e]
+    assert [(e["t"], e["L"]) for e in failed] == [(0.01, 0.2), (0.01, 0.25)]
+    for e in failed:
+        assert e["error"] == "NumericalError: bound constants overflow at t = 0.01"
+        assert e["h1_diff"] is e["sup_diff"] is e["bound"] is None
+        assert e["classification"] is not None
+    assert [e for e in entries if "error" not in e] == \
+        [e for e in intact if (e["t"], e["L"]) not in {(0.01, 0.2), (0.01, 0.25)}]
+
+
+def test_domain_study_survives_a_failed_domain_run(monkeypatch):
+    base, L_values, times = _tiny(), [0.2, 0.3], [0.005, 0.01]
+    intact = domain_study(base, L_values, times)["entries"]
+    runs = _fresh_caches(monkeypatch)
+    counted = experiments.run_manifest
+
+    def domain_run_fails(manifest):
+        if manifest.snapshot_times and manifest.L == 0.2:
+            raise NumericalError("CFL violation")
+        return counted(manifest)
+
+    monkeypatch.setattr(experiments, "run_manifest", domain_run_fails)
+    assert domain_study(base, L_values, times)["entries"] == intact
+    # the L = 0.3 domain ran once; each L = 0.2 entry made its own run
+    assert sorted((m.L, m.t_final, m.snapshot_times) for m in runs) == \
+        [(0.2, 0.005, []), (0.2, 0.01, []), (0.3, 0.01, [0.005, 0.01])]
 
 
 def test_derived_runs_are_validated_before_they_run(monkeypatch):
@@ -441,6 +540,7 @@ def test_cli_lemma_audit(manifest_file, capsys):
     ("bound", ["--t", "100"], 3),  # exp overflows in the bound constants
     ("order-test", ["--levels", "0"], 2),
     ("domain-study", ["--L-values", ",", "--times", "0.1"], 2),
+    ("domain-study", ["--L-values", "0.2,0.3", "--times", ","], 2),
 ])
 def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
                                                         verb, args, code):
@@ -455,6 +555,26 @@ def test_cli_domain_study(manifest_file, capsys):
                    "--L-values", "0.2,0.3", "--times", "0.01"])
     assert rc == 0
     assert "# reference L = 0.3" in capsys.readouterr().out
+
+
+def test_cli_domain_study_prints_an_error_row(manifest_file, capsys, monkeypatch):
+    real = bounds.bound_constants
+
+    def overflow_at_late_time(p, t):
+        if t == 0.01:
+            raise NumericalError(f"bound constants overflow at t = {t}")
+        return real(p, t)
+
+    monkeypatch.setattr(bounds, "bound_constants", overflow_at_late_time)
+    rc = cli.main(["domain-study", "--manifest", str(manifest_file),
+                   "--L-values", "0.2,0.3", "--times", "0.005,0.01"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# reference L = 0.3"
+    assert lines[1].startswith("t=0.005 L=0.2 ") and "sup_diff=" in lines[1]
+    assert lines[3] == ("t=0.01 L=0.2 ERROR NumericalError: "
+                        "bound constants overflow at t = 0.01")
+    assert len(lines) == 5
 
 
 def test_cli_eps_sweep(manifest_file, capsys):
