@@ -5,8 +5,11 @@ import ast
 import importlib
 import json
 import math
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -425,6 +428,20 @@ def test_domain_study_flags_short_domains_without_a_warning():
     assert [e["sizing_ok"] for e in study["entries"]] == [False, True]
 
 
+@settings(deadline=None, max_examples=20)
+@given(data=st.data(), t=st.floats(min_value=0.002, max_value=0.05))
+def test_h1_diff_decreases_in_L(data, t):
+    # two domains of whole cells, each longer than L0 and than D t (the
+    # sizing_ok condition), against one reference domain
+    base, L_ref = _tiny(), 0.6
+    first = math.floor(max(base.L0, MODEL.D * t) / base.dx) + 1
+    cells = data.draw(st.lists(st.integers(first, round(L_ref / base.dx) - 1),
+                               min_size=2, max_size=2, unique=True))
+    h1 = [compare_domains(base, k * base.dx, L_ref, t)["h1_diff"]
+          for k in sorted(cells)]
+    assert h1[1] < h1[0]
+
+
 def test_epsilon_sweep_widths_grow():
     out = epsilon_sweep(_tiny(t_final=0.02), [0.02, 0.04])
     assert [r["epsilon"] for r in out] == [0.02, 0.04]
@@ -534,6 +551,25 @@ def test_cli_lemma_audit(manifest_file, capsys):
                    "--items", "L2i,L4i", "--x", "0,0.05"])
     assert rc == 0
     assert "# all audits hold" in capsys.readouterr().out
+
+
+def test_cli_start_up_leaves_out_the_unused_scipy_modules():
+    # scipy serves the LAPACK solves only; the lemma audit integrates on its own
+    code = "\n".join([
+        "import sys, mblab.cli",
+        "from mblab.bounds import AUDIT_ITEMS, BoundParams, lemma_audit",
+        "p = BoundParams(lam=0.5, C_u=0.8, L0=0.1, L=0.75, g_sup=0.8, M=2.0,",
+        "                epsilon=0.01, tau=5.0)",
+        "for item in AUDIT_ITEMS[:6]:",
+        "    lemma_audit(item, p, 0.05)",
+        "print(*[m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special',",
+        "                    'scipy.sparse') if m in sys.modules])",
+    ])
+    src = str(pathlib.Path(mblab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == ""
 
 
 @pytest.mark.parametrize("verb, args, code", [
