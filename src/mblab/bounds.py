@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .flux import FluxModel
-from .operators import Field, MBLParams, weighted_h1_norm
+from .operators import weighted_h1_norm
 
 __all__ = [
     "BoundParams",
@@ -314,10 +314,21 @@ def lemma_audit(lemma_id: str, p: BoundParams, x: float) -> dict:
         weight = lambda xi: lam * x
         height = p.C_u
         hi = p.L0
-        rhs = 2.0 * p.C_u * s * math.exp(lam * p.L0 / s)
+        try:
+            rhs = 2.0 * p.C_u * s * math.exp(lam * p.L0 / s)
+        except OverflowError:
+            raise NumericalError(
+                f"audit bound overflows at L0/s = {p.L0 / s:g}") from None
     integrand = lambda xi: height * np.abs(_kernel_pair(x, xi, s, weight(xi))[which])
     lhs = _audit_quad(integrand, 0.0, hi, x, s)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + _SLACK)}
+
+
+def _truncation_params(base, L: float) -> BoundParams:
+    """The bound's inputs for the run of manifest base on [0, L]: a box of
+    height u_B on [0, L0], weight rate lam = 1/2."""
+    return BoundParams(lam=0.5, C_u=base.u_B, L0=base.L0, L=L, g_sup=base.u_B,
+                       M=base.M, epsilon=base.epsilon, tau=base.tau)
 
 
 def compare_domains(base, L_small: float, L_large: float, t: float) -> dict:
@@ -330,14 +341,12 @@ def compare_domains(base, L_small: float, L_large: float, t: float) -> dict:
         raise ValueError("need L_large > L_small")
     small = base.derive(L=L_small, t_final=t, snapshot_times=[])
     large = base.derive(L=L_large, t_final=t, snapshot_times=[])
-    u_small = experiments.run_cached(small)[-1]
-    u_large = experiments.run_cached(large)[-1]
-    n = u_small.values.size
-    diff = u_large.values[:n] - u_small.values
-    params = MBLParams(base.epsilon, base.tau)
-    h1 = weighted_h1_norm(Field(diff, u_small.phase, t), params, base.dx)
-    p = BoundParams(lam=0.5, C_u=base.u_B, L0=base.L0, L=L_small,
-                    g_sup=base.u_B, M=base.M, epsilon=base.epsilon, tau=base.tau)
+    p = _truncation_params(base, L_small)
+    s = p.scale  # the runs wait until the bound is defined
+    u_small = experiments.run_cached(small)[-1].values
+    u_large = experiments.run_cached(large)[-1].values
+    diff = u_large[:u_small.size] - u_small
+    h1 = weighted_h1_norm(diff, s, base.dx)
     return {"h1_diff": h1,
             "sup_diff": float(np.max(np.abs(diff))),
             "bound": bound_constants(p, t).bound}

@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import pydantic
@@ -43,46 +42,27 @@ def _pairs(text: str) -> list[tuple[float, float]]:
     return out
 
 
-_OVERRIDES = [
-    ("--scheme", "scheme", str),
-    ("--M", "M", float),
-    ("--epsilon", "epsilon", float),
-    ("--tau", "tau", float),
-    ("--u-B", "u_B", float),
-    ("--L", "L", float),
-    ("--L0", "L0", float),
-    ("--dx", "dx", float),
-    ("--lambda", "lambda", float),
-    ("--t-final", "t_final", float),
-    ("--ic-kind", "ic_kind", str),
-    ("--output-dir", "output_dir", str),
-]
-
-
 def _manifest_parent() -> argparse.ArgumentParser:
+    """--manifest and one override flag per manifest field: "--" and the
+    field's alias or name with "_" as "-"; a list takes comma-separated
+    floats."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--manifest", required=True,
                         help="path to the run-manifest JSON file")
-    for flag, key, typ in _OVERRIDES:
-        parent.add_argument(flag, dest=f"override_{key}", type=typ,
-                            default=None, help=f"override manifest {key}")
-    parent.add_argument("--snapshot-times", dest="override_snapshot_times",
-                        type=_floats, default=None,
-                        help="override snapshot times (comma separated)")
+    for name, field in experiments.RunManifest.model_fields.items():
+        flag = "--" + (field.alias or name).replace("_", "-")
+        typ = _floats if field.annotation == list[float] else field.annotation
+        parent.add_argument(flag, dest=f"override_{name}", type=typ,
+                            default=None, help=f"override manifest {name}")
     return parent
 
 
 def _load(args) -> experiments.RunManifest:
     manifest = experiments.load_manifest(args.manifest)
-    data = json.loads(manifest.model_dump_json(by_alias=True))
-    for _, key, _typ in _OVERRIDES:
-        value = getattr(args, f"override_{key}")
-        if value is not None:
-            data[key] = value
-    if args.override_snapshot_times is not None:
-        data["snapshot_times"] = args.override_snapshot_times
+    overrides = {name: value for name in experiments.RunManifest.model_fields
+                 if (value := getattr(args, f"override_{name}")) is not None}
     try:
-        return experiments.RunManifest(**data)
+        return manifest.derive(**overrides)
     except pydantic.ValidationError as exc:
         raise ManifestError(str(exc)) from exc
 

@@ -34,7 +34,6 @@ from .march import RunContext, land_snapshots
 from .operators import (
     Field,
     HALF_GRID,
-    INTEGER_GRID,
     _d2_order4,
     _padded,
     helmholtz_solve,
@@ -95,7 +94,7 @@ def numerical_flux(u_minus: np.ndarray, u_plus: np.ndarray, w_minus: np.ndarray,
     return 0.5 * (f_plus + f_minus) - 0.5 * a * (w_plus - w_minus)
 
 
-def semidiscrete_rhs(wbar: np.ndarray, t: float, ctx: RunContext) -> np.ndarray:
+def semidiscrete_rhs(wbar: np.ndarray, ctx: RunContext) -> np.ndarray:
     """-(H_{j+1/2} - H_{j-1/2})/dx + eps Q_j on the cell averages.
 
     The Dirichlet values enter as one constant ghost cell per side before
@@ -107,28 +106,25 @@ def semidiscrete_rhs(wbar: np.ndarray, t: float, ctx: RunContext) -> np.ndarray:
     """
     grid, params, model = ctx.grid, ctx.params, ctx.model
     g, h = ctx.bc
-    dx = grid.dx
+    dx, c = grid.dx, params.disp
     wm, wp = cweno_reconstruct(_padded(wbar, g, h), dx)
-    um = helmholtz_solve(Field(wm, INTEGER_GRID, t), wm[0], wm[-1],
-                         params, dx, order=4).values
-    up = helmholtz_solve(Field(wp, INTEGER_GRID, t), wp[0], wp[-1],
-                         params, dx, order=4).values
+    um = helmholtz_solve(Field(wm), wm[0], wm[-1], c, dx, order=4).values
+    up = helmholtz_solve(Field(wp), wp[0], wp[-1], c, dx, order=4).values
     flux_h = numerical_flux(um, up, wm, wp, model)
     out = -(flux_h[1:] - flux_h[:-1]) / dx
     if params.epsilon != 0.0:
-        ubar = helmholtz_solve(Field(wbar, HALF_GRID, t), g, h,
-                               params, dx, order=2).values
+        ubar = helmholtz_solve(Field(wbar, HALF_GRID), g, h, c, dx, order=2).values
         out = out + params.epsilon * _d2_order4(ubar, dx)
     return out
 
 
-def rk4_step(wbar: np.ndarray, t: float, dt: float, ctx: RunContext) -> np.ndarray:
+def rk4_step(wbar: np.ndarray, dt: float, ctx: RunContext) -> np.ndarray:
     if dt <= 0:
         raise ValueError("dt must be positive")
-    k1 = semidiscrete_rhs(wbar, t, ctx)
-    k2 = semidiscrete_rhs(wbar + 0.5 * dt * k1, t + 0.5 * dt, ctx)
-    k3 = semidiscrete_rhs(wbar + 0.5 * dt * k2, t + 0.5 * dt, ctx)
-    k4 = semidiscrete_rhs(wbar + dt * k3, t + dt, ctx)
+    k1 = semidiscrete_rhs(wbar, ctx)
+    k2 = semidiscrete_rhs(wbar + 0.5 * dt * k1, ctx)
+    k3 = semidiscrete_rhs(wbar + 0.5 * dt * k2, ctx)
+    k4 = semidiscrete_rhs(wbar + dt * k3, ctx)
     return wbar + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -166,11 +162,11 @@ def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
 
     def advance(state: tuple, dt: float) -> tuple:
         t, wbar = state
-        return t + dt, rk4_step(wbar, t, dt, ctx)
+        return t + dt, rk4_step(wbar, dt, ctx)
 
     def read(state: tuple, time: float) -> Field:
-        return helmholtz_solve(Field(state[1], HALF_GRID, time), *ctx.bc, params,
-                               grid.dx, order=4)
+        return helmholtz_solve(Field(state[1], HALF_GRID, time), *ctx.bc,
+                               params.disp, grid.dx, order=4)
 
     return land_snapshots(advance, read, (0.0, wbar0), t_final, snapshot_times,
                           grid.lam * grid.dx)

@@ -21,7 +21,7 @@ import numpy as np
 import pydantic
 
 from . import __version__
-from .bounds import compare_domains
+from .bounds import _truncation_params, compare_domains
 from .errors import ManifestError, NumericalError
 from .flux import FluxModel
 from .operators import Field, GridSpec, INTEGER_GRID, MBLParams, _d2_order4
@@ -343,7 +343,7 @@ def classify_profile(u: Field, manifest: RunManifest,
     """
     v = u.values
     grid = _grid_for(manifest)
-    x = grid.nodes() if u.phase == INTEGER_GRID else grid.centers()
+    x = grid.points(u.phase)
     u_B = manifest.u_B
     overshoot = float(v.max() - u_B)
     shocks = _shock_positions(v, x)
@@ -426,12 +426,13 @@ def domain_study(base: RunManifest, L_values: list[float],
         raise ValueError("times must not be empty")
     L_values = sorted(L_values)
     L_ref = L_values[-1]
-    speed = FluxModel(base.M).D
     model = FluxModel(base.M)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         manifests = {(t, L): base.derive(L=L, t_final=t, snapshot_times=[])
                      for t in times for L in L_values}
+        for L in L_values[:-1]:  # an undefined bound fails before any run
+            _truncation_params(base, L).scale
         for L in L_values:  # on a NumericalError the entries run on their own
             with contextlib.suppress(NumericalError):
                 run_cached(base.derive(L=L, t_final=max(times), snapshot_times=times))
@@ -439,7 +440,7 @@ def domain_study(base: RunManifest, L_values: list[float],
     for t in times:
         for L in L_values:
             entry = {"t": t, "L": L, "classification": None,
-                     "sizing_ok": L > speed * t,
+                     "sizing_ok": L > model.D * t,
                      "h1_diff": None, "sup_diff": None, "bound": None}
             try:
                 with warnings.catch_warnings():
@@ -477,8 +478,7 @@ def epsilon_sweep(base: RunManifest, eps_values: list[float]) -> list[dict]:
         m = base.derive(epsilon=eps)
         u = run_cached(m)[-1]
         report = classify_profile(u, m, model)
-        grid = _grid_for(m)
-        x = grid.nodes() if u.phase == INTEGER_GRID else grid.centers()
+        x = _grid_for(m).points(u.phase)
         u_high = report.plateau_value if report.plateau_value else m.u_B
         out.append({"epsilon": eps,
                     "width": _transition_width(u.values, x, u_high),
@@ -528,8 +528,7 @@ def export(fields: list[Field], manifest: RunManifest,
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x,u,t\n")
             for f in fields:
-                x = grid.nodes() if f.phase == INTEGER_GRID else grid.centers()
-                for xi, ui in zip(x, f.values):
+                for xi, ui in zip(grid.points(f.phase), f.values):
                     fh.write(f"{xi:.17g},{ui:.17g},{f.time:.17g}\n")
         paths["csv"] = str(csv_path)
         plot_path = out_dir / "plot.py"

@@ -68,6 +68,10 @@ class GridSpec:
     def centers(self) -> np.ndarray:
         return self.x0 + self.dx * (np.arange(self.n_cells) + 0.5)
 
+    def points(self, phase: str) -> np.ndarray:
+        """The nodes for INTEGER_GRID, the cell centers for HALF_GRID."""
+        return self.nodes() if phase == INTEGER_GRID else self.centers()
+
 
 @dataclass(frozen=True)
 class MBLParams:
@@ -145,19 +149,18 @@ def _d2_order4(v: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def helmholtz_apply(u: Field, params: MBLParams, dx: float, order: int = 2) -> Field:
-    """w = u - eps^2 tau D^2 u on a node-centered field; boundary rows are identity."""
-    if u.phase != INTEGER_GRID:
-        raise ValueError("helmholtz_apply expects a node-centered field")
-    if order not in (2, 4):
+def helmholtz_apply(ext: np.ndarray, c: float, dx: float, order: int = 2) -> np.ndarray:
+    """w = u - c D^2 u at the inner points of ext, whose first and last values
+    are the boundary values (nodes) or the ghosts (half cells), as for
+    _d2_order2; order 4 takes the one-sided closures next to them."""
+    if order == 2:
+        d2 = _d2_order2(ext, dx)
+    elif order == 4:
+        d2 = _d2_order4(ext, dx)[1:-1]
+    else:
         raise ValueError(f"order must be 2 or 4, got {order}")
-    v = u.values
-    c = params.disp
-    w = v.copy()
-    if c != 0.0:
-        d2 = _d2_order2(v, dx) if order == 2 else _d2_order4(v, dx)[1:-1]
-        w[1:-1] = v[1:-1] - c * d2
-    return Field(w, phase=u.phase, time=u.time)
+    d2 *= c
+    return np.subtract(ext[1:-1], d2, out=d2)
 
 
 # Band tables of (I - c D^2) u = w.  An interior row is the identity plus
@@ -268,15 +271,14 @@ def _solve_unknowns(rhs: np.ndarray, phase: str, bc_left: float, bc_right: float
     return out
 
 
-def helmholtz_solve(w: Field, bc_left: float, bc_right: float, params: MBLParams,
+def helmholtz_solve(w: Field, bc_left: float, bc_right: float, c: float,
                     dx: float, order: int = 2) -> Field:
-    """Solve (I - c D^2) u = w under Dirichlet data, c = eps^2 tau.
+    """Solve (I - c D^2) u = w under Dirichlet data.
 
     Node-centered fields pin the endpoints to the boundary values; half-grid
     fields use reflected ghosts so the boundary value is interpolated at the
     physical endpoint.
     """
-    c = params.disp
     v = w.values
     if w.phase == INTEGER_GRID:
         out = _solve_unknowns(v[1:-1].copy(), w.phase, bc_left, bc_right, c, dx, order)
@@ -286,10 +288,9 @@ def helmholtz_solve(w: Field, bc_left: float, bc_right: float, params: MBLParams
     return Field(out, phase=w.phase, time=w.time)
 
 
-def weighted_h1_norm(y: Field, params: MBLParams, dx: float) -> float:
-    """sqrt( integral of y^2 + (eps sqrt(tau) y_x)^2 ), trapezoid/forward-difference form."""
-    v = y.values
-    s = params.epsilon * np.sqrt(params.tau)
+def weighted_h1_norm(v: np.ndarray, s: float, dx: float) -> float:
+    """sqrt( integral of v^2 + (s v_x)^2 ), trapezoid/forward-difference form,
+    with s = eps sqrt(tau)."""
     weights = np.ones_like(v)
     weights[0] = weights[-1] = 0.5
     sq = dx * float(weights @ (v * v))

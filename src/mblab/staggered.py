@@ -141,9 +141,8 @@ def step(u: np.ndarray, w: np.ndarray, ctx: RunContext, variant: str,
 
     # the unknowns on the new points: every half cell, or the interior nodes
     if variant == TRAPEZOID:
-        ubar = _solve_unknowns(wbar, new_phase, g, h, c, dx)
-        d2 = _d2_order2(_padded(ubar, g, h), dx)
-        rhs = ubar - (c - eps * dt / 2.0) * d2 - lam * df
+        ubar = _padded(_solve_unknowns(wbar, new_phase, g, h, c, dx), g, h)
+        rhs = helmholtz_apply(ubar, c - eps * dt / 2.0, dx) - lam * df
         coefficient = c + eps * dt / 2.0
     else:  # MIDPOINT
         wbar_mid = _staggered_average(wp, _slopes(_padded(wp, g, h)))
@@ -153,9 +152,7 @@ def step(u: np.ndarray, w: np.ndarray, ctx: RunContext, variant: str,
         coefficient = c
     u_new = _solve_unknowns(rhs, new_phase, g, h, coefficient, dx)
     u_new_ext = _padded(u_new, g, h)
-    w_new = _d2_order2(u_new_ext, dx)  # u_new - c D2 u_new, in place
-    w_new *= c
-    np.subtract(u_new, w_new, out=w_new)
+    w_new = helmholtz_apply(u_new_ext, c, dx)
     if new_phase == INTEGER_GRID:  # the pinned boundary nodes are the ghosts
         u_new, w_new = u_new_ext, _padded(w_new, g, h)
     if not (np.isfinite(u_new).all() and np.isfinite(w_new).all()):
@@ -185,8 +182,10 @@ def run(u0, ctx: RunContext, variant: str, t_final: float,
         if gain > 1.0:
             raise NumericalError(f"midpoint scheme unstable: max|G| = {gain:.6g} > 1 "
                                  f"at eps*lam/dx = {r:.6g}")
-    start = Field(u0, INTEGER_GRID, 0.0)
-    state = (0.0, start.values, helmholtz_apply(start, params, dx).values)
+    u0 = Field(u0, INTEGER_GRID).values  # a NaN/Inf start fails here
+    w0 = u0.copy()  # the pinned boundary nodes keep their values
+    w0[1:-1] = helmholtz_apply(u0, params.disp, dx)
+    state = (0.0, u0, w0)
     pair = 2.0 * (lam_nom * dx)  # two steps of dt = lam_nom * dx
 
     def advance(state: tuple, dt: float) -> tuple:

@@ -420,6 +420,16 @@ def test_derived_runs_are_validated_before_they_run(monkeypatch):
     assert runs == []
 
 
+@pytest.mark.parametrize("undefined", [{"tau": 0.0}, {"u_B": 0.0}])
+def test_domain_study_checks_the_bound_before_any_run(monkeypatch, undefined):
+    # tau = 0 leaves the kernels without a length scale, u_B = 0 the box
+    # without a height: the bound is undefined before any domain runs
+    runs = _fresh_caches(monkeypatch)
+    with pytest.raises(ValueError):
+        domain_study(_tiny(**undefined), [0.2, 0.3], [0.01])
+    assert runs == []
+
+
 def test_domain_study_flags_short_domains_without_a_warning():
     base = _tiny()
     with warnings.catch_warnings():
@@ -551,6 +561,26 @@ def test_cli_lemma_audit(manifest_file, capsys):
                    "--items", "L2i,L4i", "--x", "0,0.05"])
     assert rc == 0
     assert "# all audits hold" in capsys.readouterr().out
+
+
+def test_cli_lemma_audit_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # s = eps sqrt(tau) = 1e-4: the box bound 2 C_u s e^{lam L0/s} overflows
+    path = tmp_path / "m.json"
+    path.write_text(desk_manifest(epsilon=0.001, tau=0.01, L0=0.5, L=0.75,
+                                  dx=0.0005).model_dump_json(by_alias=True))
+    assert cli.main(["lemma-audit", "--manifest", str(path),
+                     "--items", "L2iii"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_has_one_override_flag_per_manifest_field():
+    parent = cli._manifest_parent()
+    dests = [a.dest for a in parent._actions if a.dest != "manifest"]
+    assert sorted(dests) == sorted(f"override_{name}"
+                                   for name in experiments.RunManifest.model_fields)
+    flags = [a.option_strings for a in parent._actions if a.dest != "manifest"]
+    assert all(len(f) == 1 for f in flags) and len(flags) == 13
+    assert ["--lambda"] in flags and ["--snapshot-times"] in flags
 
 
 def test_cli_start_up_leaves_out_the_unused_scipy_modules():

@@ -30,6 +30,8 @@ def test_grid_spec_basics():
     assert g.centers().shape == (8,)
     assert g.nodes()[0] == 0.0 and g.nodes()[-1] == pytest.approx(1.0)
     assert np.allclose(g.centers(), g.nodes()[:-1] + 0.0625)
+    assert np.array_equal(g.points(INTEGER_GRID), g.nodes())
+    assert np.array_equal(g.points(HALF_GRID), g.centers())
 
 
 def test_grid_spec_default_dx():
@@ -80,57 +82,60 @@ def _random_node_field(n, seed):
     return rng.uniform(0.2, 0.9, n + 1)
 
 
+def _apply_nodes(u, c, dx, order=2):
+    """w on the nodes: helmholtz_apply inside, identity boundary rows."""
+    w = u.copy()
+    w[1:-1] = helmholtz_apply(u, c, dx, order=order)
+    return w
+
+
 def test_round_trip_order2():
-    params = MBLParams(epsilon=0.3, tau=2.0)
+    c = MBLParams(epsilon=0.3, tau=2.0).disp
     dx = 1.0 / 64
     u = _random_node_field(64, seed=1)
-    w = helmholtz_apply(Field(u), params, dx, order=2)
-    back = helmholtz_solve(w, u[0], u[-1], params, dx, order=2)
+    w = _apply_nodes(u, c, dx, order=2)
+    back = helmholtz_solve(Field(w), u[0], u[-1], c, dx, order=2)
     assert np.allclose(back.values, u, rtol=1e-12, atol=1e-13)
 
 
 def test_round_trip_order4():
-    params = MBLParams(epsilon=0.3, tau=2.0)
+    c = MBLParams(epsilon=0.3, tau=2.0).disp
     dx = 1.0 / 64
     u = _random_node_field(64, seed=2)
-    w = helmholtz_apply(Field(u), params, dx, order=4)
-    back = helmholtz_solve(w, u[0], u[-1], params, dx, order=4)
+    w = _apply_nodes(u, c, dx, order=4)
+    back = helmholtz_solve(Field(w), u[0], u[-1], c, dx, order=4)
     assert np.allclose(back.values, u, rtol=1e-12, atol=1e-13)
 
 
-def test_apply_requires_node_field():
-    params = MBLParams(epsilon=0.1, tau=1.0)
+def test_apply_rejects_unknown_order():
     with pytest.raises(ValueError):
-        helmholtz_apply(Field(np.zeros(8), phase=HALF_GRID), params, 0.1)
-    with pytest.raises(ValueError):
-        helmholtz_apply(Field(np.zeros(9)), params, 0.1, order=3)
+        helmholtz_apply(np.zeros(9), 0.01, 0.1, order=3)
 
 
 def test_sine_modes_are_eigenvectors_order2():
     # second-difference eigenvalue on Dirichlet sine modes
     L, n = 1.0, 64
     dx = L / n
-    params = MBLParams(epsilon=0.1, tau=1.0)
-    c = params.disp
+    c = MBLParams(epsilon=0.1, tau=1.0).disp
     x = np.linspace(0.0, L, n + 1)
     for k in range(1, 7):
         u = np.sin(k * math.pi * x / L)
         mu = 1.0 + c * (2.0 - 2.0 * math.cos(k * math.pi * dx / L)) / dx**2
-        w = helmholtz_apply(Field(u), params, dx, order=2)
-        assert np.max(np.abs(w.values[1:-1] - mu * u[1:-1])) < 1e-12
-        back = helmholtz_solve(Field(mu * u), 0.0, 0.0, params, dx, order=2)
+        w = helmholtz_apply(u, c, dx, order=2)
+        assert np.max(np.abs(w - mu * u[1:-1])) < 1e-12
+        back = helmholtz_solve(Field(mu * u), 0.0, 0.0, c, dx, order=2)
         assert np.max(np.abs(back.values - u)) < 1e-12
 
 
 def test_inverse_damps_high_modes():
     L, n = 1.0, 64
     dx = L / n
-    params = MBLParams(epsilon=0.5, tau=1.0)
+    c = MBLParams(epsilon=0.5, tau=1.0).disp
     x = np.linspace(0.0, L, n + 1)
     amps = []
     for k in range(1, 8):
         v = np.sin(k * math.pi * x / L)
-        out = helmholtz_solve(Field(v), 0.0, 0.0, params, dx, order=2)
+        out = helmholtz_solve(Field(v), 0.0, 0.0, c, dx, order=2)
         amps.append(np.dot(out.values, v) / np.dot(v, v))
     amps = np.array(amps)
     assert np.all(amps <= 1.0 + 1e-14)
@@ -144,10 +149,8 @@ def test_order4_stencil_exact_on_quintic_interior():
     x = np.linspace(0.0, 1.0, n + 1)
     u = x**5 - 2.0 * x**4 + x**3 + 0.5 * x - 3.0
     d2 = 20.0 * x**3 - 24.0 * x**2 + 6.0 * x
-    params = MBLParams(epsilon=1.0, tau=1.0)
-    w = helmholtz_apply(Field(u), params, dx, order=4)
-    resid = u - w.values  # equals disp * D2 u
-    assert np.allclose(resid[2:-2], d2[2:-2], rtol=0, atol=1e-9)
+    resid = u[1:-1] - helmholtz_apply(u, 1.0, dx, order=4)  # c D2 u, c = 1
+    assert np.allclose(resid[1:-1], d2[2:-2], rtol=0, atol=1e-9)
 
 
 def test_one_sided_closures_exact_on_quartic():
@@ -156,22 +159,21 @@ def test_one_sided_closures_exact_on_quartic():
     x = np.linspace(0.0, 1.0, n + 1)
     u = x**4 - x**2 + 0.25
     d2 = 12.0 * x**2 - 2.0
-    params = MBLParams(epsilon=1.0, tau=1.0)
-    w = helmholtz_apply(Field(u), params, dx, order=4)
-    resid = u - w.values
-    assert np.allclose(resid[1:-1], d2[1:-1], rtol=0, atol=1e-9)
+    resid = u[1:-1] - helmholtz_apply(u, 1.0, dx, order=4)
+    assert np.allclose(resid, d2[1:-1], rtol=0, atol=1e-9)
 
 
 def test_zero_dispersion_solve_is_identity_with_bc_override():
-    params = MBLParams(epsilon=0.0, tau=5.0)
+    c = MBLParams(epsilon=0.0, tau=5.0).disp
     w = np.array([0.3, 0.5, 0.6, 0.55, 0.2])
-    out = helmholtz_solve(Field(w), 0.1, 0.9, params, 0.25, order=2)
+    out = helmholtz_solve(Field(w), 0.1, 0.9, c, 0.25, order=2)
     assert np.array_equal(out.values, [0.1, 0.5, 0.6, 0.55, 0.9])
     # tau = 0 also makes c = 0: the interior passes through, the ends are pinned
     u = _random_node_field(32, seed=3)
-    w = helmholtz_apply(Field(u), MBLParams(epsilon=0.2, tau=3.0), 1.0 / 32)
-    out = helmholtz_solve(w, u[0], u[-1], MBLParams(epsilon=0.2, tau=0.0), 1.0 / 32)
-    assert np.array_equal(out.values[1:-1], w.values[1:-1])
+    w = _apply_nodes(u, MBLParams(epsilon=0.2, tau=3.0).disp, 1.0 / 32)
+    out = helmholtz_solve(Field(w), u[0], u[-1], MBLParams(epsilon=0.2, tau=0.0).disp,
+                          1.0 / 32)
+    assert np.array_equal(out.values[1:-1], w[1:-1])
     assert out.values[0] == u[0] and out.values[-1] == u[-1]
 
 
@@ -219,24 +221,24 @@ def test_solve_matches_frozen_values(phase, order):
     if phase == HALF_GRID:
         v = v[:-1] + 0.05 * np.arange(8)
     out = helmholtz_solve(Field(v, phase=phase), 0.25, 0.6,
-                          MBLParams(epsilon=0.3, tau=2.0), 0.125, order=order)
+                          MBLParams(epsilon=0.3, tau=2.0).disp, 0.125, order=order)
     assert np.array_equal(out.values, _FROZEN[phase, order])
     if order == 2:
         assert np.allclose(out.values, _LU_ANCHOR[phase], rtol=0, atol=2.5e-16)
 
 
 def test_solve_rejects_fields_too_short_for_the_closures():
-    params = MBLParams(epsilon=0.3, tau=2.0)
+    c = MBLParams(epsilon=0.3, tau=2.0).disp
     with pytest.raises(ValueError):
         helmholtz_solve(Field(np.zeros(1), phase=HALF_GRID), 0.2, 0.8,
-                        params, 0.1, order=2)
+                        c, 0.1, order=2)
     with pytest.raises(ValueError):  # three cells, two unknowns
-        helmholtz_solve(Field(np.zeros(4)), 0.2, 0.8, params, 0.1, order=2)
+        helmholtz_solve(Field(np.zeros(4)), 0.2, 0.8, c, 0.1, order=2)
     with pytest.raises(ValueError):
         helmholtz_solve(Field(np.zeros(4), phase=HALF_GRID), 0.2, 0.8,
-                        params, 0.1, order=4)
+                        c, 0.1, order=4)
     with pytest.raises(ValueError):
-        helmholtz_solve(Field(np.zeros(5)), 0.2, 0.8, params, 0.1, order=4)
+        helmholtz_solve(Field(np.zeros(5)), 0.2, 0.8, c, 0.1, order=4)
 
 
 @pytest.mark.parametrize("phase", [INTEGER_GRID, HALF_GRID])
@@ -244,7 +246,7 @@ def test_solve_with_nan_boundary_value_is_a_numerical_error(phase):
     # exit code 3 in the CLI, not the validation error of exit code 2
     with pytest.raises(NumericalError):
         helmholtz_solve(Field(np.zeros(10), phase=phase), math.nan, 0.0,
-                        MBLParams(epsilon=0.1, tau=1.0), 0.1)
+                        MBLParams(epsilon=0.1, tau=1.0).disp, 0.1)
 
 
 def test_each_matrix_is_factored_once_per_run():
@@ -283,10 +285,10 @@ def test_order2_matrices_are_symmetric_positive_definite(phase, m, ct):
 
 
 def test_half_grid_solve_constant():
-    params = MBLParams(epsilon=0.4, tau=1.5)
+    c = MBLParams(epsilon=0.4, tau=1.5).disp
     w = Field(np.full(16, 0.7), phase=HALF_GRID)
     for order in (2, 4):
-        out = helmholtz_solve(w, 0.7, 0.7, params, 0.1, order=order)
+        out = helmholtz_solve(w, 0.7, 0.7, c, 0.1, order=order)
         assert out.phase == HALF_GRID
         assert np.allclose(out.values, 0.7, rtol=0, atol=1e-13)
 
@@ -297,44 +299,42 @@ def test_half_grid_solve_linear():
     dx = L / n
     xc = (np.arange(n) + 0.5) * dx
     vals = 0.2 + 0.6 * xc
-    params = MBLParams(epsilon=0.3, tau=2.0)
+    c = MBLParams(epsilon=0.3, tau=2.0).disp
     for order in (2, 4):
         out = helmholtz_solve(Field(vals, phase=HALF_GRID), 0.2, 0.8,
-                              params, dx, order=order)
+                              c, dx, order=order)
         assert np.allclose(out.values, vals, rtol=0, atol=1e-12)
 
 
 def test_weighted_h1_norm_zero_and_constant():
-    params = MBLParams(epsilon=1.0, tau=1.0)
     n = 100
     dx = 1.0 / n
-    assert weighted_h1_norm(Field(np.zeros(n + 1)), params, dx) == 0.0
+    assert weighted_h1_norm(np.zeros(n + 1), 1.0, dx) == 0.0
     c = 0.8
-    got = weighted_h1_norm(Field(np.full(n + 1, c)), params, dx)
+    got = weighted_h1_norm(np.full(n + 1, c), 1.0, dx)
     assert got == pytest.approx(c * 1.0, rel=1e-12)  # c * sqrt(L)
 
 
 def test_weighted_h1_norm_linear():
     # y = x on [0,1] with eps*sqrt(tau) = 1: sqrt(1/3 + 1) up to O(dx^2)
-    params = MBLParams(epsilon=1.0, tau=1.0)
     n = 100
     dx = 1.0 / n
     y = np.linspace(0.0, 1.0, n + 1)
-    assert weighted_h1_norm(Field(y), params, dx) == pytest.approx(
+    assert weighted_h1_norm(y, 1.0, dx) == pytest.approx(
         math.sqrt(4.0 / 3.0), abs=1e-4)
 
 
 def test_weighted_h1_norm_is_a_norm():
-    params = MBLParams(epsilon=0.2, tau=4.0)
+    s = 0.2 * math.sqrt(4.0)  # eps sqrt(tau)
     n = 50
     dx = 1.0 / n
     rng = np.random.default_rng(7)
     for _ in range(20):
         a = rng.normal(size=n + 1)
         b = rng.normal(size=n + 1)
-        na = weighted_h1_norm(Field(a), params, dx)
-        nb = weighted_h1_norm(Field(b), params, dx)
-        nab = weighted_h1_norm(Field(a + b), params, dx)
+        na = weighted_h1_norm(a, s, dx)
+        nb = weighted_h1_norm(b, s, dx)
+        nab = weighted_h1_norm(a + b, s, dx)
         assert nab <= na + nb + 1e-12
-        assert weighted_h1_norm(Field(2.5 * a), params, dx) == pytest.approx(
+        assert weighted_h1_norm(2.5 * a, s, dx) == pytest.approx(
             2.5 * na, rel=1e-12)

@@ -38,7 +38,8 @@ MODEL = FluxModel(2.0)
 def _start(u0, bc, grid=GRID, params=PARAMS):
     """(u, w, ctx) at t = 0 from node values u0 and the boundary pair bc."""
     u = np.asarray(u0, dtype=float)
-    w = helmholtz_apply(Field(u, INTEGER_GRID), params, grid.dx).values
+    w = u.copy()
+    w[1:-1] = helmholtz_apply(u, params.disp, grid.dx)
     return u, w, RunContext(grid, params, MODEL, bc)
 
 
@@ -68,7 +69,8 @@ def test_predictor_case_a():
     u_ext = _padded(u, 0.0, 0.9)
     fslope = _slopes(flux(u_ext, MODEL))
     wp = _predict(u_ext, w, fslope, ctx, GRID.lam)
-    up = helmholtz_solve(Field(wp, INTEGER_GRID, dt / 2), 0.0, 0.9, PARAMS, GRID.dx)
+    up = helmholtz_solve(Field(wp, INTEGER_GRID, dt / 2), 0.0, 0.9, PARAMS.disp,
+                         GRID.dx)
     assert up.values == pytest.approx(
         [0.0, 0.012139846908058789, 0.8876537369914852,
          0.89850348327169527, 0.9], rel=1e-12, abs=1e-15)
@@ -249,8 +251,8 @@ def test_new_w_is_u_minus_c_d2_u_on_both_phases(variant):
         v = u[unknowns]
         assert np.array_equal(w[unknowns], v - c * _d2_order2(_padded(v, g, h), grid.dx))
     assert (w[0], w[-1]) == (g, h)
-    w_apply = helmholtz_apply(Field(u, INTEGER_GRID), params, grid.dx, order=2).values
-    assert np.array_equal(w_apply[1:-1], u[1:-1] - c * _d2_order2(u, grid.dx))
+    w_apply = helmholtz_apply(u, c, grid.dx, order=2)
+    assert np.array_equal(w_apply, u[1:-1] - c * _d2_order2(u, grid.dx))
 
 
 @pytest.mark.parametrize("scheme", ["trapezoid", "midpoint", "third_order"])
@@ -271,6 +273,19 @@ def test_non_finite_boundary_value_is_rejected_before_the_first_step(
             run(np.full(5, 0.3), ctx, scheme, t_final=0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("variant", ["trapezoid", "midpoint"])
+def test_non_finite_start_is_rejected_before_the_first_step(variant, bad, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(staggered, "step", no_step)
+    u, _, ctx = _state_b()
+    u[2] = bad
+    with pytest.raises(NumericalError, match="NaN/Inf"):
+        run(u, ctx, variant, t_final=0.1)
+
+
 def test_a_run_builds_at_most_two_fields_per_step(monkeypatch):
     built = []
     check = Field.__post_init__
@@ -286,7 +301,8 @@ def test_a_run_builds_at_most_two_fields_per_step(monkeypatch):
         monkeypatch.setattr(Field, "__post_init__", counting)
         fields = run(u, ctx, variant, t_final=20.0 * dt, snapshot_times=[7.3 * dt])
         monkeypatch.undo()
-        # u0 and its w, then one per returned field: none inside a step
+        # u0 (its NaN/Inf check), then one per returned field: none inside
+        # a step
         assert len(fields) == 2
         assert len(built) <= 2 + len(fields)
 

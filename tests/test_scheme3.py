@@ -102,7 +102,7 @@ def _ctx(n_cells=20, lam=0.1, epsilon=0.0, tau=1.0, g=0.8, h=0.0):
 def test_rhs_vanishes_on_constant_state():
     ctx = _ctx(g=0.5, h=0.5, epsilon=0.02)
     wbar = np.full(20, 0.5)
-    out = semidiscrete_rhs(wbar, 0.0, ctx)
+    out = semidiscrete_rhs(wbar, ctx)
     assert np.allclose(out, 0.0, atol=1e-13)
 
 
@@ -112,7 +112,7 @@ def test_rhs_telescopes_to_boundary_fluxes():
     ctx = _ctx(g=g, h=h)
     ramp = np.clip((1.2 - (np.arange(20) + 0.5) * 0.1) / 0.6, 0.0, 1.0)
     wbar = g * ramp  # flat at g for the first cells, flat at 0 for the last
-    out = semidiscrete_rhs(wbar, 0.0, ctx)
+    out = semidiscrete_rhs(wbar, ctx)
     total = out.sum() * ctx.grid.dx
     assert total == pytest.approx(flux(g, MODEL) - flux(h, MODEL), abs=1e-10)
 
@@ -120,29 +120,34 @@ def test_rhs_telescopes_to_boundary_fluxes():
 def test_rk4_rejects_bad_dt():
     ctx = _ctx()
     with pytest.raises(ValueError):
-        rk4_step(np.full(20, 0.1), 0.0, 0.0, ctx)
+        rk4_step(np.full(20, 0.1), 0.0, ctx)
     with pytest.raises(ValueError):
-        rk4_step(np.full(20, 0.1), 0.0, -0.1, ctx)
+        rk4_step(np.full(20, 0.1), -0.1, ctx)
 
 
 def test_rk4_exact_on_polynomial_rhs(monkeypatch):
-    # dw/dt = 1 + 2t + 3t^2 integrates exactly through the quadrature
+    # dw/dt = 1 + 2t + 3t^2 integrates exactly through the quadrature; the
+    # right-hand side is autonomous, so the first value carries the clock t
     ctx = _ctx()
 
-    def rhs(wbar, t, _ctx):
-        return np.full_like(wbar, 1.0 + 2.0 * t + 3.0 * t * t)
+    def rhs(wbar, _ctx):
+        t = wbar[0]
+        out = np.full_like(wbar, 1.0 + 2.0 * t + 3.0 * t * t)
+        out[0] = 1.0
+        return out
 
     monkeypatch.setattr(cweno, "semidiscrete_rhs", rhs)
     w0 = np.zeros(20)
     dt = 0.37
-    w1 = rk4_step(w0, 0.0, dt, ctx)
-    assert np.allclose(w1, dt + dt**2 + dt**3, rtol=1e-14, atol=0)
+    w1 = rk4_step(w0, dt, ctx)
+    assert w1[0] == pytest.approx(dt, rel=1e-15)
+    assert np.allclose(w1[1:], dt + dt**2 + dt**3, rtol=1e-14, atol=0)
 
 
 def test_rk4_preserves_constant_state():
     ctx = _ctx(g=0.4, h=0.4, epsilon=0.05, tau=2.0)
     w0 = np.full(20, 0.4)
-    w1 = rk4_step(w0, 0.0, 0.001, ctx)
+    w1 = rk4_step(w0, 0.001, ctx)
     assert np.allclose(w1, 0.4, rtol=0, atol=1e-14)
 
 
@@ -161,7 +166,7 @@ def test_rk4_step_changes_the_mass_by_the_boundary_fluxes(epsilon, g, h, interio
     ctx = _ctx(n_cells=64, epsilon=epsilon, tau=0.0, g=g, h=h)
     wbar = np.concatenate([np.full(20, g), interior, np.full(20, h)])
     dt = ctx.grid.lam * ctx.grid.dx
-    w1 = rk4_step(wbar, 0.0, dt, ctx)
+    w1 = rk4_step(wbar, dt, ctx)
     change = ctx.grid.dx * (w1.sum() - wbar.sum())
     assert change == pytest.approx(dt * (flux(g, MODEL) - flux(h, MODEL)),
                                    rel=0, abs=1e-12)
@@ -173,7 +178,7 @@ def test_rhs_moves_a_front_downstream():
     ctx = _ctx(g=g, h=0.0, epsilon=0.01, tau=0.5)
     xc = (np.arange(20) + 0.5) * 0.1
     wbar = g * 0.5 * (1.0 - np.tanh((xc - 0.9) / 0.15))
-    out = semidiscrete_rhs(wbar, 0.0, ctx)
+    out = semidiscrete_rhs(wbar, ctx)
     assert out.shape == wbar.shape
     assert np.all(np.isfinite(out))
     # mass flows in from the left boundary faster than it leaves
