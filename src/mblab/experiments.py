@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import pydantic
@@ -157,16 +157,17 @@ def _grid_for(manifest: RunManifest) -> GridSpec:
                     lam=manifest.lam, x0=x0)
 
 
-def _bc_for(manifest: RunManifest) -> tuple[float, float]:
+def _bc_for(u_B) -> tuple:
     """The Dirichlet pair: u_B at the inflow, 0 at the outflow."""
-    return (manifest.u_B, 0.0)
+    return (u_B, 0.0)
 
 
-def _initial_nodes(manifest: RunManifest, grid: GridSpec) -> np.ndarray:
-    x = grid.nodes()
+def _initial_nodes(manifest: RunManifest, grid: GridSpec, u_B) -> np.ndarray:
+    """Node values at t = 0; an array of inflow values gives one column each."""
+    x = grid.nodes() if np.ndim(u_B) == 0 else grid.nodes()[:, None]
     if manifest.ic_kind == "riemann":
-        return np.where(x <= manifest.L0 + 1e-12, manifest.u_B, 0.0)
-    return smooth_ramp_ic(x, manifest.u_B)
+        return np.where(x <= manifest.L0 + 1e-12, u_B, 0.0)
+    return smooth_ramp_ic(x, u_B)
 
 
 def _initial_cell_w(manifest: RunManifest, grid: GridSpec,
@@ -187,18 +188,31 @@ def _initial_cell_w(manifest: RunManifest, grid: GridSpec,
     return ubar - params.disp * _d2_order4(ubar, grid.dx)
 
 
-def run_manifest(manifest: RunManifest) -> list[Field]:
+def run_manifest(manifest: RunManifest,
+                 inflows: Optional[Sequence[float]] = None) -> list[Field]:
     """Run to t_final, returning one Field per requested snapshot time plus
     the final state (staggered schemes: node values; third_order: cell
-    averages of u)."""
+    averages of u).
+
+    inflows, values in [0, 1], march one staggered run per value in place
+    of manifest.u_B as one (points, len(inflows)) block; column j of each
+    field is then byte for byte the run of manifest.derive(u_B=inflows[j]).
+    """
+    u_B = manifest.u_B
+    if inflows is not None:
+        if manifest.scheme == "third_order":
+            raise ValueError("only the staggered schemes march a block of inflows")
+        u_B = np.array(inflows, dtype=float)
+        if not (u_B.size and np.all((u_B >= 0.0) & (u_B <= 1.0))):
+            raise ValueError("inflows must be values in [0, 1]")
     ctx = RunContext(grid=_grid_for(manifest),
                      params=MBLParams(manifest.epsilon, manifest.tau),
-                     model=FluxModel(manifest.M), bc=_bc_for(manifest))
+                     model=FluxModel(manifest.M), bc=_bc_for(u_B))
     if manifest.scheme == "third_order":
         return cweno.run(_initial_cell_w(manifest, ctx.grid, ctx.params), ctx,
                          manifest.t_final, manifest.snapshot_times)
-    return staggered.run(_initial_nodes(manifest, ctx.grid), ctx, manifest.scheme,
-                         manifest.t_final, manifest.snapshot_times)
+    return staggered.run(_initial_nodes(manifest, ctx.grid, u_B), ctx,
+                         manifest.scheme, manifest.t_final, manifest.snapshot_times)
 
 
 _RUN_CACHE: dict[str, list[Field]] = {}
@@ -216,17 +230,56 @@ def run_cached(manifest: RunManifest) -> list[Field]:
     """
     key = manifest.model_dump_json(by_alias=True)
     if key not in _RUN_CACHE:
-        trajectory = manifest.model_dump_json(
-            by_alias=True, exclude={"t_final", "snapshot_times"})
+        trajectory = _trajectory(manifest)
         targets = landing_targets(0.0, manifest.t_final, manifest.snapshot_times)
         fields = [_LANDED.get((trajectory, s)) for s in targets]
         if any(f is None for f in fields):
             fields = run_manifest(manifest)
-            for s, f in zip(targets, fields):
-                f.values.setflags(write=False)
-                _LANDED.setdefault((trajectory, s), f)
-        _RUN_CACHE[key] = fields
+        _remember(manifest, fields)
     return _RUN_CACHE[key]
+
+
+def _trajectory(manifest: RunManifest) -> str:
+    return manifest.model_dump_json(by_alias=True,
+                                    exclude={"t_final", "snapshot_times"})
+
+
+def _remember(manifest: RunManifest, fields: list[Field]) -> None:
+    """Cache fields, one per landed time, as the run of manifest: made
+    read-only and indexed by trajectory and landed time, where no field
+    is indexed yet."""
+    trajectory = _trajectory(manifest)
+    targets = landing_targets(0.0, manifest.t_final, manifest.snapshot_times)
+    for s, f in zip(targets, fields):
+        f.values.setflags(write=False)
+        _LANDED.setdefault((trajectory, s), f)
+    _RUN_CACHE[manifest.model_dump_json(by_alias=True)] = fields
+
+
+def _run_inflow_blocks(manifests: list[RunManifest]) -> None:
+    """Cache the runs of staggered-scheme manifests that differ only in
+    u_B, marching each such group once as a block of columns.
+
+    Each cached field is a contiguous copy of its column.  A group whose
+    block march fails (a CFL violation in one column fails the block) is
+    left to run one manifest at a time, so each gets its own result or
+    error; lone manifests and third_order are left too.
+    """
+    groups: dict[str, dict[float, RunManifest]] = {}
+    for m in manifests:
+        if (m.scheme != "third_order"
+                and m.model_dump_json(by_alias=True) not in _RUN_CACHE):
+            groups.setdefault(m.model_dump_json(by_alias=True, exclude={"u_B"}),
+                              {})[m.u_B] = m
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        members = list(group.values())
+        with contextlib.suppress(Exception):  # the members' own runs report it
+            blocks = run_manifest(members[0], list(group))
+            for j, m in enumerate(members):
+                _remember(m, [Field(np.ascontiguousarray(b.values[:, j]), b.phase,
+                                    b.time) for b in blocks])
 
 
 # --- order tables -----------------------------------------------------------
@@ -388,22 +441,33 @@ DEFAULT_SWEEP_PAIRS: list[tuple[float, float]] = (
 
 def bifurcation_sweep(pairs=None, base: Optional[RunManifest] = None) -> list[dict]:
     """Run and classify each (tau, u_B); failures are recorded per entry and
-    the sweep continues.  Entries come back sorted by (tau, u_B)."""
-    if pairs is None:
-        pairs = DEFAULT_SWEEP_PAIRS
+    the sweep continues.  Entries come back sorted by (tau, u_B).
+
+    Every pair is derived and validated before any run.  The staggered
+    runs of one tau then march together, one column per u_B; a group whose
+    march fails runs pair by pair.
+    """
+    pairs = list(DEFAULT_SWEEP_PAIRS if pairs is None else pairs)
+    if not pairs:
+        raise ValueError("pairs must not be empty")
     if base is None:
         base = desk_manifest()
     model = FluxModel(base.M)
 
-    entries = []
+    entries, derived = [], []
     for tau, u_B in pairs:
         entry = {"tau": tau, "u_B": u_B, "report": None, "error": None}
         try:
-            m = base.derive(tau=tau, u_B=u_B)
-            entry["report"] = classify_profile(run_cached(m)[-1], m, model)
+            derived.append((entry, base.derive(tau=tau, u_B=u_B)))
         except Exception as exc:  # per-run isolation
             entry["error"] = f"{type(exc).__name__}: {exc}"
         entries.append(entry)
+    _run_inflow_blocks([m for _, m in derived])
+    for entry, m in derived:
+        try:
+            entry["report"] = classify_profile(run_cached(m)[-1], m, model)
+        except Exception as exc:  # per-run isolation
+            entry["error"] = f"{type(exc).__name__}: {exc}"
     return sorted(entries, key=lambda e: (e["tau"], e["u_B"]))
 
 
@@ -472,6 +536,8 @@ def _transition_width(v: np.ndarray, x: np.ndarray, u_high: float) -> float:
 def epsilon_sweep(base: RunManifest, eps_values: list[float]) -> list[dict]:
     """Fixed-grid sweep over epsilon; reports the leading-front transition
     width and the plateau value per run."""
+    if not eps_values:
+        raise ValueError("eps_values must not be empty")
     model = FluxModel(base.M)
     out = []
     for eps in sorted(eps_values):

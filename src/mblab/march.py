@@ -2,9 +2,10 @@
 marching schemes."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import NumericalError
 from .flux import FluxModel
@@ -14,7 +15,8 @@ from .operators import Field, GridSpec, MBLParams
 @dataclass(frozen=True)
 class RunContext:
     """The fixed data of one run: grid, model parameters, flux and the
-    constant Dirichlet pair bc = (g, h).
+    constant Dirichlet pair bc = (g, h).  A block of staggered runs that
+    differ only in their inflow value carries one g per run, as an array.
 
     A NaN/Inf boundary value is a NumericalError, checked once here: inside
     a step, minmod and the clamped flux could turn it finite.
@@ -23,10 +25,10 @@ class RunContext:
     grid: GridSpec
     params: MBLParams
     model: FluxModel
-    bc: tuple[float, float]
+    bc: tuple
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.bc)):
+        if not all(np.isfinite(v).all() for v in self.bc):
             raise NumericalError("boundary value is NaN/Inf")
 
 

@@ -112,9 +112,10 @@ class Field:
             raise NumericalError("field contains NaN/Inf values")
 
 
-def _padded(v: np.ndarray, left: float, right: float) -> np.ndarray:
-    """v with one constant ghost value at each end."""
-    out = np.empty(v.size + 2)
+def _padded(v: np.ndarray, left, right) -> np.ndarray:
+    """v with one constant ghost row at each end of its first (points)
+    axis; a block's ghosts may hold one value per column."""
+    out = np.empty((len(v) + 2,) + v.shape[1:])
     out[0], out[1:-1], out[-1] = left, v, right
     return out
 
@@ -244,12 +245,13 @@ def _factored_solve(m: int, phase: str, order: int, ct: float) -> functools.part
     return solve
 
 
-def _solve_unknowns(rhs: np.ndarray, phase: str, bc_left: float, bc_right: float,
+def _solve_unknowns(rhs: np.ndarray, phase: str, bc_left, bc_right,
                     c: float, dx: float, order: int = 2) -> np.ndarray:
     """The unknowns of (I - c D^2) u = w: every half cell, or the interior nodes.
 
-    rhs holds w at those unknowns and is overwritten; the boundary values
-    enter through the closures.  No finiteness check: callers decide where
+    rhs holds w at those unknowns, shaped (points,) or (points, runs), and
+    is overwritten; the boundary values (scalars, or one per run) enter
+    through the closures.  No finiteness check: callers decide where
     NaN/Inf is caught.
     """
     if order not in (2, 4):
@@ -259,13 +261,13 @@ def _solve_unknowns(rhs: np.ndarray, phase: str, bc_left: float, bc_right: float
     # fewer cells and the order-4 edge closures would overlap; order 2 asks
     # for the four cells that a GridSpec needs
     need = 5 if order == 4 else 4
-    if (rhs.size + 1 if phase == INTEGER_GRID else rhs.size) < need:
+    if (len(rhs) + 1 if phase == INTEGER_GRID else len(rhs)) < need:
         raise ValueError(f"order-{order} solve needs at least {need} cells")
     ct = c / (_STENCILS[order][0] * dx ** 2)
     for i, weight in enumerate(_CLOSURES[phase, order][1]):
         rhs[i] += weight * ct * bc_left
         rhs[-1 - i] += weight * ct * bc_right
-    out, info = _factored_solve(rhs.size, phase, order, ct)(rhs, overwrite_b=1)
+    out, info = _factored_solve(len(rhs), phase, order, ct)(rhs, overwrite_b=1)
     if info != 0:
         raise NumericalError(f"Helmholtz solve failed (info={info})")
     return out

@@ -62,10 +62,12 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(np.minimum(a, b), 0.0) + np.minimum(np.maximum(a, b), 0.0)
 
 
-def _slopes(ext: np.ndarray) -> np.ndarray:
-    """Minmod slopes of ghost-extended values, along the last axis."""
-    d = ext[..., 1:] - ext[..., :-1]
-    return _minmod(d[..., 1:], d[..., :-1])
+def _slopes(ext: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Minmod slopes of ghost-extended values along the points axis."""
+    lead = (slice(None),) * axis
+    upper, lower = lead + (slice(1, None),), lead + (slice(None, -1),)
+    d = ext[upper] - ext[lower]
+    return _minmod(d[upper], d[lower])
 
 
 def _cfl_margin(speeds: np.ndarray, lam: float) -> float:
@@ -89,7 +91,7 @@ def _predict(u_ext: np.ndarray, w: np.ndarray, fslope: np.ndarray,
     wp *= lam
     wp /= 2.0
     wp += w
-    if w.size == ctx.grid.n_cells + 1:
+    if len(w) == ctx.grid.n_cells + 1:
         wp[0], wp[-1] = ctx.bc
     return wp
 
@@ -102,7 +104,10 @@ def step(u: np.ndarray, w: np.ndarray, ctx: RunContext, variant: str,
          lam: float) -> tuple[np.ndarray, np.ndarray]:
     """One staggered step of dt = lam dx from (u, w) to the other grid phase.
 
-    n_cells + 1 values are nodes, n_cells are half cells.  A NaN/Inf in the
+    n_cells + 1 values are nodes, n_cells are half cells.  The state is
+    shaped (points,) or, for runs that differ only in their inflow value
+    (one per column of ctx.bc[0]), (points, runs); the stencils run along
+    the first axis, so each column steps as it would alone.  A NaN/Inf in the
     new u or w, or in the half-time u (the clamped flux can turn an Inf
     there finite), is a NumericalError.  The boundary values were checked
     by the RunContext.
@@ -112,7 +117,7 @@ def step(u: np.ndarray, w: np.ndarray, ctx: RunContext, variant: str,
     eps = ctx.params.epsilon
     c = ctx.params.disp
     g, h = ctx.bc
-    phase = INTEGER_GRID if u.size == ctx.grid.n_cells + 1 else HALF_GRID
+    phase = INTEGER_GRID if len(u) == ctx.grid.n_cells + 1 else HALF_GRID
     new_phase = HALF_GRID if phase == INTEGER_GRID else INTEGER_GRID
 
     # u with its ghosts gives the flux, its slopes and speed, and D2 u
@@ -123,10 +128,10 @@ def step(u: np.ndarray, w: np.ndarray, ctx: RunContext, variant: str,
         raise NumericalError(
             f"CFL violation: lambda*max|f'| = {0.5 - margin:.6g} >= 0.5")
 
-    ext = np.empty((2, u.size + 2))
+    ext = np.empty((2,) + u_ext.shape)
     ext[0, 0], ext[0, 1:-1], ext[0, -1] = g, w, h
     ext[1] = f_ext
-    wslope, fslope = _slopes(ext)
+    wslope, fslope = _slopes(ext, axis=1)
     wbar = _staggered_average(w, wslope)
 
     # predictor, converted to u at the half time

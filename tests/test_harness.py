@@ -302,13 +302,80 @@ def test_order_table_single_level_has_no_rate():
     assert rows[0]["order_l1"] is None
 
 
-def test_bifurcation_sweep_isolates_failures():
+def test_bifurcation_sweep_isolates_failures(monkeypatch):
+    runs = _fresh_caches(monkeypatch)
     base = _tiny(lam=0.3)
     entries = bifurcation_sweep(pairs=[(0.2, 0.6), (0.2, 0.2)], base=base)
     assert [(e["tau"], e["u_B"]) for e in entries] == [(0.2, 0.2), (0.2, 0.6)]
     ok, bad = entries
     assert ok["error"] is None and ok["report"] is not None
     assert bad["report"] is None and "CFL" in bad["error"]
+    # u_B = 0.6 broke the CFL bound of the pairs' shared block; each pair
+    # then ran alone, and u_B = 0.2 got its solo result
+    good, failing = base.derive(tau=0.2, u_B=0.2), base.derive(tau=0.2, u_B=0.6)
+    assert runs == [(failing, (0.6, 0.2)), failing, good]
+    alone = run_manifest(good)[-1]
+    assert ok["report"] == classify_profile(alone, good, MODEL)
+    assert run_cached(good)[-1].values.tobytes() == alone.values.tobytes()
+
+
+def test_bifurcation_sweep_marches_the_pairs_of_one_tau_as_one_block(monkeypatch):
+    runs = _fresh_caches(monkeypatch)
+    base = _tiny(snapshot_times=[0.0043])  # off the step grid: a landed fork
+    pairs = [(1.0, 0.75), (0.2, 0.6), (1.0, 0.9), (0.2, 0.3), (5.0, 0.9)]
+    entries = bifurcation_sweep(pairs, base)
+    assert runs == [(base.derive(tau=1.0, u_B=0.75), (0.75, 0.9)),
+                    (base.derive(tau=0.2, u_B=0.6), (0.6, 0.3)),
+                    base.derive(tau=5.0, u_B=0.9)]  # a lone pair runs alone
+    for entry in entries:
+        m = base.derive(tau=entry["tau"], u_B=entry["u_B"])
+        fields, alone = run_cached(m), run_manifest(m)
+        assert run_cached(m) is fields
+        assert [f.time for f in fields] == [f.time for f in alone] == [0.0043, 0.01]
+        for f, a in zip(fields, alone):
+            assert f.values.flags.c_contiguous and not f.values.flags.writeable
+            assert f.values.tobytes() == a.values.tobytes()
+        assert entry["report"] == classify_profile(alone[-1], m, MODEL)
+    assert len(runs) == 3
+
+
+def test_bifurcation_sweep_with_duplicate_pairs_or_a_third_order_base(monkeypatch):
+    runs = _fresh_caches(monkeypatch)
+    pairs = [(1.0, 0.75), (1.0, 0.9), (1.0, 0.75)]
+    for base in (_tiny(), _tiny(scheme="third_order")):
+        runs.clear()
+        entries = bifurcation_sweep(pairs, base)
+        assert [(e["tau"], e["u_B"]) for e in entries] == sorted(pairs)
+        assert entries[0] == entries[1] and entries[0]["report"] is not None
+        assert entries[2]["error"] is None
+        if base.scheme == "third_order":  # every pair runs alone, once
+            assert runs == [base.derive(tau=1.0, u_B=0.75),
+                            base.derive(tau=1.0, u_B=0.9)]
+        else:  # the duplicate joins the block once
+            assert runs == [(base.derive(tau=1.0, u_B=0.75), (0.75, 0.9))]
+
+
+def test_bifurcation_sweep_reports_a_failed_block_on_every_pair():
+    # a snapshot after t_final is a ValueError of the block's run, and then
+    # of each pair's own run
+    entries = bifurcation_sweep([(1.0, 0.75), (1.0, 0.9)], _tiny(snapshot_times=[0.02]))
+    assert [e["error"] for e in entries] == \
+        ["ValueError: snapshot times must lie in (t0, t_final]"] * 2
+
+
+def test_run_manifest_marches_inflows_of_a_staggered_scheme_only():
+    with pytest.raises(ValueError, match="staggered"):
+        run_manifest(_tiny(scheme="third_order"), [0.5, 0.6])
+    for inflows in ([], [0.5, 1.5], [0.5, math.nan]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run_manifest(_tiny(), inflows)
+
+
+def test_empty_sweeps_are_validation_errors():
+    with pytest.raises(ValueError, match="pairs"):
+        bifurcation_sweep([])
+    with pytest.raises(ValueError, match="eps_values"):
+        epsilon_sweep(_tiny(), [])
 
 
 def test_domain_study_smoke():
@@ -331,9 +398,10 @@ def _fresh_caches(monkeypatch) -> list:
     monkeypatch.setattr(experiments, "_LANDED", {})
     runs, real = [], experiments.run_manifest
 
-    def counted(manifest):
-        runs.append(manifest)
-        return real(manifest)
+    def counted(manifest, inflows=None):
+        # a block run is recorded as (manifest, inflows)
+        runs.append(manifest if inflows is None else (manifest, tuple(inflows)))
+        return real(manifest, inflows)
 
     monkeypatch.setattr(experiments, "run_manifest", counted)
     return runs
@@ -607,6 +675,8 @@ def test_cli_start_up_leaves_out_the_unused_scipy_modules():
     ("order-test", ["--levels", "0"], 2),
     ("domain-study", ["--L-values", ",", "--times", "0.1"], 2),
     ("domain-study", ["--L-values", "0.2,0.3", "--times", ","], 2),
+    ("sweep", ["--pairs", ""], 2),
+    ("eps-sweep", ["--eps-values", ""], 2),
 ])
 def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
                                                         verb, args, code):

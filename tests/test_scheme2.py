@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mblab import cweno, staggered
 from mblab.errors import NumericalError
@@ -253,6 +254,45 @@ def test_new_w_is_u_minus_c_d2_u_on_both_phases(variant):
     assert (w[0], w[-1]) == (g, h)
     w_apply = helmholtz_apply(u, c, grid.dx, order=2)
     assert np.array_equal(w_apply, u[1:-1] - c * _d2_order2(u, grid.dx))
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), variant=st.sampled_from(["trapezoid", "midpoint"]),
+       phase=st.sampled_from([INTEGER_GRID, HALF_GRID]),
+       cells=st.integers(4, 12), runs=st.integers(1, 4))
+def test_a_block_steps_each_column_as_it_would_alone(data, variant, phase,
+                                                      cells, runs):
+    # (points, runs) states and one inflow value per run against one step
+    # per column, on node and half-cell blocks
+    grid = GridSpec(L=1.0, n_cells=cells, lam=0.1)
+    block = hnp.arrays(float, (len(grid.points(phase)), runs), elements=_UNIT)
+    u, w = data.draw(block), data.draw(block)
+    g, h = data.draw(hnp.arrays(float, runs, elements=_UNIT)), data.draw(_UNIT)
+    u_new, w_new = step(u, w, RunContext(grid, PARAMS, MODEL, (g, h)), variant,
+                        grid.lam)
+    new_points = cells if phase == INTEGER_GRID else cells + 1
+    assert u_new.shape == w_new.shape == (new_points, runs)
+    for j in range(runs):
+        ctx = RunContext(grid, PARAMS, MODEL, (float(g[j]), h))
+        u_alone, w_alone = step(u[:, j].copy(), w[:, j].copy(), ctx, variant,
+                                grid.lam)
+        assert u_new[:, j].tobytes() == u_alone.tobytes()
+        assert w_new[:, j].tobytes() == w_alone.tobytes()
+
+
+@pytest.mark.parametrize("g", [math.nan, np.array([0.3, math.nan, 0.9]),
+                               np.array([0.3, 0.9, -math.inf])])
+def test_run_context_rejects_a_non_finite_inflow_scalar_or_per_run(g):
+    with pytest.raises(NumericalError, match="boundary value"):
+        RunContext(GRID, PARAMS, MODEL, (g, 0.0))
+
+
+def test_run_context_accepts_one_finite_inflow_per_run():
+    g = np.array([0.3, 0.9])
+    assert RunContext(GRID, PARAMS, MODEL, (g, 0.0)).bc[0] is g
 
 
 @pytest.mark.parametrize("scheme", ["trapezoid", "midpoint", "third_order"])
