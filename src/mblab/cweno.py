@@ -21,6 +21,12 @@ cell j+1.  The semi-discrete update is
 
 with the local-speed flux H and the fourth-order second difference Q,
 integrated by classical RK4 with dt = lam dx.
+
+The interface values w^- and w^+ travel as one two-column block: the
+reconstruction returns them as the rows of a C-ordered (2, interfaces)
+array, whose transpose is the Fortran-ordered (interfaces, 2) right-hand
+side of one order-4 solve for u^- and u^+, and the flux H takes both
+blocks in one flux evaluation.
 """
 from __future__ import annotations
 
@@ -35,7 +41,7 @@ from .operators import (
     Field,
     HALF_GRID,
     _d2_order4,
-    _padded,
+    _solve_unknowns,
     helmholtz_solve,
 )
 
@@ -52,80 +58,122 @@ C_SIDE = 0.25
 C_CENTER = 0.5
 
 
-def cweno_reconstruct(wbar, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Interface values (w_minus, w_plus) of the per-cell quadratics.
+def cweno_reconstruct(wbar, dx: float, bc) -> np.ndarray:
+    """Interface values of the per-cell quadratics, as one C-ordered
+    (2, interfaces) block whose rows are w_minus and w_plus.
 
-    w_minus[i] and w_plus[i] are the two one-sided values at the interface
-    between cells i and i+1 (edge cells use copied ghost averages).
+    Two constant ghost cells hold each boundary value of bc = (g, h), so
+    the n + 1 interfaces of the n cells run from one domain end to the
+    other; w_minus[i] and w_plus[i] are the one-sided values at interface i
+    from the cells on its left and right.  The arithmetic is done in place,
+    in the rounding order of the formulas in the module docstring.
     """
     v = np.asarray(wbar, dtype=float)
     if v.size < 5:
         raise ValueError(f"need at least 5 cell averages, got {v.size}")
-    ext = np.concatenate([[v[0]], v, [v[-1]]])
-    dm = ext[1:-1] - ext[:-2]
-    dp = ext[2:] - ext[1:-1]
+    ext = np.empty(v.size + 4)
+    ext[:2], ext[2:-2], ext[-2:] = bc[0], v, bc[1]
+    cells = ext[1:-1]
+    dm = cells - ext[:-2]
+    dp = ext[2:] - cells
     d2 = dp - dm
+    dsum = dp + dm
 
-    is_l = dm ** 2
-    is_r = dp ** 2
-    is_c = (13.0 / 3.0) * d2 ** 2 + 0.25 * (dp + dm) ** 2
-    al = C_SIDE / (EPS0 + is_l) ** 2
-    ar = C_SIDE / (EPS0 + is_r) ** 2
-    ac = C_CENTER / (EPS0 + is_c) ** 2
-    total = al + ac + ar
-    w_l, w_c, w_r = al / total, ac / total, ar / total
+    # alpha_i = c_i / (eps0 + IS_i)^2, then the weights alpha_i / total
+    al = dm * dm
+    ar = dp * dp
+    ac = d2 * d2
+    ac *= 13.0 / 3.0
+    ac += 0.25 * (dsum * dsum)
+    for alpha, weight in ((al, C_SIDE), (ar, C_SIDE), (ac, C_CENTER)):
+        alpha += EPS0
+        alpha *= alpha
+        np.divide(weight, alpha, out=alpha)
+    total = al + ac
+    total += ar
+    al /= total
+    ac /= total
+    ar /= total
 
-    a = v - (w_c / 12.0) * d2
-    b = (w_r * dp + 0.5 * w_c * (dp + dm) + w_l * dm) / dx
-    c = 2.0 * w_c * d2 / dx ** 2
+    # A, (dx/2) B and (dx^2/8) C of each cell's quadratic
+    a = ac / 12.0
+    a *= d2
+    np.subtract(cells, a, out=a)
+    b = ar * dp
+    b += (0.5 * ac) * dsum
+    b += np.multiply(al, dm, out=al)
+    b /= dx
+    b *= 0.5 * dx
+    c = 2.0 * ac
+    c *= d2
+    c /= dx ** 2
+    c *= 0.125 * dx ** 2
 
-    w_minus = a[:-1] + 0.5 * dx * b[:-1] + 0.125 * dx ** 2 * c[:-1]
-    w_plus = a[1:] - 0.5 * dx * b[1:] + 0.125 * dx ** 2 * c[1:]
-    return w_minus, w_plus
+    out = np.empty((2, v.size + 1))
+    np.add(a[:-1], b[:-1], out=out[0])
+    out[0] += c[:-1]
+    np.subtract(a[1:], b[1:], out=out[1])
+    out[1] += c[1:]
+    return out
 
 
-def numerical_flux(u_minus: np.ndarray, u_plus: np.ndarray, w_minus: np.ndarray,
-                   w_plus: np.ndarray, model: FluxModel) -> np.ndarray:
+def numerical_flux(u: np.ndarray, w: np.ndarray, model: FluxModel) -> np.ndarray:
     """(f(u+) + f(u-))/2 - (a/2)(w+ - w-) with the local speed
-    a = max(f'(u-), f'(u+))."""
-    f_minus, d_minus = flux_and_deriv(u_minus, model)
-    f_plus, d_plus = flux_and_deriv(u_plus, model)
-    a = np.maximum(d_minus, d_plus)
-    return 0.5 * (f_plus + f_minus) - 0.5 * a * (w_plus - w_minus)
+    a = max(f'(u-), f'(u+)), from one flux evaluation of the block.
+
+    u and w are (2, interfaces) blocks whose rows are the minus and plus
+    interface values, as cweno_reconstruct returns them.
+    """
+    f, d = flux_and_deriv(u, model)
+    out = f[1] + f[0]
+    out *= 0.5
+    jump = np.maximum(d[0], d[1])
+    jump *= 0.5
+    jump *= w[1] - w[0]
+    out -= jump
+    return out
 
 
 def semidiscrete_rhs(wbar: np.ndarray, ctx: RunContext) -> np.ndarray:
     """-(H_{j+1/2} - H_{j-1/2})/dx + eps Q_j on the cell averages.
 
-    The Dirichlet values enter as one constant ghost cell per side before
+    The Dirichlet values fill two ghost cells per side for the
     reconstruction, so the outermost interfaces sit at the domain ends.
-    Interface w-values are converted to u-values by the order-4 solve on
-    the interface-point grid; the diffusion term uses cell-average u from
-    the tridiagonal half-grid solve, which reproduces the published
-    convergence behaviour of the scheme.
+    The interface w-values, minus and plus, are converted to u-values as
+    one two-column block by the order-4 solve on the interface-point grid;
+    its Field checks the interface values and their u for NaN/Inf.  The
+    diffusion term uses cell-average u from the tridiagonal half-grid
+    solve, which reproduces the published convergence behaviour of the
+    scheme.
     """
     grid, params, model = ctx.grid, ctx.params, ctx.model
     g, h = ctx.bc
     dx, c = grid.dx, params.disp
-    wm, wp = cweno_reconstruct(_padded(wbar, g, h), dx)
-    um = helmholtz_solve(Field(wm), wm[0], wm[-1], c, dx, order=4).values
-    up = helmholtz_solve(Field(wp), wp[0], wp[-1], c, dx, order=4).values
-    flux_h = numerical_flux(um, up, wm, wp, model)
-    out = -(flux_h[1:] - flux_h[:-1]) / dx
+    w = cweno_reconstruct(wbar, dx, ctx.bc)
+    u = helmholtz_solve(Field(w.T), w[:, 0], w[:, -1], c, dx, order=4).values.T
+    flux_h = numerical_flux(u, w, model)
+    out = flux_h[1:] - flux_h[:-1]
+    out /= -dx
     if params.epsilon != 0.0:
-        ubar = helmholtz_solve(Field(wbar, HALF_GRID), g, h, c, dx, order=2).values
-        out = out + params.epsilon * _d2_order4(ubar, dx)
+        q = _d2_order4(_solve_unknowns(wbar.copy(), HALF_GRID, g, h, c, dx), dx)
+        q *= params.epsilon
+        out += q
     return out
 
 
 def rk4_step(wbar: np.ndarray, dt: float, ctx: RunContext) -> np.ndarray:
+    """One classical RK4 step of the cell averages; NaN/Inf in the new
+    averages is a NumericalError."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     k1 = semidiscrete_rhs(wbar, ctx)
     k2 = semidiscrete_rhs(wbar + 0.5 * dt * k1, ctx)
     k3 = semidiscrete_rhs(wbar + 0.5 * dt * k2, ctx)
     k4 = semidiscrete_rhs(wbar + dt * k3, ctx)
-    return wbar + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = wbar + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(out).all():
+        raise NumericalError("new cell averages contain NaN/Inf values")
+    return out
 
 
 def _rk4_gain(r: float, kappa: float) -> float:

@@ -1,5 +1,20 @@
 """The run context and the snapshot-landing time loop shared by both
-marching schemes."""
+marching schemes.
+
+Every landed field must lie in the saturation range widened by its own
+width on each side, [-1, 2].  The saturation u lives in [0, 1], and so do
+the boundary data and starting states of a run.  The equation gives u no
+maximum principle: the dispersive term makes fronts overshoot and plateaus
+rise above the inflow value, and a scheme near its stability limit adds a
+few tenths more.  Outside [0, 1], though, the clamped flux is flat, and
+what remains there is the linear u_t = eps u_xx + eps^2 tau u_xxt, which
+only dissipates (its energy |u|^2 + eps^2 tau |u_x|^2 decays at the rate
+2 eps |u_x|^2).  So an excursion outside [0, 1] is fed only by overshoot
+of the transport inside, which in a stable run stays a fraction of the
+jumps in the data, themselves at most 1.  A value more than one full range
+outside [0, 1] is no overshoot but a scheme that diverged while staying
+finite, and it is a NumericalError.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,6 +25,11 @@ import numpy as np
 from .errors import NumericalError
 from .flux import FluxModel
 from .operators import Field, GridSpec, MBLParams
+
+# the centre of the saturation range [0, 1] and the largest distance from
+# it that a landed value may have: one range width beyond each end
+_RANGE_CENTRE = 0.5
+_RANGE_REACH = 1.5
 
 
 @dataclass(frozen=True)
@@ -58,13 +78,20 @@ def land_snapshots(advance: Callable[[tuple, float], tuple],
     field of a run that ends at s, whatever else the run lands on.  The
     result holds one read(state, time) per snapshot time plus the final
     state, last; read builds a Field stamped with the requested time
-    exactly.
+    exactly.  A landed field with a value outside [-1, 2] (see the module
+    docstring) is a NumericalError.
     """
     out: list[Field] = []
     for target in landing_targets(state[0], t_final, snapshot_times):
         while target - state[0] >= dt_nom - 1e-12:
             state = advance(state, dt_nom)
         remaining = target - state[0]
-        out.append(read(advance(state, remaining) if remaining > 1e-12 else state,
-                        target))
+        field = read(advance(state, remaining) if remaining > 1e-12 else state,
+                     target)
+        reach = float(np.abs(field.values - _RANGE_CENTRE).max())
+        if not reach <= _RANGE_REACH:
+            raise NumericalError(
+                f"field at t = {target:g} leaves [-1, 2] (|u - 1/2| reaches "
+                f"{reach:.6g}): the scheme diverged")
+        out.append(field)
     return out

@@ -98,7 +98,9 @@ class MBLParams:
 
 @dataclass
 class Field:
-    """Values on one phase of the staggered grid at a given time."""
+    """Values on one phase of the staggered grid at a given time, shaped
+    (points,) or, for a block of columns solved together, (points, runs).
+    Building one checks every value for NaN/Inf."""
 
     values: np.ndarray
     phase: str = INTEGER_GRID
@@ -136,13 +138,22 @@ _LEFT_IN = np.array([11.0, -20.0, 6.0, 4.0, -1.0]) / 12.0
 
 
 def _d2_order4(v: np.ndarray, dx: float) -> np.ndarray:
-    """Five-point fourth-order second derivative with one-sided closures."""
+    """Five-point fourth-order second derivative with one-sided closures.
+
+    The interior rows are (((-a + 16 b) - 30 c) + 16 d) - e over 12 dx^2,
+    formed in place in that rounding order (16 b - a is -a + 16 b exactly).
+    """
     n = v.size
     if n < 5:
         raise ValueError("need at least 5 values for the 5-point stencil")
     out = np.empty(n)
-    out[2:-2] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2]
-                 + 16.0 * v[3:-1] - v[4:]) / (12.0 * dx ** 2)
+    inner = np.multiply(v[1:-3], 16.0, out=out[2:-2])
+    inner -= v[:-4]
+    term = np.multiply(v[2:-2], 30.0)
+    inner -= term
+    inner += np.multiply(v[3:-1], 16.0, out=term)
+    inner -= v[4:]
+    inner /= 12.0 * dx ** 2
     out[0] = _LEFT_EDGE @ v[:5] / dx ** 2
     out[1] = _LEFT_IN @ v[:5] / dx ** 2
     out[-1] = _LEFT_EDGE @ v[-5:][::-1] / dx ** 2
@@ -273,20 +284,26 @@ def _solve_unknowns(rhs: np.ndarray, phase: str, bc_left, bc_right,
     return out
 
 
-def helmholtz_solve(w: Field, bc_left: float, bc_right: float, c: float,
-                    dx: float, order: int = 2) -> Field:
+def helmholtz_solve(w: Field, bc_left, bc_right, c: float, dx: float,
+                    order: int = 2) -> Field:
     """Solve (I - c D^2) u = w under Dirichlet data.
 
     Node-centered fields pin the endpoints to the boundary values; half-grid
     fields use reflected ghosts so the boundary value is interpolated at the
-    physical endpoint.
+    physical endpoint.  A (points, runs) block takes one boundary value per
+    column (or one for all) and solves every column in one LAPACK call, each
+    byte for byte as alone; its solution is built in Fortran order, the
+    layout LAPACK reads and writes, so no column is copied strided.
     """
     v = w.values
     if w.phase == INTEGER_GRID:
-        out = _solve_unknowns(v[1:-1].copy(), w.phase, bc_left, bc_right, c, dx, order)
-        out = np.concatenate([[bc_left], out, [bc_right]])
+        out = np.empty(v.shape, order="F")
+        out[0], out[-1] = bc_left, bc_right
+        out[1:-1] = _solve_unknowns(v[1:-1].copy(order="F"), w.phase, bc_left,
+                                    bc_right, c, dx, order)
     else:
-        out = _solve_unknowns(v.copy(), w.phase, bc_left, bc_right, c, dx, order)
+        out = _solve_unknowns(v.copy(order="F"), w.phase, bc_left, bc_right, c, dx,
+                              order)
     return Field(out, phase=w.phase, time=w.time)
 
 

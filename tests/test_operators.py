@@ -18,6 +18,7 @@ from mblab.operators import (
     _bands,
     _d2_order2,
     _factored_solve,
+    _solve_unknowns,
     helmholtz_apply,
     helmholtz_solve,
     weighted_h1_norm,
@@ -225,6 +226,34 @@ def test_solve_matches_frozen_values(phase, order):
     assert np.array_equal(out.values, _FROZEN[phase, order])
     if order == 2:
         assert np.allclose(out.values, _LU_ANCHOR[phase], rtol=0, atol=2.5e-16)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("phase", [INTEGER_GRID, HALF_GRID])
+def test_solve_of_a_block_is_its_column_solves(phase, order):
+    # a (points, 2) block with one boundary value per column solves in one
+    # LAPACK call, each column byte for byte as alone, in either layout
+    rng = np.random.default_rng(order)
+    cols = rng.uniform(0.0, 1.0, (2, 41))
+    left, right = np.array([0.2, 0.9]), np.array([0.05, 0.6])
+    c, dx = MBLParams(epsilon=0.3, tau=2.0).disp, 0.025
+    alone = [helmholtz_solve(Field(cols[j], phase, 0.5), left[j], right[j], c, dx,
+                             order=order) for j in range(2)]
+    for block in (cols.T, np.ascontiguousarray(cols.T)):
+        out = helmholtz_solve(Field(block, phase, 0.5), left, right, c, dx,
+                              order=order)
+        assert (out.phase, out.time, out.values.shape) == (phase, 0.5, (41, 2))
+        for j in range(2):
+            assert out.values[:, j].tobytes() == alone[j].values.tobytes()
+    # a 1-D call returns what the column-only solve returned: the unknowns
+    # solved in place, the pinned ends put back on the node grid
+    v = cols[0]
+    unknowns = v[1:-1] if phase == INTEGER_GRID else v
+    want = _solve_unknowns(unknowns.copy(), phase, 0.2, 0.05, c, dx, order)
+    if phase == INTEGER_GRID:
+        want = np.concatenate([[0.2], want, [0.05]])
+    assert alone[0].values.shape == v.shape
+    assert alone[0].values.tobytes() == want.tobytes()
 
 
 def test_solve_rejects_fields_too_short_for_the_closures():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mblab import cweno, staggered
+from mblab import cli, cweno, staggered
 from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
 from mblab.flux import FluxModel, classical_bl_profile, flux, flux_deriv
@@ -170,6 +170,40 @@ def test_midpoint_state_with_growing_linear_modes_is_rejected(lam, stable):
     else:
         with pytest.raises(NumericalError, match="midpoint"):
             run_manifest(m)
+
+
+def _edge_of_stability(scheme, lam, t_final):
+    return desk_manifest(scheme=scheme, tau=0.0, u_B=0.9, epsilon=0.02, dx=0.002,
+                         lam=lam, t_final=t_final)
+
+
+@pytest.mark.parametrize("lam, overshoot", [(0.085, 0.0), (0.086, 0.1081)])
+def test_midpoint_runs_at_its_guard_edge_stay_in_range(lam, overshoot):
+    # both pass the midpoint guard; r = 0.86 overshoots u_B by 0.108 and
+    # undershoots to -0.046, still inside [-1, 2]
+    u = run_manifest(_edge_of_stability("midpoint", lam, 0.2))[-1].values
+    assert u.max() - 0.9 == pytest.approx(overshoot, abs=1e-4)
+    assert -1.0 < u.min() and u.max() < 2.0
+
+
+@pytest.mark.parametrize("scheme, lam, t_final", [("midpoint", 0.087, 0.2),
+                                                  ("third_order", 0.052, 0.1)])
+def test_a_diverged_run_that_stays_finite_is_a_numerical_error(scheme, lam, t_final):
+    # each passes its scheme's up-front guard, then grows while finite: the
+    # midpoint run to max u ~ 1.07e12, the third-order one (r = 0.52, an
+    # RK4 instability of the convective part) to |u - 1/2| ~ 174
+    with pytest.raises(NumericalError, match=r"leaves \[-1, 2\]"):
+        run_manifest(_edge_of_stability(scheme, lam, t_final))
+
+
+def test_cli_diverged_run_exit_code(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(_edge_of_stability("midpoint", 0.087, 0.2)
+                    .model_dump_json(by_alias=True))
+    rc = cli.main(["riemann", "--manifest", str(path),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("u_B", [0.9, 0.75])

@@ -1,11 +1,13 @@
 """Central WENO reconstruction and the semidiscrete third-order scheme."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mblab import cweno
+from mblab import cli, cweno
 from mblab.cweno import (
     cweno_reconstruct,
     numerical_flux,
@@ -16,7 +18,7 @@ from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
 from mblab.flux import FluxModel, flux
 from mblab.march import RunContext
-from mblab.operators import GridSpec, MBLParams, _d2_order4
+from mblab.operators import INTEGER_GRID, GridSpec, MBLParams, _d2_order4
 
 MODEL = FluxModel(2.0)
 
@@ -28,8 +30,14 @@ def _quadratic_cell_averages():
     return np.diff(anti) / 0.1
 
 
+def _inner_interfaces(wbar, dx):
+    """The interfaces between the cells of wbar, with its edge averages as
+    the ghost values."""
+    return cweno_reconstruct(wbar, dx, (wbar[0], wbar[-1]))[:, 1:-1]
+
+
 def test_reconstruct_quadratic_interfaces():
-    w_minus, w_plus = cweno_reconstruct(_quadratic_cell_averages(), 0.1)
+    w_minus, w_plus = _inner_interfaces(_quadratic_cell_averages(), 0.1)
     assert w_minus == pytest.approx(
         [1.1100000000307042, 1.5153107283783902, 1.8663600398037543,
          2.2770424587759588, 2.747516303785591, 3.2778624149685154],
@@ -41,7 +49,7 @@ def test_reconstruct_quadratic_interfaces():
 
 
 def test_reconstruct_constant_data():
-    w_minus, w_plus = cweno_reconstruct(np.full(9, 0.6), 0.05)
+    w_minus, w_plus = _inner_interfaces(np.full(9, 0.6), 0.05)
     assert np.allclose(w_minus, 0.6, rtol=0, atol=1e-15)
     assert np.allclose(w_plus, 0.6, rtol=0, atol=1e-15)
 
@@ -49,33 +57,34 @@ def test_reconstruct_constant_data():
 def test_reconstruct_scale_invariance():
     x = np.linspace(0.0, 2.0, 30)
     wbar = 2.0 + np.sin(2.0 * x)
-    a_minus, a_plus = cweno_reconstruct(wbar, x[1] - x[0])
-    b_minus, b_plus = cweno_reconstruct(10.0 * wbar, x[1] - x[0])
+    a_minus, a_plus = _inner_interfaces(wbar, x[1] - x[0])
+    b_minus, b_plus = _inner_interfaces(10.0 * wbar, x[1] - x[0])
     assert np.allclose(b_minus, 10.0 * a_minus, rtol=1e-5)
     assert np.allclose(b_plus, 10.0 * a_plus, rtol=1e-5)
 
 
 def test_reconstruct_needs_five_cells():
     with pytest.raises(ValueError):
-        cweno_reconstruct(np.ones(4), 0.1)
+        cweno_reconstruct(np.ones(4), 0.1, (1.0, 1.0))
 
 
 def test_numerical_flux_hand_value():
-    lo, hi = np.array([0.3]), np.array([0.6])
-    h = numerical_flux(lo, hi, lo, hi, MODEL)
+    # rows of a block are the minus and plus interface values
+    block = np.array([[0.3], [0.6]])
+    h = numerical_flux(block, block, MODEL)
     assert h[0] == pytest.approx(-0.0046567280018108836, rel=1e-13)
     # the local speed max(f'(0.3), f'(0.6)), read back from the jump term
     a = (0.5 * (flux(0.3, MODEL) + flux(0.6, MODEL)) - h[0]) / (0.5 * 0.3)
     assert a == pytest.approx(2.0761245674740478, rel=1e-13)
     # symmetric in the two states
-    swapped = numerical_flux(hi, lo, lo, hi, MODEL)
+    swapped = numerical_flux(block[::-1], block, MODEL)
     assert swapped[0] == h[0]
 
 
 def test_numerical_flux_consistency():
     for u in (0.0, 0.25, 0.7, 1.0):
-        h = numerical_flux(np.array([u]), np.array([u]),
-                           np.array([u]), np.array([u]), MODEL)
+        block = np.full((2, 1), u)
+        h = numerical_flux(block, block, MODEL)
         assert h[0] == pytest.approx(flux(u, MODEL), abs=1e-15)
 
 
@@ -170,6 +179,75 @@ def test_rk4_step_changes_the_mass_by_the_boundary_fluxes(epsilon, g, h, interio
     change = ctx.grid.dx * (w1.sum() - wbar.sum())
     assert change == pytest.approx(dt * (flux(g, MODEL) - flux(h, MODEL)),
                                    rel=0, abs=1e-12)
+
+
+def test_rk4_step_makes_one_block_solve_and_one_flux_call_per_stage(monkeypatch):
+    # the minus and plus interface values travel as one two-column block:
+    # a refactor that splits it again doubles these counts
+    solves, fluxes = [], []
+    solve, flux_and_deriv = cweno.helmholtz_solve, cweno.flux_and_deriv
+
+    def counting_solve(w, *args, **kwargs):
+        solves.append((w.phase, kwargs.get("order"), w.values.shape))
+        return solve(w, *args, **kwargs)
+
+    def counting_flux(u, model):
+        fluxes.append(u.shape)
+        return flux_and_deriv(u, model)
+
+    monkeypatch.setattr(cweno, "helmholtz_solve", counting_solve)
+    monkeypatch.setattr(cweno, "flux_and_deriv", counting_flux)
+    ctx = _ctx(epsilon=0.02)
+    xc = (np.arange(20) + 0.5) * 0.1
+    rk4_step(0.4 * (1.0 - np.tanh((xc - 0.9) / 0.15)), 0.01, ctx)
+    assert solves == [(INTEGER_GRID, 4, (21, 2))] * 4
+    assert fluxes == [(2, 21)] * 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rhs_of_non_finite_averages_is_a_numerical_error(bad):
+    ctx = _ctx(epsilon=0.02)
+    wbar = np.full(20, 0.3)
+    wbar[7] = bad
+    # an Inf meets inf - inf in the smoothness indicators, which numpy
+    # would report as a warning before the check under test is reached
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="NaN/Inf"):
+        semidiscrete_rhs(wbar, ctx)
+
+
+def _poison_the_second_step(monkeypatch):
+    """Make the fourth stage of the second RK4 step return an Inf."""
+    calls = []
+    rhs = cweno.semidiscrete_rhs
+
+    def poisoned(wbar, ctx):
+        calls.append(None)
+        out = rhs(wbar, ctx)
+        if len(calls) == 8:
+            out[5] = math.inf
+        return out
+
+    monkeypatch.setattr(cweno, "semidiscrete_rhs", poisoned)
+    return calls
+
+
+def test_a_state_that_turns_non_finite_ends_the_run(monkeypatch):
+    calls = _poison_the_second_step(monkeypatch)
+    ctx = _ctx(epsilon=0.02)
+    with pytest.raises(NumericalError, match="cell averages contain NaN/Inf"):
+        cweno.run(np.full(20, 0.4), ctx, t_final=1.0)
+    assert len(calls) == 8  # caught at the end of the step that made it
+
+
+def test_cli_third_order_non_finite_state_exit_code(monkeypatch, tmp_path, capsys):
+    _poison_the_second_step(monkeypatch)
+    path = tmp_path / "manifest.json"
+    path.write_text(desk_manifest(scheme="third_order", L=0.3, L0=0.05, dx=0.005,
+                                  t_final=0.01).model_dump_json(by_alias=True))
+    rc = cli.main(["riemann", "--manifest", str(path),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_rhs_moves_a_front_downstream():
