@@ -212,9 +212,9 @@ def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
         t, wbar = state
         return t + dt, rk4_step(wbar, dt, ctx)
 
-    def read(state: tuple, time: float) -> Field:
-        return helmholtz_solve(Field(state[1], HALF_GRID, time), *ctx.bc,
-                               params.disp, grid.dx, order=4)
+    def read(state: tuple, time: float) -> list[Field]:
+        return [helmholtz_solve(Field(state[1], HALF_GRID, time), *ctx.bc,
+                                params.disp, grid.dx, order=4)]
 
-    return land_snapshots(advance, read, (0.0, wbar0), t_final, snapshot_times,
-                          grid.lam * grid.dx)
+    return [f for f, in land_snapshots(advance, read, (0.0, wbar0), t_final,
+                                       snapshot_times, grid.lam * grid.dx)]

@@ -4,12 +4,14 @@ classification, bifurcation/domain/epsilon sweeps, and file export.
 A RunManifest pins every knob of one run (scheme, model and grid
 parameters, initial-condition kind, snapshot times); runs are fully
 deterministic, so repeated executions of one manifest are bit-identical.
-Results are memoized per process, per manifest and per landed time, so a
-domain study runs each domain once.
+Results are memoized per process, per manifest and per landed time.
+Staggered-scheme manifests that differ only in u_B, tau and L march
+together as one batch (staggered.Batch), each run byte for byte as alone:
+a domain study marches all its domains, and a bifurcation sweep all its
+pairs, in one march.
 """
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import warnings
@@ -162,12 +164,12 @@ def _bc_for(u_B) -> tuple:
     return (u_B, 0.0)
 
 
-def _initial_nodes(manifest: RunManifest, grid: GridSpec, u_B) -> np.ndarray:
-    """Node values at t = 0; an array of inflow values gives one column each."""
-    x = grid.nodes() if np.ndim(u_B) == 0 else grid.nodes()[:, None]
+def _initial_nodes(manifest: RunManifest, grid: GridSpec) -> np.ndarray:
+    """Node values at t = 0."""
+    x = grid.nodes()
     if manifest.ic_kind == "riemann":
-        return np.where(x <= manifest.L0 + 1e-12, u_B, 0.0)
-    return smooth_ramp_ic(x, u_B)
+        return np.where(x <= manifest.L0 + 1e-12, manifest.u_B, 0.0)
+    return smooth_ramp_ic(x, manifest.u_B)
 
 
 def _initial_cell_w(manifest: RunManifest, grid: GridSpec,
@@ -188,31 +190,47 @@ def _initial_cell_w(manifest: RunManifest, grid: GridSpec,
     return ubar - params.disp * _d2_order4(ubar, grid.dx)
 
 
-def run_manifest(manifest: RunManifest,
-                 inflows: Optional[Sequence[float]] = None) -> list[Field]:
+def _context(manifest: RunManifest) -> RunContext:
+    return RunContext(grid=_grid_for(manifest),
+                      params=MBLParams(manifest.epsilon, manifest.tau),
+                      model=FluxModel(manifest.M), bc=_bc_for(manifest.u_B))
+
+
+# the fields in which the manifests of one staggered batch may differ
+_BATCH_FREE = {"u_B", "tau", "L"}
+
+
+def run_manifest(manifest: RunManifest | Sequence[RunManifest]) -> list:
     """Run to t_final, returning one Field per requested snapshot time plus
     the final state (staggered schemes: node values; third_order: cell
     averages of u).
 
-    inflows, values in [0, 1], march one staggered run per value in place
-    of manifest.u_B as one (points, len(inflows)) block; column j of each
-    field is then byte for byte the run of manifest.derive(u_B=inflows[j]).
+    A list of staggered-scheme manifests that differ only in u_B, tau and L
+    marches as one batch and returns one such list of fields per manifest,
+    each byte for byte that manifest's own run.  A NumericalError in any
+    run fails the batch.
     """
-    u_B = manifest.u_B
-    if inflows is not None:
-        if manifest.scheme == "third_order":
-            raise ValueError("only the staggered schemes march a block of inflows")
-        u_B = np.array(inflows, dtype=float)
-        if not (u_B.size and np.all((u_B >= 0.0) & (u_B <= 1.0))):
-            raise ValueError("inflows must be values in [0, 1]")
-    ctx = RunContext(grid=_grid_for(manifest),
-                     params=MBLParams(manifest.epsilon, manifest.tau),
-                     model=FluxModel(manifest.M), bc=_bc_for(u_B))
-    if manifest.scheme == "third_order":
+    if isinstance(manifest, RunManifest):
+        if manifest.scheme != "third_order":
+            return _march([manifest])[0]
+        ctx = _context(manifest)
         return cweno.run(_initial_cell_w(manifest, ctx.grid, ctx.params), ctx,
                          manifest.t_final, manifest.snapshot_times)
-    return staggered.run(_initial_nodes(manifest, ctx.grid, u_B), ctx,
-                         manifest.scheme, manifest.t_final, manifest.snapshot_times)
+    batch = list(manifest)
+    if not batch or any(m.scheme == "third_order" for m in batch):
+        raise ValueError("a batch holds one or more staggered-scheme manifests")
+    shared = batch[0].model_dump(exclude=_BATCH_FREE)
+    if any(m.model_dump(exclude=_BATCH_FREE) != shared for m in batch):
+        raise ValueError("the manifests of a batch may differ only in "
+                         f"{sorted(_BATCH_FREE)}")
+    return _march(batch)
+
+
+def _march(batch: list[RunManifest]) -> list[list[Field]]:
+    ctxs = [_context(m) for m in batch]
+    head = batch[0]
+    return staggered.run([_initial_nodes(m, ctx.grid) for m, ctx in zip(batch, ctxs)],
+                         ctxs, head.scheme, head.t_final, head.snapshot_times)
 
 
 _RUN_CACHE: dict[str, list[Field]] = {}
@@ -230,13 +248,17 @@ def run_cached(manifest: RunManifest) -> list[Field]:
     """
     key = manifest.model_dump_json(by_alias=True)
     if key not in _RUN_CACHE:
-        trajectory = _trajectory(manifest)
-        targets = landing_targets(0.0, manifest.t_final, manifest.snapshot_times)
-        fields = [_LANDED.get((trajectory, s)) for s in targets]
-        if any(f is None for f in fields):
-            fields = run_manifest(manifest)
-        _remember(manifest, fields)
+        _remember(manifest, _landed(manifest) or run_manifest(manifest))
     return _RUN_CACHE[key]
+
+
+def _landed(manifest: RunManifest) -> Optional[list[Field]]:
+    """The fields of manifest from the landed-time index, or None when one
+    of its times has not been landed."""
+    trajectory = _trajectory(manifest)
+    targets = landing_targets(0.0, manifest.t_final, manifest.snapshot_times)
+    fields = [_LANDED.get((trajectory, s)) for s in targets]
+    return None if any(f is None for f in fields) else fields
 
 
 def _trajectory(manifest: RunManifest) -> str:
@@ -256,30 +278,40 @@ def _remember(manifest: RunManifest, fields: list[Field]) -> None:
     _RUN_CACHE[manifest.model_dump_json(by_alias=True)] = fields
 
 
-def _run_inflow_blocks(manifests: list[RunManifest]) -> None:
-    """Cache the runs of staggered-scheme manifests that differ only in
-    u_B, marching each such group once as a block of columns.
+def _run_batch(manifests: Sequence[RunManifest]) -> dict[str, NumericalError]:
+    """Run and cache every manifest that run_cached would run, each once.
 
-    Each cached field is a contiguous copy of its column.  A group whose
-    block march fails (a CFL violation in one column fails the block) is
-    left to run one manifest at a time, so each gets its own result or
-    error; lone manifests and third_order are left too.
+    Staggered-scheme manifests that differ only in u_B, tau and L march as
+    one batch; a batch that fails with a NumericalError, a lone manifest
+    and a third_order one run alone.  A NumericalError of a manifest's own
+    run is returned under its cache key, and that manifest stays uncached;
+    any other error propagates.
     """
-    groups: dict[str, dict[float, RunManifest]] = {}
+    groups: dict[str, dict[str, RunManifest]] = {}
     for m in manifests:
-        if (m.scheme != "third_order"
-                and m.model_dump_json(by_alias=True) not in _RUN_CACHE):
-            groups.setdefault(m.model_dump_json(by_alias=True, exclude={"u_B"}),
-                              {})[m.u_B] = m
+        key = m.model_dump_json(by_alias=True)
+        if key not in _RUN_CACHE and _landed(m) is None:
+            shared = (key if m.scheme == "third_order" else
+                      m.model_dump_json(by_alias=True, exclude=_BATCH_FREE))
+            groups.setdefault(shared, {})[key] = m
+    failed = {}
     for group in groups.values():
-        if len(group) < 2:
-            continue
         members = list(group.values())
-        with contextlib.suppress(Exception):  # the members' own runs report it
-            blocks = run_manifest(members[0], list(group))
-            for j, m in enumerate(members):
-                _remember(m, [Field(np.ascontiguousarray(b.values[:, j]), b.phase,
-                                    b.time) for b in blocks])
+        if len(members) > 1:
+            try:
+                runs = run_manifest(members)
+            except NumericalError:  # the members' own runs report it
+                pass
+            else:
+                for m, fields in zip(members, runs):
+                    _remember(m, fields)
+                continue
+        for key, m in group.items():
+            try:
+                _remember(m, run_manifest(m))
+            except NumericalError as exc:
+                failed[key] = exc
+    return failed
 
 
 # --- order tables -----------------------------------------------------------
@@ -443,9 +475,9 @@ def bifurcation_sweep(pairs=None, base: Optional[RunManifest] = None) -> list[di
     """Run and classify each (tau, u_B); failures are recorded per entry and
     the sweep continues.  Entries come back sorted by (tau, u_B).
 
-    Every pair is derived and validated before any run.  The staggered
-    runs of one tau then march together, one column per u_B; a group whose
-    march fails runs pair by pair.
+    Every pair is derived, and its grid and times validated, before any
+    run.  The staggered runs of all pairs then march as one batch; if the
+    batch fails, each pair runs alone.
     """
     pairs = list(DEFAULT_SWEEP_PAIRS if pairs is None else pairs)
     if not pairs:
@@ -458,13 +490,19 @@ def bifurcation_sweep(pairs=None, base: Optional[RunManifest] = None) -> list[di
     for tau, u_B in pairs:
         entry = {"tau": tau, "u_B": u_B, "report": None, "error": None}
         try:
-            derived.append((entry, base.derive(tau=tau, u_B=u_B)))
+            m = base.derive(tau=tau, u_B=u_B)
+            _grid_for(m)
+            landing_targets(0.0, m.t_final, m.snapshot_times)
+            derived.append((entry, m))
         except Exception as exc:  # per-run isolation
             entry["error"] = f"{type(exc).__name__}: {exc}"
         entries.append(entry)
-    _run_inflow_blocks([m for _, m in derived])
+    failed = _run_batch([m for _, m in derived])
     for entry, m in derived:
+        error = failed.get(m.model_dump_json(by_alias=True))
         try:
+            if error is not None:
+                raise error
             entry["report"] = classify_profile(run_cached(m)[-1], m, model)
         except Exception as exc:  # per-run isolation
             entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -478,11 +516,11 @@ def domain_study(base: RunManifest, L_values: list[float],
     closed-form bound, the domain-sizing verdict, and the classification
     of the truncated run.
 
-    Each domain runs once, landing on every requested time; its fields
-    serve the per-entry runs through run_cached.  A NumericalError is
-    recorded per entry under "error", with the norms and bound set to
-    None, and the study continues; an entry whose domain run failed falls
-    back to its own run.
+    The domains march as one batch, landing on every requested time; their
+    fields serve the per-entry runs through run_cached.  A NumericalError
+    is recorded per entry under "error", with the norms and bound set to
+    None, and the study continues; if the batch fails, each domain runs
+    alone, and an entry whose domain run failed falls back to its own run.
     """
     if not L_values:
         raise ValueError("L_values must not be empty")
@@ -497,9 +535,9 @@ def domain_study(base: RunManifest, L_values: list[float],
                      for t in times for L in L_values}
         for L in L_values[:-1]:  # an undefined bound fails before any run
             _truncation_params(base, L).scale
-        for L in L_values:  # on a NumericalError the entries run on their own
-            with contextlib.suppress(NumericalError):
-                run_cached(base.derive(L=L, t_final=max(times), snapshot_times=times))
+        # a domain whose run fails leaves its entries to their own runs
+        _run_batch([base.derive(L=L, t_final=max(times), snapshot_times=times)
+                    for L in L_values])
     entries = []
     for t in times:
         for L in L_values:

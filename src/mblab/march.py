@@ -35,8 +35,7 @@ _RANGE_REACH = 1.5
 @dataclass(frozen=True)
 class RunContext:
     """The fixed data of one run: grid, model parameters, flux and the
-    constant Dirichlet pair bc = (g, h).  A block of staggered runs that
-    differ only in their inflow value carries one g per run, as an array.
+    constant Dirichlet pair bc = (g, h).
 
     A NaN/Inf boundary value is a NumericalError, checked once here: inside
     a step, minmod and the clamped flux could turn it finite.
@@ -65,9 +64,9 @@ def landing_targets(t0: float, t_final: float,
 
 
 def land_snapshots(advance: Callable[[tuple, float], tuple],
-                   read: Callable[[tuple, float], Field], state: tuple,
+                   read: Callable[[tuple, float], list[Field]], state: tuple,
                    t_final: float, snapshot_times: Sequence[float],
-                   dt_nom: float) -> list[Field]:
+                   dt_nom: float) -> list[list[Field]]:
     """March state by nominal steps dt_nom and land on each requested time
     (to 1e-12) with one shorter step on a fork of the state.
 
@@ -77,21 +76,21 @@ def land_snapshots(advance: Callable[[tuple, float], tuple],
     goes on from the unforked state, so the field at time s is the final
     field of a run that ends at s, whatever else the run lands on.  The
     result holds one read(state, time) per snapshot time plus the final
-    state, last; read builds a Field stamped with the requested time
-    exactly.  A landed field with a value outside [-1, 2] (see the module
-    docstring) is a NumericalError.
+    state, last; read builds one Field per run the state holds, stamped
+    with the requested time exactly.  A landed field with a value outside
+    [-1, 2] (see the module docstring) is a NumericalError.
     """
-    out: list[Field] = []
+    out: list[list[Field]] = []
     for target in landing_targets(state[0], t_final, snapshot_times):
         while target - state[0] >= dt_nom - 1e-12:
             state = advance(state, dt_nom)
         remaining = target - state[0]
-        field = read(advance(state, remaining) if remaining > 1e-12 else state,
-                     target)
-        reach = float(np.abs(field.values - _RANGE_CENTRE).max())
+        fields = read(advance(state, remaining) if remaining > 1e-12 else state,
+                      target)
+        reach = max(float(np.abs(f.values - _RANGE_CENTRE).max()) for f in fields)
         if not reach <= _RANGE_REACH:
             raise NumericalError(
                 f"field at t = {target:g} leaves [-1, 2] (|u - 1/2| reaches "
                 f"{reach:.6g}): the scheme diverged")
-        out.append(field)
+        out.append(fields)
     return out

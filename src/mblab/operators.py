@@ -114,18 +114,11 @@ class Field:
             raise NumericalError("field contains NaN/Inf values")
 
 
-def _padded(v: np.ndarray, left, right) -> np.ndarray:
-    """v with one constant ghost row at each end of its first (points)
-    axis; a block's ghosts may hold one value per column."""
-    out = np.empty((len(v) + 2,) + v.shape[1:])
-    out[0], out[1:-1], out[-1] = left, v, right
-    return out
-
-
-def _d2_order2(ext: np.ndarray, dx: float) -> np.ndarray:
+def _d2_order2(ext: np.ndarray, dx: float, out: np.ndarray = None) -> np.ndarray:
     """Three-point second difference at the inner points of ext, whose first
-    and last values are the ghosts: ((a - 2 b) + c) / dx^2, in place."""
-    out = np.multiply(ext[1:-1], 2.0)
+    and last values are the ghosts: ((a - 2 b) + c) / dx^2, formed in out
+    (a new array by default)."""
+    out = np.multiply(ext[1:-1], 2.0, out=out)
     np.subtract(ext[:-2], out, out=out)
     out += ext[2:]
     out /= dx ** 2
@@ -161,18 +154,23 @@ def _d2_order4(v: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def helmholtz_apply(ext: np.ndarray, c: float, dx: float, order: int = 2) -> np.ndarray:
+def helmholtz_apply(ext: np.ndarray, c, dx: float, order: int = 2,
+                    out: np.ndarray = None) -> np.ndarray:
     """w = u - c D^2 u at the inner points of ext, whose first and last values
     are the boundary values (nodes) or the ghosts (half cells), as for
-    _d2_order2; order 4 takes the one-sided closures next to them."""
+    _d2_order2; order 4 takes the one-sided closures next to them.
+
+    c is one coefficient or one per inner point; w is formed in out (a new
+    array by default).
+    """
     if order == 2:
-        d2 = _d2_order2(ext, dx)
+        d2 = _d2_order2(ext, dx, out)
     elif order == 4:
         d2 = _d2_order4(ext, dx)[1:-1]
     else:
         raise ValueError(f"order must be 2 or 4, got {order}")
     d2 *= c
-    return np.subtract(ext[1:-1], d2, out=d2)
+    return np.subtract(ext[1:-1], d2, out=d2 if out is None else out)
 
 
 # Band tables of (I - c D^2) u = w.  An interior row is the identity plus
@@ -254,6 +252,31 @@ def _factored_solve(m: int, phase: str, order: int, ct: float) -> functools.part
     for a in factors:
         a.setflags(write=False)
     return solve
+
+
+def _segmented_factors(phase: str, blocks: tuple, gap: int) -> tuple:
+    """LDL^T factors (d, e) of a block-diagonal order-2 matrix: one block
+    per (m, ct) in blocks, the m-unknown matrix of phase (the identity for
+    ct None), with gap identity rows between consecutive blocks.
+
+    Each block's factors are its own (_factored_solve); every coupling to an
+    identity row is 0, so dpttrs solves each block's rows as it would alone,
+    up to the sign of a zero next to an identity row, which is exact when
+    that row holds +0.
+    """
+    ds, es = [], []
+    for k, (m, ct) in enumerate(blocks):
+        if k:
+            ds.append(np.ones(gap))
+            es.append(np.zeros(gap + 1))
+        if ct is None:
+            ds.append(np.ones(m))
+            es.append(np.zeros(m - 1))
+        else:
+            d, e = _factored_solve(m, phase, 2, ct).args
+            ds.append(d)
+            es.append(e)
+    return np.concatenate(ds), np.concatenate(es)
 
 
 def _solve_unknowns(rhs: np.ndarray, phase: str, bc_left, bc_right,

@@ -22,6 +22,7 @@ from mblab import bounds, cli, experiments
 from mblab.bounds import compare_domains
 from mblab.errors import ManifestError, NumericalError
 from mblab.experiments import (
+    RunManifest,
     bifurcation_sweep,
     classify_profile,
     desk_manifest,
@@ -310,23 +311,22 @@ def test_bifurcation_sweep_isolates_failures(monkeypatch):
     ok, bad = entries
     assert ok["error"] is None and ok["report"] is not None
     assert bad["report"] is None and "CFL" in bad["error"]
-    # u_B = 0.6 broke the CFL bound of the pairs' shared block; each pair
-    # then ran alone, and u_B = 0.2 got its solo result
+    # u_B = 0.6 broke the CFL bound of the pairs' shared batch; each pair
+    # then ran alone, once, and u_B = 0.2 got its solo result
     good, failing = base.derive(tau=0.2, u_B=0.2), base.derive(tau=0.2, u_B=0.6)
-    assert runs == [(failing, (0.6, 0.2)), failing, good]
+    assert runs == [(failing, good), failing, good]
     alone = run_manifest(good)[-1]
     assert ok["report"] == classify_profile(alone, good, MODEL)
     assert run_cached(good)[-1].values.tobytes() == alone.values.tobytes()
 
 
-def test_bifurcation_sweep_marches_the_pairs_of_one_tau_as_one_block(monkeypatch):
+def test_bifurcation_sweep_marches_all_its_pairs_as_one_batch(monkeypatch):
     runs = _fresh_caches(monkeypatch)
     base = _tiny(snapshot_times=[0.0043])  # off the step grid: a landed fork
     pairs = [(1.0, 0.75), (0.2, 0.6), (1.0, 0.9), (0.2, 0.3), (5.0, 0.9)]
     entries = bifurcation_sweep(pairs, base)
-    assert runs == [(base.derive(tau=1.0, u_B=0.75), (0.75, 0.9)),
-                    (base.derive(tau=0.2, u_B=0.6), (0.6, 0.3)),
-                    base.derive(tau=5.0, u_B=0.9)]  # a lone pair runs alone
+    # each pair marched once, in one batch, and every entry came from the cache
+    assert runs == [tuple(base.derive(tau=tau, u_B=u_B) for tau, u_B in pairs)]
     for entry in entries:
         m = base.derive(tau=entry["tau"], u_B=entry["u_B"])
         fields, alone = run_cached(m), run_manifest(m)
@@ -336,7 +336,7 @@ def test_bifurcation_sweep_marches_the_pairs_of_one_tau_as_one_block(monkeypatch
             assert f.values.flags.c_contiguous and not f.values.flags.writeable
             assert f.values.tobytes() == a.values.tobytes()
         assert entry["report"] == classify_profile(alone[-1], m, MODEL)
-    assert len(runs) == 3
+    assert len(runs) == 1
 
 
 def test_bifurcation_sweep_with_duplicate_pairs_or_a_third_order_base(monkeypatch):
@@ -351,8 +351,9 @@ def test_bifurcation_sweep_with_duplicate_pairs_or_a_third_order_base(monkeypatc
         if base.scheme == "third_order":  # every pair runs alone, once
             assert runs == [base.derive(tau=1.0, u_B=0.75),
                             base.derive(tau=1.0, u_B=0.9)]
-        else:  # the duplicate joins the block once
-            assert runs == [(base.derive(tau=1.0, u_B=0.75), (0.75, 0.9))]
+        else:  # the duplicate joins the batch once
+            assert runs == [(base.derive(tau=1.0, u_B=0.75),
+                             base.derive(tau=1.0, u_B=0.9))]
 
 
 def test_bifurcation_sweep_reports_a_failed_block_on_every_pair():
@@ -363,12 +364,61 @@ def test_bifurcation_sweep_reports_a_failed_block_on_every_pair():
         ["ValueError: snapshot times must lie in (t0, t_final]"] * 2
 
 
-def test_run_manifest_marches_inflows_of_a_staggered_scheme_only():
-    with pytest.raises(ValueError, match="staggered"):
-        run_manifest(_tiny(scheme="third_order"), [0.5, 0.6])
-    for inflows in ([], [0.5, 1.5], [0.5, math.nan]):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            run_manifest(_tiny(), inflows)
+def test_run_manifest_marches_a_batch_of_staggered_manifests_only():
+    for batch in ([], [_tiny(scheme="third_order")],
+                  [_tiny(), _tiny(scheme="third_order")]):
+        with pytest.raises(ValueError, match="staggered"):
+            run_manifest(batch)
+    for other in (_tiny(epsilon=0.02), _tiny(scheme="midpoint"), _tiny(L0=0.1),
+                  _tiny(t_final=0.02)):
+        with pytest.raises(ValueError, match="differ only"):
+            run_manifest([_tiny(), other])
+
+
+@pytest.mark.parametrize("scheme", ["trapezoid", "midpoint"])
+def test_a_mixed_batch_gives_each_manifest_its_own_run(scheme):
+    # different L, tau and u_B (tau = 0: an identity c-solve beside real
+    # ones), with a snapshot off the step grid that lands on a fork
+    base = _tiny(scheme=scheme, snapshot_times=[0.0043])
+    batch = [base, base.derive(L=0.2, tau=5.0, u_B=0.9),
+             base.derive(L=0.35, tau=0.2, u_B=0.3)]
+    if scheme == "trapezoid":
+        batch.append(base.derive(L=0.25, tau=0.0, u_B=0.5))
+    for m, fields in zip(batch, run_manifest(batch)):
+        alone = run_manifest(m)
+        assert [f.time for f in fields] == [f.time for f in alone] == [0.0043, 0.01]
+        for f, a in zip(fields, alone):
+            assert (f.phase, f.values.tobytes()) == (a.phase, a.values.tobytes())
+
+
+def test_a_non_numerical_error_in_a_batch_propagates(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("a bug in the batch march")
+
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(experiments.staggered, "run", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        bifurcation_sweep([(1.0, 0.75), (1.0, 0.9)], _tiny())
+    with pytest.raises(RuntimeError, match="bug"):
+        domain_study(_tiny(), [0.2, 0.3], [0.01])
+
+
+def test_a_midpoint_batch_over_the_gain_bound_fails_only_that_member(monkeypatch):
+    # r = eps lam / dx = 0.9: unstable at tau = 0, stable once tau damps it
+    runs = _fresh_caches(monkeypatch)
+    base = desk_manifest(scheme="midpoint", u_B=0.9, epsilon=0.02, dx=0.002,
+                         lam=0.09, t_final=0.01)
+    pairs = [(0.0, 0.9), (1.0, 0.9), (1.0, 0.75)]
+    entries = bifurcation_sweep(pairs, base)
+    unstable, *stable = [base.derive(tau=tau, u_B=u_B) for tau, u_B in pairs]
+    assert runs == [(unstable, *stable), unstable, *stable]  # each once alone
+    assert entries[0]["report"] is None
+    assert entries[0]["error"].startswith("NumericalError: midpoint scheme unstable")
+    for entry, m in zip(entries[1:], stable):
+        assert entry["error"] is None
+        alone = run_manifest(m)[-1]
+        assert run_cached(m)[-1].values.tobytes() == alone.values.tobytes()
+        assert entry["report"] == classify_profile(alone, m, MODEL)
 
 
 def test_empty_sweeps_are_validation_errors():
@@ -398,10 +448,10 @@ def _fresh_caches(monkeypatch) -> list:
     monkeypatch.setattr(experiments, "_LANDED", {})
     runs, real = [], experiments.run_manifest
 
-    def counted(manifest, inflows=None):
-        # a block run is recorded as (manifest, inflows)
-        runs.append(manifest if inflows is None else (manifest, tuple(inflows)))
-        return real(manifest, inflows)
+    def counted(manifest):
+        # a batch is recorded as the tuple of its manifests
+        runs.append(manifest if isinstance(manifest, RunManifest) else tuple(manifest))
+        return real(manifest)
 
     monkeypatch.setattr(experiments, "run_manifest", counted)
     return runs
@@ -411,9 +461,13 @@ def test_domain_study_runs_each_domain_once(monkeypatch):
     runs = _fresh_caches(monkeypatch)
     base, L_values, times = _tiny(), [0.2, 0.3], [0.0063, 0.01]  # 0.0063 is off-grid
     study = domain_study(base, L_values, times)
-    assert len(runs) == 2
+    # both domains marched once, in one batch, and every entry came from
+    # the cache
+    assert runs == [tuple(base.derive(L=L, t_final=0.01, snapshot_times=times)
+                          for L in L_values)]
     run_cached(_tiny(t_final=0.0063, L=0.2))
-    assert len(runs) == 2
+    domain_study(base, L_values, times[:1])  # every time already landed
+    assert len(runs) == 1
 
     # the same entries from one fresh run per (t, L)
     experiments._RUN_CACHE.clear()
@@ -428,7 +482,7 @@ def test_domain_study_runs_each_domain_once(monkeypatch):
             expected.append({"t": t, "L": L,
                              "classification": report.classification,
                              "sizing_ok": L > MODEL.D * t, **cmp})
-    assert len(runs) == 2 + 4
+    assert len(runs) == 1 + 4
     assert study["entries"] == expected
 
 
@@ -461,13 +515,15 @@ def test_domain_study_survives_a_failed_domain_run(monkeypatch):
     counted = experiments.run_manifest
 
     def domain_run_fails(manifest):
-        if manifest.snapshot_times and manifest.L == 0.2:
+        batch = [manifest] if isinstance(manifest, RunManifest) else manifest
+        if any(m.snapshot_times and m.L == 0.2 for m in batch):
             raise NumericalError("CFL violation")
         return counted(manifest)
 
     monkeypatch.setattr(experiments, "run_manifest", domain_run_fails)
     assert domain_study(base, L_values, times)["entries"] == intact
-    # the L = 0.3 domain ran once; each L = 0.2 entry made its own run
+    # the failed batch fell back to one run per domain: the L = 0.3 domain
+    # ran once; each L = 0.2 entry made its own run
     assert sorted((m.L, m.t_final, m.snapshot_times) for m in runs) == \
         [(0.2, 0.005, []), (0.2, 0.01, []), (0.3, 0.01, [0.005, 0.01])]
 

@@ -1,4 +1,5 @@
 """Staggered predictor-corrector scheme: frozen single-step values and invariants."""
+import itertools
 import math
 
 import numpy as np
@@ -18,11 +19,12 @@ from mblab.operators import (
     INTEGER_GRID,
     MBLParams,
     _d2_order2,
-    _padded,
+    _solve_unknowns,
     helmholtz_apply,
     helmholtz_solve,
 )
 from mblab.staggered import (
+    Batch,
     _cfl_margin,
     _minmod,
     _predict,
@@ -42,6 +44,24 @@ def _start(u0, bc, grid=GRID, params=PARAMS):
     w = u.copy()
     w[1:-1] = helmholtz_apply(u, params.disp, grid.dx)
     return u, w, RunContext(grid, params, MODEL, bc)
+
+
+def _other(phase):
+    return HALF_GRID if phase == INTEGER_GRID else INTEGER_GRID
+
+
+def _step(u, w, ctx, variant, lam):
+    """One step of a lone run from its point values to the new ones, through
+    its batch vectors."""
+    batch = Batch([ctx])
+    phase = INTEGER_GRID if len(u) == ctx.grid.n_cells + 1 else HALF_GRID
+    u_new, w_new = step(batch.pack([u], phase), batch.pack([w], phase), phase,
+                        batch, variant, lam)
+    return batch.points(u_new, _other(phase))[0], batch.points(w_new, _other(phase))[0]
+
+
+def _padded(v, left, right):
+    return np.concatenate([[left], v, [right]])
 
 
 def _state_a():
@@ -67,18 +87,20 @@ def test_initial_transform_case_b():
 def test_predictor_case_a():
     u, w, ctx = _state_a()
     dt = GRID.lam * GRID.dx
-    u_ext = _padded(u, 0.0, 0.9)
+    batch = Batch([ctx])
+    u_ext = batch.pack([u], INTEGER_GRID)
     fslope = _slopes(flux(u_ext, MODEL))
-    wp = _predict(u_ext, w, fslope, ctx, GRID.lam)
-    up = helmholtz_solve(Field(wp, INTEGER_GRID, dt / 2), 0.0, 0.9, PARAMS.disp,
-                         GRID.dx)
+    wp = _predict(u_ext, batch.pack([w], INTEGER_GRID), fslope, INTEGER_GRID,
+                  batch, GRID.lam)
+    up = helmholtz_solve(Field(batch.points(wp, INTEGER_GRID)[0], INTEGER_GRID,
+                               dt / 2), 0.0, 0.9, PARAMS.disp, GRID.dx)
     assert up.values == pytest.approx(
         [0.0, 0.012139846908058789, 0.8876537369914852,
          0.89850348327169527, 0.9], rel=1e-12, abs=1e-15)
 
 
 def test_trapezoid_step_case_a():
-    u_new, w_new = step(*_state_a(), "trapezoid", GRID.lam)
+    u_new, w_new = _step(*_state_a(), "trapezoid", GRID.lam)
     assert u_new.shape == w_new.shape == (4,)  # the half cells
     assert u_new == pytest.approx(
         [0.003034373050424487, 0.37600269414014259,
@@ -86,36 +108,36 @@ def test_trapezoid_step_case_a():
 
 
 def test_midpoint_step_case_a():
-    u_new, _ = step(*_state_a(), "midpoint", GRID.lam)
+    u_new, _ = _step(*_state_a(), "midpoint", GRID.lam)
     assert u_new == pytest.approx(
         [0.0036321628863597473, 0.37420546073572414,
          0.87677504625812142, 0.89728924995968284], rel=1e-12)
 
 
 def test_trapezoid_step_case_b():
-    u_new, _ = step(*_state_b(), "trapezoid", GRID.lam)
+    u_new, _ = _step(*_state_b(), "trapezoid", GRID.lam)
     assert u_new == pytest.approx(
         [0.17728750706436602, 0.34117617112801873,
          0.41789737750046152, 0.47372118639661648], rel=1e-12)
 
 
 def test_midpoint_step_case_b():
-    u_new, _ = step(*_state_b(), "midpoint", GRID.lam)
+    u_new, _ = _step(*_state_b(), "midpoint", GRID.lam)
     assert u_new == pytest.approx(
         [0.18827092037804416, 0.34255200884069575,
          0.4178001538204017, 0.47100172623565684], rel=1e-12)
 
 
 def test_variants_differ():
-    a, _ = step(*_state_b(), "trapezoid", GRID.lam)
-    b, _ = step(*_state_b(), "midpoint", GRID.lam)
+    a, _ = _step(*_state_b(), "trapezoid", GRID.lam)
+    b, _ = _step(*_state_b(), "midpoint", GRID.lam)
     assert not np.allclose(a, b, rtol=1e-6)
 
 
 def test_unknown_variant():
     u, _, ctx = _state_a()
     with pytest.raises(ValueError, match="leapfrog"):
-        run(u, ctx, "leapfrog", t_final=0.1)
+        run([u], [ctx], "leapfrog", t_final=0.1)
 
 
 def test_minmod():
@@ -262,9 +284,12 @@ def test_short_riemann_run_matches_frozen_values(variant):
     grid = GridSpec(L=1.0, n_cells=16, lam=0.2)
     u0 = np.where(grid.nodes() <= 0.25, 0.98, 0.0)
     u, w, ctx = _start(u0, (0.98, 0.0), grid, MBLParams(epsilon=0.05, tau=10.0))
-    for _ in range(40):
-        u, w = step(u, w, ctx, variant, grid.lam)
-    assert u.size == grid.n_cells + 1  # back on the nodes
+    batch = Batch([ctx])
+    u, w = batch.pack([u], INTEGER_GRID), batch.pack([w], INTEGER_GRID)
+    for _ in range(20):
+        for phase in (INTEGER_GRID, HALF_GRID):
+            u, w = step(u, w, phase, batch, variant, grid.lam)
+    u = batch.points(u, INTEGER_GRID)[0]  # back on the nodes
     assert np.array_equal(u, _RIEMANN_40[variant])
     assert np.allclose(u, _RIEMANN_40_LU[variant], rtol=0, atol=2e-15)
 
@@ -281,7 +306,7 @@ def test_new_w_is_u_minus_c_d2_u_on_both_phases(variant):
     u, w, ctx = _start(np.where(grid.nodes() <= m.L0, g, h), (g, h), grid, params)
     for size, unknowns in ((grid.n_cells, slice(None)),
                            (grid.n_cells + 1, slice(1, -1))):
-        u, w = step(u, w, ctx, variant, grid.lam)
+        u, w = _step(u, w, ctx, variant, grid.lam)
         assert u.size == w.size == size
         v = u[unknowns]
         assert np.array_equal(w[unknowns], v - c * _d2_order2(_padded(v, g, h), grid.dx))
@@ -293,28 +318,99 @@ def test_new_w_is_u_minus_c_d2_u_on_both_phases(variant):
 _UNIT = st.floats(0.0, 1.0)
 
 
+@st.composite
+def _runs(draw, phase):
+    """(u, w, ctx) of a run on phase: 4 to 12 cells of dx = 0.1, a tau in
+    [0, 2] (0 keeps the c-solves the identity) and values in [0, 1]."""
+    cells = draw(st.integers(4, 12))
+    grid = GridSpec(L=0.1 * cells, n_cells=cells, dx=0.1, lam=0.1)
+    tau = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    values = hnp.arrays(float, len(grid.points(phase)), elements=_UNIT)
+    bc = (draw(_UNIT), draw(_UNIT))
+    return (draw(values), draw(values),
+            RunContext(grid, MBLParams(epsilon=0.1, tau=tau), MODEL, bc))
+
+
 @settings(deadline=None, max_examples=60)
 @given(data=st.data(), variant=st.sampled_from(["trapezoid", "midpoint"]),
-       phase=st.sampled_from([INTEGER_GRID, HALF_GRID]),
-       cells=st.integers(4, 12), runs=st.integers(1, 4))
-def test_a_block_steps_each_column_as_it_would_alone(data, variant, phase,
-                                                      cells, runs):
-    # (points, runs) states and one inflow value per run against one step
-    # per column, on node and half-cell blocks
-    grid = GridSpec(L=1.0, n_cells=cells, lam=0.1)
-    block = hnp.arrays(float, (len(grid.points(phase)), runs), elements=_UNIT)
-    u, w = data.draw(block), data.draw(block)
-    g, h = data.draw(hnp.arrays(float, runs, elements=_UNIT)), data.draw(_UNIT)
-    u_new, w_new = step(u, w, RunContext(grid, PARAMS, MODEL, (g, h)), variant,
-                        grid.lam)
-    new_points = cells if phase == INTEGER_GRID else cells + 1
-    assert u_new.shape == w_new.shape == (new_points, runs)
-    for j in range(runs):
-        ctx = RunContext(grid, PARAMS, MODEL, (float(g[j]), h))
-        u_alone, w_alone = step(u[:, j].copy(), w[:, j].copy(), ctx, variant,
-                                grid.lam)
-        assert u_new[:, j].tobytes() == u_alone.tobytes()
-        assert w_new[:, j].tobytes() == w_alone.tobytes()
+       phase=st.sampled_from([INTEGER_GRID, HALF_GRID]))
+def test_a_batch_steps_each_run_as_it_would_alone(data, variant, phase):
+    # runs of different sizes, tau and boundary pairs, on node and half-cell
+    # vectors, against one step per run in a batch of its own
+    runs = data.draw(st.lists(_runs(phase), min_size=1, max_size=4))
+    batch = Batch([ctx for _, _, ctx in runs])
+    u_new, w_new = step(batch.pack([u for u, _, _ in runs], phase),
+                        batch.pack([w for _, w, _ in runs], phase), phase,
+                        batch, variant, 0.1)
+    got = zip(batch.points(u_new, _other(phase)), batch.points(w_new, _other(phase)))
+    for (u, w, ctx), (u_got, w_got) in zip(runs, got):
+        u_alone, w_alone = _step(u, w, ctx, variant, 0.1)
+        assert u_got.tobytes() == u_alone.tobytes()
+        assert w_got.tobytes() == w_alone.tobytes()
+
+
+_SIGNS = (0.0, -0.0, 0.3, -0.3)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.002])
+@pytest.mark.parametrize("phase", [INTEGER_GRID, HALF_GRID])
+def test_a_batch_solve_is_each_runs_own_solve(phase, delta):
+    # one block-diagonal dpttrs call with identity rows between the runs
+    # against _solve_unknowns per run: three runs of 4, 5 and 6 cells (tau =
+    # 0 makes the middle c-solve the identity), +-0 or signed values in
+    # every right-hand side, and every sign of the boundary values at the
+    # two joints
+    rng = np.random.default_rng(3)
+    unknowns = slice(1, -1) if phase == INTEGER_GRID else slice(None)
+    for h0, g1, h1, g2 in itertools.product(_SIGNS, repeat=4):
+        ctxs = [RunContext(GridSpec(L=0.1 * n, n_cells=n, dx=0.1, lam=0.1),
+                           MBLParams(epsilon=0.1, tau=tau), MODEL, bc)
+                for n, tau, bc in ((4, 0.5, (0.3, h0)), (5, 0.0, (g1, h1)),
+                                   (6, 1.0, (g2, 0.0)))]
+        batch = Batch(ctxs)
+        for fill in (0.0, -0.0, None):
+            rhs = []
+            for ctx in ctxs:
+                w = np.full(len(ctx.grid.points(phase)), fill) if fill is not None \
+                    else rng.choice(_SIGNS, len(ctx.grid.points(phase)))
+                if phase == INTEGER_GRID:  # the pinned nodes hold the bc
+                    w[0], w[-1] = ctx.bc
+                rhs.append(w)
+            got = batch.points(batch.solve(batch.pack(rhs, phase), phase, delta),
+                               phase)
+            for ctx, w, u in zip(ctxs, rhs, got):
+                want = w.copy()
+                want[unknowns] = _solve_unknowns(w[unknowns].copy(), phase, *ctx.bc,
+                                                 ctx.params.disp + delta, 0.1)
+                assert u.tobytes() == want.tobytes()
+
+
+def test_a_batch_holds_runs_of_one_dx_lambda_epsilon_and_model():
+    _, _, ctx = _state_a()
+    Batch([ctx, RunContext(GridSpec(L=2.0, n_cells=8, dx=0.25, lam=0.1),
+                           MBLParams(epsilon=0.1, tau=3.0), MODEL, (0.5, 0.0))])
+    for other in (RunContext(GridSpec(L=1.0, n_cells=8, lam=0.1), PARAMS, MODEL,
+                             (0.0, 0.9)),
+                  RunContext(GRID, MBLParams(epsilon=0.2, tau=1.0), MODEL, (0.0, 0.9)),
+                  RunContext(GRID, PARAMS, FluxModel(3.0), (0.0, 0.9))):
+        with pytest.raises(ValueError, match="share"):
+            Batch([ctx, other])
+    with pytest.raises(ValueError, match="at least one"):
+        Batch([])
+
+
+def test_the_cfl_test_of_half_cells_leaves_out_their_ghosts():
+    # f' peaks at the inflow value g: on the half cells g sits only in the
+    # ghost, so the step runs; on the nodes it is a pinned point
+    u = np.linspace(0.0, 1.0, 2001)
+    g = float(u[np.argmax(flux_deriv(u, MODEL))])
+    lam = 0.5 / flux_deriv(g, MODEL) * 1.001
+    grid = GridSpec(L=1.0, n_cells=8, lam=lam)
+    ctx = RunContext(grid, PARAMS, MODEL, (g, 0.0))
+    cells = np.zeros(8)
+    _step(cells, cells, ctx, "trapezoid", lam)
+    with pytest.raises(NumericalError, match="CFL"):
+        _step(np.zeros(9), np.zeros(9), ctx, "trapezoid", lam)
 
 
 @pytest.mark.parametrize("g", [math.nan, np.array([0.3, math.nan, 0.9]),
@@ -344,7 +440,7 @@ def test_non_finite_boundary_value_is_rejected_before_the_first_step(
         if scheme == "third_order":
             cweno.run(np.full(GRID.n_cells, 0.3), ctx, t_final=0.1)
         else:
-            run(np.full(5, 0.3), ctx, scheme, t_final=0.1)
+            run([np.full(5, 0.3)], [ctx], scheme, t_final=0.1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -357,7 +453,7 @@ def test_non_finite_start_is_rejected_before_the_first_step(variant, bad, monkey
     u, _, ctx = _state_b()
     u[2] = bad
     with pytest.raises(NumericalError, match="NaN/Inf"):
-        run(u, ctx, variant, t_final=0.1)
+        run([u], [ctx], variant, t_final=0.1)
 
 
 def test_a_run_builds_at_most_two_fields_per_step(monkeypatch):
@@ -373,7 +469,8 @@ def test_a_run_builds_at_most_two_fields_per_step(monkeypatch):
         u, _, ctx = _state_b()
         built.clear()
         monkeypatch.setattr(Field, "__post_init__", counting)
-        fields = run(u, ctx, variant, t_final=20.0 * dt, snapshot_times=[7.3 * dt])
+        fields, = run([u], [ctx], variant, t_final=20.0 * dt,
+                      snapshot_times=[7.3 * dt])
         monkeypatch.undo()
         # u0 (its NaN/Inf check), then one per returned field: none inside
         # a step
@@ -385,7 +482,7 @@ def test_step_raises_on_cfl_violation():
     grid = GridSpec(L=1.0, n_cells=8, dx=0.125, lam=0.5)
     u, w, ctx = _start(np.full(9, 0.6), (0.6, 0.6), grid)
     with pytest.raises(NumericalError, match="CFL"):
-        step(u, w, ctx, "trapezoid", grid.lam)
+        _step(u, w, ctx, "trapezoid", grid.lam)
 
 
 def test_constant_state_is_preserved_exactly():
@@ -393,7 +490,7 @@ def test_constant_state_is_preserved_exactly():
     for variant in ("trapezoid", "midpoint"):
         u, w, ctx = _start(np.full(9, 0.4), (0.4, 0.4), grid)
         for _ in range(2):
-            u, w = step(u, w, ctx, variant, grid.lam)
+            u, w = _step(u, w, ctx, variant, grid.lam)
         assert u.size == 9
         assert np.allclose(u, 0.4, rtol=0, atol=1e-14)
 
@@ -407,7 +504,7 @@ def test_mass_change_per_step_pair_matches_boundary_fluxes():
     u, w, ctx = _start(np.where(np.arange(11) <= 4, g, h), (g, h), grid, params)
     mass0 = grid.dx * w.sum()
     for _ in range(2):
-        u, w = step(u, w, ctx, "trapezoid", grid.lam)
+        u, w = _step(u, w, ctx, "trapezoid", grid.lam)
     mass2 = grid.dx * w.sum()
     expected = 2.0 * grid.lam * grid.dx * (flux(g, MODEL) - flux(h, MODEL))
     assert mass2 - mass0 == pytest.approx(expected, abs=1e-10)
@@ -415,7 +512,7 @@ def test_mass_change_per_step_pair_matches_boundary_fluxes():
 
 def _run_a(**kwargs):
     u, _, ctx = _state_a()
-    return run(u, ctx, "trapezoid", **kwargs)
+    return run([u], [ctx], "trapezoid", **kwargs)[0]
 
 
 @pytest.mark.parametrize("scheme", ["trapezoid", "third_order"])
