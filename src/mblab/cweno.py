@@ -147,7 +147,6 @@ def semidiscrete_rhs(wbar: np.ndarray, ctx: RunContext) -> np.ndarray:
     scheme.
     """
     grid, params, model = ctx.grid, ctx.params, ctx.model
-    g, h = ctx.bc
     dx, c = grid.dx, params.disp
     w = cweno_reconstruct(wbar, dx, ctx.bc)
     u = helmholtz_solve(Field(w.T), w[:, 0], w[:, -1], c, dx, order=4).values.T
@@ -155,7 +154,7 @@ def semidiscrete_rhs(wbar: np.ndarray, ctx: RunContext) -> np.ndarray:
     out = flux_h[1:] - flux_h[:-1]
     out /= -dx
     if params.epsilon != 0.0:
-        q = _d2_order4(_solve_unknowns(wbar.copy(), HALF_GRID, g, h, c, dx), dx)
+        q = _d2_order4(_solve_unknowns(wbar.copy(), HALF_GRID, *ctx.bc, c, dx), dx)
         q *= params.epsilon
         out += q
     return out

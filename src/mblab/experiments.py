@@ -174,7 +174,14 @@ def _initial_nodes(manifest: RunManifest, grid: GridSpec) -> np.ndarray:
 
 def _initial_cell_w(manifest: RunManifest, grid: GridSpec,
                     params: MBLParams) -> np.ndarray:
-    """Cell averages of w(.,0) for the semi-discrete scheme."""
+    """Cell averages of w(.,0) for the semi-discrete scheme.
+
+    w = u - c D^2 u over every cell average, the first and last included:
+    those two take the one-sided order-4 edge closures over the averages
+    themselves.  helmholtz_apply cannot form it, because it returns w only
+    at the inner points of an array whose first and last values are the
+    boundary values or ghosts, where its closures sit.
+    """
     xl = grid.nodes()[:-1]
     if manifest.ic_kind == "riemann":
         frac = np.clip((manifest.L0 - xl) / grid.dx, 0.0, 1.0)

@@ -35,10 +35,11 @@ _RANGE_REACH = 1.5
 @dataclass(frozen=True)
 class RunContext:
     """The fixed data of one run: grid, model parameters, flux and the
-    constant Dirichlet pair bc = (g, h).
+    constant Dirichlet pair bc = (g, h), stored as two floats.
 
-    A NaN/Inf boundary value is a NumericalError, checked once here: inside
-    a step, minmod and the clamped flux could turn it finite.
+    A bc that is not one number per end is a ValueError.  A NaN/Inf
+    boundary value is a NumericalError, checked once here: inside a step,
+    minmod and the clamped flux could turn it finite.
     """
 
     grid: GridSpec
@@ -47,7 +48,10 @@ class RunContext:
     bc: tuple
 
     def __post_init__(self):
-        if not all(np.isfinite(v).all() for v in self.bc):
+        if len(self.bc) != 2 or any(np.ndim(v) for v in self.bc):
+            raise ValueError("bc takes one boundary value per end")
+        object.__setattr__(self, "bc", tuple(float(v) for v in self.bc))
+        if not np.isfinite(self.bc).all():
             raise NumericalError("boundary value is NaN/Inf")
 
 

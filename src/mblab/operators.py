@@ -8,6 +8,15 @@ coefficient); its inverse is a LAPACK solve, factored once per matrix:
 LDL^T (dpttrf/dpttrs) for the symmetric positive definite order-2
 tridiagonal matrices, banded LU (dgbtrf/dgbtrs) for the order-4 ones.
 
+Every solve is one _Solve: the closure terms of the boundary values, the
+c = 0 rule and the size check live there and nowhere else.  Its order-2
+form takes several fields laid end to end in one vector, the runs of a
+staggered batch, and solves them in one dpttrs call; a single field is a
+batch of one.  Rows that the solve must keep, the slots between two fields
+and every field with c = 0, are identity rows that hold +0 during the call
+and get their values back after it, so each field comes out byte for byte
+as its own solve.
+
 Boundary closures for half-grid fields: a solve places the boundary value
 midway between the first unknown and a reflected ghost (linear
 interpolation to the physical endpoint), while explicit stencil
@@ -254,29 +263,72 @@ def _factored_solve(m: int, phase: str, order: int, ct: float) -> functools.part
     return solve
 
 
-def _segmented_factors(phase: str, blocks: tuple, gap: int) -> tuple:
-    """LDL^T factors (d, e) of a block-diagonal order-2 matrix: one block
-    per (m, ct) in blocks, the m-unknown matrix of phase (the identity for
-    ct None), with gap identity rows between consecutive blocks.
-
-    Each block's factors are its own (_factored_solve); every coupling to an
-    identity row is 0, so dpttrs solves each block's rows as it would alone,
-    up to the sign of a zero next to an identity row, which is exact when
-    that row holds +0.
+class _Solve:
+    """(I - c D^2) u = w on the unknowns of segments laid end to end, gap
+    rows apart, each byte for byte its own solve (see the module
+    docstring): segment (m, c) holds the m unknowns of one field of phase,
+    its interior nodes or every half cell.  At order 2 the matrix is block
+    diagonal, the segments' own cached factors (_factored_solve) with
+    identity rows at the kept rows; order 4 takes one segment.  A segment
+    with c != 0 needs 4 cells at order 2 (as a GridSpec does) and 5 at
+    order 4, where fewer would overlap the two edge closures.
     """
-    ds, es = [], []
-    for k, (m, ct) in enumerate(blocks):
-        if k:
-            ds.append(np.ones(gap))
-            es.append(np.zeros(gap + 1))
-        if ct is None:
-            ds.append(np.ones(m))
-            es.append(np.zeros(m - 1))
-        else:
-            d, e = _factored_solve(m, phase, 2, ct).args
-            ds.append(d)
-            es.append(e)
-    return np.concatenate(ds), np.concatenate(es)
+
+    def __init__(self, phase: str, order: int, dx: float, segments: tuple,
+                 gap: int = 0):
+        if order not in (2, 4):
+            raise ValueError(f"order must be 2 or 4, got {order}")
+        ms, cs = (np.array(v) for v in zip(*segments))
+        live = cs != 0.0  # a segment with c = 0 keeps its right-hand side
+        need = 5 if order == 4 else 4
+        if (ms[live] + (phase == INTEGER_GRID) < need).any():  # m nodes: m + 1 cells
+            raise ValueError(f"order-{order} solve needs at least {need} cells")
+        self.trivial = not live.any()
+        if self.trivial:  # the identity: nothing to solve
+            return
+        cts = cs / (_STENCILS[order][0] * dx ** 2)
+        firsts = np.arange(len(ms)) * gap + np.cumsum(ms) - ms
+        solved = np.zeros(firsts[-1] + ms[-1], dtype=bool)
+        for a, m, on in zip(firsts, ms, live):
+            solved[a:a + m] = on
+        self.kept = None if solved.all() else np.flatnonzero(~solved)
+        # the closure terms of the boundary values at the first rows of each
+        # segment, mirrored at its last rows (ct = 0 on kept rows, which get
+        # their values back anyway); a lone segment indexes by scalars, which
+        # is cheaper
+        first, last, ct = (v[0] if len(ms) == 1 else v
+                           for v in (firsts, firsts + ms - 1, cts))
+        self.closures = [(first + i, last - i, weight * ct)
+                         for i, weight in enumerate(_CLOSURES[phase, order][1])]
+        if len(ms) == 1:
+            self.lapack = _factored_solve(ms[0], phase, order, ct)
+            return
+        d, e = np.ones(solved.size), np.zeros(solved.size - 1)
+        for a, m, ct in zip(firsts[live], ms[live], cts[live]):
+            d[a:a + m], e[a:a + m - 1] = _factored_solve(m, phase, 2, ct).args
+        self.lapack = functools.partial(dpttrs, d, e)
+
+    def __call__(self, rhs: np.ndarray, left, right) -> np.ndarray:
+        """The solution, in rhs itself where it is contiguous; rhs holds w
+        at every row, shaped (rows,) or, for one segment, (rows, runs), and
+        left and right the boundary values of each segment (or run)."""
+        if self.trivial:
+            return rhs
+        kept = rhs[self.kept] if self.kept is not None else None
+        for first, last, weight in self.closures:
+            rhs[first] += weight * left
+            rhs[last] += weight * right
+        if kept is not None:
+            rhs[self.kept] = 0.0
+        out, info = self.lapack(rhs, overwrite_b=1)
+        if info != 0:
+            raise NumericalError(f"Helmholtz solve failed (info={info})")
+        if kept is not None:
+            out[self.kept] = kept
+        return out
+
+
+_lone_solves = functools.lru_cache(maxsize=32)(_Solve)
 
 
 def _solve_unknowns(rhs: np.ndarray, phase: str, bc_left, bc_right,
@@ -285,26 +337,10 @@ def _solve_unknowns(rhs: np.ndarray, phase: str, bc_left, bc_right,
 
     rhs holds w at those unknowns, shaped (points,) or (points, runs), and
     is overwritten; the boundary values (scalars, or one per run) enter
-    through the closures.  No finiteness check: callers decide where
-    NaN/Inf is caught.
+    through the closures.  One segment of a _Solve, built once per matrix.
+    No finiteness check: callers decide where NaN/Inf is caught.
     """
-    if order not in (2, 4):
-        raise ValueError(f"order must be 2 or 4, got {order}")
-    if c == 0.0:
-        return rhs
-    # fewer cells and the order-4 edge closures would overlap; order 2 asks
-    # for the four cells that a GridSpec needs
-    need = 5 if order == 4 else 4
-    if (len(rhs) + 1 if phase == INTEGER_GRID else len(rhs)) < need:
-        raise ValueError(f"order-{order} solve needs at least {need} cells")
-    ct = c / (_STENCILS[order][0] * dx ** 2)
-    for i, weight in enumerate(_CLOSURES[phase, order][1]):
-        rhs[i] += weight * ct * bc_left
-        rhs[-1 - i] += weight * ct * bc_right
-    out, info = _factored_solve(len(rhs), phase, order, ct)(rhs, overwrite_b=1)
-    if info != 0:
-        raise NumericalError(f"Helmholtz solve failed (info={info})")
-    return out
+    return _lone_solves(phase, order, dx, ((len(rhs), c),))(rhs, bc_left, bc_right)
 
 
 def helmholtz_solve(w: Field, bc_left, bc_right, c: float, dx: float,

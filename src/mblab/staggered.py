@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpttrs
 
 from .march import RunContext, land_snapshots
 from .errors import NumericalError
@@ -39,9 +38,8 @@ from .operators import (
     Field,
     HALF_GRID,
     INTEGER_GRID,
-    _CLOSURES,
+    _Solve,
     _d2_order2,
-    _segmented_factors,
     helmholtz_apply,
 )
 
@@ -80,61 +78,6 @@ def _cfl_margin(speeds: np.ndarray, lam: float) -> float:
     """1/2 - lam * max|f'|: positive iff the step is stable.  The clamped
     flux is nondecreasing, so the speeds need no abs."""
     return 0.5 - lam * float(speeds.max())
-
-
-class _Solve:
-    """(I - (c + delta) D^2) u = w on the unknowns of one phase of a batch:
-    one dpttrs call over the span from the first run's first unknown to the
-    last run's last, a block-diagonal matrix whose rows between two runs
-    are identity rows."""
-
-    def __init__(self, batch: "Batch", phase: str, delta: float):
-        self.batch, self.phase = batch, phase
-        coefficients = [c + delta for c in batch.disp]
-        self.trivial = not any(coefficients)  # the identity: nothing to solve
-        if self.trivial:
-            return
-        cts = [c / batch.dx ** 2 if c != 0.0 else None for c in coefficients]
-        first = [s + (2 if phase == INTEGER_GRID else 1) for s in batch.starts]
-        last = [s + n for s, n in zip(batch.starts, batch.n)]
-        # the closure terms of the boundary values, added as _solve_unknowns
-        # adds them; a lone run indexes by scalars, which is cheaper
-        weight = _CLOSURES[phase, 2][1][0]
-        closures = [(first[k], last[k], weight * ct * ctx.bc[0], weight * ct * ctx.bc[1])
-                    for k, (ct, ctx) in enumerate(zip(cts, batch.ctxs))
-                    if ct is not None]
-        self.first, self.last, self.left, self.right = (
-            v[0] if len(closures) == 1 else np.array(v) for v in zip(*closures))
-        # a run with c + delta = 0 keeps its unknowns, as _solve_unknowns does
-        held = [np.arange(a, b + 1) for a, b, ct in zip(first, last, cts) if ct is None]
-        self.held = np.concatenate(held) if held else None
-        self.span = slice(first[0], last[-1] + 1)
-        # the frame slots inside the span: all but the outer ghosts and
-        # pinned nodes of the first and last run
-        outer = 2 if phase == INTEGER_GRID else 1
-        self.gaps = batch._frames[phase][0][outer:-outer] if len(cts) > 1 else None
-        gap = first[1] - last[0] - 1 if len(cts) > 1 else 0
-        self.d, self.e = _segmented_factors(
-            phase, tuple((b - a + 1, ct) for a, b, ct in zip(first, last, cts)), gap)
-
-    def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        if self.trivial:
-            return rhs
-        rhs[self.first] += self.left
-        rhs[self.last] += self.right
-        held = rhs[self.held] if self.held is not None else None
-        if self.gaps is not None:
-            # +0 in the rows between runs makes every product across them
-            # +0, so each run's unknowns are byte for byte its own solve
-            rhs[self.gaps] = 0.0
-        _, info = dpttrs(self.d, self.e, rhs[self.span], overwrite_b=1)
-        if info != 0:
-            raise NumericalError(f"Helmholtz solve failed (info={info})")
-        if held is not None:
-            rhs[self.held] = held
-        if self.gaps is not None:
-            self.batch.frame(rhs, self.phase)
-        return rhs
 
 
 class Batch:
@@ -179,18 +122,15 @@ class Batch:
             self.c = self.disp[0]
         else:
             self.c = np.repeat(self.disp, [n + 3 for n in self.n])[1:-1]
-        self._frames = {}
-        for phase in (INTEGER_GRID, HALF_GRID):
-            slots, values = [], []
-            for s, n, ctx in zip(self.starts, self.n, self.ctxs):
-                g, h = ctx.bc
-                if phase == INTEGER_GRID:
-                    slots += [s, s + 1, s + n + 1, s + n + 2]
-                    values += [g, g, h, h]
-                else:
-                    slots += [s, s + n + 1, s + n + 2]
-                    values += [g, h, h]
-            self._frames[phase] = (np.array(slots), np.array(values, dtype=float))
+        # the frame of each phase: the slots of g (ghost, first node) and of
+        # h (last node or ghost, then the ghost or spare slot after it)
+        g, h = (np.array(v) for v in zip(*(ctx.bc for ctx in ctxs)))
+        s = np.array(self.starts)
+        e = s + np.array(self.n) + 1
+        self._frames = {INTEGER_GRID: (np.r_[s, s + 1, e, e + 1], np.r_[g, g, h, h]),
+                        HALF_GRID: (np.r_[s, e, e + 1], np.r_[g, h, h])}
+        # the boundary values of the runs, as the solves take them
+        self.g, self.h = (v[0] if len(ctxs) == 1 else v for v in (g, h))
         self._solves = {}
 
     def frame(self, v: np.ndarray, phase: str) -> np.ndarray:
@@ -227,12 +167,19 @@ class Batch:
 
     def solve(self, rhs: np.ndarray, phase: str, delta: float = 0.0) -> np.ndarray:
         """The unknowns of (I - (c + delta) D^2) u = w, solved in place in
-        rhs, which holds w there; the other slots of the frame stay (or are
-        put back)."""
+        rhs, which holds w there; the frame keeps its values.  One _Solve
+        per (phase, delta) takes the span from the first run's first unknown
+        to the last run's last: a segment per run, the frame between."""
         key = (phase, delta)
         if key not in self._solves:
-            self._solves[key] = _Solve(self, phase, delta)
-        return self._solves[key](rhs)
+            first = 2 if phase == INTEGER_GRID else 1  # a run's first unknown slot
+            segments = tuple((n + 1 - first, c + delta)
+                             for n, c in zip(self.n, self.disp))
+            self._solves[key] = (slice(first, self.size - 2),
+                                 _Solve(phase, 2, self.dx, segments, gap=first + 2))
+        span, solve = self._solves[key]
+        solve(rhs[span], self.g, self.h)
+        return rhs
 
     def check_cfl(self, speeds: np.ndarray, phase: str, lam: float) -> None:
         """CFL violation at the points is a NumericalError.  The node frame

@@ -283,6 +283,9 @@ def test_each_matrix_is_factored_once_per_run():
     run_manifest(desk_manifest(tau=5.0, t_final=0.002))  # 20 step pairs
     # both phases, each with eps^2 tau and the corrector's eps^2 tau + eps dt/2
     assert _factored_solve.cache_info().misses == 4
+    # a batch of two such runs lays those same factors end to end
+    run_manifest([desk_manifest(tau=5.0, t_final=0.002, u_B=u_B) for u_B in (0.9, 0.6)])
+    assert _factored_solve.cache_info().misses == 4
     for order in (2, 4):  # tridiagonal and general band factors
         solve = _factored_solve(9, HALF_GRID, order, 0.5)
         factors = [a for a in (*solve.args, *solve.keywords.values())
