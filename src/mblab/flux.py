@@ -71,11 +71,12 @@ def _deriv(uc: np.ndarray, d: np.ndarray, den: np.ndarray, M: float) -> np.ndarr
     return out
 
 
-def flux(u, model: FluxModel):
-    """Clamped fractional-flow function; accepts scalars or arrays."""
+def flux(u, model: FluxModel, out: np.ndarray = None):
+    """Clamped fractional-flow function; accepts scalars or arrays, and
+    forms an array's flux in out when given."""
     u = np.asarray(u, dtype=float)
-    _, _, out, den = _clamped(u, model.M)
-    out /= den
+    _, _, sq, den = _clamped(u, model.M)
+    out = np.divide(sq, den, out=out)
     if out.ndim == 0:
         return float(out)
     return out

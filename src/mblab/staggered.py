@@ -24,6 +24,14 @@ model; their u_B, tau and L may differ.  The runs lie end to end in one
 vector, n + 3 slots for a run of n cells on both phases (see Batch), so
 every stencil is one array operation over the whole batch and each solve
 one LAPACK call.  A single run is a batch of one.
+
+The march state is (t, u, w, D2 u): the new w is formed from the new u by
+helmholtz_apply, which leaves D2 u behind, and that is the next
+predictor's D2 u.  A step works in scratch arrays that its Batch owns and
+writes each intermediate where the next stage reads it; what it returns
+is new, so a landing fork and the main march can step one state.  f' and
+the CFL test are evaluated only when the step's lam times FluxModel.C,
+which bounds the clamped f', reaches 1/2 (see Batch.check_cfl).
 """
 from __future__ import annotations
 
@@ -33,7 +41,7 @@ import numpy as np
 
 from .march import RunContext, land_snapshots
 from .errors import NumericalError
-from .flux import flux, flux_and_deriv
+from .flux import flux, flux_deriv
 from .operators import (
     Field,
     HALF_GRID,
@@ -62,22 +70,44 @@ def _midpoint_gain(r: float, kappa: float) -> float:
     return float(np.max(np.sqrt(1.0 - s / 4.0) * (1.0 - z + 0.5 * z * z)))
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _minmod(a: np.ndarray, b: np.ndarray, out: np.ndarray = None,
+            tmp: np.ndarray = None) -> np.ndarray:
     """(sgn a + sgn b)/2 * min(|a|, |b|), elementwise, as the common positive
-    part plus the common negative part (at most one is nonzero)."""
-    return np.maximum(np.minimum(a, b), 0.0) + np.minimum(np.maximum(a, b), 0.0)
+    part plus the common negative part (at most one is nonzero), formed in
+    out with tmp as work space (new arrays by default)."""
+    out = np.maximum(np.minimum(a, b, out=out), 0.0, out=out)
+    out += np.minimum(np.maximum(a, b, out=tmp), 0.0, out=tmp)
+    return out
 
 
-def _slopes(ext: np.ndarray) -> np.ndarray:
-    """Minmod slopes of ghost-extended values along the last axis."""
-    d = ext[..., 1:] - ext[..., :-1]
-    return _minmod(d[..., 1:], d[..., :-1])
+def _slopes(ext: np.ndarray, out: np.ndarray = None, diff: np.ndarray = None,
+            tmp: np.ndarray = None) -> np.ndarray:
+    """Minmod slopes of ghost-extended values along the last axis, formed in
+    out with the differences in diff (new arrays by default)."""
+    d = np.subtract(ext[..., 1:], ext[..., :-1], out=diff)
+    return _minmod(d[..., 1:], d[..., :-1], out, tmp)
+
+
+def _staggered_average(w: np.ndarray, slope: np.ndarray, out: np.ndarray,
+                       tmp: np.ndarray) -> np.ndarray:
+    """(w_j + w_{j+1})/2 + (w'_j - w'_{j+1})/8 of neighbours, formed in out
+    with tmp as work space."""
+    out = np.multiply(np.add(w[:-1], w[1:], out=out), 0.5, out=out)
+    out += np.multiply(np.subtract(slope[:-1], slope[1:], out=tmp), 0.125, out=tmp)
+    return out
 
 
 def _cfl_margin(speeds: np.ndarray, lam: float) -> float:
     """1/2 - lam * max|f'|: positive iff the step is stable.  The clamped
     flux is nondecreasing, so the speeds need no abs."""
     return 0.5 - lam * float(speeds.max())
+
+
+# The clamped f' is at most FluxModel.C, reached at M = 1, u = 1/2; the
+# computed f' and lam * C each carry a few roundings, far inside the 64 ulps
+# this cut leaves below 1/2.  A step whose lam * C is below it can fail no
+# CFL test, so it skips f' and the test.
+_CFL_SAFE = 0.5 * (1.0 - 2.0 ** -46)
 
 
 class Batch:
@@ -98,6 +128,9 @@ class Batch:
     boundary values; stencils over the whole vector write garbage there,
     which frame() puts back.  The runs share dx, lambda, epsilon and the
     flux model; c = eps^2 tau, the boundary pair and n may differ.
+
+    A batch owns the scratch arrays of its steps, so it steps one state at a
+    time; nothing a step returns lives in them.
     """
 
     def __init__(self, ctxs: Sequence[RunContext]):
@@ -132,6 +165,14 @@ class Batch:
         # the boundary values of the runs, as the solves take them
         self.g, self.h = (v[0] if len(ctxs) == 1 else v for v in (g, h))
         self._solves = {}
+        self._lowered = {}  # delta -> c - delta
+        # a step's scratch, which every step overwrites: the rows [w; f],
+        # their differences, minmod slopes and work space, the predictor
+        # and the average placed on the new phase
+        size = self.size
+        self._wf = np.empty((2, size))
+        self._diff, self._slope, self._tmp = (np.empty((2, size - k)) for k in (1, 2, 2))
+        self._wp, self._placed = np.empty(size), np.empty(size)
 
     def frame(self, v: np.ndarray, phase: str) -> np.ndarray:
         """v with the boundary values put back in the frame of phase."""
@@ -157,14 +198,6 @@ class Batch:
         extra = 1 if phase == INTEGER_GRID else 0
         return [v[s + 1:s + 1 + n + extra] for s, n in zip(self.starts, self.n)]
 
-    def place(self, inner: np.ndarray, phase: str) -> np.ndarray:
-        """A new framed vector of phase holding the values that a staggered
-        average of the other phase gives (see the class docstring)."""
-        v = np.empty(self.size)
-        shift = 1 if phase == HALF_GRID else 2
-        v[shift:shift + len(inner)] = inner
-        return self.frame(v, phase)
-
     def solve(self, rhs: np.ndarray, phase: str, delta: float = 0.0) -> np.ndarray:
         """The unknowns of (I - (c + delta) D^2) u = w, solved in place in
         rhs, which holds w there; the frame keeps its values.  One _Solve
@@ -181,10 +214,21 @@ class Batch:
         solve(rhs[span], self.g, self.h)
         return rhs
 
-    def check_cfl(self, speeds: np.ndarray, phase: str, lam: float) -> None:
-        """CFL violation at the points is a NumericalError.  The node frame
-        repeats the pinned values; the cell frame is no point, so a failed
-        test over the whole vector is redone on the points alone."""
+    def lowered(self, delta: float):
+        """c - delta, formed once per delta."""
+        if delta not in self._lowered:
+            self._lowered[delta] = self.c - delta
+        return self._lowered[delta]
+
+    def check_cfl(self, u: np.ndarray, phase: str, lam: float) -> None:
+        """A CFL violation at the points of u is a NumericalError.  f' is
+        evaluated only where lam * C reaches _CFL_SAFE: below it no point
+        can fail.  The node frame repeats the pinned values; the cell frame
+        is no point, so a failed test over the whole vector is redone on the
+        points alone."""
+        if lam * self.model.C < _CFL_SAFE:
+            return
+        speeds = flux_deriv(u, self.model)
         margin = _cfl_margin(speeds, lam)
         if not margin > 0.0 and phase == HALF_GRID:
             margin = min(_cfl_margin(p, lam) for p in self.points(speeds, phase))
@@ -193,15 +237,14 @@ class Batch:
                 f"CFL violation: lambda*max|f'| = {0.5 - margin:.6g} >= 0.5")
 
 
-def _predict(u: np.ndarray, w: np.ndarray, fslope: np.ndarray, phase: str,
+def _predict(d2u: np.ndarray, w: np.ndarray, fslope: np.ndarray, phase: str,
              batch: Batch, lam: float) -> np.ndarray:
-    """w at t + dt/2 from u and w on phase and the flux slopes at the inner
-    slots, framed: pinned nodes keep the Dirichlet values."""
-    dx = batch.dx
-    wp = np.empty(batch.size)
+    """w at t + dt/2 from D2 u and the flux slopes at the inner slots and w
+    on phase, framed (pinned nodes keep the Dirichlet values), in the
+    batch's scratch."""
+    wp = batch._wp
     # w + (eps dx D2 u - fslope) lam / 2, in place and in that rounding order
-    inner = _d2_order2(u, dx, wp[1:-1])
-    inner *= batch.eps * dx
+    inner = np.multiply(d2u, batch.eps * batch.dx, out=wp[1:-1])
     inner -= fslope
     inner *= lam
     inner /= 2.0
@@ -209,64 +252,76 @@ def _predict(u: np.ndarray, w: np.ndarray, fslope: np.ndarray, phase: str,
     return batch.frame(wp, phase)
 
 
-def _staggered_average(w: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    return 0.5 * (w[:-1] + w[1:]) + 0.125 * (slope[:-1] - slope[1:])
-
-
-def step(u: np.ndarray, w: np.ndarray, phase: str, batch: Batch, variant: str,
-         lam: float) -> tuple[np.ndarray, np.ndarray]:
+def step(u: np.ndarray, w: np.ndarray, d2u: np.ndarray, phase: str, batch: Batch,
+         variant: str, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One staggered step of dt = lam dx from (u, w) on phase to the other
     phase, for every run of batch at once.
 
-    u and w are framed vectors of the batch (Batch.pack); so are the new u
-    and w.  Each run steps byte for byte as it would alone.  A NaN/Inf in
-    the new u or w, or in the half-time u (the clamped flux can turn an Inf
-    there finite), is a NumericalError.  The boundary values were checked
-    by the RunContexts.
+    u and w are framed vectors of the batch (Batch.pack), and d2u is D2 u at
+    their inner slots, as helmholtz_apply forms it; the step returns the
+    new (u, w, d2u), new arrays that share no memory with the batch's
+    scratch or with the given state, so a state may be stepped twice.  Each
+    run steps byte for byte as it would alone.  A CFL violation (tested
+    only where it can happen, see Batch.check_cfl), or a NaN/Inf in the new
+    u or w or in the half-time u (the clamped flux can turn an Inf there
+    finite), is a NumericalError.  The boundary values were checked by the
+    RunContexts.
     """
     dx = batch.dx
     dt = lam * dx
     eps = batch.eps
     new_phase = HALF_GRID if phase == INTEGER_GRID else INTEGER_GRID
     shift = 1 if new_phase == HALF_GRID else 2  # the first slot an average lands on
+    new = slice(shift, shift + batch.size - 3)  # the slots the averages land on
+    wf, diff, slope, tmp, placed = (batch._wf, batch._diff, batch._slope,
+                                    batch._tmp, batch._placed)
 
-    # u with its ghosts gives the flux, its slopes and speed, and D2 u
-    f, speeds = flux_and_deriv(u, batch.model)
-    batch.check_cfl(speeds, phase, lam)
-    ext = np.empty((2, batch.size))
-    ext[0], ext[1] = w, f
-    wslope, fslope = _slopes(ext)
-    wbar = _staggered_average(w[1:-1], wslope)
+    # the slopes of w and f(u), and the staggered average of w: the
+    # trapezoid solves it for u, the midpoint adds the corrector to it in
+    # the new u's right-hand side
+    batch.check_cfl(u, phase, lam)
+    wf[0] = w
+    flux(u, batch.model, out=wf[1])
+    wslope, fslope = _slopes(wf, slope, diff, tmp)
+    rhs = np.empty(batch.size)
+    _staggered_average(w[1:-1], wslope,
+                       (placed if variant == TRAPEZOID else rhs)[new], tmp[0, 1:])
 
-    # predictor, converted to u at the half time
-    wp = _predict(u, w, fslope, phase, batch, lam)
-    up = batch.solve(wp.copy() if variant == MIDPOINT else wp, phase)
+    # predictor, converted to u at the half time; the midpoint first
+    # averages it onto the new phase
+    wp = _predict(d2u, w, fslope, phase, batch, lam)
+    if variant == MIDPOINT:
+        _staggered_average(wp[1:-1], _slopes(wp, slope[0], diff[0], tmp[0]),
+                           placed[new], tmp[0, 1:])
+    up = batch.solve(wp, phase)
     if not np.isfinite(up).all():
         raise NumericalError("half-time u contains NaN/Inf values")
-    fph = flux(up, batch.model)
-    df = fph[2:-1] - fph[1:-2]
+    # the flux rows of wf and diff are free once their slopes are taken
+    fph = flux(up, batch.model, out=wf[1])
+    ldf = np.subtract(fph[2:-1], fph[1:-2], out=diff[1, 2:])
+    ldf *= lam
 
-    # the unknowns on the new points: every half cell, or the interior nodes
-    rhs = np.empty(batch.size)
-    new = rhs[shift:shift + len(df)]
+    # the right-hand side on the new unknowns: every half cell, or the
+    # interior nodes
+    ubar = batch.solve(batch.frame(placed, new_phase), new_phase)
+    unknowns = rhs[new]
     if variant == TRAPEZOID:
-        ubar = batch.solve(batch.place(wbar, new_phase), new_phase)
         delta = eps * dt / 2.0
-        applied = helmholtz_apply(ubar, batch.c - delta, dx)
-        np.subtract(applied[shift - 1:shift - 1 + len(df)], lam * df, out=new)
+        helmholtz_apply(ubar, batch.lowered(delta), dx, out=rhs[1:-1])
+        unknowns -= ldf
     else:  # MIDPOINT
         delta = 0.0
-        wbar_mid = _staggered_average(wp[1:-1], _slopes(wp))
-        ubar_mid = batch.solve(batch.place(wbar_mid, new_phase), new_phase)
-        d2 = _d2_order2(ubar_mid, dx)[shift - 1:shift - 1 + len(df)]
-        np.add(wbar - lam * df, eps * dt * d2, out=new)
+        d2 = _d2_order2(ubar[shift - 1:shift + len(ldf) + 1], dx, tmp[1, 1:])
+        d2 *= eps * dt
+        unknowns -= ldf
+        unknowns += d2
     u_new = batch.solve(batch.frame(rhs, new_phase), new_phase, delta)
-    w_new = np.empty(batch.size)
-    helmholtz_apply(u_new, batch.c, dx, out=w_new[1:-1])
+    w_new, d2u_new = np.empty(batch.size), np.empty(batch.size - 2)
+    helmholtz_apply(u_new, batch.c, dx, out=w_new[1:-1], d2=d2u_new)
     batch.frame(w_new, new_phase)
     if not (np.isfinite(u_new).all() and np.isfinite(w_new).all()):
         raise NumericalError("new u or w contains NaN/Inf values")
-    return u_new, w_new
+    return u_new, w_new, d2u_new
 
 
 def run(starts: Sequence[np.ndarray], ctxs: Sequence[RunContext], variant: str,
@@ -297,19 +352,20 @@ def run(starts: Sequence[np.ndarray], ctxs: Sequence[RunContext], variant: str,
     # a NaN/Inf start fails in its Field
     u0 = batch.pack([Field(u, INTEGER_GRID).values for u in starts], INTEGER_GRID)
     w0 = u0.copy()  # the ghosts and the pinned nodes keep their values
-    inner = helmholtz_apply(u0, batch.c, dx)
+    d2u0 = np.empty(batch.size - 2)
+    inner = helmholtz_apply(u0, batch.c, dx, d2=d2u0)
     for s, n in zip(batch.starts, batch.n):
         w0[s + 2:s + n + 1] = inner[s + 1:s + n]
-    state = (0.0, u0, w0)
+    state = (0.0, u0, w0, d2u0)
     pair = 2.0 * (lam_nom * dx)  # two steps of dt = lam_nom * dx
 
     def advance(state: tuple, dt: float) -> tuple:
-        t, u, w = state
+        t, *march = state
         lam = lam_nom if dt == pair else dt / 2.0 / dx
         for phase in (INTEGER_GRID, HALF_GRID):
-            u, w = step(u, w, phase, batch, variant, lam)
+            march = step(*march, phase, batch, variant, lam)
             t += lam * dx
-        return t, u, w
+        return (t, *march)
 
     def read(state: tuple, time: float) -> list[Field]:
         return [Field(p.copy(), INTEGER_GRID, time)

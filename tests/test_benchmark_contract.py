@@ -41,3 +41,28 @@ def test_traced_names_and_labels_match_the_package():
     assert summary["operators.helmholtz_solve.node4"]["calls"] > 0
     assert summary["operators.helmholtz_apply"]["calls"] > 0
     assert summary["cweno.rk4_step"]["calls"] > 0
+
+
+def test_a_traced_sweep_reaches_run_manifest(monkeypatch):
+    # the benchmark's span inflation takes the median of the run_manifest
+    # spans inside a sweep, then of the same manifests run one at a time:
+    # a sweep must march through the module attribute run_manifest, and
+    # run_manifest must take one manifest
+    monkeypatch.setattr(experiments, "_RUN_CACHE", {})
+    monkeypatch.setattr(experiments, "_LANDED", {})
+    metrics, tracer = _load("metrics"), _load("tracer")
+    trace = tracer.Tracer(metrics.TRACED, metrics.LABELS)
+    base = desk_manifest(dx=0.005, t_final=0.01)
+    trace.install()
+    try:
+        entries = experiments.bifurcation_sweep([(1.0, 0.75), (5.0, 0.9)], base)
+        in_sweep = [s for s in trace.spans if s[3] == "experiments.run_manifest"]
+        trace.spans.clear()
+        fields = experiments.run_manifest(base)
+        solo = [s for s in trace.spans if s[3] == "experiments.run_manifest"]
+    finally:
+        trace.uninstall()
+    assert [e["error"] for e in entries] == [None, None]
+    assert len(in_sweep) >= 1
+    assert len(solo) == 1
+    assert [f.time for f in fields] == [base.t_final]

@@ -24,6 +24,7 @@ from mblab.operators import (
     helmholtz_solve,
 )
 from mblab.staggered import (
+    _CFL_SAFE,
     Batch,
     _cfl_margin,
     _minmod,
@@ -55,8 +56,9 @@ def _step(u, w, ctx, variant, lam):
     its batch vectors."""
     batch = Batch([ctx])
     phase = INTEGER_GRID if len(u) == ctx.grid.n_cells + 1 else HALF_GRID
-    u_new, w_new = step(batch.pack([u], phase), batch.pack([w], phase), phase,
-                        batch, variant, lam)
+    u_ext = batch.pack([u], phase)
+    u_new, w_new, _ = step(u_ext, batch.pack([w], phase), _d2_order2(u_ext, ctx.grid.dx),
+                           phase, batch, variant, lam)
     return batch.points(u_new, _other(phase))[0], batch.points(w_new, _other(phase))[0]
 
 
@@ -90,8 +92,8 @@ def test_predictor_case_a():
     batch = Batch([ctx])
     u_ext = batch.pack([u], INTEGER_GRID)
     fslope = _slopes(flux(u_ext, MODEL))
-    wp = _predict(u_ext, batch.pack([w], INTEGER_GRID), fslope, INTEGER_GRID,
-                  batch, GRID.lam)
+    wp = _predict(_d2_order2(u_ext, GRID.dx), batch.pack([w], INTEGER_GRID), fslope,
+                  INTEGER_GRID, batch, GRID.lam)
     up = helmholtz_solve(Field(batch.points(wp, INTEGER_GRID)[0], INTEGER_GRID,
                                dt / 2), 0.0, 0.9, PARAMS.disp, GRID.dx)
     assert up.values == pytest.approx(
@@ -178,6 +180,58 @@ def test_slopes():
 def test_cfl_margin():
     assert _cfl_margin(flux_deriv(np.array([0.0, 0.1, 0.2]), MODEL), GRID.lam) > 0
     assert not _cfl_margin(flux_deriv(np.array([0.6, 0.6, 0.6]), MODEL), 0.5) > 0
+
+
+def _largest_unchecked_lam(model):
+    """The largest lam whose steps skip the CFL test: lam * C < _CFL_SAFE."""
+    lam = _CFL_SAFE / model.C
+    while not lam * model.C < _CFL_SAFE:
+        lam = math.nextafter(lam, 0.0)
+    return lam
+
+
+def test_c_is_reached_by_the_computed_f_prime_at_m_1_and_u_one_half():
+    model = FluxModel(1.0)
+    assert flux_deriv(0.5, model) == model.C == 2.0
+    assert _cfl_margin(flux_deriv(np.array([0.5]), model),
+                       _largest_unchecked_lam(model)) > 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(M=st.floats(1e-3, 1e3), u=st.floats(-1.0, 2.0))
+def test_c_bounds_the_computed_f_prime(M, u):
+    # a step skips f' and the CFL test where lam * C < _CFL_SAFE: that
+    # rests on C bounding every computed f', up to the rounding the cut
+    # leaves room for
+    model = FluxModel(M)
+    speeds = flux_deriv(np.array([u]), model)
+    assert speeds[0] <= model.C * (1.0 + 2.0 ** -50)
+    assert _cfl_margin(speeds, _largest_unchecked_lam(model)) > 0
+
+
+def test_a_cfl_violation_that_appears_mid_run_fails_the_step_it_appears_in(
+        monkeypatch):
+    # lam * C = 0.52, just over the cut, at M = 1; f' crosses 1/(2 lam) only
+    # for u near 1/2, which the dispersive overshoot above the inflow value
+    # 0.42 reaches after some 40 steps.  The step that fails is the first
+    # whose points fail the test as a CFL check on every step sees it.
+    model = FluxModel(1.0)
+    grid = GridSpec(L=1.0, n_cells=20, lam=0.52 / model.C)
+    ctx = RunContext(grid, MBLParams(0.05, 5.0), model, (0.42, 0.0))
+    u0 = np.zeros(21)
+    u0[0] = 0.42
+    failing = []
+    checked_step = staggered.step
+
+    def step_seen(u, w, d2u, phase, batch, variant, lam):
+        speeds = flux_deriv(np.concatenate(batch.points(u, phase)), model)
+        failing.append(not _cfl_margin(speeds, lam) > 0)
+        return checked_step(u, w, d2u, phase, batch, variant, lam)
+
+    monkeypatch.setattr(staggered, "step", step_seen)
+    with pytest.raises(NumericalError, match="CFL"):
+        run([u0], [ctx], "trapezoid", t_final=200 * grid.lam * grid.dx)
+    assert failing.index(True) == len(failing) - 1 >= 20
 
 
 @pytest.mark.parametrize("lam, stable", [(0.085, True), (0.09, False)])
@@ -286,9 +340,10 @@ def test_short_riemann_run_matches_frozen_values(variant):
     u, w, ctx = _start(u0, (0.98, 0.0), grid, MBLParams(epsilon=0.05, tau=10.0))
     batch = Batch([ctx])
     u, w = batch.pack([u], INTEGER_GRID), batch.pack([w], INTEGER_GRID)
+    d2u = _d2_order2(u, grid.dx)
     for _ in range(20):
         for phase in (INTEGER_GRID, HALF_GRID):
-            u, w = step(u, w, phase, batch, variant, grid.lam)
+            u, w, d2u = step(u, w, d2u, phase, batch, variant, grid.lam)
     u = batch.points(u, INTEGER_GRID)[0]  # back on the nodes
     assert np.array_equal(u, _RIEMANN_40[variant])
     assert np.allclose(u, _RIEMANN_40_LU[variant], rtol=0, atol=2e-15)
@@ -339,9 +394,9 @@ def test_a_batch_steps_each_run_as_it_would_alone(data, variant, phase):
     # vectors, against one step per run in a batch of its own
     runs = data.draw(st.lists(_runs(phase), min_size=1, max_size=4))
     batch = Batch([ctx for _, _, ctx in runs])
-    u_new, w_new = step(batch.pack([u for u, _, _ in runs], phase),
-                        batch.pack([w for _, w, _ in runs], phase), phase,
-                        batch, variant, 0.1)
+    u_ext = batch.pack([u for u, _, _ in runs], phase)
+    u_new, w_new, _ = step(u_ext, batch.pack([w for _, w, _ in runs], phase),
+                           _d2_order2(u_ext, 0.1), phase, batch, variant, 0.1)
     got = zip(batch.points(u_new, _other(phase)), batch.points(w_new, _other(phase)))
     for (u, w, ctx), (u_got, w_got) in zip(runs, got):
         u_alone, w_alone = _step(u, w, ctx, variant, 0.1)
@@ -350,6 +405,41 @@ def test_a_batch_steps_each_run_as_it_would_alone(data, variant, phase):
 
 
 _SIGNS = (0.0, -0.0, 0.3, -0.3)
+
+
+@pytest.mark.parametrize("phase", [INTEGER_GRID, HALF_GRID])
+@pytest.mark.parametrize("variant", ["trapezoid", "midpoint"])
+def test_a_state_stepped_twice_gives_the_same_bytes_both_times(variant, phase):
+    # a landing fork steps the state that the main march steps next, and
+    # marches on: no step may write into the state it is given, and nothing
+    # it returns may live in the batch's scratch.  One run, then three of
+    # mixed tau (0 keeps that run's c-solves the identity)
+    rng = np.random.default_rng(11)
+    for taus in ((1.0,), (0.0, 1.0, 5.0)):
+        ctxs = [RunContext(GridSpec(L=0.1 * n, n_cells=n, dx=0.1, lam=0.1),
+                           MBLParams(epsilon=0.1, tau=tau), MODEL, bc)
+                for n, tau, bc in zip((6, 5, 7), taus,
+                                      ((0.9, 0.0), (0.6, 0.1), (0.3, 0.0)))]
+        batch = Batch(ctxs)
+        u = batch.pack([rng.random(len(ctx.grid.points(phase))) for ctx in ctxs],
+                       phase)
+        w = batch.pack([rng.random(len(ctx.grid.points(phase))) for ctx in ctxs],
+                       phase)
+        state = (u, w, _d2_order2(u, 0.1))
+        given = [a.tobytes() for a in state]
+        first = step(*state, phase, batch, variant, 0.1)
+        kept = [a.tobytes() for a in first]
+        step(*first, _other(phase), batch, variant, 0.03)  # the fork marches on
+        second = step(*state, phase, batch, variant, 0.1)
+        assert [a.tobytes() for a in state] == given
+        assert [a.tobytes() for a in first] == kept
+        assert [a.tobytes() for a in second] == kept
+        # the carried D2 u is the one the next step would compute
+        assert first[2].tobytes() == _d2_order2(first[0], 0.1).tobytes()
+        arrays = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
+        for a in first + second:
+            assert not any(np.shares_memory(a, b) for b in arrays + list(state))
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.002])
