@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import pydantic
@@ -65,13 +66,6 @@ def _load(args) -> experiments.RunManifest:
         return manifest.derive(**overrides)
     except pydantic.ValidationError as exc:
         raise ManifestError(str(exc)) from exc
-
-
-def _bound_params(args, manifest) -> bounds.BoundParams:
-    return bounds.BoundParams(
-        lam=args.weight_rate, C_u=manifest.u_B,
-        L0=manifest.L0, L=manifest.L, g_sup=manifest.u_B,
-        M=manifest.M, epsilon=manifest.epsilon, tau=manifest.tau)
 
 
 def _cmd_order_test(args) -> int:
@@ -150,7 +144,8 @@ def _cmd_eps_sweep(args) -> int:
 
 def _cmd_lemma_audit(args) -> int:
     manifest = _load(args)
-    p = _bound_params(args, manifest)
+    p = dataclasses.replace(bounds._truncation_params(manifest, manifest.L),
+                            lam=args.weight_rate)
     s = p.scale
     xs = args.x if args.x is not None else sorted(
         {0.0, p.L0 / 2.0, p.L0, 2.0 * p.L0, 10.0 * s})
@@ -171,7 +166,9 @@ def _cmd_lemma_audit(args) -> int:
 
 def _cmd_bound(args) -> int:
     manifest = _load(args)
-    report = bounds.bound_constants(_bound_params(args, manifest), args.t)
+    p = dataclasses.replace(bounds._truncation_params(manifest, manifest.L),
+                            lam=args.weight_rate)
+    report = bounds.bound_constants(p, args.t)
     for name in ("a_tau", "b_tau", "c_tau", "E1", "E2",
                  "gamma1", "gamma2", "D1", "D2", "bound"):
         print(f"{name} = {getattr(report, name):.10e}")

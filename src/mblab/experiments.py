@@ -545,23 +545,21 @@ def domain_study(base: RunManifest, L_values: list[float],
         # a domain whose run fails leaves its entries to their own runs
         _run_batch([base.derive(L=L, t_final=max(times), snapshot_times=times)
                     for L in L_values])
-    entries = []
-    for t in times:
-        for L in L_values:
-            entry = {"t": t, "L": L, "classification": None,
-                     "sizing_ok": L > model.D * t,
-                     "h1_diff": None, "sup_diff": None, "bound": None}
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
+        entries = []
+        for t in times:
+            for L in L_values:
+                entry = {"t": t, "L": L, "classification": None,
+                         "sizing_ok": L > model.D * t,
+                         "h1_diff": None, "sup_diff": None, "bound": None}
+                try:
                     m = manifests[t, L]
                     entry["classification"] = classify_profile(
                         run_cached(m)[-1], m, model).classification
                     if L < L_ref:
                         entry.update(compare_domains(base, L, L_ref, t))
-            except NumericalError as exc:  # per-entry isolation
-                entry["error"] = f"{type(exc).__name__}: {exc}"
-            entries.append(entry)
+                except NumericalError as exc:  # per-entry isolation
+                    entry["error"] = f"{type(exc).__name__}: {exc}"
+                entries.append(entry)
     return {"L_ref": L_ref, "entries": entries}
 
 

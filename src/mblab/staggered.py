@@ -25,13 +25,13 @@ vector, n + 3 slots for a run of n cells on both phases (see Batch), so
 every stencil is one array operation over the whole batch and each solve
 one LAPACK call.  A single run is a batch of one.
 
-The march state is (t, u, w, D2 u): the new w is formed from the new u by
-helmholtz_apply, which leaves D2 u behind, and that is the next
-predictor's D2 u.  A step works in scratch arrays that its Batch owns and
-writes each intermediate where the next stage reads it; what it returns
-is new, so a landing fork and the main march can step one state.  f' and
-the CFL test are evaluated only when the step's lam times FluxModel.C,
-which bounds the clamped f', reaches 1/2 (see Batch.check_cfl).
+The march state is (t, u).  A step forms w and D2 u from u by
+helmholtz_apply in scratch arrays that its Batch owns, writes each
+intermediate where the next stage reads it, and returns only the new u, a
+new array, so a landing fork and the main march can step one state.  f'
+and the CFL test are evaluated only when the step's lam times
+FluxModel.C, which bounds the clamped f', reaches 1/2 (see
+Batch.check_cfl).
 """
 from __future__ import annotations
 
@@ -167,10 +167,11 @@ class Batch:
         self._solves = {}
         self._lowered = {}  # delta -> c - delta
         # a step's scratch, which every step overwrites: the rows [w; f],
-        # their differences, minmod slopes and work space, the predictor
-        # and the average placed on the new phase
+        # D2 u at the inner slots, the differences of [w; f], minmod slopes
+        # and work space, the predictor and the average placed on the new
+        # phase
         size = self.size
-        self._wf = np.empty((2, size))
+        self._wf, self._d2u = np.empty((2, size)), np.empty(size - 2)
         self._diff, self._slope, self._tmp = (np.empty((2, size - k)) for k in (1, 2, 2))
         self._wp, self._placed = np.empty(size), np.empty(size)
 
@@ -252,20 +253,21 @@ def _predict(d2u: np.ndarray, w: np.ndarray, fslope: np.ndarray, phase: str,
     return batch.frame(wp, phase)
 
 
-def step(u: np.ndarray, w: np.ndarray, d2u: np.ndarray, phase: str, batch: Batch,
-         variant: str, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One staggered step of dt = lam dx from (u, w) on phase to the other
+def step(u: np.ndarray, phase: str, batch: Batch, variant: str,
+         lam: float) -> np.ndarray:
+    """One staggered step of dt = lam dx from u on phase to the other
     phase, for every run of batch at once.
 
-    u and w are framed vectors of the batch (Batch.pack), and d2u is D2 u at
-    their inner slots, as helmholtz_apply forms it; the step returns the
-    new (u, w, d2u), new arrays that share no memory with the batch's
-    scratch or with the given state, so a state may be stepped twice.  Each
-    run steps byte for byte as it would alone.  A CFL violation (tested
-    only where it can happen, see Batch.check_cfl), or a NaN/Inf in the new
-    u or w or in the half-time u (the clamped flux can turn an Inf there
-    finite), is a NumericalError.  The boundary values were checked by the
-    RunContexts.
+    u is a framed vector of the batch (Batch.pack), and w = (I - c D2) u
+    takes u's frame: a start whose pinned nodes differ from its boundary
+    pair keeps them in w on its first step.  The step returns the new u, a
+    new array that shares no memory with the batch's scratch or with u, so
+    a state may be stepped twice.  Each run steps byte for byte as it would
+    alone.  A CFL violation (tested only where it can happen, see
+    Batch.check_cfl), or a NaN/Inf in the half-time or new u (the clamped
+    flux can turn an Inf there finite; a w that overflows reaches the
+    half-time u), is a NumericalError.  The boundary values were checked by
+    the RunContexts.
     """
     dx = batch.dx
     dt = lam * dx
@@ -273,14 +275,17 @@ def step(u: np.ndarray, w: np.ndarray, d2u: np.ndarray, phase: str, batch: Batch
     new_phase = HALF_GRID if phase == INTEGER_GRID else INTEGER_GRID
     shift = 1 if new_phase == HALF_GRID else 2  # the first slot an average lands on
     new = slice(shift, shift + batch.size - 3)  # the slots the averages land on
-    wf, diff, slope, tmp, placed = (batch._wf, batch._diff, batch._slope,
-                                    batch._tmp, batch._placed)
+    wf, d2u, diff, slope, tmp, placed = (batch._wf, batch._d2u, batch._diff,
+                                         batch._slope, batch._tmp, batch._placed)
 
-    # the slopes of w and f(u), and the staggered average of w: the
-    # trapezoid solves it for u, the midpoint adds the corrector to it in
-    # the new u's right-hand side
+    # w and D2 u from u, then the slopes of w and f(u), and the staggered
+    # average of w: the trapezoid solves it for u, the midpoint adds the
+    # corrector to it in the new u's right-hand side
     batch.check_cfl(u, phase, lam)
-    wf[0] = w
+    w = wf[0]
+    helmholtz_apply(u, batch.c, dx, out=w[1:-1], d2=d2u)
+    slots = batch._frames[phase][0]
+    w[slots] = u[slots]
     flux(u, batch.model, out=wf[1])
     wslope, fslope = _slopes(wf, slope, diff, tmp)
     rhs = np.empty(batch.size)
@@ -316,12 +321,9 @@ def step(u: np.ndarray, w: np.ndarray, d2u: np.ndarray, phase: str, batch: Batch
         unknowns -= ldf
         unknowns += d2
     u_new = batch.solve(batch.frame(rhs, new_phase), new_phase, delta)
-    w_new, d2u_new = np.empty(batch.size), np.empty(batch.size - 2)
-    helmholtz_apply(u_new, batch.c, dx, out=w_new[1:-1], d2=d2u_new)
-    batch.frame(w_new, new_phase)
-    if not (np.isfinite(u_new).all() and np.isfinite(w_new).all()):
-        raise NumericalError("new u or w contains NaN/Inf values")
-    return u_new, w_new, d2u_new
+    if not np.isfinite(u_new).all():
+        raise NumericalError("new u contains NaN/Inf values")
+    return u_new
 
 
 def run(starts: Sequence[np.ndarray], ctxs: Sequence[RunContext], variant: str,
@@ -351,25 +353,19 @@ def run(starts: Sequence[np.ndarray], ctxs: Sequence[RunContext], variant: str,
                                  f"at eps*lam/dx = {r:.6g}")
     # a NaN/Inf start fails in its Field
     u0 = batch.pack([Field(u, INTEGER_GRID).values for u in starts], INTEGER_GRID)
-    w0 = u0.copy()  # the ghosts and the pinned nodes keep their values
-    d2u0 = np.empty(batch.size - 2)
-    inner = helmholtz_apply(u0, batch.c, dx, d2=d2u0)
-    for s, n in zip(batch.starts, batch.n):
-        w0[s + 2:s + n + 1] = inner[s + 1:s + n]
-    state = (0.0, u0, w0, d2u0)
     pair = 2.0 * (lam_nom * dx)  # two steps of dt = lam_nom * dx
 
     def advance(state: tuple, dt: float) -> tuple:
-        t, *march = state
+        t, u = state
         lam = lam_nom if dt == pair else dt / 2.0 / dx
         for phase in (INTEGER_GRID, HALF_GRID):
-            march = step(*march, phase, batch, variant, lam)
+            u = step(u, phase, batch, variant, lam)
             t += lam * dx
-        return (t, *march)
+        return t, u
 
     def read(state: tuple, time: float) -> list[Field]:
         return [Field(p.copy(), INTEGER_GRID, time)
                 for p in batch.points(state[1], INTEGER_GRID)]
 
-    landed = land_snapshots(advance, read, state, t_final, snapshot_times, pair)
+    landed = land_snapshots(advance, read, (0.0, u0), t_final, snapshot_times, pair)
     return [list(fields) for fields in zip(*landed)]

@@ -733,6 +733,8 @@ def test_cli_start_up_leaves_out_the_unused_scipy_modules():
     ("domain-study", ["--L-values", "0.2,0.3", "--times", ","], 2),
     ("sweep", ["--pairs", ""], 2),
     ("eps-sweep", ["--eps-values", ""], 2),
+    ("bound", ["--t", "0.05", "--weight-rate", "1.5"], 2),
+    ("lemma-audit", ["--weight-rate", "0"], 2),
 ])
 def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
                                                         verb, args, code):
