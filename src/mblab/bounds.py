@@ -71,6 +71,9 @@ class BoundParams:
     tau: float
 
     def __post_init__(self):
+        bad = [name for name, v in vars(self).items() if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"lam must lie in (0,1), got {self.lam}")
         if not self.L > self.L0 >= 0.0:
@@ -125,8 +128,8 @@ def _phi_pair(x, L, s, exp=math.exp) -> tuple:
 
 def bound_constants(p: BoundParams, t: float) -> BoundReport:
     """Evaluate every constant of the truncation estimate at time t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and nonnegative")
     s = p.scale
     lam = p.lam
     model = FluxModel(p.M)
@@ -279,8 +282,8 @@ def lemma_audit(lemma_id: str, p: BoundParams, x: float) -> dict:
     (or closed form for the phi items), rhs from the stated bound."""
     if lemma_id not in AUDIT_ITEMS:
         raise ValueError(f"unknown audit item {lemma_id!r}")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    if not (math.isfinite(x) and x >= 0):
+        raise ValueError("x must be finite and nonnegative")
     s = p.scale
     lam = p.lam
 

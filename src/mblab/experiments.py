@@ -135,7 +135,9 @@ def load_manifest(path) -> RunManifest:
     manifest nested under a "manifest" key) is accepted too."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if isinstance(data, dict) and isinstance(data.get("manifest"), dict):
+    if not isinstance(data, dict):
+        raise ManifestError("a manifest file must hold a JSON object")
+    if isinstance(data.get("manifest"), dict):
         data = data["manifest"]
     try:
         return RunManifest(**data)
@@ -285,40 +287,28 @@ def _remember(manifest: RunManifest, fields: list[Field]) -> None:
     _RUN_CACHE[manifest.model_dump_json(by_alias=True)] = fields
 
 
-def _run_batch(manifests: Sequence[RunManifest]) -> dict[str, NumericalError]:
-    """Run and cache every manifest that run_cached would run, each once.
+def _run_batch(manifests: Sequence[RunManifest]) -> None:
+    """Fill the run cache with one batch march.
 
-    Staggered-scheme manifests that differ only in u_B, tau and L march as
-    one batch; a batch that fails with a NumericalError, a lone manifest
-    and a third_order one run alone.  A NumericalError of a manifest's own
-    run is returned under its cache key, and that manifest stays uncached;
-    any other error propagates.
+    The staggered-scheme manifests that run_cached would run, each once,
+    march as one batch when there are two or more of them, and each is
+    cached as its own manifest's run.  A batch that fails with a
+    NumericalError caches nothing; any other error propagates.  A member
+    left uncached (a lone or third_order one, or one of a failed batch)
+    runs alone in run_cached, which raises its own error.
     """
-    groups: dict[str, dict[str, RunManifest]] = {}
-    for m in manifests:
-        key = m.model_dump_json(by_alias=True)
-        if key not in _RUN_CACHE and _landed(m) is None:
-            shared = (key if m.scheme == "third_order" else
-                      m.model_dump_json(by_alias=True, exclude=_BATCH_FREE))
-            groups.setdefault(shared, {})[key] = m
-    failed = {}
-    for group in groups.values():
-        members = list(group.values())
-        if len(members) > 1:
-            try:
-                runs = run_manifest(members)
-            except NumericalError:  # the members' own runs report it
-                pass
-            else:
-                for m, fields in zip(members, runs):
-                    _remember(m, fields)
-                continue
-        for key, m in group.items():
-            try:
-                _remember(m, run_manifest(m))
-            except NumericalError as exc:
-                failed[key] = exc
-    return failed
+    batch = {m.model_dump_json(by_alias=True): m for m in manifests
+             if m.scheme != "third_order"}
+    members = [m for key, m in batch.items()
+               if key not in _RUN_CACHE and _landed(m) is None]
+    if len(members) < 2:
+        return
+    try:
+        runs = run_manifest(members)
+    except NumericalError:  # the members' own runs report it
+        return
+    for m, fields in zip(members, runs):
+        _remember(m, fields)
 
 
 # --- order tables -----------------------------------------------------------
@@ -483,8 +473,9 @@ def bifurcation_sweep(pairs=None, base: Optional[RunManifest] = None) -> list[di
     the sweep continues.  Entries come back sorted by (tau, u_B).
 
     Every pair is derived, and its grid and times validated, before any
-    run.  The staggered runs of all pairs then march as one batch; if the
-    batch fails, each pair runs alone.
+    run.  The staggered runs of all pairs then march as one batch; a pair
+    the batch leaves (a lone or third_order one, or every pair of a failed
+    batch) runs alone.
     """
     pairs = list(DEFAULT_SWEEP_PAIRS if pairs is None else pairs)
     if not pairs:
@@ -504,12 +495,9 @@ def bifurcation_sweep(pairs=None, base: Optional[RunManifest] = None) -> list[di
         except Exception as exc:  # per-run isolation
             entry["error"] = f"{type(exc).__name__}: {exc}"
         entries.append(entry)
-    failed = _run_batch([m for _, m in derived])
+    _run_batch([m for _, m in derived])
     for entry, m in derived:
-        error = failed.get(m.model_dump_json(by_alias=True))
         try:
-            if error is not None:
-                raise error
             entry["report"] = classify_profile(run_cached(m)[-1], m, model)
         except Exception as exc:  # per-run isolation
             entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -527,7 +515,7 @@ def domain_study(base: RunManifest, L_values: list[float],
     fields serve the per-entry runs through run_cached.  A NumericalError
     is recorded per entry under "error", with the norms and bound set to
     None, and the study continues; if the batch fails, each domain runs
-    alone, and an entry whose domain run failed falls back to its own run.
+    alone, and an entry whose domain run failed makes its own run.
     """
     if not L_values:
         raise ValueError("L_values must not be empty")
@@ -542,9 +530,14 @@ def domain_study(base: RunManifest, L_values: list[float],
                      for t in times for L in L_values}
         for L in L_values[:-1]:  # an undefined bound fails before any run
             _truncation_params(base, L).scale
-        # a domain whose run fails leaves its entries to their own runs
-        _run_batch([base.derive(L=L, t_final=max(times), snapshot_times=times)
-                    for L in L_values])
+        domains = [base.derive(L=L, t_final=max(times), snapshot_times=times)
+                   for L in L_values]
+        _run_batch(domains)
+        for d in domains:
+            try:
+                run_cached(d)
+            except NumericalError:  # its entries fall back to their own runs
+                pass
         entries = []
         for t in times:
             for L in L_values:

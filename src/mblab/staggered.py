@@ -142,7 +142,6 @@ class Batch:
                for ctx in ctxs):
             raise ValueError("the runs of a batch must share dx, lambda, "
                              "epsilon and the flux model")
-        self.ctxs = list(ctxs)
         self.dx, self.lam, self.eps, self.model = shared
         self.n = [ctx.grid.n_cells for ctx in ctxs]
         self.starts = [0]
@@ -187,11 +186,9 @@ class Batch:
         extra = 1 if phase == INTEGER_GRID else 0
         if [len(p) for p in points] != [n + extra for n in self.n]:
             raise ValueError("need the point values of each run")
-        v = np.empty(self.size)
-        for s, n, p, ctx in zip(self.starts, self.n, points, self.ctxs):
-            v[s] = ctx.bc[0]
+        v = self.frame(np.empty(self.size), phase)
+        for s, p in zip(self.starts, points):
             v[s + 1:s + 1 + len(p)] = p
-            v[s + 1 + len(p):s + n + 3] = ctx.bc[1]  # ghost h, spare slot
         return v
 
     def points(self, v: np.ndarray, phase: str) -> list[np.ndarray]:

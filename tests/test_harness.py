@@ -134,6 +134,10 @@ def test_load_manifest_rejects_unknown_keys(tmp_path):
     p.write_text(json.dumps(data))
     with pytest.raises(ManifestError):
         load_manifest(p)
+    for top_level in ([1, 2], None, 3):  # not a JSON object
+        p.write_text(json.dumps(top_level))
+        with pytest.raises(ManifestError):
+            load_manifest(p)
 
 
 def test_smooth_ramp_ic():
@@ -354,6 +358,14 @@ def test_bifurcation_sweep_with_duplicate_pairs_or_a_third_order_base(monkeypatc
         else:  # the duplicate joins the batch once
             assert runs == [(base.derive(tau=1.0, u_B=0.75),
                              base.derive(tau=1.0, u_B=0.9))]
+    # a lone staggered pair runs once, alone: not as a batch of one
+    experiments._RUN_CACHE.clear()
+    experiments._LANDED.clear()
+    runs.clear()
+    base = _tiny()
+    entries = bifurcation_sweep([(1.0, 0.75), (1.0, 0.75)], base)
+    assert entries[0] == entries[1] and entries[0]["report"] is not None
+    assert runs == [base.derive(tau=1.0, u_B=0.75)]
 
 
 def test_bifurcation_sweep_reports_a_failed_block_on_every_pair():
@@ -606,12 +618,18 @@ def test_cli_missing_manifest(tmp_path):
     assert rc == 4
 
 
-def test_cli_rejects_unknown_manifest_keys(tmp_path):
+def test_cli_rejects_unknown_manifest_keys(tmp_path, capsys):
     p = tmp_path / "bad.json"
     data = json.loads(_tiny().model_dump_json(by_alias=True))
     data["junk"] = True
     p.write_text(json.dumps(data))
     assert cli.main(["riemann", "--manifest", str(p)]) == 2
+    capsys.readouterr()
+    p.write_text("[]")
+    assert cli.main(["riemann", "--manifest", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("manifest error")
+    assert "Traceback" not in err
 
 
 def test_cli_rejects_bad_override(manifest_file):
@@ -735,6 +753,8 @@ def test_cli_start_up_leaves_out_the_unused_scipy_modules():
     ("eps-sweep", ["--eps-values", ""], 2),
     ("bound", ["--t", "0.05", "--weight-rate", "1.5"], 2),
     ("lemma-audit", ["--weight-rate", "0"], 2),
+    ("bound", ["--t", "nan"], 2),
+    ("lemma-audit", ["--items", "L2i", "--x", "nan"], 2),
 ])
 def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
                                                         verb, args, code):

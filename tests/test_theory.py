@@ -139,6 +139,10 @@ def test_bound_params_validation():
     with pytest.raises(ValueError):
         BoundParams(lam=0.5, C_u=0.0, L0=0.1, L=0.75, g_sup=ALPHA,
                     M=2.0, epsilon=0.01, tau=5.0)
+    for field, value in [("C_u", math.nan), ("g_sup", math.nan),
+                         ("epsilon", math.nan), ("tau", math.inf)]:
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            BoundParams(lam=0.5, **{**kw, field: value})
 
 
 def test_bound_constants_at_time_zero():
@@ -159,6 +163,9 @@ def test_bound_grows_in_time():
 def test_bound_constants_errors():
     with pytest.raises(ValueError):
         bound_constants(P_DESK, -0.1)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bound_constants(P_DESK, t)
     p0 = BoundParams(lam=0.5, C_u=ALPHA, L0=0.1, L=0.75, g_sup=ALPHA,
                      M=2.0, epsilon=0.0, tau=5.0)
     with pytest.raises(ValueError):
@@ -182,6 +189,10 @@ def test_lemma_audit_errors():
         lemma_audit("L9x", P_DESK, 0.1)
     with pytest.raises(ValueError):
         lemma_audit("L2i", P_DESK, -0.1)
+    for item in ("L2i", "L3ii"):
+        for x in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                lemma_audit(item, P_DESK, x)
     with pytest.raises(ValueError):
         lemma_audit("L4ii", P_DESK, P_DESK.L + 0.1)
 
