@@ -236,7 +236,7 @@ def main(argv=None) -> int:
     except (ValueError, pydantic.ValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:  # a float overflow is one too
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

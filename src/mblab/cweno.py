@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .flux import FluxModel, flux_and_deriv
-from .march import RunContext, land_snapshots
+from .march import RunContext, _check_linear_gain, land_snapshots
 from .operators import (
     Field,
     HALF_GRID,
@@ -175,17 +175,6 @@ def rk4_step(wbar: np.ndarray, dt: float, ctx: RunContext) -> np.ndarray:
     return out
 
 
-def _rk4_gain(r: float, kappa: float) -> float:
-    """max over s = 4 sin^2(theta/2) in [0, 4] of the RK4 factor
-    |1 + z + z^2/2 + z^3/6 + z^4/24| of the diffusion term, with
-    z = -r q(s) / (1 + kappa s), q(s) = s + s^2/12 the symbol of the
-    fourth-order Q, r = eps lam / dx and kappa = eps^2 tau / dx^2."""
-    s = np.linspace(0.0, 4.0, 4001)
-    z = -r * (s + s * s / 12.0) / (1.0 + kappa * s)
-    factor = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
-    return float(np.max(np.abs(factor)))
-
-
 def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
         snapshot_times: Sequence[float] = ()) -> list[Field]:
     """Advance the cell averages of w from t = 0 by RK4 steps of dt = lam dx,
@@ -195,17 +184,17 @@ def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
     solve), the final state last.  Two conditions are rejected before the
     first step: lam * C >= 1/2 (f' is clamped, so C bounds the speed of u
     everywhere), and an RK4 factor above 1 for some mode of the diffusion
-    term (_rk4_gain).  The boundary values were checked by the RunContext.
+    term (march._check_linear_gain).  The boundary values were checked by
+    the RunContext.
     """
     grid, params = ctx.grid, ctx.params
     if grid.lam * ctx.model.C >= 0.5:
         raise NumericalError(
             f"CFL violation: lambda*C = {grid.lam * ctx.model.C:.6g} >= 0.5")
-    r = params.epsilon * grid.lam / grid.dx
-    gain = _rk4_gain(r, params.disp / grid.dx ** 2)
-    if gain > 1.0:
-        raise NumericalError(f"third-order scheme unstable: max|R| = {gain:.6g} > 1 "
-                             f"at eps*lam/dx = {r:.6g}")
+    # RK4's degree-4 Taylor polynomial of e^-z on the symbol s + s^2/12 of
+    # the fourth-order Q
+    _check_linear_gain("third-order", [ctx], lambda s: s + s * s / 12.0,
+                       lambda s, z: 1.0 - z * (1.0 - z / 2.0 * (1.0 - z / 3.0 * (1.0 - z / 4.0))))
 
     def advance(state: tuple, dt: float) -> tuple:
         t, wbar = state

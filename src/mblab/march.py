@@ -1,5 +1,5 @@
-"""The run context and the snapshot-landing time loop shared by both
-marching schemes.
+"""The run context, the linear-stability guard and the snapshot-landing
+time loop shared by both marching schemes.
 
 Every landed field must lie in the saturation range widened by its own
 width on each side, [-1, 2].  The saturation u lives in [0, 1], and so do
@@ -53,6 +53,24 @@ class RunContext:
         object.__setattr__(self, "bc", tuple(float(v) for v in self.bc))
         if not np.isfinite(self.bc).all():
             raise NumericalError("boundary value is NaN/Inf")
+
+
+def _check_linear_gain(scheme: str, ctxs: Sequence[RunContext], symbol: Callable,
+                       factor: Callable) -> None:
+    """Reject runs of ctxs (which share eps, lam and dx) whose explicit
+    diffusion amplifies a linear mode: a NumericalError named after scheme
+    when max |factor(s, z)| > 1 over the modes s = 4 sin^2(theta/2) in
+    [0, 4], with z = r q / (1 + kappa s), q = symbol(s), r = eps lam / dx
+    and each distinct kappa = eps^2 tau / dx^2 of the runs."""
+    grid = ctxs[0].grid
+    r = ctxs[0].params.epsilon * grid.lam / grid.dx
+    s = np.linspace(0.0, 4.0, 4001)
+    q = symbol(s)
+    gain = max(float(np.max(np.abs(factor(s, r * q / (1.0 + c / grid.dx ** 2 * s)))))
+               for c in {ctx.params.disp for ctx in ctxs})
+    if gain > 1.0:
+        raise NumericalError(f"{scheme} scheme unstable: max|G| = {gain:.6g} > 1 "
+                             f"at eps*lam/dx = {r:.6g}")
 
 
 def landing_targets(t0: float, t_final: float,

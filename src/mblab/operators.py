@@ -68,6 +68,9 @@ class GridSpec:
         if abs(self.dx * self.n_cells - self.L) > 1e-12 * self.L:
             raise ValueError(
                 f"dx*n_cells = {self.dx * self.n_cells!r} does not match L = {self.L!r}")
+        dx = float(self.dx)  # every stencil divides by dx^2
+        if not np.finfo(float).tiny <= dx * dx < np.inf:
+            raise ValueError(f"dx = {self.dx!r} has no normal float dx^2")
         if not self.lam > 0:
             raise ValueError("lambda must be positive")
 

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .march import RunContext, land_snapshots
+from .march import RunContext, _check_linear_gain, land_snapshots
 from .errors import NumericalError
 from .flux import flux, flux_deriv
 from .operators import (
@@ -59,15 +59,6 @@ __all__ = [
 
 TRAPEZOID = "trapezoid"
 MIDPOINT = "midpoint"
-
-
-def _midpoint_gain(r: float, kappa: float) -> float:
-    """max over s = 4 sin^2(theta/2) in [0, 4] of the midpoint corrector's
-    linear amplification |G| = cos(theta/2) |1 - z + z^2/2|, with
-    z = r s / (1 + kappa s), r = eps lam / dx and kappa = eps^2 tau / dx^2."""
-    s = np.linspace(0.0, 4.0, 4001)
-    z = r * s / (1.0 + kappa * s)
-    return float(np.max(np.sqrt(1.0 - s / 4.0) * (1.0 - z + 0.5 * z * z)))
 
 
 def _minmod(a: np.ndarray, b: np.ndarray, out: np.ndarray = None,
@@ -333,21 +324,19 @@ def run(starts: Sequence[np.ndarray], ctxs: Sequence[RunContext], variant: str,
     pair on a fork of the march, so a snapshot never moves the later
     fields; returned fields all live on the integer grid, the final state
     last.  A midpoint batch whose linear amplification exceeds 1 for some
-    run is a NumericalError before the first step: that run would grow
-    without bound yet stay finite, and the clamped f' hides it from the CFL
-    test.  So is a CFL violation, a NaN/Inf or a landed value outside
-    [-1, 2] in any run.
+    run is a NumericalError before the first step (see
+    march._check_linear_gain).  So is a CFL violation, a NaN/Inf or a
+    landed value outside [-1, 2] in any run.
     """
     if variant not in (TRAPEZOID, MIDPOINT):
         raise ValueError(f"unknown variant {variant!r}")
     batch = Batch(ctxs)
     lam_nom, dx = batch.lam, batch.dx
     if variant == MIDPOINT:
-        r = batch.eps * lam_nom / dx
-        gain = max(_midpoint_gain(r, c / dx ** 2) for c in set(batch.disp))
-        if gain > 1.0:
-            raise NumericalError(f"midpoint scheme unstable: max|G| = {gain:.6g} > 1 "
-                                 f"at eps*lam/dx = {r:.6g}")
+        # the corrector's factor cos(theta/2) (1 - z + z^2/2) on the
+        # order-2 symbol s
+        _check_linear_gain("midpoint", ctxs, lambda s: s,
+                           lambda s, z: np.sqrt(1.0 - s / 4.0) * (1.0 - z + 0.5 * z * z))
     # a NaN/Inf start fails in its Field
     u0 = batch.pack([Field(u, INTEGER_GRID).values for u in starts], INTEGER_GRID)
     pair = 2.0 * (lam_nom * dx)  # two steps of dt = lam_nom * dx

@@ -755,6 +755,20 @@ def test_cli_start_up_leaves_out_the_unused_scipy_modules():
     ("lemma-audit", ["--weight-rate", "0"], 2),
     ("bound", ["--t", "nan"], 2),
     ("lemma-audit", ["--items", "L2i", "--x", "nan"], 2),
+    # (M + 1)^2 overflows in FluxModel.C
+    ("riemann", ["--M", "1e200"], 3),
+    ("sweep", ["--M", "1e200"], 3),
+    ("bound", ["--M", "1e200", "--t", "0.01"], 3),
+    ("lemma-audit", ["--M", "1e200"], 3),
+    # eps^2 overflows in MBLParams.disp
+    ("riemann", ["--epsilon", "1e160"], 3),
+    ("eps-sweep", ["--eps-values", "1e160"], 3),
+    # dx^2 underflows to 0 or overflows, and every stencil divides by it
+    ("riemann", ["--L", "1e201", "--dx", "1e200"], 2),
+    *(("riemann", ["--scheme", scheme, "--tau", tau, "--L", "1e-169", "--L0", "0",
+                   "--dx", "1e-170", "--t-final", "1e-172"], 2)
+      for scheme, tau in (("midpoint", "0"), ("midpoint", "1"), ("third_order", "0"),
+                          ("third_order", "1"), ("trapezoid", "1"))),
 ])
 def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
                                                         verb, args, code):

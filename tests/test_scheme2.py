@@ -274,6 +274,13 @@ def test_midpoint_runs_at_its_guard_edge_stay_in_range(lam, overshoot):
     assert -1.0 < u.min() and u.max() < 2.0
 
 
+def test_the_unguarded_trapezoid_stays_in_range_far_past_the_midpoint_limit():
+    # r = 2 and lam C = 0.45 at tau = 0, where the midpoint guard stops at
+    # r ~ 0.892: the trapezoid's diffusion is implicit, so it needs no guard
+    u = run_manifest(_edge_of_stability("trapezoid", 0.2, 0.2))[-1].values
+    assert 0.0 <= u.min() and u.max() <= 0.9
+
+
 @pytest.mark.parametrize("scheme, lam, t_final", [("midpoint", 0.087, 0.2),
                                                   ("third_order", 0.052, 0.1)])
 def test_a_diverged_run_that_stays_finite_is_a_numerical_error(scheme, lam, t_final):
