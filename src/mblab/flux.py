@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "FluxModel",
     "flux",
@@ -39,10 +41,18 @@ class FluxModel:
     def __post_init__(self):
         if not self.M > 0:
             raise ValueError(f"M must be positive, got {self.M}")
+        if self.M * self.M == 0:
+            raise ValueError(f"M = {self.M!r} is too small: f' divides by "
+                             "(u^2 + M (1-u)^2)^2, which is M^2 = 0 at u = 0")
+        try:
+            C = (self.M + 1.0) ** 2 / (2.0 * self.M)
+        except OverflowError:
+            raise NumericalError("C = (M + 1)^2 / (2 M) overflows the float "
+                                 f"range at M = {self.M!r}") from None
         a = float(np.sqrt(self.M / (self.M + 1.0)))
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "D", float(flux(a, self)) / a)
-        object.__setattr__(self, "C", (self.M + 1.0) ** 2 / (2.0 * self.M))
+        object.__setattr__(self, "C", C)
 
 
 def _clamped(u: np.ndarray, M: float) -> tuple[np.ndarray, ...]:

@@ -7,6 +7,9 @@ operator is (I - c D^2) with c = eps^2 tau (or a scheme-supplied
 coefficient); its inverse is a LAPACK solve, factored once per matrix:
 LDL^T (dpttrf/dpttrs) for the symmetric positive definite order-2
 tridiagonal matrices, banded LU (dgbtrf/dgbtrs) for the order-4 ones.
+The four routines come from scipy's LAPACK extension module, loaded on
+its own: the scipy.linalg package would also import numpy's optional
+subpackages, about 0.2 s of start-up on every run that no solve needs.
 
 Every solve is one _Solve: the closure terms of the boundary values, the
 c = 0 rule and the size check live there and nowhere else.  Its order-2
@@ -26,10 +29,13 @@ agree whenever the data is flat next to the boundary.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import importlib.machinery
+import importlib.util
+import os
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
+import scipy
 
 from .errors import NumericalError
 
@@ -46,6 +52,35 @@ __all__ = [
 
 INTEGER_GRID = "integer_grid"
 HALF_GRID = "half_grid"
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK module scipy.linalg._flapack, without scipy.linalg.
+
+    Importing scipy.linalg.lapack runs scipy/linalg/__init__, whose array-API
+    layer reads every numpy attribute and so imports numpy.f2py, numpy.ma,
+    numpy.random, numpy.testing and numpy.polynomial: about 260 modules that
+    no solve uses.  A plain `import scipy` has already done scipy's own
+    shared-library set-up.  CPython keeps one copy of an extension module per
+    file and name, so the routines taken from here are the very objects that
+    scipy.linalg.lapack exports, whichever of the two is imported first.
+    """
+    name = "scipy.linalg._flapack"
+    path = os.path.join(os.path.dirname(scipy.__file__), "linalg",
+                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's LAPACK extension is missing: no file {path}",
+                          name=name, path=path)
+    spec = importlib.util.spec_from_file_location(
+        name, path, loader=importlib.machinery.ExtensionFileLoader(name, path))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgbtrf, dgbtrs, dpttrf, dpttrs = (_flapack.dgbtrf, _flapack.dgbtrs,
+                                  _flapack.dpttrf, _flapack.dpttrs)
 
 
 @dataclass(frozen=True)
@@ -90,22 +125,27 @@ class MBLParams:
     """Model parameters: diffusion scale epsilon and dispersion ratio tau.
 
     epsilon = 0 is allowed so that the inviscid conservation identities can
-    be exercised; tau = 0 degenerates to the purely viscous equation.
+    be exercised; tau = 0 degenerates to the purely viscous equation.  An
+    eps^2 tau beyond the float range is a NumericalError.
     """
 
     epsilon: float
     tau: float
+    disp: float = field(init=False)  # the elliptic coefficient eps^2 * tau
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
-
-    @property
-    def disp(self) -> float:
-        """The elliptic coefficient eps^2 * tau."""
-        return self.epsilon ** 2 * self.tau
+        try:
+            disp = self.epsilon ** 2 * self.tau
+        except OverflowError:
+            disp = np.inf
+        if disp == np.inf:
+            raise NumericalError("eps^2 tau overflows the float range at "
+                                 f"epsilon = {self.epsilon!r}, tau = {self.tau!r}")
+        object.__setattr__(self, "disp", disp)
 
 
 @dataclass

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mblab.errors import NumericalError
 from mblab.flux import (
     FluxModel,
     classical_bl_profile,
@@ -122,6 +123,17 @@ def test_bad_viscosity_ratio():
         FluxModel(0.0)
     with pytest.raises(ValueError):
         FluxModel(-1.0)
+
+
+def test_viscosity_ratios_at_the_ends_of_the_float_range():
+    # f' divides by (u^2 + M (1-u)^2)^2, which is M^2 at u = 0
+    with pytest.raises(ValueError, match=r"M = 1e-300 is too small: .* M\^2 = 0"):
+        FluxModel(1e-300)
+    tiny = FluxModel(1e-160)  # M^2 is subnormal but not 0
+    assert np.isfinite(flux_deriv(np.linspace(0.0, 1.0, 11), tiny)).all()
+    with pytest.raises(NumericalError, match=r"^C = \(M \+ 1\)\^2 / \(2 M\) overflows "
+                                             r"the float range at M = 1e\+200$"):
+        FluxModel(1e200)
 
 
 @given(st.floats(min_value=-2.0, max_value=3.0, allow_nan=False))

@@ -36,7 +36,7 @@ from mblab.experiments import (
     smooth_ramp_ic,
 )
 from mblab.flux import FluxModel
-from mblab.operators import Field
+from mblab.operators import HALF_GRID, INTEGER_GRID, Field
 
 ALPHA = math.sqrt(2.0 / 3.0)
 MODEL = FluxModel(2.0)
@@ -289,6 +289,26 @@ def test_export_is_reproducible(tmp_path):
     assert (tmp_path / "a" / "manifest.json").read_bytes() == \
         (tmp_path / "b" / "manifest.json").read_bytes()
     assert a["csv"] != b["csv"]
+
+
+def test_export_pins_the_text_of_awkward_floats_on_both_phases(tmp_path):
+    # signed zero, the smallest subnormal, a rounded sum and a repeating
+    # fraction, as x, u and t on nodes and half cells
+    m = desk_manifest(L=0.4, dx=0.1, t_final=0.1)
+    fields = [Field(np.array([-0.0, 5e-324, 0.1 + 0.2, 1 / 3, 1.0]), INTEGER_GRID, 0.1 + 0.2),
+              Field(np.array([1 / 3, -0.0, 5e-324, 0.1 + 0.2]), HALF_GRID, 1 / 3)]
+    export(fields, m, output_dir=tmp_path)
+    assert (tmp_path / "snapshots.csv").read_bytes() == (
+        b"x,u,t\n"
+        b"0,-0,0.30000000000000004\n"
+        b"0.10000000000000001,4.9406564584124654e-324,0.30000000000000004\n"
+        b"0.20000000000000001,0.30000000000000004,0.30000000000000004\n"
+        b"0.30000000000000004,0.33333333333333331,0.30000000000000004\n"
+        b"0.40000000000000002,1,0.30000000000000004\n"
+        b"0.050000000000000003,0.33333333333333331,0.33333333333333331\n"
+        b"0.15000000000000002,-0,0.33333333333333331\n"
+        b"0.25,4.9406564584124654e-324,0.33333333333333331\n"
+        b"0.35000000000000003,0.30000000000000004,0.33333333333333331\n")
 
 
 def test_export_without_fields_writes_manifest_only(tmp_path):
@@ -725,17 +745,23 @@ def test_cli_has_one_override_flag_per_manifest_field():
     assert ["--lambda"] in flags and ["--snapshot-times"] in flags
 
 
-def test_cli_start_up_leaves_out_the_unused_scipy_modules():
-    # scipy serves the LAPACK solves only; the lemma audit integrates on its own
+def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
+    # scipy serves the LAPACK solves only, through its extension module and
+    # not the scipy.linalg package; the lemma audit integrates on its own
     code = "\n".join([
         "import sys, mblab.cli",
         "from mblab.bounds import AUDIT_ITEMS, BoundParams, lemma_audit",
+        "from mblab.experiments import desk_manifest, run_manifest",
         "p = BoundParams(lam=0.5, C_u=0.8, L0=0.1, L=0.75, g_sup=0.8, M=2.0,",
         "                epsilon=0.01, tau=5.0)",
         "for item in AUDIT_ITEMS[:6]:",
         "    lemma_audit(item, p, 0.05)",
+        "for scheme in ('trapezoid', 'third_order'):",
+        "    run_manifest(desk_manifest(scheme=scheme, epsilon=0.025, tau=1.0, u_B=0.75,",
+        "                               L=0.3, L0=0.05, dx=0.0025, t_final=0.01))",
         "print(*[m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special',",
-        "                    'scipy.sparse') if m in sys.modules])",
+        "                    'scipy.sparse', 'scipy.linalg', 'numpy.f2py', 'numpy.ma',",
+        "                    'numpy.random', 'numpy.testing') if m in sys.modules])",
     ])
     src = str(pathlib.Path(mblab.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -769,13 +795,38 @@ def test_cli_start_up_leaves_out_the_unused_scipy_modules():
                    "--dx", "1e-170", "--t-final", "1e-172"], 2)
       for scheme, tau in (("midpoint", "0"), ("midpoint", "1"), ("third_order", "0"),
                           ("third_order", "1"), ("trapezoid", "1"))),
+    # M^2 underflows to 0 and f' divides by it; the manifest is refused
+    ("riemann", ["--M", "1e-300"], 2),
 ])
 def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
                                                         verb, args, code):
     assert cli.main([verb, "--manifest", str(manifest_file), *args]) == code
     err = capsys.readouterr().err
-    assert err.startswith({2: "validation error", 3: "numerical failure"}[code])
+    assert err.startswith({2: ("validation error", "manifest error"),
+                           3: "numerical failure"}[code])
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--M", "1e200"], "numerical failure: C = (M + 1)^2 / (2 M) overflows the "
+                       "float range at M = 1e+200\n"),
+    (["--epsilon", "1e160"], "numerical failure: eps^2 tau overflows the float "
+                             "range at epsilon = 1e+160, tau = 1.0\n"),
+])
+def test_cli_names_the_quantity_that_overflows(manifest_file, tmp_path, capsys,
+                                               args, message):
+    assert cli.main(["riemann", "--manifest", str(manifest_file),
+                     "--output-dir", str(tmp_path / "out"), *args]) == 3
+    assert capsys.readouterr().err == message
+
+
+def test_cli_sweep_entry_names_the_quantity_that_overflows(manifest_file, capsys):
+    assert cli.main(["sweep", "--manifest", str(manifest_file), "--pairs", "1:0.75",
+                     "--epsilon", "1e160"]) == 0
+    assert capsys.readouterr().out == (
+        "tau=1 u_B=0.75 -> ERROR NumericalError: eps^2 tau overflows the float "
+        "range at epsilon = 1e+160, tau = 1.0\n")
+
 
 
 def test_cli_domain_study(manifest_file, capsys):

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy
+import scipy.linalg.lapack
 from scipy.linalg.lapack import dpttrs
 
+from mblab import operators
 from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
 from mblab.operators import (
@@ -58,6 +61,30 @@ def test_params_validation():
         MBLParams(epsilon=-0.01, tau=5.0)
     with pytest.raises(ValueError):
         MBLParams(epsilon=0.01, tau=-5.0)
+
+
+@pytest.mark.parametrize("epsilon, tau", [(1e160, 1.0), (1e160, 0.0), (1e150, 1e20)])
+def test_params_name_an_overflowing_dispersion_coefficient(epsilon, tau):
+    # eps^2 overflows (a Python OverflowError) or eps^2 tau rounds to inf
+    with pytest.raises(NumericalError) as exc_info:
+        MBLParams(epsilon=epsilon, tau=tau)
+    assert str(exc_info.value) == ("eps^2 tau overflows the float range at "
+                                   f"epsilon = {epsilon!r}, tau = {tau!r}")
+
+
+def test_the_lapack_routines_are_the_ones_scipy_linalg_exports():
+    # one extension module per file: loading it apart from scipy.linalg
+    # yields the same routine objects
+    for name in ("dgbtrf", "dgbtrs", "dpttrf", "dpttrs"):
+        assert getattr(operators, name) is getattr(scipy.linalg.lapack, name)
+
+
+def test_the_lapack_loader_names_a_missing_extension(tmp_path, monkeypatch):
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(ImportError) as exc_info:
+        operators._load_flapack()
+    assert str(tmp_path / "linalg" / "_flapack") in str(exc_info.value)
+    assert exc_info.value.path.startswith(str(tmp_path / "linalg" / "_flapack"))
 
 
 def test_field_rejects_nan():
