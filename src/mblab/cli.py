@@ -18,8 +18,6 @@ import argparse
 import dataclasses
 import sys
 
-import pydantic
-
 from . import __version__, bounds, experiments
 from .errors import ManifestError, NumericalError
 from .flux import FluxModel
@@ -43,6 +41,10 @@ def _pairs(text: str) -> list[tuple[float, float]]:
     return out
 
 
+# the argparse type of each manifest field's annotation
+_FLAG_TYPES = {"float": float, "str": str, "list[float]": _floats}
+
+
 def _manifest_parent() -> argparse.ArgumentParser:
     """--manifest and one override flag per manifest field: "--" and the
     field's alias or name with "_" as "-"; a list takes comma-separated
@@ -50,22 +52,20 @@ def _manifest_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--manifest", required=True,
                         help="path to the run-manifest JSON file")
-    for name, field in experiments.RunManifest.model_fields.items():
-        flag = "--" + (field.alias or name).replace("_", "-")
-        typ = _floats if field.annotation == list[float] else field.annotation
-        parent.add_argument(flag, dest=f"override_{name}", type=typ,
-                            default=None, help=f"override manifest {name}")
+    for field in dataclasses.fields(experiments.RunManifest):
+        name = field.name
+        flag = "--" + experiments._ALIASES.get(name, name).replace("_", "-")
+        parent.add_argument(flag, dest=f"override_{name}",
+                            type=_FLAG_TYPES[field.type], default=None,
+                            help=f"override manifest {name}")
     return parent
 
 
 def _load(args) -> experiments.RunManifest:
     manifest = experiments.load_manifest(args.manifest)
-    overrides = {name: value for name in experiments.RunManifest.model_fields
-                 if (value := getattr(args, f"override_{name}")) is not None}
-    try:
-        return manifest.derive(**overrides)
-    except pydantic.ValidationError as exc:
-        raise ManifestError(str(exc)) from exc
+    overrides = {f.name: value for f in dataclasses.fields(experiments.RunManifest)
+                 if (value := getattr(args, f"override_{f.name}")) is not None}
+    return manifest.derive(**overrides)
 
 
 def _cmd_order_test(args) -> int:
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, pydantic.ValidationError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, OverflowError) as exc:  # a float overflow is one too

@@ -12,6 +12,8 @@ pairs, in one march.
 """
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import math
 import warnings
@@ -20,7 +22,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import pydantic
 
 from . import __version__
 from .bounds import _truncation_params, compare_domains
@@ -51,16 +52,26 @@ SCHEMES = ("trapezoid", "midpoint", "third_order")
 IC_KINDS = ("riemann", "smooth_ramp")
 
 
-class RunManifest(pydantic.BaseModel):
+# the JSON key and CLI flag name of a field, where it is not the field's name
+_ALIASES = {"lam": "lambda"}
+
+
+@dataclass(frozen=True, init=False)
+class RunManifest:
     """Complete, deterministic description of one run.
 
-    The JSON key for the time-step ratio is "lambda"; runs with
-    ic_kind="smooth_ramp" place the domain at [-10, -10+L] (the ramp sits
-    at x=5), riemann runs at [0, L].
-    """
+    Built from keywords only, each a field's name or alias; the JSON key
+    for the time-step ratio lam is "lambda", and either name may be given,
+    but not both.  A number is an int or float (not a bool) of finite
+    value and is stored as a float, snapshot_times is a list or tuple of
+    such numbers, and scheme, ic_kind and output_dir are strings.  Any
+    other input, an unknown key, or a value the checks below refuse raises
+    ManifestError, naming the field.  Manifests are frozen: run results
+    are cached under their manifest.
 
-    model_config = pydantic.ConfigDict(extra="forbid", populate_by_name=True,
-                                       allow_inf_nan=False)
+    Runs with ic_kind="smooth_ramp" place the domain at [-10, -10+L] (the
+    ramp sits at x=5), riemann runs at [0, L].
+    """
 
     scheme: str = "trapezoid"
     M: float = 2.0
@@ -70,50 +81,108 @@ class RunManifest(pydantic.BaseModel):
     L: float = 0.75
     L0: float = 0.0
     dx: float = 0.0005
-    lam: float = pydantic.Field(default=0.1, alias="lambda")
+    lam: float = 0.1
     t_final: float = 0.5
-    snapshot_times: list[float] = []
+    snapshot_times: list[float] = dataclasses.field(default_factory=list)
     ic_kind: str = "riemann"
     output_dir: str = "."
 
-    @pydantic.field_validator("scheme")
-    @classmethod
-    def _known_scheme(cls, v):
-        if v not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {v!r}")
-        return v
-
-    @pydantic.field_validator("ic_kind")
-    @classmethod
-    def _known_ic(cls, v):
-        if v not in IC_KINDS:
-            raise ValueError(f"ic_kind must be one of {IC_KINDS}, got {v!r}")
-        return v
-
-    @pydantic.model_validator(mode="after")
-    def _sanity(self):
+    def __init__(self, **data):
+        if "lambda" in data:
+            if "lam" in data:
+                raise ManifestError("lambda is given twice, as 'lambda' and as 'lam'")
+            data["lam"] = data.pop("lambda")
+        unknown = sorted(data.keys() - _SPEC.keys())
+        if unknown:
+            raise ManifestError(f"unknown manifest field(s): {', '.join(unknown)}")
+        for name, (check, default) in _SPEC.items():
+            object.__setattr__(self, name, check(_ALIASES.get(name, name),
+                                                 data.get(name, default)))
+        if self.scheme not in SCHEMES:
+            raise ManifestError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if self.ic_kind not in IC_KINDS:
+            raise ManifestError(f"ic_kind must be one of {IC_KINDS}, got {self.ic_kind!r}")
         if self.dx <= 0 or self.L <= 0 or self.t_final <= 0:
-            raise ValueError("dx, L and t_final must be positive")
+            raise ManifestError("dx, L and t_final must be positive")
         if self.epsilon < 0 or self.tau < 0:
-            raise ValueError("epsilon and tau must be nonnegative")
+            raise ManifestError("epsilon and tau must be nonnegative")
         if not 0.0 <= self.u_B <= 1.0:
-            raise ValueError("u_B must lie in [0, 1]")
+            raise ManifestError("u_B must lie in [0, 1]")
         if self.L0 < 0 or self.L0 >= self.L:
-            raise ValueError("need 0 <= L0 < L")
+            raise ManifestError("need 0 <= L0 < L")
         if self.ic_kind == "riemann":
-            # chord bound on the leading shock speed
-            speed = FluxModel(self.M).D
+            # chord bound on the leading shock speed; an M whose flux
+            # constants overflow is FluxModel's NumericalError (exit code 3)
+            try:
+                speed = FluxModel(self.M).D
+            except ValueError as exc:
+                raise ManifestError(str(exc)) from None
             if self.L <= speed * self.t_final:
                 warnings.warn(
                     f"domain-sizing: L = {self.L} <= {speed:.4g} * t_final; "
                     "the leading wave may reach the outflow boundary",
                     stacklevel=2)
-        return self
+
+    def model_dump(self, *, by_alias: bool = False, exclude=()) -> dict:
+        """The fields as a dict, keyed by alias with by_alias, without those
+        named in exclude; snapshot_times is a copy."""
+        out = {}
+        for name in _SPEC:
+            if name not in exclude:
+                value = getattr(self, name)
+                out[_ALIASES.get(name, name) if by_alias else name] = (
+                    list(value) if isinstance(value, list) else value)
+        return out
+
+    def model_dump_json(self, *, by_alias: bool = False, exclude=()) -> str:
+        """model_dump as compact JSON: the run cache's key and the echo."""
+        return json.dumps(self.model_dump(by_alias=by_alias, exclude=exclude),
+                          separators=(",", ":"))
+
+    def model_copy(self, *, update: Optional[dict] = None) -> RunManifest:
+        """A copy with the given fields (by name) replaced, not validated."""
+        new = copy.copy(self)
+        for name, value in (update or {}).items():
+            if name not in _SPEC:
+                raise ManifestError(f"unknown manifest field: {name}")
+            object.__setattr__(new, name, value)
+        return new
 
     def derive(self, **update) -> RunManifest:
         """A copy with the given fields replaced, validated like any new
         manifest (model_copy skips the validators)."""
         return type(self)(**{**self.model_dump(), **update})
+
+
+def _number(name: str, value) -> float:
+    """value as a float: an int or float, not a bool, of finite value."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # its repr may pass the int-to-str digit limit
+            raise ManifestError(f"{name} must be a finite number, got an int "
+                                "beyond the float range") from None
+        if math.isfinite(number):
+            return number
+    raise ManifestError(f"{name} must be a finite number, got {value!r}")
+
+
+def _numbers(name: str, value) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ManifestError(f"{name} must be a list of numbers, got {value!r}")
+    return [_number(name, v) for v in value]
+
+
+def _text(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ManifestError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+# per field: the check of its annotation and its default
+_SPEC = {f.name: ({"float": _number, "list[float]": _numbers, "str": _text}[f.type],
+                  f.default_factory() if f.default is dataclasses.MISSING else f.default)
+         for f in dataclasses.fields(RunManifest)}
 
 
 @dataclass
@@ -139,10 +208,7 @@ def load_manifest(path) -> RunManifest:
         raise ManifestError("a manifest file must hold a JSON object")
     if isinstance(data.get("manifest"), dict):
         data = data["manifest"]
-    try:
-        return RunManifest(**data)
-    except pydantic.ValidationError as exc:
-        raise ManifestError(str(exc)) from exc
+    return RunManifest(**data)
 
 
 def smooth_ramp_ic(x, u_B: float):
@@ -639,7 +705,7 @@ def export(fields: list[Field], manifest: RunManifest,
             fh.write(_PLOT_SCRIPT)
         paths["plot"] = str(plot_path)
 
-    echo = {"manifest": json.loads(manifest.model_dump_json(by_alias=True)),
+    echo = {"manifest": manifest.model_dump(by_alias=True),
             "code_version": __version__}
     with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(echo, fh, indent=2, sort_keys=True)

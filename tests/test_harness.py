@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import json
 import math
@@ -13,7 +14,6 @@ import sys
 import warnings
 
 import numpy as np
-import pydantic
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,23 +66,23 @@ def test_desk_manifest_defaults():
 
 
 def test_manifest_validation():
-    with pytest.raises(pydantic.ValidationError):
+    with pytest.raises(ManifestError):
         desk_manifest(scheme="spectral")
-    with pytest.raises(pydantic.ValidationError):
+    with pytest.raises(ManifestError):
         desk_manifest(u_B=1.5)
-    with pytest.raises(pydantic.ValidationError):
+    with pytest.raises(ManifestError):
         desk_manifest(L0=0.8)  # L0 must stay below L
-    with pytest.raises(pydantic.ValidationError):
+    with pytest.raises(ManifestError):
         desk_manifest(dx=-0.1)
-    with pytest.raises(pydantic.ValidationError):
+    with pytest.raises(ManifestError):
         desk_manifest(ic_kind="sawtooth")
 
 
 @pytest.mark.parametrize("field", ["t_final", "L", "tau", "epsilon", "M", "dx"])
 def test_manifest_rejects_infinite_numbers(field):
-    with pytest.raises(pydantic.ValidationError):
+    with pytest.raises(ManifestError):
         desk_manifest(**{field: math.inf})
-    with pytest.raises(pydantic.ValidationError):
+    with pytest.raises(ManifestError):
         desk_manifest(snapshot_times=[0.1, math.inf])
 
 
@@ -92,13 +92,96 @@ def test_derive_validates_and_keeps_the_cache_key():
                    {"L": 0.35, "t_final": 0.05, "snapshot_times": []}):
         assert (base.derive(**update).model_dump_json(by_alias=True)
                 == base.model_copy(update=update).model_dump_json(by_alias=True))
-    with pytest.raises(pydantic.ValidationError):
+    with pytest.raises(ManifestError):
         base.derive(u_B=1.5)
 
 
 def test_manifest_warns_when_domain_is_too_short():
     with pytest.warns(UserWarning):
         desk_manifest(t_final=5.0)
+
+
+def test_domain_sizing_warning_points_at_the_code_that_built_the_manifest():
+    with pytest.warns(UserWarning, match="domain-sizing") as records:
+        RunManifest(tau=5.0, t_final=5.0)
+    assert [r.filename for r in records] == [__file__]
+
+
+def test_manifest_fields_cannot_be_assigned():
+    m = desk_manifest()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.tau = 1.0
+    with pytest.raises(ManifestError, match="lambda"):  # update takes field names
+        m.model_copy(update={"lambda": 0.2})
+    assert m.tau == 5.0 and m.lam == 0.1
+
+
+def test_export_writes_the_same_manifest_echo(tmp_path):
+    export([], desk_manifest(), tmp_path)
+    assert (tmp_path / "manifest.json").read_text() == (
+        '{\n  "code_version": "%s",\n  "manifest": {\n    "L": 0.75,\n'
+        '    "L0": 0.0,\n    "M": 2.0,\n    "dx": 0.0005,\n    "epsilon": 0.005,\n'
+        '    "ic_kind": "riemann",\n    "lambda": 0.1,\n    "output_dir": ".",\n'
+        '    "scheme": "trapezoid",\n    "snapshot_times": [],\n    "t_final": 0.5,\n'
+        '    "tau": 5.0,\n    "u_B": 0.9\n  }\n}\n' % mblab.__version__)
+
+
+def test_loaded_ints_become_floats(tmp_path):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"M": 2, "lambda": 0.1}))
+    dump = load_manifest(p).model_dump(by_alias=True)
+    assert dump == {"scheme": "trapezoid", "M": 2.0, "epsilon": 0.005, "tau": 1.0,
+                    "u_B": 0.9, "L": 0.75, "L0": 0.0, "dx": 0.0005, "lambda": 0.1,
+                    "t_final": 0.5, "snapshot_times": [], "ic_kind": "riemann",
+                    "output_dir": "."}
+    assert type(dump["M"]) is float
+    assert (load_manifest(p).model_dump_json(by_alias=True)
+            == desk_manifest(tau=1.0).model_dump_json(by_alias=True))
+
+
+@pytest.mark.parametrize("data", [
+    {"M": "2.5"}, {"tau": True}, {"u_B": None}, {"scheme": b"trapezoid"},
+    {"snapshot_times": 0.1}, {"snapshot_times": [0.1, "0.2"]}, {"L": 10 ** 5000},
+    {"lam": 0.1, "lambda": 0.1}, {"junk": 1},
+])
+def test_manifest_rejects_each_input_outside_its_types(data):
+    name = next(iter(data)) if len(data) == 1 else "lambda"
+    with pytest.raises(ManifestError, match=rf"\b{name}\b"):
+        RunManifest(**data)
+
+
+_NUMBER_INPUT = st.one_of(
+    st.sampled_from([0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 0.05, 0.5, 1, 2.0,
+                     math.nan, math.inf, -math.inf, True, False, "2.5", "1", None]),
+    st.floats(allow_nan=False, allow_infinity=False), st.integers())
+_TEXT_INPUT = st.sampled_from(["trapezoid", "midpoint", "third_order", "riemann",
+                               "smooth_ramp", ".", "spectral", b"trapezoid", 2.5,
+                               None, True])
+_MANIFEST_INPUT = st.fixed_dictionaries({}, optional={
+    **{f.name: _NUMBER_INPUT for f in dataclasses.fields(RunManifest)
+       if f.type == "float"},
+    "scheme": _TEXT_INPUT, "ic_kind": _TEXT_INPUT, "output_dir": _TEXT_INPUT,
+    "snapshot_times": st.one_of(st.lists(_NUMBER_INPUT, max_size=3),
+                                st.sampled_from([(0.1, 0.2), "0.1", 0.1, None])),
+    "lambda": _NUMBER_INPUT, "junk": st.just(1)})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=_MANIFEST_INPUT)
+def test_manifest_input_builds_a_manifest_or_is_a_manifest_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "property_manifest.json"
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "domain-sizing", UserWarning)
+        try:
+            m = RunManifest(**data)
+        except ManifestError:
+            return
+        except NumericalError as exc:  # exit code 3, pinned by the CLI tests
+            assert str(exc).startswith("C = (M + 1)^2 / (2 M) overflows")
+            return
+        path.write_text(m.model_dump_json(by_alias=True))
+        assert (load_manifest(path).model_dump_json(by_alias=True)
+                == m.model_dump_json(by_alias=True))
 
 
 def test_manifest_json_round_trip(tmp_path):
@@ -564,15 +647,15 @@ def test_derived_runs_are_validated_before_they_run(monkeypatch):
     runs = []
     monkeypatch.setattr(experiments, "run_manifest", runs.append)
     base = _tiny()  # L0 = 0.05
-    with pytest.raises(pydantic.ValidationError):
+    with pytest.raises(ManifestError):
         domain_study(base, [0.04, 0.3], [0.01])
-    with pytest.raises(pydantic.ValidationError):
+    with pytest.raises(ManifestError):
         compare_domains(base, 0.04, 0.3, 0.01)
-    with pytest.raises(pydantic.ValidationError):
+    with pytest.raises(ManifestError):
         epsilon_sweep(base, [-0.01])
     entries = bifurcation_sweep(pairs=[(5.0, 1.5), (5.0, -0.2)], base=base)
     assert [e["report"] for e in entries] == [None, None]
-    assert all(e["error"].startswith("ValidationError") for e in entries)
+    assert all(e["error"].startswith("ManifestError") for e in entries)
     assert runs == []
 
 
@@ -706,7 +789,7 @@ def test_cli_sweep_reports_an_out_of_range_pair_as_its_error(manifest_file, caps
                    "--pairs", "5:1.5,5:-0.2"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert out.count("ERROR ValidationError") == 2
+    assert out.count("ERROR ManifestError") == 2
     assert "u_B must lie in [0, 1]" in out
 
 
@@ -738,8 +821,8 @@ def test_cli_lemma_audit_overflow_is_a_numerical_failure(tmp_path, capsys):
 def test_cli_has_one_override_flag_per_manifest_field():
     parent = cli._manifest_parent()
     dests = [a.dest for a in parent._actions if a.dest != "manifest"]
-    assert sorted(dests) == sorted(f"override_{name}"
-                                   for name in experiments.RunManifest.model_fields)
+    assert sorted(dests) == sorted(f"override_{f.name}"
+                                   for f in dataclasses.fields(RunManifest))
     flags = [a.option_strings for a in parent._actions if a.dest != "manifest"]
     assert all(len(f) == 1 for f in flags) and len(flags) == 13
     assert ["--lambda"] in flags and ["--snapshot-times"] in flags
@@ -747,7 +830,8 @@ def test_cli_has_one_override_flag_per_manifest_field():
 
 def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
     # scipy serves the LAPACK solves only, through its extension module and
-    # not the scipy.linalg package; the lemma audit integrates on its own
+    # not the scipy.linalg package; the lemma audit integrates on its own,
+    # and the manifest validates itself without a model library
     code = "\n".join([
         "import sys, mblab.cli",
         "from mblab.bounds import AUDIT_ITEMS, BoundParams, lemma_audit",
@@ -761,7 +845,9 @@ def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
         "                               L=0.3, L0=0.05, dx=0.0025, t_final=0.01))",
         "print(*[m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special',",
         "                    'scipy.sparse', 'scipy.linalg', 'numpy.f2py', 'numpy.ma',",
-        "                    'numpy.random', 'numpy.testing') if m in sys.modules])",
+        "                    'numpy.random', 'numpy.testing', 'pydantic',",
+        "                    'pydantic_core', 'annotated_types', 'asyncio')",
+        "         if m in sys.modules])",
     ])
     src = str(pathlib.Path(mblab.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
