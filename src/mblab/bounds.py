@@ -15,8 +15,9 @@ with phi1(0) = phi2(L) = 1 and phi1(L) = phi2(0) = 0.  Each is written
 once: _kernel_pair gives the two bracketed sums of G and K, with any
 weight e^{w/s} folded into the exponents before exponentiation so that
 small s never overflows, and _phi_pair gives phi1, phi2 and phi2' in
-double or in mpmath precision.  s and its s > 0 check live in
-BoundParams.scale.  No finite-interval kernel is evaluated here.
+double or in mpmath precision; only the L4i audit imports mpmath, when it
+runs.  s and its s > 0 check live in BoundParams.scale.  No
+finite-interval kernel is evaluated here.
 
 bound_constants assembles the explicit constants of the truncation
 estimate
@@ -32,7 +33,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .errors import NumericalError
@@ -119,8 +119,12 @@ def _kernel_pair(x, xi, s: float, w) -> tuple:
 
 def _phi_pair(x, L, s, exp=math.exp) -> tuple:
     """phi1, phi2 and phi2' at x in [0, L]; exp is math.exp, or mpmath.exp
-    on mpf arguments when the result is needed beyond double precision."""
+    on mpf arguments when the result is needed beyond double precision.
+    An L/s so small that 1 - e^{-2L/s} rounds to 0 is a NumericalError."""
     denom = 1 - exp(-2 * L / s)
+    if not denom:
+        raise NumericalError(f"phi basis undefined: 1 - e^(-2L/s) rounds to 0 "
+                             f"at L/s = {float(L / s):.6g}")
     phi1 = (exp(-x / s) - exp((x - 2 * L) / s)) / denom
     right, left = exp((x - L) / s), exp(-(x + L) / s)
     return phi1, (right - left) / denom, (right + left) / (s * denom)
@@ -264,11 +268,23 @@ def _audit_quad(integrand, lo: float, hi: float, x: float, s: float) -> float:
     return val
 
 
+# the most decimal digits an L4i audit may work at; its cost grows about as
+# the square of the digits, so a small s would otherwise run for hours
+_MAX_DIGITS = 10_000
+
+
 def _audit_phi_identity(x: float, L: float, s: float) -> tuple[float, float, bool]:
     """|phi1 - e^{-x/s}| vs e^{-L/s}|phi2|: both sides fall below double
     precision (the difference is of size e^{-(L+x)/s}), so the comparison is
-    carried out in high-precision arithmetic."""
-    with mpmath.workdps(60 + int(1.0 * (L + x) / s)):
+    carried out at 60 + (L + x)/s decimal digits; a point that needs more
+    than _MAX_DIGITS is a NumericalError."""
+    span = (L + x) / s
+    if not 60 + span <= _MAX_DIGITS:
+        raise NumericalError(f"L4i audit needs {60 + span:.0f} digits at "
+                             f"(L + x)/s = {span:.6g}, more than {_MAX_DIGITS}")
+    import mpmath
+
+    with mpmath.workdps(60 + int(span)):
         xm, Lm, sm = mpmath.mpf(x), mpmath.mpf(L), mpmath.mpf(s)
         phi1, phi2, _ = _phi_pair(xm, Lm, sm, mpmath.exp)
         lhs = abs(phi1 - mpmath.exp(-xm / sm))

@@ -16,6 +16,8 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,7 +123,7 @@ class RunManifest:
                 warnings.warn(
                     f"domain-sizing: L = {self.L} <= {speed:.4g} * t_final; "
                     "the leading wave may reach the outflow boundary",
-                    stacklevel=2)
+                    stacklevel=_outside_stacklevel())
 
     def model_dump(self, *, by_alias: bool = False, exclude=()) -> dict:
         """The fields as a dict, keyed by alias with by_alias, without those
@@ -177,6 +179,19 @@ def _text(name: str, value) -> str:
     if not isinstance(value, str):
         raise ManifestError(f"{name} must be a string, got {value!r}")
     return value
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _outside_stacklevel() -> int:
+    """The stacklevel at which a warning raised by this function's caller
+    points at the innermost frame outside the package: the line that built
+    the manifest through desk_manifest, derive or load_manifest too."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 # per field: the check of its annotation and its default

@@ -61,14 +61,16 @@ def _check_linear_gain(scheme: str, ctxs: Sequence[RunContext], symbol: Callable
     diffusion amplifies a linear mode: a NumericalError named after scheme
     when max |factor(s, z)| > 1 over the modes s = 4 sin^2(theta/2) in
     [0, 4], with z = r q / (1 + kappa s), q = symbol(s), r = eps lam / dx
-    and each distinct kappa = eps^2 tau / dx^2 of the runs."""
+    and each distinct kappa = eps^2 tau / dx^2 of the runs; an r so large
+    that the factor overflows is rejected too."""
     grid = ctxs[0].grid
     r = ctxs[0].params.epsilon * grid.lam / grid.dx
     s = np.linspace(0.0, 4.0, 4001)
     q = symbol(s)
-    gain = max(float(np.max(np.abs(factor(s, r * q / (1.0 + c / grid.dx ** 2 * s)))))
-               for c in {ctx.params.disp for ctx in ctxs})
-    if gain > 1.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN gain fails
+        gain = float(np.max([np.abs(factor(s, r * q / (1.0 + c / grid.dx ** 2 * s)))
+                             for c in {ctx.params.disp for ctx in ctxs}]))
+    if not gain <= 1.0:
         raise NumericalError(f"{scheme} scheme unstable: max|G| = {gain:.6g} > 1 "
                              f"at eps*lam/dx = {r:.6g}")
 
@@ -100,8 +102,12 @@ def land_snapshots(advance: Callable[[tuple, float], tuple],
     result holds one read(state, time) per snapshot time plus the final
     state, last; read builds one Field per run the state holds, stamped
     with the requested time exactly.  A landed field with a value outside
-    [-1, 2] (see the module docstring) is a NumericalError.
+    [-1, 2] (see the module docstring) is a NumericalError.  A dt_nom of at
+    most 1e-12 would march past its targets, and is a ValueError.
     """
+    if not dt_nom > 1e-12:
+        raise ValueError(f"nominal time step {dt_nom:g} does not exceed the "
+                         "landing tolerance 1e-12")
     out: list[list[Field]] = []
     for target in landing_targets(state[0], t_final, snapshot_times):
         while target - state[0] >= dt_nom - 1e-12:

@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
 import importlib
+import io
 import json
 import math
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -101,10 +104,16 @@ def test_manifest_warns_when_domain_is_too_short():
         desk_manifest(t_final=5.0)
 
 
-def test_domain_sizing_warning_points_at_the_code_that_built_the_manifest():
-    with pytest.warns(UserWarning, match="domain-sizing") as records:
-        RunManifest(tau=5.0, t_final=5.0)
-    assert [r.filename for r in records] == [__file__]
+def test_domain_sizing_warning_points_at_the_code_that_built_the_manifest(tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"tau": 5.0, "t_final": 5.0}))
+    for build in (lambda: RunManifest(tau=5.0, t_final=5.0),
+                  lambda: desk_manifest(t_final=5.0),
+                  lambda: desk_manifest().derive(t_final=5.0),
+                  lambda: load_manifest(path)):
+        with pytest.warns(UserWarning, match="domain-sizing") as records:
+            build()
+        assert [r.filename for r in records] == [__file__]
 
 
 def test_manifest_fields_cannot_be_assigned():
@@ -831,7 +840,8 @@ def test_cli_has_one_override_flag_per_manifest_field():
 def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
     # scipy serves the LAPACK solves only, through its extension module and
     # not the scipy.linalg package; the lemma audit integrates on its own,
-    # and the manifest validates itself without a model library
+    # the manifest validates itself without a model library, and mpmath
+    # waits for an L4i audit, which then gives the value test_theory pins
     code = "\n".join([
         "import sys, mblab.cli",
         "from mblab.bounds import AUDIT_ITEMS, BoundParams, lemma_audit",
@@ -846,14 +856,18 @@ def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
         "print(*[m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special',",
         "                    'scipy.sparse', 'scipy.linalg', 'numpy.f2py', 'numpy.ma',",
         "                    'numpy.random', 'numpy.testing', 'pydantic',",
-        "                    'pydantic_core', 'annotated_types', 'asyncio')",
+        "                    'pydantic_core', 'annotated_types', 'asyncio', 'mpmath')",
         "         if m in sys.modules])",
+        "print(lemma_audit('L4i', p, 0.05), 'mpmath' in sys.modules)",
     ])
     src = str(pathlib.Path(mblab.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == ""
+    assert out.stdout.splitlines() == [
+        "",
+        "{'lhs': 6.803979870140214e-29, 'rhs': 6.803979870140214e-29, "
+        "'holds': True} True"]
 
 
 @pytest.mark.parametrize("verb, args, code", [
@@ -883,6 +897,14 @@ def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
                           ("third_order", "1"), ("trapezoid", "1"))),
     # M^2 underflows to 0 and f' divides by it; the manifest is refused
     ("riemann", ["--M", "1e-300"], 2),
+    # 60 + (L + x)/s digits pass the L4i audit's cap of 10 000
+    ("lemma-audit", ["--epsilon", "1e-6", "--items", "L4i"], 3),
+    # the midpoint gain overflows to NaN, and the stability guard refuses it
+    ("riemann", ["--scheme", "midpoint", "--lambda", "1e300"], 3),
+    # a step within the 1e-12 landing tolerance would march past t_final
+    ("riemann", ["--lambda", "1e-300", "--t-final", "1e-300"], 2),
+    # 1 - e^{-2L/s} rounds to 0 in the phi basis
+    ("lemma-audit", ["--tau", "1e300", "--items", "L4ii"], 3),
 ])
 def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
                                                         verb, args, code):
@@ -891,6 +913,95 @@ def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
     assert err.startswith({2: ("validation error", "manifest error"),
                            3: "numerical failure"}[code])
     assert "Traceback" not in err
+
+
+# the CLI exit-code property: every verb, on manifests whose numbers are
+# typical or one of the edge values, exits 0, 2, 3 or 4
+_EDGES = (0.0, 1e-300, -1e-300, 1e300, -1e300)
+# a length or time that is an edge value: 1e300 would ask for 1e300 cells
+# or steps
+_SHORT_EDGES = (0.0, 1e-300, -1e-300, -1e300)
+
+
+def _edge_or(*typical):
+    return st.sampled_from(typical + _EDGES)
+
+
+def _joined(draw, values, max_size=3):
+    return ",".join(repr(v) for v in draw(st.lists(values, min_size=1,
+                                                    max_size=max_size)))
+
+
+@st.composite
+def _cli_case(draw):
+    """A manifest of 1 to 40 cells and a few steps, with at most two fields
+    at an edge value, and one argument list per verb.  L is a count of
+    cells of dx or an edge value, and then dx is L / cells; t_final, the
+    domain-study lengths and times and the snapshot times are counted in
+    dx and in steps of lam * dx, or are edge values, around 0 and t_final
+    for the snapshots."""
+    edged = draw(st.sets(st.sampled_from(
+        ["M", "epsilon", "tau", "u_B", "dx", "lambda", "L", "L0", "t_final"]),
+        max_size=2))
+
+    def field(name, *typical):
+        edges = _SHORT_EDGES if name == "t_final" else _EDGES
+        return draw(st.sampled_from(edges if name in edged else typical))
+
+    cells = draw(st.integers(1, 40))
+    m = {"M": field("M", 2.0, 0.5), "epsilon": field("epsilon", 0.025, 0.005),
+         "tau": field("tau", 1.0, 0.2), "u_B": field("u_B", 0.75, 0.9),
+         "dx": field("dx", 0.0025, 0.01), "lambda": field("lambda", 0.1, 0.05),
+         "scheme": draw(st.sampled_from(experiments.SCHEMES)),
+         "ic_kind": draw(st.sampled_from(experiments.IC_KINDS))}
+    m["L"] = field("L", cells * m["dx"])
+    if "L" in edged and "dx" not in edged:
+        m["dx"] = m["L"] / cells
+    m["L0"] = field("L0", 0.0, 0.25 * m["L"])
+    step = m["lambda"] * m["dx"]
+    t = m["t_final"] = field("t_final", step, 8 * step)
+    m["snapshot_times"] = draw(st.lists(st.sampled_from(
+        (5e-324, 0.5 * t, t, math.nextafter(t, math.inf), t + 1e-12, t + 2e-12)
+        + _SHORT_EDGES), max_size=3))
+    lengths = _joined(draw, st.sampled_from(
+        tuple(k * m["dx"] for k in (4, 13, 40)) + _SHORT_EDGES), 2)
+    times = _joined(draw, st.sampled_from((step, 3 * step) + _SHORT_EDGES), 2)
+    pairs = ",".join(f"{draw(_edge_or(1.0, 0.2))!r}:{draw(_edge_or(0.75, 0.6))!r}"
+                     for _ in range(draw(st.integers(1, 3))))
+    rate = repr(draw(_edge_or(0.5, 0.25)))
+    verbs = {
+        "riemann": [],
+        "order-test": ["--levels=" + _joined(draw, st.integers(1, 6), 2)],
+        "sweep": ["--pairs=" + pairs],
+        "domain-study": ["--L-values=" + lengths, "--times=" + times],
+        "eps-sweep": ["--eps-values=" + _joined(draw, _edge_or(0.025, 0.005))],
+        "lemma-audit": ["--weight-rate=" + rate, "--items=" + ",".join(draw(
+            st.lists(st.sampled_from(bounds.AUDIT_ITEMS), min_size=1, max_size=3,
+                     unique=True))),
+            *draw(st.sampled_from([[], ["--x=" + _joined(draw, _edge_or(
+                0.0, 0.5 * m["L"], m["L"]))]]))],
+        "bound": ["--t=" + repr(draw(_edge_or(0.01))), "--weight-rate=" + rate],
+    }
+    return m, verbs
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(case=_cli_case())
+def test_every_verb_exits_with_a_documented_code(tmp_path_factory, case):
+    manifest, verbs = case
+    tmp = tmp_path_factory.getbasetemp()
+    manifest["output_dir"] = str(tmp / "cli_property_out")
+    path = tmp / "cli_property.json"
+    path.write_text(json.dumps(manifest))
+    for verb, args in verbs.items():
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "domain-sizing", UserWarning)
+            try:
+                code = cli.main([verb, "--manifest", str(path), *args])
+            except SystemExit as exc:  # argparse refuses its input
+                code = exc.code
+        assert code in (0, 2, 3, 4), (verb, args, code)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -987,3 +1098,22 @@ def test_every_exported_name_has_a_caller_in_the_package():
             names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
             used |= names - {getattr(node, "name", None)}
     assert sorted(defined - used - REFERENCE_ONLY) == []
+
+
+def test_every_imported_distribution_is_declared_and_every_declared_one_imported():
+    # every module imported anywhere under src/mblab, at module level or
+    # inside a function, outside the standard library and the package
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    package = pathlib.Path(mblab.__file__).parent
+    imported = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"mblab"}
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in project["project"]["dependencies"]}
+    assert sorted(third_party) == sorted(declared)

@@ -260,6 +260,15 @@ def test_midpoint_state_with_growing_linear_modes_is_rejected(lam, stable):
             run_manifest(m)
 
 
+def test_a_midpoint_gain_that_overflows_is_rejected():
+    # tau = 0 and r = eps*lam/dx = 4e154: z^2 overflows, and at theta = pi
+    # the factor is 0 * inf = NaN, which no max|G| > 1 test would catch
+    m = desk_manifest(scheme="midpoint", tau=0.0, epsilon=1e153, L=0.1, dx=0.0025,
+                      t_final=0.01)
+    with pytest.raises(NumericalError, match=r"midpoint scheme unstable: max\|G\| = nan"):
+        run_manifest(m)
+
+
 def _edge_of_stability(scheme, lam, t_final):
     return desk_manifest(scheme=scheme, tau=0.0, u_B=0.9, epsilon=0.02, dx=0.002,
                          lam=lam, t_final=t_final)

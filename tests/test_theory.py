@@ -1,6 +1,7 @@
 """Green's kernels, weighted-energy constants, and the lemma audit grid."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -195,6 +196,17 @@ def test_lemma_audit_errors():
                 lemma_audit(item, P_DESK, x)
     with pytest.raises(ValueError):
         lemma_audit("L4ii", P_DESK, P_DESK.L + 0.1)
+
+
+def test_l4i_audit_refuses_a_point_past_its_precision_cap():
+    # L4i works at 60 + (L + x)/s digits, at most 10 000 of them
+    p = BoundParams(lam=0.5, C_u=ALPHA, L0=0.1, L=0.75, g_sup=ALPHA,
+                    M=2.0, epsilon=0.75 / 9900, tau=1.0)
+    assert lemma_audit("L4i", p, 0.0)["holds"]
+    with pytest.raises(NumericalError, match="L4i audit needs 19860 digits"):
+        lemma_audit("L4i", p, 0.75)
+    with pytest.raises(NumericalError, match="needs inf digits"):
+        lemma_audit("L4i", dataclasses.replace(p, epsilon=1e-320), 0.0)
 
 
 def test_lemma_audit_spot_checks():
