@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -104,7 +103,6 @@ class BoundReport:
     D1: float
     D2: float
     bound: float
-    measured: Optional[float] = None
 
 
 def _kernel_pair(x, xi, s: float, w) -> tuple:
@@ -117,17 +115,20 @@ def _kernel_pair(x, xi, s: float, w) -> tuple:
     return g_sum, g_sum + (1.0 + np.sign(x - xi)) * e_diff
 
 
-def _phi_pair(x, L, s, exp=math.exp) -> tuple:
-    """phi1, phi2 and phi2' at x in [0, L]; exp is math.exp, or mpmath.exp
-    on mpf arguments when the result is needed beyond double precision.
-    An L/s so small that 1 - e^{-2L/s} rounds to 0 is a NumericalError."""
-    denom = 1 - exp(-2 * L / s)
+def _phi_pair(x, L, s, lib=math) -> tuple:
+    """phi1, phi2 and phi2' at x in [0, L]; lib is math, or mpmath on mpf
+    arguments when the result is needed beyond double precision.  Each
+    difference of two exponentials is one exponential times an expm1, so
+    no digits cancel as L/s shrinks.  An L/s so small that expm1(-2L/s)
+    is 0 is a NumericalError."""
+    denom = lib.expm1(-2 * L / s)
     if not denom:
-        raise NumericalError(f"phi basis undefined: 1 - e^(-2L/s) rounds to 0 "
+        raise NumericalError(f"phi basis undefined: expm1(-2L/s) is 0 "
                              f"at L/s = {float(L / s):.6g}")
-    phi1 = (exp(-x / s) - exp((x - 2 * L) / s)) / denom
-    right, left = exp((x - L) / s), exp(-(x + L) / s)
-    return phi1, (right - left) / denom, (right + left) / (s * denom)
+    right = lib.exp((x - L) / s)
+    phi1 = lib.exp(-x / s) * lib.expm1(-2 * (L - x) / s) / denom
+    phi2 = right * lib.expm1(-2 * x / s) / denom
+    return phi1, phi2, (right + lib.exp(-(x + L) / s)) / (s * -denom)
 
 
 def bound_constants(p: BoundParams, t: float) -> BoundReport:
@@ -286,7 +287,7 @@ def _audit_phi_identity(x: float, L: float, s: float) -> tuple[float, float, boo
 
     with mpmath.workdps(60 + int(span)):
         xm, Lm, sm = mpmath.mpf(x), mpmath.mpf(L), mpmath.mpf(s)
-        phi1, phi2, _ = _phi_pair(xm, Lm, sm, mpmath.exp)
+        phi1, phi2, _ = _phi_pair(xm, Lm, sm, mpmath)
         lhs = abs(phi1 - mpmath.exp(-xm / sm))
         rhs = mpmath.exp(-Lm / sm) * abs(phi2)
         holds = bool(lhs <= rhs * (1 + mpmath.mpf(_SLACK)))

@@ -106,6 +106,10 @@ class RunManifest:
             raise ManifestError(f"ic_kind must be one of {IC_KINDS}, got {self.ic_kind!r}")
         if self.dx <= 0 or self.L <= 0 or self.t_final <= 0:
             raise ManifestError("dx, L and t_final must be positive")
+        # the clocks add lam * dx per step; a lam <= 0 is GridSpec's error
+        if self.lam > 0 and self.t_final + self.lam * self.dx == self.t_final:
+            raise ManifestError(f"t_final = {self.t_final!r} is out of reach: "
+                                "t_final + lambda * dx rounds to t_final")
         if self.epsilon < 0 or self.tau < 0:
             raise ManifestError("epsilon and tau must be nonnegative")
         if not 0.0 <= self.u_B <= 1.0:
@@ -259,11 +263,9 @@ def _initial_cell_w(manifest: RunManifest, grid: GridSpec,
                     params: MBLParams) -> np.ndarray:
     """Cell averages of w(.,0) for the semi-discrete scheme.
 
-    w = u - c D^2 u over every cell average, the first and last included:
-    those two take the one-sided order-4 edge closures over the averages
-    themselves.  helmholtz_apply cannot form it, because it returns w only
-    at the inner points of an array whose first and last values are the
-    boundary values or ghosts, where its closures sit.
+    The one order-4 w = u - c D^2 u of the package, over every cell
+    average, the first and last included: those two take the one-sided
+    edge closures of _d2_order4 over the averages themselves.
     """
     xl = grid.nodes()[:-1]
     if manifest.ic_kind == "riemann":
@@ -474,8 +476,6 @@ def _shock_positions(v: np.ndarray, x: np.ndarray) -> list[float]:
         return []
     du = np.diff(v)
     gmax = float(np.abs(du).max())
-    if gmax == 0.0:
-        return []
     idx = np.nonzero(np.abs(du) >= 0.3 * gmax)[0]
     clusters = []
     start = prev = idx[0]
@@ -605,8 +605,8 @@ def domain_study(base: RunManifest, L_values: list[float],
     L_values = sorted(L_values)
     L_ref = L_values[-1]
     model = FluxModel(base.M)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings():  # sizing_ok reports the short domains
+        warnings.filterwarnings("ignore", "domain-sizing", UserWarning)
         manifests = {(t, L): base.derive(L=L, t_final=t, snapshot_times=[])
                      for t in times for L in L_values}
         for L in L_values[:-1]:  # an undefined bound fails before any run

@@ -125,10 +125,8 @@ def _invert_fprime(xi: float, lo: float, hi: float, model: FluxModel) -> float:
     """Solve f'(u) = xi for u in [lo, hi] where f' is strictly decreasing."""
     a, b = lo, hi
     fa = flux_deriv(a, model) - xi
-    for _ in range(200):
+    while b - a >= 1e-12:
         mid = 0.5 * (a + b)
-        if b - a < 1e-12:
-            return mid
         fm = flux_deriv(mid, model) - xi
         if (fa > 0) == (fm > 0):
             a, fa = mid, fm

@@ -206,25 +206,18 @@ def _d2_order4(v: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def helmholtz_apply(ext: np.ndarray, c, dx: float, order: int = 2,
-                    out: np.ndarray = None, d2: np.ndarray = None) -> np.ndarray:
+def helmholtz_apply(ext: np.ndarray, c, dx: float, out: np.ndarray = None,
+                    d2: np.ndarray = None) -> np.ndarray:
     """w = u - c D^2 u at the inner points of ext, whose first and last values
     are the boundary values (nodes) or the ghosts (half cells), as for
-    _d2_order2; order 4 takes the one-sided closures next to them.
+    _d2_order2.
 
     c is one coefficient or one per inner point; w is formed in out (a new
-    array by default).  At order 2, D^2 u is formed in d2 when given, which
-    keeps it for the caller.
+    array by default).  D^2 u is formed in d2 when given, which keeps it for
+    the caller.
     """
-    kept = d2
-    if order == 2:
-        d2 = _d2_order2(ext, dx, out if kept is None else kept)
-    elif order == 4 and kept is None:
-        d2 = _d2_order4(ext, dx)[1:-1]
-    else:
-        raise ValueError(f"order must be 2 or 4, and 2 to keep D^2 u, got {order}")
-    cd2 = np.multiply(d2, c, out=d2 if kept is None else out)
-    return np.subtract(ext[1:-1], cd2, out=cd2 if out is None else out)
+    cd2 = np.multiply(_d2_order2(ext, dx, out if d2 is None else d2), c, out=out)
+    return np.subtract(ext[1:-1], cd2, out=out)
 
 
 # Band tables of (I - c D^2) u = w.  An interior row is the identity plus
@@ -417,7 +410,6 @@ def weighted_h1_norm(v: np.ndarray, s: float, dx: float) -> float:
     weights = np.ones_like(v)
     weights[0] = weights[-1] = 0.5
     sq = dx * float(weights @ (v * v))
-    if v.size > 1:
-        dv = np.diff(v) / dx
-        sq += dx * float((s * dv) @ (s * dv))
+    dv = np.diff(v) / dx
+    sq += dx * float((s * dv) @ (s * dv))
     return float(np.sqrt(sq))

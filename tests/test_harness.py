@@ -686,6 +686,21 @@ def test_domain_study_flags_short_domains_without_a_warning():
     assert [e["sizing_ok"] for e in study["entries"]] == [False, True]
 
 
+def test_domain_study_lets_every_other_warning_out(monkeypatch):
+    # a domain run that overflows an array warns through the study, as it
+    # does through a sweep
+    _fresh_caches(monkeypatch)
+    real = experiments.run_manifest
+
+    def overflowing(manifest):
+        np.multiply(np.full(3, 1e308), 10.0)
+        return real(manifest)
+
+    monkeypatch.setattr(experiments, "run_manifest", overflowing)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        domain_study(_tiny(), [0.06, 0.3], [0.06])
+
+
 @settings(deadline=None, max_examples=20)
 @given(data=st.data(), t=st.floats(min_value=0.002, max_value=0.05))
 def test_h1_diff_decreases_in_L(data, t):
@@ -903,8 +918,10 @@ def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
     ("riemann", ["--scheme", "midpoint", "--lambda", "1e300"], 3),
     # a step within the 1e-12 landing tolerance would march past t_final
     ("riemann", ["--lambda", "1e-300", "--t-final", "1e-300"], 2),
-    # 1 - e^{-2L/s} rounds to 0 in the phi basis
-    ("lemma-audit", ["--tau", "1e300", "--items", "L4ii"], 3),
+    # s = eps sqrt(tau) overflows to inf, and expm1(-2L/s) in the phi basis is 0
+    ("lemma-audit", ["--epsilon", "1e300", "--tau", "1e300", "--items", "L4ii"], 3),
+    # t + lambda * dx rounds to t long before t_final: the clock never gets there
+    ("riemann", ["--t-final", "1e300"], 2),
 ])
 def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
                                                         verb, args, code):
@@ -918,8 +935,7 @@ def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
 # the CLI exit-code property: every verb, on manifests whose numbers are
 # typical or one of the edge values, exits 0, 2, 3 or 4
 _EDGES = (0.0, 1e-300, -1e-300, 1e300, -1e300)
-# a length or time that is an edge value: 1e300 would ask for 1e300 cells
-# or steps
+# a length that is an edge value: 1e300 would ask for 1e300 cells
 _SHORT_EDGES = (0.0, 1e-300, -1e-300, -1e300)
 
 
@@ -945,8 +961,7 @@ def _cli_case(draw):
         max_size=2))
 
     def field(name, *typical):
-        edges = _SHORT_EDGES if name == "t_final" else _EDGES
-        return draw(st.sampled_from(edges if name in edged else typical))
+        return draw(st.sampled_from(_EDGES if name in edged else typical))
 
     cells = draw(st.integers(1, 40))
     m = {"M": field("M", 2.0, 0.5), "epsilon": field("epsilon", 0.025, 0.005),
@@ -965,7 +980,7 @@ def _cli_case(draw):
         + _SHORT_EDGES), max_size=3))
     lengths = _joined(draw, st.sampled_from(
         tuple(k * m["dx"] for k in (4, 13, 40)) + _SHORT_EDGES), 2)
-    times = _joined(draw, st.sampled_from((step, 3 * step) + _SHORT_EDGES), 2)
+    times = _joined(draw, st.sampled_from((step, 3 * step) + _EDGES), 2)
     pairs = ",".join(f"{draw(_edge_or(1.0, 0.2))!r}:{draw(_edge_or(0.75, 0.6))!r}"
                      for _ in range(draw(st.integers(1, 3))))
     rate = repr(draw(_edge_or(0.5, 0.25)))
@@ -1098,6 +1113,28 @@ def test_every_exported_name_has_a_caller_in_the_package():
             names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
             used |= names - {getattr(node, "name", None)}
     assert sorted(defined - used - REFERENCE_ONLY) == []
+
+
+def _is_dataclass(node) -> bool:
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+               for d in (getattr(dec, "func", dec) for dec in node.decorator_list))
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    # a read is an attribute of that name, or a string constant equal to it
+    # (cli reads the BoundReport fields through getattr), anywhere in the
+    # package; a constructor keyword is not a read
+    fields, read = set(), set()
+    for path in pathlib.Path(mblab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields |= {(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)}
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert sorted(f"{cls}.{name}" for cls, name in fields if name not in read) == []
 
 
 def test_every_imported_distribution_is_declared_and_every_declared_one_imported():

@@ -20,6 +20,7 @@ from mblab.operators import (
     MBLParams,
     _bands,
     _d2_order2,
+    _d2_order4,
     _factored_solve,
     _solve_unknowns,
     helmholtz_apply,
@@ -111,9 +112,11 @@ def _random_node_field(n, seed):
 
 
 def _apply_nodes(u, c, dx, order=2):
-    """w on the nodes: helmholtz_apply inside, identity boundary rows."""
+    """w on the nodes: u - c D^2 u inside, by helmholtz_apply at order 2 and
+    by the order-4 kernel at order 4; identity boundary rows."""
     w = u.copy()
-    w[1:-1] = helmholtz_apply(u, c, dx, order=order)
+    w[1:-1] = (helmholtz_apply(u, c, dx) if order == 2
+               else u[1:-1] - c * _d2_order4(u, dx)[1:-1])
     return w
 
 
@@ -135,9 +138,9 @@ def test_round_trip_order4():
     assert np.allclose(back.values, u, rtol=1e-12, atol=1e-13)
 
 
-def test_apply_rejects_unknown_order():
-    with pytest.raises(ValueError):
-        helmholtz_apply(np.zeros(9), 0.01, 0.1, order=3)
+def test_solve_rejects_unknown_order():
+    with pytest.raises(ValueError, match="order must be 2 or 4"):
+        helmholtz_solve(Field(np.zeros(9)), 0.0, 0.0, 0.01, 0.1, order=3)
 
 
 def test_sine_modes_are_eigenvectors_order2():
@@ -149,7 +152,7 @@ def test_sine_modes_are_eigenvectors_order2():
     for k in range(1, 7):
         u = np.sin(k * math.pi * x / L)
         mu = 1.0 + c * (2.0 - 2.0 * math.cos(k * math.pi * dx / L)) / dx**2
-        w = helmholtz_apply(u, c, dx, order=2)
+        w = helmholtz_apply(u, c, dx)
         assert np.max(np.abs(w - mu * u[1:-1])) < 1e-12
         back = helmholtz_solve(Field(mu * u), 0.0, 0.0, c, dx, order=2)
         assert np.max(np.abs(back.values - u)) < 1e-12
@@ -177,7 +180,7 @@ def test_order4_stencil_exact_on_quintic_interior():
     x = np.linspace(0.0, 1.0, n + 1)
     u = x**5 - 2.0 * x**4 + x**3 + 0.5 * x - 3.0
     d2 = 20.0 * x**3 - 24.0 * x**2 + 6.0 * x
-    resid = u[1:-1] - helmholtz_apply(u, 1.0, dx, order=4)  # c D2 u, c = 1
+    resid = u[1:-1] - (u[1:-1] - _d2_order4(u, dx)[1:-1])  # c D2 u, c = 1
     assert np.allclose(resid[1:-1], d2[2:-2], rtol=0, atol=1e-9)
 
 
@@ -187,7 +190,7 @@ def test_one_sided_closures_exact_on_quartic():
     x = np.linspace(0.0, 1.0, n + 1)
     u = x**4 - x**2 + 0.25
     d2 = 12.0 * x**2 - 2.0
-    resid = u[1:-1] - helmholtz_apply(u, 1.0, dx, order=4)
+    resid = u[1:-1] - (u[1:-1] - _d2_order4(u, dx)[1:-1])
     assert np.allclose(resid, d2[1:-1], rtol=0, atol=1e-9)
 
 

@@ -412,7 +412,7 @@ def test_new_w_is_u_minus_c_d2_u_on_both_phases(variant):
         v = u[unknowns]
         assert np.array_equal(w[unknowns], v - c * _d2_order2(_padded(v, g, h), grid.dx))
     assert (w[0], w[-1]) == (g, h)
-    w_apply = helmholtz_apply(u, c, grid.dx, order=2)
+    w_apply = helmholtz_apply(u, c, grid.dx)
     assert np.array_equal(w_apply, u[1:-1] - c * _d2_order2(u, grid.dx))
 
 
@@ -614,6 +614,27 @@ def test_step_raises_on_cfl_violation():
     u, ctx = _start(np.full(9, 0.6), (0.6, 0.6), grid)
     with pytest.raises(NumericalError, match="CFL"):
         _step(u, ctx, "trapezoid", grid.lam)
+
+
+def test_step_raises_on_a_non_finite_half_time_u():
+    # w = u - c D2 u overflows next to a node at 1e308, and the predictor's
+    # solve carries it into the half-time u
+    grid = GridSpec(L=1.0, n_cells=8, dx=0.125, lam=0.1)
+    u, ctx = _start(np.where(np.arange(9) == 4, 1e308, 0.4), (0.4, 0.4), grid)
+    with np.errstate(all="ignore"), \
+            pytest.raises(NumericalError, match="half-time u contains NaN/Inf"):
+        _step(u, ctx, "trapezoid", grid.lam)
+
+
+def test_midpoint_step_raises_on_a_non_finite_new_u():
+    # tau = 0 and eps = 10: the half-time u stays finite (about 7e306), and
+    # the corrector's explicit diffusion takes the new u past the float range
+    grid = GridSpec(L=1.0, n_cells=8, dx=0.125, lam=0.1)
+    u, ctx = _start(np.where(np.arange(9) == 1, 1e306, 0.4), (0.4, 0.4), grid,
+                    MBLParams(epsilon=10.0, tau=0.0))
+    with np.errstate(all="ignore"), \
+            pytest.raises(NumericalError, match="new u contains NaN/Inf"):
+        _step(u, ctx, "midpoint", grid.lam)
 
 
 def test_constant_state_is_preserved_exactly():

@@ -127,6 +127,26 @@ def test_phi_basis_identity():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("ratio", [1e-4, 1e-8, 1e-12])
+def test_phi_basis_keeps_its_digits_at_small_L_over_s(ratio):
+    # phi1 = sinh((L - x)/s) / sinh(L/s), phi2 = sinh(x/s) / sinh(L/s) and
+    # phi2' = cosh(x/s) / (s sinh(L/s)) at 50 digits; a difference of two
+    # exponentials formed by subtraction loses about -log10(L/s) digits
+    import mpmath
+
+    s = 0.3
+    L = ratio * s
+    with mpmath.workdps(50):
+        Lm, sm = mpmath.mpf(L), mpmath.mpf(s)
+        for x in (0.1 * L, 0.5 * L, 0.9 * L):
+            xm = mpmath.mpf(x)
+            sh = mpmath.sinh(Lm / sm)
+            exact = (mpmath.sinh((Lm - xm) / sm) / sh, mpmath.sinh(xm / sm) / sh,
+                     mpmath.cosh(xm / sm) / (sm * sh))
+            for got, ref in zip(_phi_pair(x, L, s), exact):
+                assert got == pytest.approx(float(ref), rel=1e-15)
+
+
 def test_bound_params_validation():
     kw = dict(C_u=ALPHA, L0=0.1, L=0.75, g_sup=ALPHA,
               M=2.0, epsilon=0.01, tau=5.0)
@@ -144,6 +164,12 @@ def test_bound_params_validation():
                          ("epsilon", math.nan), ("tau", math.inf)]:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             BoundParams(lam=0.5, **{**kw, field: value})
+
+
+def test_bound_params_rejects_a_negative_inflow_bound():
+    with pytest.raises(ValueError, match="g_sup must be nonnegative"):
+        BoundParams(lam=0.5, C_u=ALPHA, L0=0.1, L=0.75, g_sup=-0.1,
+                    M=2.0, epsilon=0.01, tau=5.0)
 
 
 def test_bound_constants_at_time_zero():
