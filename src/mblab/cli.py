@@ -42,7 +42,7 @@ def _pairs(text: str) -> list[tuple[float, float]]:
 
 
 # the argparse type of each manifest field's annotation
-_FLAG_TYPES = {"float": float, "str": str, "list[float]": _floats}
+_FLAG_TYPES = {"float": float, "str": str, "tuple[float, ...]": _floats}
 
 
 def _manifest_parent() -> argparse.ArgumentParser:

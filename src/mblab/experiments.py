@@ -4,15 +4,15 @@ classification, bifurcation/domain/epsilon sweeps, and file export.
 A RunManifest pins every knob of one run (scheme, model and grid
 parameters, initial-condition kind, snapshot times); runs are fully
 deterministic, so repeated executions of one manifest are bit-identical.
-Results are memoized per process, per manifest and per landed time.
-Staggered-scheme manifests that differ only in u_B, tau and L march
-together as one batch (staggered.Batch), each run byte for byte as alone:
-a domain study marches all its domains, and a bifurcation sweep all its
-pairs, in one march.
+Results are memoized per process in one run cache, keyed by manifest, and
+the sweeps fill it through one planner: manifests that differ only in
+t_final and snapshot_times share one march, and staggered-scheme marches
+that differ only in u_B, tau and L go as one batch (staggered.Batch), each
+run byte for byte as alone.
 """
 from __future__ import annotations
 
-import copy
+import contextlib
 import dataclasses
 import json
 import math
@@ -66,10 +66,10 @@ class RunManifest:
     for the time-step ratio lam is "lambda", and either name may be given,
     but not both.  A number is an int or float (not a bool) of finite
     value and is stored as a float, snapshot_times is a list or tuple of
-    such numbers, and scheme, ic_kind and output_dir are strings.  Any
-    other input, an unknown key, or a value the checks below refuse raises
-    ManifestError, naming the field.  Manifests are frozen: run results
-    are cached under their manifest.
+    such numbers, stored as a tuple, and scheme, ic_kind and output_dir are
+    strings.  Any other input, an unknown key, or a value the checks below
+    refuse raises ManifestError, naming the field.  Manifests are frozen,
+    snapshot_times too: run results are cached under their manifest.
 
     Runs with ic_kind="smooth_ramp" place the domain at [-10, -10+L] (the
     ramp sits at x=5), riemann runs at [0, L].
@@ -85,7 +85,7 @@ class RunManifest:
     dx: float = 0.0005
     lam: float = 0.1
     t_final: float = 0.5
-    snapshot_times: list[float] = dataclasses.field(default_factory=list)
+    snapshot_times: tuple[float, ...] = ()
     ic_kind: str = "riemann"
     output_dir: str = "."
 
@@ -131,13 +131,13 @@ class RunManifest:
 
     def model_dump(self, *, by_alias: bool = False, exclude=()) -> dict:
         """The fields as a dict, keyed by alias with by_alias, without those
-        named in exclude; snapshot_times is a copy."""
+        named in exclude; snapshot_times as a list."""
         out = {}
         for name in _SPEC:
             if name not in exclude:
                 value = getattr(self, name)
                 out[_ALIASES.get(name, name) if by_alias else name] = (
-                    list(value) if isinstance(value, list) else value)
+                    list(value) if isinstance(value, tuple) else value)
         return out
 
     def model_dump_json(self, *, by_alias: bool = False, exclude=()) -> str:
@@ -146,17 +146,12 @@ class RunManifest:
                           separators=(",", ":"))
 
     def model_copy(self, *, update: Optional[dict] = None) -> RunManifest:
-        """A copy with the given fields (by name) replaced, not validated."""
-        new = copy.copy(self)
-        for name, value in (update or {}).items():
-            if name not in _SPEC:
-                raise ManifestError(f"unknown manifest field: {name}")
-            object.__setattr__(new, name, value)
-        return new
+        """derive(**update): a copy with the fields of update replaced, validated."""
+        return self.derive(**(update or {}))
 
     def derive(self, **update) -> RunManifest:
         """A copy with the given fields replaced, validated like any new
-        manifest (model_copy skips the validators)."""
+        manifest."""
         return type(self)(**{**self.model_dump(), **update})
 
 
@@ -173,10 +168,10 @@ def _number(name: str, value) -> float:
     raise ManifestError(f"{name} must be a finite number, got {value!r}")
 
 
-def _numbers(name: str, value) -> list[float]:
+def _numbers(name: str, value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ManifestError(f"{name} must be a list of numbers, got {value!r}")
-    return [_number(name, v) for v in value]
+    return tuple(_number(name, v) for v in value)
 
 
 def _text(name: str, value) -> str:
@@ -199,9 +194,8 @@ def _outside_stacklevel() -> int:
 
 
 # per field: the check of its annotation and its default
-_SPEC = {f.name: ({"float": _number, "list[float]": _numbers, "str": _text}[f.type],
-                  f.default_factory() if f.default is dataclasses.MISSING else f.default)
-         for f in dataclasses.fields(RunManifest)}
+_SPEC = {f.name: ({"float": _number, "tuple[float, ...]": _numbers, "str": _text}[f.type],
+                  f.default) for f in dataclasses.fields(RunManifest)}
 
 
 @dataclass
@@ -325,73 +319,78 @@ def _march(batch: list[RunManifest]) -> list[list[Field]]:
                          ctxs, head.scheme, head.t_final, head.snapshot_times)
 
 
-_RUN_CACHE: dict[str, list[Field]] = {}
-_LANDED: dict[tuple[str, float], Field] = {}
+_RUN_CACHE: dict[str, tuple[Field, ...]] = {}
 
 
-def run_cached(manifest: RunManifest) -> list[Field]:
-    """Memoized run_manifest (runs are deterministic, results read-only).
+def _key(manifest: RunManifest) -> str:
+    """The run cache's key: the JSON, which tells u_B = -0.0 from 0.0."""
+    return manifest.model_dump_json(by_alias=True)
 
-    Every landed field is also indexed by its trajectory (the manifest
-    without t_final and snapshot_times) and its landed time: a field at
-    time s is the final field of a run that ends at s, whatever else the
-    run lands on, so a manifest whose times have all been landed is served
-    without a run.
-    """
-    key = manifest.model_dump_json(by_alias=True)
+
+def _targets(manifest: RunManifest) -> list[float]:
+    return landing_targets(0.0, manifest.t_final, manifest.snapshot_times)
+
+
+def run_cached(manifest: RunManifest) -> tuple[Field, ...]:
+    """Memoized run_manifest: runs are deterministic, and equal manifests
+    share one tuple of read-only fields."""
+    key = _key(manifest)
     if key not in _RUN_CACHE:
-        _remember(manifest, _landed(manifest) or run_manifest(manifest))
+        _remember(manifest, [manifest], run_manifest(manifest))
     return _RUN_CACHE[key]
 
 
-def _landed(manifest: RunManifest) -> Optional[list[Field]]:
-    """The fields of manifest from the landed-time index, or None when one
-    of its times has not been landed."""
-    trajectory = _trajectory(manifest)
-    targets = landing_targets(0.0, manifest.t_final, manifest.snapshot_times)
-    fields = [_LANDED.get((trajectory, s)) for s in targets]
-    return None if any(f is None for f in fields) else fields
-
-
-def _trajectory(manifest: RunManifest) -> str:
-    return manifest.model_dump_json(by_alias=True,
-                                    exclude={"t_final", "snapshot_times"})
-
-
-def _remember(manifest: RunManifest, fields: list[Field]) -> None:
-    """Cache fields, one per landed time, as the run of manifest: made
-    read-only and indexed by trajectory and landed time, where no field
-    is indexed yet."""
-    trajectory = _trajectory(manifest)
-    targets = landing_targets(0.0, manifest.t_final, manifest.snapshot_times)
-    for s, f in zip(targets, fields):
+def _remember(march: RunManifest, members: Sequence[RunManifest],
+              fields: list[Field]) -> None:
+    """Cache, as the run of each member, the fields of march that landed on
+    the member's times, made read-only."""
+    landed = dict(zip(_targets(march), fields))
+    for f in fields:
         f.values.setflags(write=False)
-        _LANDED.setdefault((trajectory, s), f)
-    _RUN_CACHE[manifest.model_dump_json(by_alias=True)] = fields
+    for m in members:
+        _RUN_CACHE[_key(m)] = tuple(landed[s] for s in _targets(m))
 
 
-def _run_batch(manifests: Sequence[RunManifest]) -> None:
-    """Fill the run cache with one batch march.
+def _plan(manifests: Sequence[RunManifest]) -> None:
+    """Fill the run cache for manifests, marching each trajectory once.
 
-    The staggered-scheme manifests that run_cached would run, each once,
-    march as one batch when there are two or more of them, and each is
-    cached as its own manifest's run.  A batch that fails with a
-    NumericalError caches nothing; any other error propagates.  A member
-    left uncached (a lone or third_order one, or one of a failed batch)
-    runs alone in run_cached, which raises its own error.
+    A trajectory is a manifest without t_final and snapshot_times.  Its
+    uncached manifests share one march to their latest t_final, landing on
+    each of their times (a lone one marches as itself): a field landed at s
+    is the final field of a run that ends at s.  Staggered marches that may
+    share a batch go as one run_manifest batch; after a NumericalError
+    there, each trajectory of two or more manifests marches alone, as a
+    third_order one does.  A manifest left uncached is left to run_cached,
+    which raises its own error; any other error propagates.
     """
-    batch = {m.model_dump_json(by_alias=True): m for m in manifests
-             if m.scheme != "third_order"}
-    members = [m for key, m in batch.items()
-               if key not in _RUN_CACHE and _landed(m) is None]
-    if len(members) < 2:
-        return
-    try:
-        runs = run_manifest(members)
-    except NumericalError:  # the members' own runs report it
-        return
-    for m, fields in zip(members, runs):
-        _remember(m, fields)
+    trajectories: dict[str, dict[str, RunManifest]] = {}
+    for m in manifests:
+        if _key(m) not in _RUN_CACHE:
+            trajectory = m.model_dump_json(exclude={"t_final", "snapshot_times"})
+            trajectories.setdefault(trajectory, {})[_key(m)] = m
+    plans, batches = [], {}
+    with warnings.catch_warnings():  # the member that ends last warned
+        warnings.filterwarnings("ignore", "domain-sizing", UserWarning)
+        for members in (list(t.values()) for t in trajectories.values()):
+            march = members[0] if len(members) == 1 else members[0].derive(
+                t_final=max(m.t_final for m in members),
+                snapshot_times=sorted({s for m in members for s in _targets(m)}))
+            plans.append((march, members))
+            if march.scheme != "third_order":
+                batches.setdefault(march.model_dump_json(exclude=_BATCH_FREE),
+                                   []).append((march, members))
+    for batch in batches.values():
+        if len(batch) > 1:
+            try:
+                runs = run_manifest([march for march, _ in batch])
+            except NumericalError:  # its trajectories march alone below
+                continue
+            for (march, members), fields in zip(batch, runs):
+                _remember(march, members, fields)
+    for march, members in plans:
+        if len(members) > 1 and _key(members[0]) not in _RUN_CACHE:
+            with contextlib.suppress(NumericalError):  # run_cached reports it
+                _remember(march, members, run_manifest(march))
 
 
 # --- order tables -----------------------------------------------------------
@@ -554,9 +553,9 @@ def bifurcation_sweep(pairs=None, base: Optional[RunManifest] = None) -> list[di
     the sweep continues.  Entries come back sorted by (tau, u_B).
 
     Every pair is derived, and its grid and times validated, before any
-    run.  The staggered runs of all pairs then march as one batch; a pair
-    the batch leaves (a lone or third_order one, or every pair of a failed
-    batch) runs alone.
+    run.  The staggered runs of all pairs then march as one batch (see
+    _plan); a pair the batch leaves (a lone or third_order one, or every
+    pair of a failed batch) runs alone.
     """
     pairs = list(DEFAULT_SWEEP_PAIRS if pairs is None else pairs)
     if not pairs:
@@ -571,12 +570,12 @@ def bifurcation_sweep(pairs=None, base: Optional[RunManifest] = None) -> list[di
         try:
             m = base.derive(tau=tau, u_B=u_B)
             _grid_for(m)
-            landing_targets(0.0, m.t_final, m.snapshot_times)
+            _targets(m)
             derived.append((entry, m))
         except Exception as exc:  # per-run isolation
             entry["error"] = f"{type(exc).__name__}: {exc}"
         entries.append(entry)
-    _run_batch([m for _, m in derived])
+    _plan([m for _, m in derived])
     for entry, m in derived:
         try:
             entry["report"] = classify_profile(run_cached(m)[-1], m, model)
@@ -592,11 +591,11 @@ def domain_study(base: RunManifest, L_values: list[float],
     closed-form bound, the domain-sizing verdict, and the classification
     of the truncated run.
 
-    The domains march as one batch, landing on every requested time; their
-    fields serve the per-entry runs through run_cached.  A NumericalError
-    is recorded per entry under "error", with the norms and bound set to
-    None, and the study continues; if the batch fails, each domain runs
-    alone, and an entry whose domain run failed makes its own run.
+    The runs of all entries are planned together (see _plan): each domain
+    marches once, to the latest requested time and landing on the others,
+    and the domains march as one batch.  A NumericalError is recorded per
+    entry under "error", with the norms and bound set to None, and the
+    study continues; an entry whose domain march failed makes its own run.
     """
     if not L_values:
         raise ValueError("L_values must not be empty")
@@ -611,14 +610,7 @@ def domain_study(base: RunManifest, L_values: list[float],
                      for t in times for L in L_values}
         for L in L_values[:-1]:  # an undefined bound fails before any run
             _truncation_params(base, L).scale
-        domains = [base.derive(L=L, t_final=max(times), snapshot_times=times)
-                   for L in L_values]
-        _run_batch(domains)
-        for d in domains:
-            try:
-                run_cached(d)
-            except NumericalError:  # its entries fall back to their own runs
-                pass
+        _plan(list(manifests.values()))
         entries = []
         for t in times:
             for L in L_values:

@@ -353,5 +353,6 @@ def run(starts: Sequence[np.ndarray], ctxs: Sequence[RunContext], variant: str,
         return [Field(p.copy(), INTEGER_GRID, time)
                 for p in batch.points(state[1], INTEGER_GRID)]
 
-    landed = land_snapshots(advance, read, (0.0, u0), t_final, snapshot_times, pair)
+    with np.errstate(over="ignore", invalid="ignore"):  # the NaN/Inf checks report it
+        landed = land_snapshots(advance, read, (0.0, u0), t_final, snapshot_times, pair)
     return [list(fields) for fields in zip(*landed)]

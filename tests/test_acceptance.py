@@ -138,13 +138,14 @@ def test_criterion_5_domain_truncation_agreement():
                          t_final=0.1)
     profiles = []
     for L in (0.25, 0.75, 1.25):
-        m = base.model_copy(update={"L": L})
+        m = base.derive(L=L)
         profiles.append(run_cached(m)[-1].values[:2501])
     sups = [float(np.max(np.abs(a - b)))
             for i, a in enumerate(profiles)
             for b in profiles[i + 1:]]
 
-    m_long = base.model_copy(update={"L": 0.25, "t_final": 1.0})
+    with pytest.warns(UserWarning, match="domain-sizing"):  # deliberately short
+        m_long = base.derive(L=0.25, t_final=1.0)
     rep = classify_profile(run_cached(m_long)[-1], m_long,
                            FluxModel(m_long.M))
 

@@ -43,13 +43,11 @@ def test_traced_names_and_labels_match_the_package():
     assert summary["cweno.rk4_step"]["calls"] > 0
 
 
-def test_a_traced_sweep_reaches_run_manifest(monkeypatch):
+def test_a_traced_sweep_reaches_run_manifest(empty_run_cache):
     # the benchmark's span inflation takes the median of the run_manifest
     # spans inside a sweep, then of the same manifests run one at a time:
     # a sweep must march through the module attribute run_manifest, and
     # run_manifest must take one manifest
-    monkeypatch.setattr(experiments, "_RUN_CACHE", {})
-    monkeypatch.setattr(experiments, "_LANDED", {})
     metrics, tracer = _load("metrics"), _load("tracer")
     trace = tracer.Tracer(metrics.TRACED, metrics.LABELS)
     base = desk_manifest(dx=0.005, t_final=0.01)

@@ -97,6 +97,8 @@ def test_derive_validates_and_keeps_the_cache_key():
                 == base.model_copy(update=update).model_dump_json(by_alias=True))
     with pytest.raises(ManifestError):
         base.derive(u_B=1.5)
+    with pytest.raises(ManifestError, match="u_B"):  # model_copy is derive
+        base.model_copy(update={"u_B": 1.5})
 
 
 def test_manifest_warns_when_domain_is_too_short():
@@ -123,6 +125,17 @@ def test_manifest_fields_cannot_be_assigned():
     with pytest.raises(ManifestError, match="lambda"):  # update takes field names
         m.model_copy(update={"lambda": 0.2})
     assert m.tau == 5.0 and m.lam == 0.1
+
+
+def test_snapshot_times_cannot_be_changed_in_place():
+    m = desk_manifest(t_final=0.05, snapshot_times=[0.01, 0.02])
+    key = m.model_dump_json(by_alias=True)
+    with pytest.raises(TypeError):
+        m.snapshot_times[0] = 0.5
+    assert m.snapshot_times == (0.01, 0.02)
+    assert m.model_dump()["snapshot_times"] == [0.01, 0.02]
+    assert m.model_dump_json(by_alias=True) == key
+    assert m == desk_manifest(t_final=0.05, snapshot_times=(0.01, 0.02))
 
 
 def test_export_writes_the_same_manifest_echo(tmp_path):
@@ -322,6 +335,14 @@ def test_run_cached_results_are_read_only():
         fields[-1].values[0] = 1.0
 
 
+def test_a_cached_result_cannot_be_extended_by_a_caller():
+    m = _tiny(t_final=0.005)
+    fields = run_cached(m)
+    with pytest.raises(AttributeError):
+        fields.append("junk")
+    assert run_cached(m) is fields and len(fields) == 1
+
+
 @settings(deadline=None, max_examples=12)
 @given(scheme=st.sampled_from(["trapezoid", "midpoint", "third_order"]),
        times=st.lists(st.one_of(st.integers(1, 19).map(lambda k: k * 5e-4),
@@ -419,8 +440,7 @@ def test_order_table_single_level_has_no_rate():
     assert rows[0]["order_l1"] is None
 
 
-def test_bifurcation_sweep_isolates_failures(monkeypatch):
-    runs = _fresh_caches(monkeypatch)
+def test_bifurcation_sweep_isolates_failures(runs):
     base = _tiny(lam=0.3)
     entries = bifurcation_sweep(pairs=[(0.2, 0.6), (0.2, 0.2)], base=base)
     assert [(e["tau"], e["u_B"]) for e in entries] == [(0.2, 0.2), (0.2, 0.6)]
@@ -436,8 +456,7 @@ def test_bifurcation_sweep_isolates_failures(monkeypatch):
     assert run_cached(good)[-1].values.tobytes() == alone.values.tobytes()
 
 
-def test_bifurcation_sweep_marches_all_its_pairs_as_one_batch(monkeypatch):
-    runs = _fresh_caches(monkeypatch)
+def test_bifurcation_sweep_marches_all_its_pairs_as_one_batch(runs):
     base = _tiny(snapshot_times=[0.0043])  # off the step grid: a landed fork
     pairs = [(1.0, 0.75), (0.2, 0.6), (1.0, 0.9), (0.2, 0.3), (5.0, 0.9)]
     entries = bifurcation_sweep(pairs, base)
@@ -455,8 +474,7 @@ def test_bifurcation_sweep_marches_all_its_pairs_as_one_batch(monkeypatch):
     assert len(runs) == 1
 
 
-def test_bifurcation_sweep_with_duplicate_pairs_or_a_third_order_base(monkeypatch):
-    runs = _fresh_caches(monkeypatch)
+def test_bifurcation_sweep_with_duplicate_pairs_or_a_third_order_base(runs):
     pairs = [(1.0, 0.75), (1.0, 0.9), (1.0, 0.75)]
     for base in (_tiny(), _tiny(scheme="third_order")):
         runs.clear()
@@ -472,7 +490,6 @@ def test_bifurcation_sweep_with_duplicate_pairs_or_a_third_order_base(monkeypatc
                              base.derive(tau=1.0, u_B=0.9))]
     # a lone staggered pair runs once, alone: not as a batch of one
     experiments._RUN_CACHE.clear()
-    experiments._LANDED.clear()
     runs.clear()
     base = _tiny()
     entries = bifurcation_sweep([(1.0, 0.75), (1.0, 0.75)], base)
@@ -515,11 +532,10 @@ def test_a_mixed_batch_gives_each_manifest_its_own_run(scheme):
             assert (f.phase, f.values.tobytes()) == (a.phase, a.values.tobytes())
 
 
-def test_a_non_numerical_error_in_a_batch_propagates(monkeypatch):
+def test_a_non_numerical_error_in_a_batch_propagates(empty_run_cache, monkeypatch):
     def broken(*args):
         raise RuntimeError("a bug in the batch march")
 
-    _fresh_caches(monkeypatch)
     monkeypatch.setattr(experiments.staggered, "run", broken)
     with pytest.raises(RuntimeError, match="bug"):
         bifurcation_sweep([(1.0, 0.75), (1.0, 0.9)], _tiny())
@@ -527,9 +543,8 @@ def test_a_non_numerical_error_in_a_batch_propagates(monkeypatch):
         domain_study(_tiny(), [0.2, 0.3], [0.01])
 
 
-def test_a_midpoint_batch_over_the_gain_bound_fails_only_that_member(monkeypatch):
+def test_a_midpoint_batch_over_the_gain_bound_fails_only_that_member(runs):
     # r = eps lam / dx = 0.9: unstable at tau = 0, stable once tau damps it
-    runs = _fresh_caches(monkeypatch)
     base = desk_manifest(scheme="midpoint", u_B=0.9, epsilon=0.02, dx=0.002,
                          lam=0.09, t_final=0.01)
     pairs = [(0.0, 0.9), (1.0, 0.9), (1.0, 0.75)]
@@ -566,10 +581,9 @@ def test_domain_study_smoke():
     assert small["bound"] > 0.0
 
 
-def _fresh_caches(monkeypatch) -> list:
-    """Empty run caches, and the list of manifests run_manifest runs."""
-    monkeypatch.setattr(experiments, "_RUN_CACHE", {})
-    monkeypatch.setattr(experiments, "_LANDED", {})
+@pytest.fixture
+def runs(empty_run_cache, monkeypatch) -> list:
+    """The manifests run_manifest runs, from an empty run cache."""
     runs, real = [], experiments.run_manifest
 
     def counted(manifest):
@@ -581,8 +595,7 @@ def _fresh_caches(monkeypatch) -> list:
     return runs
 
 
-def test_domain_study_runs_each_domain_once(monkeypatch):
-    runs = _fresh_caches(monkeypatch)
+def test_domain_study_runs_each_domain_once(runs):
     base, L_values, times = _tiny(), [0.2, 0.3], [0.0063, 0.01]  # 0.0063 is off-grid
     study = domain_study(base, L_values, times)
     # both domains marched once, in one batch, and every entry came from
@@ -595,7 +608,6 @@ def test_domain_study_runs_each_domain_once(monkeypatch):
 
     # the same entries from one fresh run per (t, L)
     experiments._RUN_CACHE.clear()
-    experiments._LANDED.clear()
     expected = []
     for t in times:
         for L in L_values:
@@ -632,10 +644,11 @@ def test_domain_study_isolates_a_numerical_error(monkeypatch):
         [e for e in intact if (e["t"], e["L"]) not in {(0.01, 0.2), (0.01, 0.25)}]
 
 
-def test_domain_study_survives_a_failed_domain_run(monkeypatch):
+def test_domain_study_survives_a_failed_domain_run(runs, monkeypatch):
     base, L_values, times = _tiny(), [0.2, 0.3], [0.005, 0.01]
     intact = domain_study(base, L_values, times)["entries"]
-    runs = _fresh_caches(monkeypatch)
+    experiments._RUN_CACHE.clear()
+    runs.clear()
     counted = experiments.run_manifest
 
     def domain_run_fails(manifest):
@@ -649,7 +662,61 @@ def test_domain_study_survives_a_failed_domain_run(monkeypatch):
     # the failed batch fell back to one run per domain: the L = 0.3 domain
     # ran once; each L = 0.2 entry made its own run
     assert sorted((m.L, m.t_final, m.snapshot_times) for m in runs) == \
-        [(0.2, 0.005, []), (0.2, 0.01, []), (0.3, 0.01, [0.005, 0.01])]
+        [(0.2, 0.005, ()), (0.2, 0.01, ()), (0.3, 0.01, (0.005, 0.01))]
+
+
+def test_domain_study_plans_around_a_cached_entry_and_a_third_order_base(runs):
+    L_values, times = [0.2, 0.3], [0.0063, 0.01]
+    for base in (_tiny(), _tiny(scheme="third_order")):
+        experiments._RUN_CACHE.clear()
+        if base.scheme == "trapezoid":  # the (0.0063, 0.2) entry is cached
+            run_cached(base.derive(L=0.2, t_final=0.0063, snapshot_times=[]))
+        runs.clear()
+        study = domain_study(base, L_values, times)
+        if base.scheme == "trapezoid":
+            # L = 0.2 is left one entry, which runs alone; L = 0.3 marches
+            # once, alone, as its times differ from the one L = 0.2 entry's
+            assert runs == [base.derive(L=0.3, t_final=0.01, snapshot_times=times),
+                            base.derive(L=0.2, t_final=0.01, snapshot_times=[])]
+        else:  # each domain marches once, alone
+            assert runs == [base.derive(L=L, t_final=0.01, snapshot_times=times)
+                            for L in L_values]
+
+        # the same entries from one fresh run per (t, L)
+        experiments._RUN_CACHE.clear()
+        expected = []
+        for t in times:
+            for L in L_values:
+                m = base.derive(L=L, t_final=t, snapshot_times=[])
+                report = classify_profile(run_manifest(m)[-1], m, MODEL)
+                cmp = (compare_domains(base, L, 0.3, t) if L < 0.3
+                       else dict.fromkeys(("h1_diff", "sup_diff", "bound")))
+                expected.append({"t": t, "L": L,
+                                 "classification": report.classification,
+                                 "sizing_ok": L > MODEL.D * t, **cmp})
+        assert study["entries"] == expected
+
+
+def test_a_short_domain_warns_for_each_manifest_and_never_for_a_march(runs):
+    with pytest.warns(UserWarning, match="domain-sizing"):
+        base = _tiny(L=0.1, t_final=0.1)  # the leading wave reaches 0.11
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entries = bifurcation_sweep([(1.0, 0.75)], base)
+    assert entries[0]["error"] is None
+    assert [str(w.message).split(":")[0] for w in caught] == ["domain-sizing"]
+    # two manifests of one trajectory march as one derived manifest, whose
+    # warning the planner hushes
+    with pytest.warns(UserWarning, match="domain-sizing"):
+        members = [base.derive(u_B=0.9, t_final=t) for t in (0.1, 0.05)]
+    runs.clear()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        experiments._plan(members)
+    assert caught == []
+    assert [(m.t_final, m.snapshot_times) for m in runs] == [(0.1, (0.05, 0.1))]
+    for m in members:
+        assert run_cached(m)[-1].values.tobytes() == run_manifest(m)[-1].values.tobytes()
 
 
 def test_derived_runs_are_validated_before_they_run(monkeypatch):
@@ -669,10 +736,9 @@ def test_derived_runs_are_validated_before_they_run(monkeypatch):
 
 
 @pytest.mark.parametrize("undefined", [{"tau": 0.0}, {"u_B": 0.0}])
-def test_domain_study_checks_the_bound_before_any_run(monkeypatch, undefined):
+def test_domain_study_checks_the_bound_before_any_run(runs, undefined):
     # tau = 0 leaves the kernels without a length scale, u_B = 0 the box
     # without a height: the bound is undefined before any domain runs
-    runs = _fresh_caches(monkeypatch)
     with pytest.raises(ValueError):
         domain_study(_tiny(**undefined), [0.2, 0.3], [0.01])
     assert runs == []
@@ -686,10 +752,9 @@ def test_domain_study_flags_short_domains_without_a_warning():
     assert [e["sizing_ok"] for e in study["entries"]] == [False, True]
 
 
-def test_domain_study_lets_every_other_warning_out(monkeypatch):
+def test_domain_study_lets_every_other_warning_out(empty_run_cache, monkeypatch):
     # a domain run that overflows an array warns through the study, as it
     # does through a sweep
-    _fresh_caches(monkeypatch)
     real = experiments.run_manifest
 
     def overflowing(manifest):

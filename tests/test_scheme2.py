@@ -1,6 +1,7 @@
 """Staggered predictor-corrector scheme: frozen single-step values and invariants."""
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -585,6 +586,19 @@ def test_non_finite_start_is_rejected_before_the_first_step(variant, bad, monkey
     u[2] = bad
     with pytest.raises(NumericalError, match="NaN/Inf"):
         run([u], [ctx], variant, t_final=0.1)
+
+
+@pytest.mark.parametrize("variant", ["trapezoid", "midpoint"])
+def test_an_overflowing_start_is_a_numerical_error_not_a_warning(variant):
+    # the march's overflow and invalid values reach its own NaN/Inf checks
+    grid = GridSpec(L=1.0, n_cells=8, dx=0.125, lam=0.1)
+    u = np.zeros(grid.n_cells + 1)
+    u[4] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="NaN/Inf"):
+            run([u], [RunContext(grid, PARAMS, MODEL, (0.0, 0.0))], variant,
+                t_final=0.1)
 
 
 def test_a_run_builds_at_most_two_fields_per_step(monkeypatch):
