@@ -26,6 +26,8 @@ estimate
 
 and lemma_audit checks the nine supporting kernel/weight inequalities by
 adaptive Gauss-Kronrod quadrature (_audit_quad), on arrays of panels.
+compare_domains sets the measured difference of two given final profiles
+beside the bound; the runs themselves belong to experiments.domain_study.
 """
 from __future__ import annotations
 
@@ -344,29 +346,23 @@ def lemma_audit(lemma_id: str, p: BoundParams, x: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + _SLACK)}
 
 
-def _truncation_params(base, L: float) -> BoundParams:
-    """The bound's inputs for the run of manifest base on [0, L]: a box of
-    height u_B on [0, L0], weight rate lam = 1/2."""
-    return BoundParams(lam=0.5, C_u=base.u_B, L0=base.L0, L=L, g_sup=base.u_B,
-                       M=base.M, epsilon=base.epsilon, tau=base.tau)
+def _truncation_params(manifest, lam: float = 0.5) -> BoundParams:
+    """The bound's inputs for the run of manifest on [0, L]: a box of
+    height u_B on [0, L0], weight rate lam."""
+    return BoundParams(lam=lam, C_u=manifest.u_B, L0=manifest.L0, L=manifest.L,
+                       g_sup=manifest.u_B, M=manifest.M, epsilon=manifest.epsilon,
+                       tau=manifest.tau)
 
 
-def compare_domains(base, L_small: float, L_large: float, t: float) -> dict:
-    """Truncation experiment: run the same setup on [0, L_small] and on
-    [0, L_large], restrict the large run, and report difference norms next
-    to the closed-form bound (weight rate fixed at lam = 1/2)."""
-    from . import experiments
-
-    if not L_large > L_small:
-        raise ValueError("need L_large > L_small")
-    small = base.derive(L=L_small, t_final=t, snapshot_times=[])
-    large = base.derive(L=L_large, t_final=t, snapshot_times=[])
-    p = _truncation_params(base, L_small)
-    s = p.scale  # the runs wait until the bound is defined
-    u_small = experiments.run_cached(small)[-1].values
-    u_large = experiments.run_cached(large)[-1].values
+def compare_domains(small, u_small: np.ndarray, u_large: np.ndarray) -> dict:
+    """Truncation comparison: the final profile u_small of the run of
+    manifest small on [0, L], against u_large of the same setup on a longer
+    domain, restricted to [0, L]; the difference norms next to the
+    closed-form bound at small.t_final (weight rate lam = 1/2)."""
+    if not u_large.size > u_small.size:
+        raise ValueError("need u_large longer than u_small")
+    p = _truncation_params(small)
     diff = u_large[:u_small.size] - u_small
-    h1 = weighted_h1_norm(diff, s, base.dx)
-    return {"h1_diff": h1,
+    return {"h1_diff": weighted_h1_norm(diff, p.scale, small.dx),
             "sup_diff": float(np.max(np.abs(diff))),
-            "bound": bound_constants(p, t).bound}
+            "bound": bound_constants(p, small.t_final).bound}

@@ -144,8 +144,7 @@ def _cmd_eps_sweep(args) -> int:
 
 def _cmd_lemma_audit(args) -> int:
     manifest = _load(args)
-    p = dataclasses.replace(bounds._truncation_params(manifest, manifest.L),
-                            lam=args.weight_rate)
+    p = bounds._truncation_params(manifest, args.weight_rate)
     s = p.scale
     xs = args.x if args.x is not None else sorted(
         {0.0, p.L0 / 2.0, p.L0, 2.0 * p.L0, 10.0 * s})
@@ -166,8 +165,7 @@ def _cmd_lemma_audit(args) -> int:
 
 def _cmd_bound(args) -> int:
     manifest = _load(args)
-    p = dataclasses.replace(bounds._truncation_params(manifest, manifest.L),
-                            lam=args.weight_rate)
+    p = bounds._truncation_params(manifest, args.weight_rate)
     report = bounds.bound_constants(p, args.t)
     for name in ("a_tau", "b_tau", "c_tau", "E1", "E2",
                  "gamma1", "gamma2", "D1", "D2", "bound"):

@@ -150,9 +150,10 @@ class RunManifest:
         return self.derive(**(update or {}))
 
     def derive(self, **update) -> RunManifest:
-        """A copy with the given fields replaced, validated like any new
-        manifest."""
-        return type(self)(**{**self.model_dump(), **update})
+        """A copy with the given fields replaced, each by its name or alias,
+        validated like any new manifest."""
+        aliased = [name for name, alias in _ALIASES.items() if alias in update]
+        return type(self)(**{**self.model_dump(exclude=aliased), **update})
 
 
 def _number(name: str, value) -> float:
@@ -608,8 +609,8 @@ def domain_study(base: RunManifest, L_values: list[float],
         warnings.filterwarnings("ignore", "domain-sizing", UserWarning)
         manifests = {(t, L): base.derive(L=L, t_final=t, snapshot_times=[])
                      for t in times for L in L_values}
-        for L in L_values[:-1]:  # an undefined bound fails before any run
-            _truncation_params(base, L).scale
+        if len(L_values) > 1:  # an undefined bound fails before any run
+            _truncation_params(base).scale
         _plan(list(manifests.values()))
         entries = []
         for t in times:
@@ -619,10 +620,11 @@ def domain_study(base: RunManifest, L_values: list[float],
                          "h1_diff": None, "sup_diff": None, "bound": None}
                 try:
                     m = manifests[t, L]
-                    entry["classification"] = classify_profile(
-                        run_cached(m)[-1], m, model).classification
+                    u = run_cached(m)[-1]
+                    entry["classification"] = classify_profile(u, m, model).classification
                     if L < L_ref:
-                        entry.update(compare_domains(base, L, L_ref, t))
+                        ref = run_cached(manifests[t, L_ref])[-1]
+                        entry.update(compare_domains(m, u.values, ref.values))
                 except NumericalError as exc:  # per-entry isolation
                     entry["error"] = f"{type(exc).__name__}: {exc}"
                 entries.append(entry)

@@ -14,11 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from mblab.bounds import AUDIT_ITEMS, BoundParams, compare_domains, lemma_audit
+from mblab.bounds import AUDIT_ITEMS, BoundParams, lemma_audit
 from mblab.experiments import (
     bifurcation_sweep,
     classify_profile,
     desk_manifest,
+    domain_study,
     order_table,
     run_cached,
 )
@@ -224,10 +225,12 @@ def test_criterion_7_kernel_audit_grid():
 def test_criterion_8_truncation_error_bound():
     base = desk_manifest(tau=5.0, u_B=ALPHA, epsilon=0.01, dx=0.001)
     problems = []
+    studies = {L: domain_study(base, [L, 2.0 * L], [0.05, 0.1])["entries"]
+               for L in (0.15, 0.25, 0.35)}
     for t in (0.05, 0.1):
         diffs = []
         for L in (0.15, 0.25, 0.35):
-            out = compare_domains(base, L, 2.0 * L, t)
+            out = next(e for e in studies[L] if e["t"] == t and e["L"] == L)
             if not out["h1_diff"] <= out["bound"]:
                 problems.append(
                     f"t={t} L={L}: {out['h1_diff']:.3e} > {out['bound']:.3e}")

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import mblab
 from mblab import bounds, cli, experiments
-from mblab.bounds import compare_domains
+from mblab.bounds import BoundParams, bound_constants, compare_domains
 from mblab.errors import ManifestError, NumericalError
 from mblab.experiments import (
     RunManifest,
@@ -122,8 +122,11 @@ def test_manifest_fields_cannot_be_assigned():
     m = desk_manifest()
     with pytest.raises(dataclasses.FrozenInstanceError):
         m.tau = 1.0
-    with pytest.raises(ManifestError, match="lambda"):  # update takes field names
-        m.model_copy(update={"lambda": 0.2})
+    # a copy takes a field by its name or its alias, as the constructor does
+    assert m.model_copy(update={"lambda": 0.2}).lam == 0.2
+    assert m.derive(**{"lambda": 0.2}).lam == 0.2
+    with pytest.raises(ManifestError, match="lambda is given twice"):
+        m.derive(**{"lambda": 0.2, "lam": 0.3})
     assert m.tau == 5.0 and m.lam == 0.1
 
 
@@ -613,7 +616,9 @@ def test_domain_study_runs_each_domain_once(runs):
         for L in L_values:
             m = base.derive(L=L, t_final=t, snapshot_times=[])
             report = classify_profile(run_cached(m)[-1], m, MODEL)
-            cmp = (compare_domains(base, L, 0.3, t) if L < 0.3
+            m_ref = base.derive(L=0.3, t_final=t, snapshot_times=[])
+            cmp = (compare_domains(m, run_cached(m)[-1].values,
+                                   run_cached(m_ref)[-1].values) if L < 0.3
                    else dict.fromkeys(("h1_diff", "sup_diff", "bound")))
             expected.append({"t": t, "L": L,
                              "classification": report.classification,
@@ -689,7 +694,9 @@ def test_domain_study_plans_around_a_cached_entry_and_a_third_order_base(runs):
             for L in L_values:
                 m = base.derive(L=L, t_final=t, snapshot_times=[])
                 report = classify_profile(run_manifest(m)[-1], m, MODEL)
-                cmp = (compare_domains(base, L, 0.3, t) if L < 0.3
+                m_ref = base.derive(L=0.3, t_final=t, snapshot_times=[])
+                cmp = (compare_domains(m, run_cached(m)[-1].values,
+                                       run_cached(m_ref)[-1].values) if L < 0.3
                        else dict.fromkeys(("h1_diff", "sup_diff", "bound")))
                 expected.append({"t": t, "L": L,
                                  "classification": report.classification,
@@ -725,8 +732,6 @@ def test_derived_runs_are_validated_before_they_run(monkeypatch):
     base = _tiny()  # L0 = 0.05
     with pytest.raises(ManifestError):
         domain_study(base, [0.04, 0.3], [0.01])
-    with pytest.raises(ManifestError):
-        compare_domains(base, 0.04, 0.3, 0.01)
     with pytest.raises(ManifestError):
         epsilon_sweep(base, [-0.01])
     entries = bifurcation_sweep(pairs=[(5.0, 1.5), (5.0, -0.2)], base=base)
@@ -775,8 +780,9 @@ def test_h1_diff_decreases_in_L(data, t):
     first = math.floor(max(base.L0, MODEL.D * t) / base.dx) + 1
     cells = data.draw(st.lists(st.integers(first, round(L_ref / base.dx) - 1),
                                min_size=2, max_size=2, unique=True))
-    h1 = [compare_domains(base, k * base.dx, L_ref, t)["h1_diff"]
-          for k in sorted(cells)]
+    entries = domain_study(base, [k * base.dx for k in cells] + [L_ref],
+                           [t])["entries"]
+    h1 = [e["h1_diff"] for e in entries[:2]]
     assert h1[1] < h1[0]
 
 
@@ -883,11 +889,20 @@ def test_cli_sweep_reports_an_out_of_range_pair_as_its_error(manifest_file, caps
 
 
 def test_cli_bound(manifest_file, capsys):
-    rc = cli.main(["bound", "--manifest", str(manifest_file), "--t", "0.05"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "bound = " in out
-    assert "a_tau = " in out
+    def printed_bound(*flags):
+        assert cli.main(["bound", "--manifest", str(manifest_file),
+                         "--t", "0.05", *flags]) == 0
+        out = capsys.readouterr().out
+        assert "a_tau = " in out
+        return re.search(r"^bound = (\S+)$", out, re.M).group(1)
+
+    # --weight-rate reaches the bound; the default rate is 0.5
+    m = load_manifest(manifest_file)
+    p = BoundParams(lam=0.3, C_u=m.u_B, L0=m.L0, L=m.L, g_sup=m.u_B, M=m.M,
+                    epsilon=m.epsilon, tau=m.tau)
+    bound = printed_bound("--weight-rate", "0.3")
+    assert bound == f"{bound_constants(p, 0.05).bound:.10e}"
+    assert bound != printed_bound()
 
 
 def test_cli_lemma_audit(manifest_file, capsys):
@@ -1178,6 +1193,19 @@ def test_every_exported_name_has_a_caller_in_the_package():
             names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
             used |= names - {getattr(node, "name", None)}
     assert sorted(defined - used - REFERENCE_ONLY) == []
+
+
+def test_bounds_imports_neither_experiments_nor_cli():
+    # bounds sits below the run layer: no import of experiments or cli, at
+    # module level or inside a function
+    offending = []
+    for node in ast.walk(ast.parse(pathlib.Path(bounds.__file__).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""]
+            names += [alias.name for alias in node.names]
+            if {"experiments", "cli"} & {p for n in names for p in n.split(".")}:
+                offending.append(node.lineno)
+    assert offending == []
 
 
 def _is_dataclass(node) -> bool:

@@ -365,6 +365,8 @@ def test_lemma_audit_knows_all_items():
 
 
 def test_compare_domains_validates_lengths():
-    base = desk_manifest(tau=5.0, u_B=ALPHA, epsilon=0.01, dx=0.001)
+    small = desk_manifest(tau=5.0, u_B=ALPHA, epsilon=0.01, dx=0.001,
+                          L=0.3, t_final=0.05)
+    profile = np.zeros(301)
     with pytest.raises(ValueError):
-        compare_domains(base, 0.3, 0.3, 0.05)
+        compare_domains(small, profile, profile)
