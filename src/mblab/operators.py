@@ -4,16 +4,17 @@ Node-centered fields on [x0, x0+L] carry n_cells+1 values with the
 boundary (Dirichlet) values stored in the array; half-grid fields carry
 n_cells values at the staggered points x0 + (j+1/2)dx.  The elliptic
 operator is (I - c D^2) with c = eps^2 tau (or a scheme-supplied
-coefficient); its inverse is a LAPACK solve, factored once per matrix:
-LDL^T (dpttrf/dpttrs) for the symmetric positive definite order-2
-tridiagonal matrices, banded LU (dgbtrf/dgbtrs) for the order-4 ones.
+coefficient); its inverse is a LAPACK solve: LDL^T (dpttrf/dpttrs) for
+the symmetric positive definite order-2 tridiagonal matrices, banded LU
+(dgbtrf/dgbtrs) for the order-4 ones.
 The four routines come from scipy's LAPACK extension module, loaded on
 its own: the scipy.linalg package would also import numpy's optional
 subpackages, about 0.2 s of start-up on every run that no solve needs.
 
-Every solve is one _Solve: the closure terms of the boundary values, the
-c = 0 rule and the size check live there and nowhere else.  Its order-2
-form takes several fields laid end to end in one vector, the runs of a
+Every solve is one _Solve, which assembles and factors its matrix once:
+the factorisation, the closure terms of the boundary values, the c = 0
+rule and the size check live there and nowhere else.  Its order-2 form
+takes several fields laid end to end in one vector, the runs of a
 staggered batch, and solves them in one dpttrs call; a single field is a
 batch of one.  Rows that the solve must keep, the slots between two fields
 and every field with c = 0, are identity rows that hold +0 during the call
@@ -271,51 +272,29 @@ def _bands(m: int, phase: str, order: int, ct: float) -> np.ndarray:
     return ab
 
 
-@functools.lru_cache(maxsize=32)
-def _factored_solve(m: int, phase: str, order: int, ct: float) -> functools.partial:
-    """LAPACK solve of the m-unknown matrix, bound to its read-only factors.
-
-    Width 1 (order 2) is symmetric, and strictly diagonally dominant with a
-    positive diagonal for ct >= 0, so positive definite: its LDL^T factors
-    come from the diagonal and the superdiagonal (dpttrf, solved by dpttrs).
-    The order-4 one-sided closures are not symmetric; those bands go in the
-    last 2 width + 1 of 3 width + 1 rows, the general band layout (dgbtrf,
-    solved by dgbtrs).  Called on a right-hand side, the result returns
-    (solution, info).
-    """
-    ab = _bands(m, phase, order, ct)
-    width = ab.shape[0] // 2
-    if width == 1:
-        *factors, info = dpttrf(ab[1], ab[0, 1:])
-        solve = functools.partial(dpttrs, *factors)
-    else:
-        gb = np.zeros((3 * width + 1, m))
-        gb[width:] = ab
-        lu, ipiv, info = dgbtrf(gb, width, width, overwrite_ab=1)
-        factors = lu, ipiv
-        solve = functools.partial(dgbtrs, lu, width, width, ipiv=ipiv)
-    if info != 0:
-        raise NumericalError(f"Helmholtz factorisation failed (info={info})")
-    for a in factors:
-        a.setflags(write=False)
-    return solve
-
-
 class _Solve:
     """(I - c D^2) u = w on the unknowns of segments laid end to end, gap
     rows apart, each byte for byte its own solve (see the module
     docstring): segment (m, c) holds the m unknowns of one field of phase,
-    its interior nodes or every half cell.  At order 2 the matrix is block
-    diagonal, the segments' own cached factors (_factored_solve) with
-    identity rows at the kept rows; order 4 takes one segment.  A segment
-    with c != 0 needs 4 cells at order 2 (as a GridSpec does) and 5 at
-    order 4, where fewer would overlap the two edge closures.
+    its interior nodes or every half cell.  A segment with c != 0 needs 4
+    cells at order 2 (as a GridSpec does) and 5 at order 4, where fewer
+    would overlap the two edge closures.
+
+    The matrix is factored once, here; lapack binds its read-only factors
+    and returns (solution, info).  Order 2 is symmetric positive definite
+    (strictly diagonally dominant, positive diagonal): one dpttrf over the
+    whole span, the live segments' rows with identity rows (d = 1, e = 0)
+    at the kept ones, whose zero couplings leave each segment the factors
+    it has alone.  Order 4 takes one segment; its one-sided closures are
+    not symmetric, so its bands take the general band layout (dgbtrf).
     """
 
     def __init__(self, phase: str, order: int, dx: float, segments: tuple,
                  gap: int = 0):
         if order not in (2, 4):
             raise ValueError(f"order must be 2 or 4, got {order}")
+        if order == 4 and len(segments) > 1:
+            raise ValueError(f"an order-4 solve takes one segment, got {len(segments)}")
         ms, cs = (np.array(v) for v in zip(*segments))
         live = cs != 0.0  # a segment with c = 0 keeps its right-hand side
         need = 5 if order == 4 else 4
@@ -338,13 +317,25 @@ class _Solve:
                            for v in (firsts, firsts + ms - 1, cts))
         self.closures = [(first + i, last - i, weight * ct)
                          for i, weight in enumerate(_CLOSURES[phase, order][1])]
-        if len(ms) == 1:
-            self.lapack = _factored_solve(ms[0], phase, order, ct)
-            return
-        d, e = np.ones(solved.size), np.zeros(solved.size - 1)
-        for a, m, ct in zip(firsts[live], ms[live], cts[live]):
-            d[a:a + m], e[a:a + m - 1] = _factored_solve(m, phase, 2, ct).args
-        self.lapack = functools.partial(dpttrs, d, e)
+        if order == 4:
+            ab = _bands(ms[0], phase, 4, ct)
+            width = ab.shape[0] // 2
+            gb = np.zeros((3 * width + 1, ms[0]))
+            gb[width:] = ab
+            lu, ipiv, info = dgbtrf(gb, width, width, overwrite_ab=1)
+            factors = lu, ipiv
+            self.lapack = functools.partial(dgbtrs, lu, width, width, ipiv=ipiv)
+        else:
+            d, e = np.ones(solved.size), np.zeros(solved.size - 1)
+            for a, m, ct in zip(firsts[live], ms[live], cts[live]):
+                ab = _bands(m, phase, 2, ct)
+                d[a:a + m], e[a:a + m - 1] = ab[1], ab[0, 1:]
+            *factors, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+            self.lapack = functools.partial(dpttrs, *factors)
+        if info != 0:
+            raise NumericalError(f"Helmholtz factorisation failed (info={info})")
+        for a in factors:
+            a.setflags(write=False)
 
     def __call__(self, rhs: np.ndarray, left, right) -> np.ndarray:
         """The solution, in rhs itself where it is contiguous; rhs holds w
@@ -375,8 +366,9 @@ def _solve_unknowns(rhs: np.ndarray, phase: str, bc_left, bc_right,
 
     rhs holds w at those unknowns, shaped (points,) or (points, runs), and
     is overwritten; the boundary values (scalars, or one per run) enter
-    through the closures.  One segment of a _Solve, built once per matrix.
-    No finiteness check: callers decide where NaN/Inf is caught.
+    through the closures.  A one-segment _Solve, built and factored once
+    per matrix and kept in the module's solve cache.  No finiteness check:
+    callers decide where NaN/Inf is caught.
     """
     return _lone_solves(phase, order, dx, ((len(rhs), c),))(rhs, bc_left, bc_right)
 

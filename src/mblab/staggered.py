@@ -190,8 +190,9 @@ class Batch:
     def solve(self, rhs: np.ndarray, phase: str, delta: float = 0.0) -> np.ndarray:
         """The unknowns of (I - (c + delta) D^2) u = w, solved in place in
         rhs, which holds w there; the frame keeps its values.  One _Solve
-        per (phase, delta) takes the span from the first run's first unknown
-        to the last run's last: a segment per run, the frame between."""
+        per (phase, delta), factored once for the batch, takes the span from
+        the first run's first unknown to the last run's last: a segment per
+        run, the frame between."""
         key = (phase, delta)
         if key not in self._solves:
             first = 2 if phase == INTEGER_GRID else 1  # a run's first unknown slot

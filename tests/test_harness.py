@@ -535,6 +535,28 @@ def test_a_mixed_batch_gives_each_manifest_its_own_run(scheme):
             assert (f.phase, f.values.tobytes()) == (a.phase, a.values.tobytes())
 
 
+_STEP = 0.001  # lam dx of the property's grids
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(scheme=st.sampled_from(["trapezoid", "midpoint"]),
+       members=st.lists(st.tuples(st.integers(10, 40),  # cells of dx = 0.01
+                                  st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+                                  st.floats(0.0, 1.0)),
+                        min_size=2, max_size=4),
+       step=st.integers(0, 9), fraction=st.floats(0.1, 0.9))
+def test_a_batch_run_gives_each_member_its_solo_bytes(scheme, members, step, fraction):
+    # staggered manifests of different L, tau (0 included) and u_B, with a
+    # snapshot between two steps
+    base = _tiny(scheme=scheme, dx=0.01, snapshot_times=[(step + fraction) * _STEP])
+    batch = [base.derive(L=n * 0.01, tau=tau, u_B=u_B) for n, tau, u_B in members]
+    for m, fields in zip(batch, run_manifest(batch)):
+        alone = run_manifest(m)
+        assert [f.time for f in fields] == [f.time for f in alone]
+        for f, a in zip(fields, alone):
+            assert (f.phase, f.values.tobytes()) == (a.phase, a.values.tobytes())
+
+
 def test_a_non_numerical_error_in_a_batch_propagates(empty_run_cache, monkeypatch):
     def broken(*args):
         raise RuntimeError("a bug in the batch march")
@@ -1206,6 +1228,30 @@ def test_bounds_imports_neither_experiments_nor_cli():
             if {"experiments", "cli"} & {p for n in names for p in n.split(".")}:
                 offending.append(node.lineno)
     assert offending == []
+
+
+def _factor_calls(tree) -> list:
+    """The dpttrf and dgbtrf calls under tree, by a name or an attribute."""
+    return sorted(name for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+                  if name in ("dpttrf", "dgbtrf"))
+
+
+def test_only_solve_factors_and_only_operators_names_lapack():
+    # dpttrf and dgbtrf are called once each, in _Solve.__init__ alone, and no
+    # module but operators names one of the four LAPACK routines, by a name,
+    # an attribute or an import
+    package = pathlib.Path(mblab.__file__).parent
+    tree = ast.parse((package / "operators.py").read_text())
+    init = next(f for c in tree.body if getattr(c, "name", None) == "_Solve"
+                for f in c.body if getattr(f, "name", None) == "__init__")
+    assert _factor_calls(tree) == _factor_calls(init) == ["dgbtrf", "dpttrf"]
+    lapack = {"dgbtrf", "dgbtrs", "dpttrf", "dpttrs"}
+    named = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             if path.name != "operators.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if lapack & {getattr(node, key, None) for key in ("id", "attr", "name", "asname")}]
+    assert named == []
 
 
 def _is_dataclass(node) -> bool:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy
 import scipy.linalg.lapack
-from scipy.linalg.lapack import dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from mblab import operators
 from mblab.errors import NumericalError
@@ -20,8 +20,8 @@ from mblab.operators import (
     MBLParams,
     _bands,
     _d2_order2,
+    _Solve,
     _d2_order4,
-    _factored_solve,
     _solve_unknowns,
     helmholtz_apply,
     helmholtz_solve,
@@ -308,19 +308,40 @@ def test_solve_with_nan_boundary_value_is_a_numerical_error(phase):
                         MBLParams(epsilon=0.1, tau=1.0).disp, 0.1)
 
 
-def test_each_matrix_is_factored_once_per_run():
-    _factored_solve.cache_clear()
+def test_each_matrix_is_factored_once_per_run(monkeypatch):
+    calls = []
+
+    def counted(name):
+        routine = getattr(operators, name)
+
+        def factor(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
+        return factor
+
+    for name in ("dpttrf", "dgbtrf"):
+        monkeypatch.setattr(operators, name, counted(name))
+    operators._lone_solves.cache_clear()
     run_manifest(desk_manifest(tau=5.0, t_final=0.002))  # 20 step pairs
     # both phases, each with eps^2 tau and the corrector's eps^2 tau + eps dt/2
-    assert _factored_solve.cache_info().misses == 4
-    # a batch of two such runs lays those same factors end to end
+    assert calls == ["dpttrf"] * 4
+    # a batch of two such runs factors one span per (phase, coefficient)
     run_manifest([desk_manifest(tau=5.0, t_final=0.002, u_B=u_B) for u_B in (0.9, 0.6)])
-    assert _factored_solve.cache_info().misses == 4
+    assert calls == ["dpttrf"] * 8
     for order in (2, 4):  # tridiagonal and general band factors
-        solve = _factored_solve(9, HALF_GRID, order, 0.5)
-        factors = [a for a in (*solve.args, *solve.keywords.values())
+        lapack = _Solve(HALF_GRID, order, 0.1, ((9, 0.5),)).lapack
+        factors = [a for a in (*lapack.args, *lapack.keywords.values())
                    if isinstance(a, np.ndarray)]
         assert factors and not any(a.flags.writeable for a in factors)
+    assert calls[8:] == ["dpttrf", "dgbtrf"]
+
+
+def test_an_order4_solve_takes_one_segment():
+    # the identity rows that join order-2 segments have no order-4 form
+    with pytest.raises(ValueError, match="one segment"):
+        _Solve(HALF_GRID, 4, 0.1, ((9, 0.01), (9, 0.01)), gap=2)
+    with pytest.raises(ValueError, match="one segment"):
+        _Solve(INTEGER_GRID, 4, 0.1, ((9, 0.01), (9, 0.0)))
 
 
 @pytest.mark.parametrize("ct", [1e-6, 0.5, 1e4])
@@ -335,11 +356,10 @@ def test_order2_matrices_are_symmetric_positive_definite(phase, m, ct):
     off[:-1] += np.abs(ab[0, 1:])
     off[1:] += np.abs(ab[2, :-1])
     assert (ab[1] > off).all()
-    solve = _factored_solve(m, phase, 2, ct)
-    assert solve.func is dpttrs
-    assert not any(a.flags.writeable for a in solve.args)
+    d, e, info = dpttrf(ab[1], ab[0, 1:])
+    assert info == 0
     rhs = np.random.default_rng(m).uniform(-1.0, 1.0, m)
-    x, info = solve(rhs.copy())
+    x, info = dpttrs(d, e, rhs.copy())
     resid = ab[1] * x - rhs
     resid[:-1] += ab[0, 1:] * x[1:]
     resid[1:] += ab[2, :-1] * x[:-1]
