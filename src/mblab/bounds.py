@@ -27,7 +27,8 @@ estimate
 and lemma_audit checks the nine supporting kernel/weight inequalities by
 adaptive Gauss-Kronrod quadrature (_audit_quad), on arrays of panels.
 compare_domains sets the measured difference of two given final profiles
-beside the bound; the runs themselves belong to experiments.domain_study.
+beside the bound; the runs themselves belong to experiments.domain_study,
+and this module imports nothing from experiments or cli.
 """
 from __future__ import annotations
 

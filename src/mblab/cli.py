@@ -10,7 +10,9 @@ Every verb reads one manifest JSON file plus optional override flags:
   mblab lemma-audit --manifest run.json --weight-rate 0.5
   mblab bound --manifest run.json --t 0.1
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O error.
+main loads the manifest with its overrides once and passes it to the verb,
+which prints its report; main maps the outcome to the exit code:
+0 success, 2 validation error, 3 numerical failure, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -68,8 +70,7 @@ def _load(args) -> experiments.RunManifest:
     return manifest.derive(**overrides)
 
 
-def _cmd_order_test(args) -> int:
-    manifest = _load(args)
+def _cmd_order_test(manifest: experiments.RunManifest, args) -> None:
     rows = experiments.order_table(manifest.scheme, (manifest.tau, manifest.u_B),
                                    args.levels)
     print(f"# scheme={manifest.scheme} tau={manifest.tau:g} u_B={manifest.u_B:g}")
@@ -82,11 +83,9 @@ def _cmd_order_test(args) -> int:
             cells.append(f"{row[norm]:>13.4e}")
             cells.append(f"{order:>8.4f}" if order is not None else f"{'-':>8}")
         print(" ".join(cells))
-    return 0
 
 
-def _cmd_riemann(args) -> int:
-    manifest = _load(args)
+def _cmd_riemann(manifest: experiments.RunManifest, args) -> None:
     fields = experiments.run_manifest(manifest)
     report = experiments.classify_profile(fields[-1], manifest,
                                           FluxModel(manifest.M))
@@ -97,11 +96,9 @@ def _cmd_riemann(args) -> int:
     print(f"shock_positions: {[round(p, 6) for p in report.shock_positions]}")
     print(f"overshoot: {report.overshoot:.6g}")
     print(f"wrote {paths['csv']} and {paths['manifest']}")
-    return 0
 
 
-def _cmd_sweep(args) -> int:
-    manifest = _load(args)
+def _cmd_sweep(manifest: experiments.RunManifest, args) -> None:
     entries = experiments.bifurcation_sweep(args.pairs, manifest)
     for e in entries:
         if e["error"]:
@@ -111,11 +108,9 @@ def _cmd_sweep(args) -> int:
         plateau = f" plateau={r.plateau_value:.4g}" if r.plateau_value else ""
         print(f"tau={e['tau']:g} u_B={e['u_B']:.4g} -> {r.classification}"
               f"{plateau} overshoot={r.overshoot:.3g}")
-    return 0
 
 
-def _cmd_domain_study(args) -> int:
-    manifest = _load(args)
+def _cmd_domain_study(manifest: experiments.RunManifest, args) -> None:
     study = experiments.domain_study(manifest, args.L_values, args.times)
     print(f"# reference L = {study['L_ref']:g}")
     for e in study["entries"]:
@@ -128,22 +123,18 @@ def _cmd_domain_study(args) -> int:
         sizing = "ok" if e["sizing_ok"] else "VIOLATED"
         print(f"t={e['t']:g} L={e['L']:g} {e['classification']}"
               f" sizing={sizing}{diffs}")
-    return 0
 
 
-def _cmd_eps_sweep(args) -> int:
-    manifest = _load(args)
+def _cmd_eps_sweep(manifest: experiments.RunManifest, args) -> None:
     rows = experiments.epsilon_sweep(manifest, args.eps_values)
     for r in rows:
         plateau = ("-" if r["plateau_value"] is None
                    else f"{r['plateau_value']:.4g}")
         print(f"epsilon={r['epsilon']:g} width={r['width']:.6g} "
               f"plateau={plateau} {r['classification']}")
-    return 0
 
 
-def _cmd_lemma_audit(args) -> int:
-    manifest = _load(args)
+def _cmd_lemma_audit(manifest: experiments.RunManifest, args) -> None:
     p = bounds._truncation_params(manifest, args.weight_rate)
     s = p.scale
     xs = args.x if args.x is not None else sorted(
@@ -160,17 +151,14 @@ def _cmd_lemma_audit(args) -> int:
             print(f"{item:>5} x={x:<8g} lhs={res['lhs']:.6e} "
                   f"rhs={res['rhs']:.6e} {mark}")
     print(f"# {failures} violation(s)" if failures else "# all audits hold")
-    return 0
 
 
-def _cmd_bound(args) -> int:
-    manifest = _load(args)
+def _cmd_bound(manifest: experiments.RunManifest, args) -> None:
     p = bounds._truncation_params(manifest, args.weight_rate)
     report = bounds.bound_constants(p, args.t)
     for name in ("a_tau", "b_tau", "c_tau", "E1", "E2",
                  "gamma1", "gamma2", "D1", "D2", "bound"):
         print(f"{name} = {getattr(report, name):.10e}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(_load(args), args)
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return 2
@@ -240,6 +228,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

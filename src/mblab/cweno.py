@@ -135,7 +135,8 @@ def numerical_flux(u: np.ndarray, w: np.ndarray, model: FluxModel) -> np.ndarray
 
 
 def semidiscrete_rhs(wbar: np.ndarray, ctx: RunContext) -> np.ndarray:
-    """-(H_{j+1/2} - H_{j-1/2})/dx + eps Q_j on the cell averages.
+    """-(H_{j+1/2} - H_{j-1/2})/dx + eps Q_j on the cell averages, at any
+    time: the boundary data are constant, so the right-hand side is autonomous.
 
     The Dirichlet values fill two ghost cells per side for the
     reconstruction, so the outermost interfaces sit at the domain ends.
@@ -180,12 +181,13 @@ def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
     """Advance the cell averages of w from t = 0 by RK4 steps of dt = lam dx,
     landing exactly on each requested time.
 
-    Returned fields hold the cell averages of u (the order-4 half-grid
-    solve), the final state last.  Two conditions are rejected before the
-    first step: lam * C >= 1/2 (f' is clamped, so C bounds the speed of u
-    everywhere), and an RK4 factor above 1 for some mode of the diffusion
-    term (march._check_linear_gain).  The boundary values were checked by
-    the RunContext.
+    Returns the one run of march.land_snapshots: fields holding the cell
+    averages of u (the order-4 half-grid solve), the final state last.  Two
+    conditions are rejected before the first step: lam * C >= 1/2 (f' is
+    clamped, so C bounds the speed of u everywhere), and an RK4 factor
+    above 1 for some mode of the diffusion term (march._check_linear_gain).
+    A NaN or infinite time is a ValueError (march.landing_targets).  The
+    boundary values were checked by the RunContext.
     """
     grid, params = ctx.grid, ctx.params
     if grid.lam * ctx.model.C >= 0.5:
@@ -204,6 +206,5 @@ def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
         return [helmholtz_solve(Field(state[1], HALF_GRID, time), *ctx.bc,
                                 params.disp, grid.dx, order=4)]
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the NaN/Inf checks report it
-        return [f for f, in land_snapshots(advance, read, (0.0, wbar0), t_final,
-                                           snapshot_times, grid.lam * grid.dx)]
+    return land_snapshots(advance, read, (0.0, wbar0), t_final, snapshot_times,
+                          grid.lam * grid.dx)[0]

@@ -78,10 +78,13 @@ def _check_linear_gain(scheme: str, ctxs: Sequence[RunContext], symbol: Callable
 def landing_targets(t0: float, t_final: float,
                     snapshot_times: Sequence[float]) -> list[float]:
     """The times a run from t0 lands on: the sorted distinct snapshot times,
-    then t_final unless the last of them is within 1e-12 of it."""
+    then t_final unless the last of them is within 1e-12 of it.  A NaN or
+    infinite time is a ValueError."""
+    times = sorted(set(float(s) for s in snapshot_times))
+    if not np.isfinite([t_final, *times]).all():
+        raise ValueError("t_final and the snapshot times must be finite")
     if t_final <= t0:
         raise ValueError("t_final must exceed the current time")
-    times = sorted(set(float(s) for s in snapshot_times))
     if any(s <= t0 or s > t_final + 1e-12 for s in times):
         raise ValueError("snapshot times must lie in (t0, t_final]")
     return times if times and abs(times[-1] - t_final) < 1e-12 else times + [t_final]
@@ -98,27 +101,30 @@ def land_snapshots(advance: Callable[[tuple, float], tuple],
     steps; advance(state, dt) returns the state one step of dt on.  A time
     left within 1e-12 short of dt_nom still takes a nominal step.  The march
     goes on from the unforked state, so the field at time s is the final
-    field of a run that ends at s, whatever else the run lands on.  The
-    result holds one read(state, time) per snapshot time plus the final
-    state, last; read builds one Field per run the state holds, stamped
-    with the requested time exactly.  A landed field with a value outside
-    [-1, 2] (see the module docstring) is a NumericalError.  A dt_nom of at
-    most 1e-12 would march past its targets, and is a ValueError.
+    field of a run that ends at s, whatever else the run lands on.  read
+    builds one Field per run the state holds, stamped with the requested
+    time exactly; the result is one list per run, holding its field at each
+    snapshot time and then the final field, last.  The march runs with
+    float overflow and invalid operations silenced: the schemes' NaN/Inf
+    checks report them.  A landed field with a value outside [-1, 2] (see
+    the module docstring) is a NumericalError.  A dt_nom of at most 1e-12
+    would march past its targets, and is a ValueError.
     """
     if not dt_nom > 1e-12:
         raise ValueError(f"nominal time step {dt_nom:g} does not exceed the "
                          "landing tolerance 1e-12")
-    out: list[list[Field]] = []
-    for target in landing_targets(state[0], t_final, snapshot_times):
-        while target - state[0] >= dt_nom - 1e-12:
-            state = advance(state, dt_nom)
-        remaining = target - state[0]
-        fields = read(advance(state, remaining) if remaining > 1e-12 else state,
-                      target)
-        reach = max(float(np.abs(f.values - _RANGE_CENTRE).max()) for f in fields)
-        if not reach <= _RANGE_REACH:
-            raise NumericalError(
-                f"field at t = {target:g} leaves [-1, 2] (|u - 1/2| reaches "
-                f"{reach:.6g}): the scheme diverged")
-        out.append(fields)
-    return out
+    landed: list[list[Field]] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target in landing_targets(state[0], t_final, snapshot_times):
+            while target - state[0] >= dt_nom - 1e-12:
+                state = advance(state, dt_nom)
+            remaining = target - state[0]
+            fields = read(advance(state, remaining) if remaining > 1e-12 else state,
+                          target)
+            reach = max(float(np.abs(f.values - _RANGE_CENTRE).max()) for f in fields)
+            if not reach <= _RANGE_REACH:
+                raise NumericalError(
+                    f"field at t = {target:g} leaves [-1, 2] (|u - 1/2| reaches "
+                    f"{reach:.6g}): the scheme diverged")
+            landed.append(fields)
+    return [list(run) for run in zip(*landed)]

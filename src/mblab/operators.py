@@ -149,18 +149,19 @@ class MBLParams:
         object.__setattr__(self, "disp", disp)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Field:
     """Values on one phase of the staggered grid at a given time, shaped
     (points,) or, for a block of columns solved together, (points, runs).
-    Building one checks every value for NaN/Inf."""
+    Building one checks every value for NaN/Inf.  A Field is frozen: its
+    values, phase and time are never replaced."""
 
     values: np.ndarray
     phase: str = INTEGER_GRID
     time: float = 0.0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.phase not in (INTEGER_GRID, HALF_GRID):
             raise ValueError(f"unknown phase {self.phase!r}")
         if not np.isfinite(self.values).all():

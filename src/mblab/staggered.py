@@ -320,14 +320,16 @@ def run(starts: Sequence[np.ndarray], ctxs: Sequence[RunContext], variant: str,
     """March the runs of ctxs, from node values starts at t = 0, as one
     Batch in step pairs, landing exactly on each requested time.
 
-    Returns one list of fields per run, each byte for byte what the run
-    gives alone.  Each snapshot time (and t_final) is hit by one shorter
-    pair on a fork of the march, so a snapshot never moves the later
-    fields; returned fields all live on the integer grid, the final state
-    last.  A midpoint batch whose linear amplification exceeds 1 for some
-    run is a NumericalError before the first step (see
-    march._check_linear_gain).  So is a CFL violation, a NaN/Inf or a
-    landed value outside [-1, 2] in any run.
+    Returns march.land_snapshots' one list of fields per run as it is, each
+    byte for byte what the run gives alone.  Each snapshot time (and
+    t_final) is hit by one shorter pair on a fork of the march, so a
+    snapshot never moves the later fields; returned fields all live on the
+    integer grid, the final state last.  A midpoint batch whose linear
+    amplification exceeds 1 for some run is a NumericalError before the
+    first step (see march._check_linear_gain).  So is a CFL violation, a
+    NaN/Inf or a landed value outside [-1, 2] in any run.  An unknown
+    variant, or a NaN or infinite time (march.landing_targets), is a
+    ValueError.
     """
     if variant not in (TRAPEZOID, MIDPOINT):
         raise ValueError(f"unknown variant {variant!r}")
@@ -354,6 +356,4 @@ def run(starts: Sequence[np.ndarray], ctxs: Sequence[RunContext], variant: str,
         return [Field(p.copy(), INTEGER_GRID, time)
                 for p in batch.points(state[1], INTEGER_GRID)]
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the NaN/Inf checks report it
-        landed = land_snapshots(advance, read, (0.0, u0), t_final, snapshot_times, pair)
-    return [list(fields) for fields in zip(*landed)]
+    return land_snapshots(advance, read, (0.0, u0), t_final, snapshot_times, pair)

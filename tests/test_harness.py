@@ -332,10 +332,18 @@ def test_run_cached_returns_same_object():
     assert run_cached(m1) is run_cached(m2)
 
 
-def test_run_cached_results_are_read_only():
-    fields = run_cached(_tiny(t_final=0.005))
+@pytest.mark.parametrize("scheme", ["trapezoid", "midpoint", "third_order"])
+def test_run_cached_results_are_read_only(scheme):
+    m = _tiny(scheme=scheme, t_final=0.005)
+    fields = run_cached(m)
+    kept = fields[-1].values.copy()
     with pytest.raises(ValueError):
         fields[-1].values[0] = 1.0
+    for name, value in (("values", np.zeros(3)), ("time", 1.0), ("phase", HALF_GRID)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fields[-1], name, value)
+    final = run_cached(m)[-1]
+    assert final.time == 0.005 and np.array_equal(final.values, kept)
 
 
 def test_a_cached_result_cannot_be_extended_by_a_caller():
@@ -1252,6 +1260,26 @@ def test_only_solve_factors_and_only_operators_names_lapack():
              for node in ast.walk(ast.parse(path.read_text()))
              if lapack & {getattr(node, key, None) for key in ("id", "attr", "name", "asname")}]
     assert named == []
+
+
+def test_the_march_owns_its_float_policy_and_main_owns_the_manifest():
+    # np.errstate is land_snapshots' alone among the schemes' run paths,
+    # _load is called in cli.main alone, and no verb returns a value
+    package = pathlib.Path(mblab.__file__).parent
+
+    def calls(tree, name):
+        return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and name == getattr(node.func, "id", getattr(node.func, "attr", None))]
+
+    for module in ("staggered.py", "cweno.py"):
+        assert calls(ast.parse((package / module).read_text()), "errstate") == []
+    tree = ast.parse((package / "cli.py").read_text())
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    assert len(calls(tree, "_load")) == len(calls(functions["main"], "_load")) == 1
+    verbs = [f for name, f in functions.items() if name.startswith("_cmd_")]
+    assert verbs
+    assert [f"{f.name}:{node.lineno}" for f in verbs for node in ast.walk(f)
+            if isinstance(node, ast.Return) and node.value is not None] == []
 
 
 def _is_dataclass(node) -> bool:

@@ -12,7 +12,7 @@ from mblab import cli, cweno, staggered
 from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
 from mblab.flux import FluxModel, classical_bl_profile, flux, flux_deriv
-from mblab.march import RunContext
+from mblab.march import RunContext, landing_targets
 from mblab.operators import (
     Field,
     GridSpec,
@@ -719,3 +719,15 @@ def test_run_validates_times():
         _run_a(t_final=0.1, snapshot_times=[0.2])
     with pytest.raises(ValueError):
         _run_a(t_final=0.1, snapshot_times=[-0.05])
+
+
+def test_a_non_finite_landing_time_is_a_value_error():
+    # an infinite t_final is tested on the targets alone: a march to it
+    # would never end
+    for t_final, times in ((math.inf, ()), (0.1, [math.inf]), (math.nan, ()),
+                           (0.1, [math.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            landing_targets(0.0, t_final, times)
+    for t_final, times in ((math.nan, ()), (0.1, [math.nan]), (0.1, [0.05, math.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            _run_a(t_final=t_final, snapshot_times=times)

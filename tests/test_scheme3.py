@@ -126,6 +126,12 @@ def test_rhs_telescopes_to_boundary_fluxes():
     assert total == pytest.approx(flux(g, MODEL) - flux(h, MODEL), abs=1e-10)
 
 
+@pytest.mark.parametrize("t_final, times", [(math.nan, ()), (1.0, [math.nan])])
+def test_run_rejects_a_nan_time(t_final, times):
+    with pytest.raises(ValueError, match="finite"):
+        cweno.run(np.full(20, 0.4), _ctx(), t_final, times)
+
+
 def test_rk4_rejects_bad_dt():
     ctx = _ctx()
     with pytest.raises(ValueError):
