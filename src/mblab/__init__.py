@@ -12,7 +12,7 @@ truncation bounds quantifying the finite-domain error.
 __version__ = "0.1.0"
 
 from .errors import ManifestError, NumericalError
-from .flux import FluxModel, flux, flux_deriv, shock_speed
+from .flux import FluxModel, flux, flux_deriv
 from .operators import (
     Field,
     GridSpec,
@@ -52,7 +52,6 @@ __all__ = [
     "FluxModel",
     "flux",
     "flux_deriv",
-    "shock_speed",
     "Field",
     "GridSpec",
     "HALF_GRID",

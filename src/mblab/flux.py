@@ -1,4 +1,4 @@
-"""Fractional-flow flux for two-phase flow and its Riemann-problem helpers.
+"""Fractional-flow flux for two-phase flow.
 
 The flux is f(u) = u^2 / (u^2 + M(1-u)^2) with viscosity ratio M > 0,
 extended to a total function by clamping: 0 below u=0, 1 above u=1.
@@ -16,8 +16,6 @@ __all__ = [
     "flux",
     "flux_deriv",
     "flux_and_deriv",
-    "shock_speed",
-    "classical_bl_profile",
 ]
 
 
@@ -55,21 +53,30 @@ class FluxModel:
         object.__setattr__(self, "C", C)
 
 
-def _clamped(u: np.ndarray, M: float) -> tuple[np.ndarray, ...]:
-    """u clipped to [0, 1], 1 - u and u^2 there, and the flux denominator
-    u^2 + M (1-u)^2.
+# 0-d operands: a Python float costs each ufunc call a scalar conversion
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
+
+
+def _clamped(u: np.ndarray, uc: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """u clipped to [0, 1] in uc, and 1 - u there in d."""
+    np.maximum(u, _ZERO, out=uc)
+    np.minimum(uc, _ONE, out=uc)  # np.clip, without its dispatch cost
+    return np.subtract(_ONE, uc, out=d)
+
+
+def _denominator(sq: np.ndarray, d: np.ndarray, M: float,
+                 out: np.ndarray = None) -> np.ndarray:
+    """The flux denominator u^2 + M (1-u)^2 from sq = u^2 and d = 1 - u of
+    the clipped u, formed in out, which may be d (a new array by default).
 
     Squares are products: a 0-d ** 2 goes through C pow, which can differ
     from an array's squaring in the last bit.  The in-place updates here and
     in _deriv spare temporaries and keep the rounding of the written formula.
     """
-    uc = np.minimum(np.maximum(u, 0.0), 1.0)  # np.clip, without its dispatch cost
-    d = 1.0 - uc
-    sq = uc * uc
-    den = d * d
+    den = np.multiply(d, d, out=out)
     den *= M
     den += sq
-    return uc, d, sq, den
+    return den
 
 
 def _deriv(uc: np.ndarray, d: np.ndarray, den: np.ndarray, M: float) -> np.ndarray:
@@ -81,12 +88,17 @@ def _deriv(uc: np.ndarray, d: np.ndarray, den: np.ndarray, M: float) -> np.ndarr
     return out
 
 
-def flux(u, model: FluxModel, out: np.ndarray = None):
-    """Clamped fractional-flow function; accepts scalars or arrays, and
-    forms an array's flux in out when given."""
+def flux(u, model: FluxModel, out: np.ndarray = None, work: np.ndarray = None):
+    """Clamped fractional-flow function; accepts scalars or arrays.  An
+    array's flux is formed in out, and its temporaries in out and work, when
+    given (new arrays by default): with both, it allocates nothing."""
     u = np.asarray(u, dtype=float)
-    _, _, sq, den = _clamped(u, model.M)
-    out = np.divide(sq, den, out=out)
+    sq = np.empty_like(u) if out is None else out
+    den = np.empty_like(u) if work is None else work
+    _clamped(u, sq, den)  # the clipped u in sq, then its square
+    sq *= sq
+    _denominator(sq, den, model.M, out=den)
+    out = np.divide(sq, den, out=sq)
     if out.ndim == 0:
         return float(out)
     return out
@@ -95,8 +107,9 @@ def flux(u, model: FluxModel, out: np.ndarray = None):
 def flux_deriv(u, model: FluxModel):
     """df/du; zero outside [0, 1] to match the clamped flux, NaN at NaN."""
     u = np.asarray(u, dtype=float)
-    uc, d, _, den = _clamped(u, model.M)
-    out = _deriv(uc, d, den, model.M)
+    uc, d = np.empty_like(u), np.empty_like(u)
+    _clamped(u, uc, d)
+    out = _deriv(uc, d, _denominator(uc * uc, d, model.M), model.M)
     if out.ndim == 0:
         return float(out)
     return out
@@ -104,57 +117,10 @@ def flux_deriv(u, model: FluxModel):
 
 def flux_and_deriv(u: np.ndarray, model: FluxModel) -> tuple[np.ndarray, np.ndarray]:
     """flux(u) and flux_deriv(u) of an array, from one clip and one denominator."""
-    uc, d, f, den = _clamped(u, model.M)
+    uc, d = np.empty_like(u), np.empty_like(u)
+    _clamped(u, uc, d)
+    f = uc * uc
+    den = _denominator(f, d, model.M)
     df = _deriv(uc, d, den, model.M)
     f /= den
     return f, df
-
-
-# states closer than this make no jump
-_SAME_STATE = 1e-14
-
-
-def shock_speed(u_l: float, u_r: float, model: FluxModel) -> float:
-    """Rankine-Hugoniot speed of the jump between u_l and u_r."""
-    if abs(u_l - u_r) < _SAME_STATE:
-        raise ValueError("degenerate jump: states are equal")
-    return (flux(u_l, model) - flux(u_r, model)) / (u_l - u_r)
-
-
-def _invert_fprime(xi: float, lo: float, hi: float, model: FluxModel) -> float:
-    """Solve f'(u) = xi for u in [lo, hi] where f' is strictly decreasing."""
-    a, b = lo, hi
-    fa = flux_deriv(a, model) - xi
-    while b - a >= 1e-12:
-        mid = 0.5 * (a + b)
-        fm = flux_deriv(mid, model) - xi
-        if (fa > 0) == (fm > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def classical_bl_profile(u_B: float, model: FluxModel, xi) -> np.ndarray:
-    """Entropy solution of the Riemann problem (u_B, 0) in self-similar form.
-
-    Evaluates u(xi) with xi = x/t.  For u_B <= alpha: a single shock moving
-    at f(u_B)/u_B, or the zero state when u_B is within shock_speed's
-    tolerance of 0.  For u_B > alpha: a u_B plateau, the rarefaction fan
-    obtained by inverting f' on [alpha, u_B], then the shock alpha -> 0 at
-    speed f(alpha)/alpha.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = np.zeros_like(xi)
-    a = model.alpha
-    if u_B <= a + 1e-12:
-        if u_B >= _SAME_STATE:
-            out[xi < shock_speed(u_B, 0.0, model)] = u_B
-        return out
-    head = flux_deriv(u_B, model)
-    tail = model.D  # = f(alpha)/alpha = f'(alpha)
-    out[xi <= head] = u_B
-    fan = (xi > head) & (xi < tail)
-    for i in np.nonzero(fan)[0]:
-        out[i] = _invert_fprime(xi[i], a, u_B, model)
-    return out

@@ -168,11 +168,14 @@ class Field:
             raise NumericalError("field contains NaN/Inf values")
 
 
+_TWO = np.array(2.0)  # a 0-d operand: a Python float costs each call a conversion
+
+
 def _d2_order2(ext: np.ndarray, dx: float, out: np.ndarray = None) -> np.ndarray:
     """Three-point second difference at the inner points of ext, whose first
     and last values are the ghosts: ((a - 2 b) + c) / dx^2, formed in out
     (a new array by default)."""
-    out = np.multiply(ext[1:-1], 2.0, out=out)
+    out = np.multiply(ext[1:-1], _TWO, out=out)
     np.subtract(ext[:-2], out, out=out)
     out += ext[2:]
     out /= dx ** 2
@@ -282,7 +285,11 @@ class _Solve:
     would overlap the two edge closures.
 
     The matrix is factored once, here; lapack binds its read-only factors
-    and returns (solution, info).  Order 2 is symmetric positive definite
+    and returns (solution, info).  A solve ignores info: dpttrs and dgbtrs
+    report only an illegal argument, and none can reach them.  f2py takes
+    n, the band widths and the leading dimensions from the arrays, and the
+    closure terms index the last unknown row, so a shorter rhs is an
+    IndexError before the call.  Order 2 is symmetric positive definite
     (strictly diagonally dominant, positive diagonal): one dpttrf over the
     whole span, the live segments' rows with identity rows (d = 1, e = 0)
     at the kept ones, whose zero couplings leave each segment the factors
@@ -325,14 +332,15 @@ class _Solve:
             gb[width:] = ab
             lu, ipiv, info = dgbtrf(gb, width, width, overwrite_ab=1)
             factors = lu, ipiv
-            self.lapack = functools.partial(dgbtrs, lu, width, width, ipiv=ipiv)
+            self.lapack = functools.partial(dgbtrs, lu, width, width, ipiv=ipiv,
+                                            overwrite_b=1)
         else:
             d, e = np.ones(solved.size), np.zeros(solved.size - 1)
             for a, m, ct in zip(firsts[live], ms[live], cts[live]):
                 ab = _bands(m, phase, 2, ct)
                 d[a:a + m], e[a:a + m - 1] = ab[1], ab[0, 1:]
             *factors, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
-            self.lapack = functools.partial(dpttrs, *factors)
+            self.lapack = functools.partial(dpttrs, *factors, overwrite_b=1)
         if info != 0:
             raise NumericalError(f"Helmholtz factorisation failed (info={info})")
         for a in factors:
@@ -350,9 +358,7 @@ class _Solve:
             rhs[last] += weight * right
         if kept is not None:
             rhs[self.kept] = 0.0
-        out, info = self.lapack(rhs, overwrite_b=1)
-        if info != 0:
-            raise NumericalError(f"Helmholtz solve failed (info={info})")
+        out = self.lapack(rhs)[0]
         if kept is not None:
             out[self.kept] = kept
         return out

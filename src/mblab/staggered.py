@@ -26,12 +26,15 @@ every stencil is one array operation over the whole batch and each solve
 one LAPACK call.  A single run is a batch of one.
 
 The march state is (t, u).  A step forms w and D2 u from u by
-helmholtz_apply in scratch arrays that its Batch owns, writes each
-intermediate where the next stage reads it, and returns only the new u, a
-new array, so a landing fork and the main march can step one state.  f'
-and the CFL test are evaluated only when the step's lam times
-FluxModel.C, which bounds the clamped f', reaches 1/2 (see
-Batch.check_cfl).
+helmholtz_apply, and every later intermediate, in scratch arrays that its
+Batch owns, each where the next stage reads it; the flux forms its
+temporaries in the batch's rows too.  The views of that scratch which a
+step reads or writes are built once per phase with the batch, so a step
+slices only its input u and its new right-hand side.  It allocates only
+the new u it returns, a new array, so a landing fork and the main march can
+step one state, and the two finiteness masks.  f' and the CFL test are
+evaluated only when the step's lam times FluxModel.C, which bounds the
+clamped f', reaches 1/2 (see Batch.check_cfl).
 """
 from __future__ import annotations
 
@@ -61,30 +64,54 @@ TRAPEZOID = "trapezoid"
 MIDPOINT = "midpoint"
 
 
+# 0-d operands: a Python float costs each ufunc call a scalar conversion
+_ZERO, _HALF, _EIGHTH, _TWO = (np.array(v) for v in (0.0, 0.5, 0.125, 2.0))
+
+
 def _minmod(a: np.ndarray, b: np.ndarray, out: np.ndarray = None,
             tmp: np.ndarray = None) -> np.ndarray:
     """(sgn a + sgn b)/2 * min(|a|, |b|), elementwise, as the common positive
     part plus the common negative part (at most one is nonzero), formed in
     out with tmp as work space (new arrays by default)."""
-    out = np.maximum(np.minimum(a, b, out=out), 0.0, out=out)
-    out += np.minimum(np.maximum(a, b, out=tmp), 0.0, out=tmp)
+    out = np.maximum(np.minimum(a, b, out=out), _ZERO, out=out)
+    out += np.minimum(np.maximum(a, b, out=tmp), _ZERO, out=tmp)
     return out
 
 
-def _slopes(ext: np.ndarray, out: np.ndarray = None, diff: np.ndarray = None,
-            tmp: np.ndarray = None) -> np.ndarray:
-    """Minmod slopes of ghost-extended values along the last axis, formed in
-    out with the differences in diff (new arrays by default)."""
-    d = np.subtract(ext[..., 1:], ext[..., :-1], out=diff)
-    return _minmod(d[..., 1:], d[..., :-1], out, tmp)
+def _slope_views(ext: np.ndarray, diff: np.ndarray, out: np.ndarray,
+                 tmp: np.ndarray) -> tuple:
+    """The operands of _slopes over ghost-extended values ext along the last
+    axis: the neighbours of ext, diff and the neighbours of diff, out and
+    tmp."""
+    return ext[..., 1:], ext[..., :-1], diff, diff[..., 1:], diff[..., :-1], out, tmp
 
 
-def _staggered_average(w: np.ndarray, slope: np.ndarray, out: np.ndarray,
-                       tmp: np.ndarray) -> np.ndarray:
-    """(w_j + w_{j+1})/2 + (w'_j - w'_{j+1})/8 of neighbours, formed in out
-    with tmp as work space."""
-    out = np.multiply(np.add(w[:-1], w[1:], out=out), 0.5, out=out)
-    out += np.multiply(np.subtract(slope[:-1], slope[1:], out=tmp), 0.125, out=tmp)
+def _slopes(hi: np.ndarray, lo: np.ndarray, diff: np.ndarray, diff_hi: np.ndarray,
+            diff_lo: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Minmod slopes of ghost-extended values ext, given as hi = ext[..., 1:]
+    and lo = ext[..., :-1], formed in out with the differences in diff
+    (diff_hi and diff_lo its neighbours) and tmp as work space."""
+    np.subtract(hi, lo, out=diff)
+    return _minmod(diff_hi, diff_lo, out, tmp)
+
+
+def _average_views(w: np.ndarray, slope: np.ndarray, tmp: np.ndarray) -> tuple:
+    """The operands of _staggered_average of w with its slopes: the
+    neighbours of each, and tmp."""
+    return w[:-1], w[1:], slope[:-1], slope[1:], tmp
+
+
+def _staggered_average(w_lo: np.ndarray, w_hi: np.ndarray, slope_lo: np.ndarray,
+                       slope_hi: np.ndarray, tmp: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
+    """(w_j + w_{j+1})/2 + (w'_j - w'_{j+1})/8 of neighbours, given as w_lo =
+    w[:-1], w_hi = w[1:] and so for the slopes w', formed in out with tmp as
+    work space."""
+    out = np.add(w_lo, w_hi, out=out)
+    out *= _HALF
+    tmp = np.subtract(slope_lo, slope_hi, out=tmp)
+    tmp *= _EIGHTH
+    out += tmp
     return out
 
 
@@ -121,7 +148,12 @@ class Batch:
     flux model; c = eps^2 tau, the boundary pair and n may differ.
 
     A batch owns the scratch arrays of its steps, so it steps one state at a
-    time; nothing a step returns lives in them.
+    time; nothing a step returns lives in them.  views[phase] holds every
+    view of them that a step from phase reads or writes: the rows [w; f]
+    and their differences, the minmod slopes and work rows, the averaging
+    targets, the predictor's inner slots, the lam df row, and the spans of
+    the two half-time solves with their _Solves.  They depend on the phase
+    only; what depends on lam is formed per step.
     """
 
     def __init__(self, ctxs: Sequence[RunContext]):
@@ -157,13 +189,16 @@ class Batch:
         self._solves = {}
         self._lowered = {}  # delta -> c - delta
         # a step's scratch, which every step overwrites: the rows [w; f],
-        # D2 u at the inner slots, the differences of [w; f], minmod slopes
-        # and work space, the predictor and the average placed on the new
-        # phase
+        # the flux's work row, D2 u at the inner slots, the differences of
+        # [w; f], minmod slopes and work space, the predictor and the
+        # average placed on the new phase; and the views of it that a step
+        # from each phase takes
         size = self.size
-        self._wf, self._d2u = np.empty((2, size)), np.empty(size - 2)
+        self._wf, self._fwork = np.empty((2, size)), np.empty(size)
+        self._d2u = np.empty(size - 2)
         self._diff, self._slope, self._tmp = (np.empty((2, size - k)) for k in (1, 2, 2))
         self._wp, self._placed = np.empty(size), np.empty(size)
+        self.views = {p: _StepViews(self, p) for p in (INTEGER_GRID, HALF_GRID)}
 
     def frame(self, v: np.ndarray, phase: str) -> np.ndarray:
         """v with the boundary values put back in the frame of phase."""
@@ -187,12 +222,11 @@ class Batch:
         extra = 1 if phase == INTEGER_GRID else 0
         return [v[s + 1:s + 1 + n + extra] for s, n in zip(self.starts, self.n)]
 
-    def solve(self, rhs: np.ndarray, phase: str, delta: float = 0.0) -> np.ndarray:
-        """The unknowns of (I - (c + delta) D^2) u = w, solved in place in
-        rhs, which holds w there; the frame keeps its values.  One _Solve
-        per (phase, delta), factored once for the batch, takes the span from
-        the first run's first unknown to the last run's last: a segment per
-        run, the frame between."""
+    def solver(self, phase: str, delta: float = 0.0) -> tuple[slice, _Solve]:
+        """The rows and the _Solve of (I - (c + delta) D^2) u = w on phase,
+        built and factored once per (phase, delta) for the batch.  It spans
+        the vector from the first run's first unknown to the last run's
+        last: a segment per run, the frame between."""
         key = (phase, delta)
         if key not in self._solves:
             first = 2 if phase == INTEGER_GRID else 1  # a run's first unknown slot
@@ -200,7 +234,12 @@ class Batch:
                              for n, c in zip(self.n, self.disp))
             self._solves[key] = (slice(first, self.size - 2),
                                  _Solve(phase, 2, self.dx, segments, gap=first + 2))
-        span, solve = self._solves[key]
+        return self._solves[key]
+
+    def solve(self, rhs: np.ndarray, phase: str, delta: float = 0.0) -> np.ndarray:
+        """The unknowns of (I - (c + delta) D^2) u = w, solved in place in
+        rhs, which holds w there; the frame keeps its values."""
+        span, solve = self.solver(phase, delta)
         solve(rhs[span], self.g, self.h)
         return rhs
 
@@ -227,19 +266,50 @@ class Batch:
                 f"CFL violation: lambda*max|f'| = {0.5 - margin:.6g} >= 0.5")
 
 
-def _predict(d2u: np.ndarray, w: np.ndarray, fslope: np.ndarray, phase: str,
-             batch: Batch, lam: float) -> np.ndarray:
-    """w at t + dt/2 from D2 u and the flux slopes at the inner slots and w
-    on phase, framed (pinned nodes keep the Dirichlet values), in the
-    batch's scratch."""
-    wp = batch._wp
-    # w + (eps dx D2 u - fslope) lam / 2, in place and in that rounding order
-    inner = np.multiply(d2u, batch.eps * batch.dx, out=wp[1:-1])
-    inner -= fslope
-    inner *= lam
-    inner /= 2.0
-    inner += w[1:-1]
-    return batch.frame(wp, phase)
+class _StepViews:
+    """The views of a batch's scratch that a step from one phase reads or
+    writes, built once per phase (see Batch)."""
+
+    def __init__(self, batch: Batch, phase: str):
+        self.new_phase = HALF_GRID if phase == INTEGER_GRID else INTEGER_GRID
+        # the first slot an average lands on, and the slots they land on
+        shift = 1 if self.new_phase == HALF_GRID else 2
+        self.new = slice(shift, shift + batch.size - 3)
+        self.frame = batch._frames[phase][0]
+        wf, diff, slope, tmp = batch._wf, batch._diff, batch._slope, batch._tmp
+        self.w, self.f = wf
+        self.fwork, self.d2u, self.wp = batch._fwork, batch._d2u, batch._wp
+        self.w_inner, self.wp_inner = wf[0, 1:-1], self.wp[1:-1]
+        self.fslope = slope[1]
+        self.wf_slopes = _slope_views(wf, diff, slope, tmp)
+        self.wp_slopes = _slope_views(self.wp, diff[0], slope[0], tmp[0])
+        self.w_average, self.wp_average = (_average_views(v, slope[0], tmp[0, 1:])
+                                           for v in (self.w_inner, self.wp_inner))
+        # the flux difference across each new slot, with lam, in a free row
+        self.df = wf[1, 2:-1], wf[1, 1:-2], diff[1, 2:]
+        # the average placed on the new phase, its new slots, and those with
+        # a ghost each side, whose D2 the midpoint forms in a free row
+        self.placed = batch._placed
+        self.placed_new = self.placed[self.new]
+        self.placed_ext = self.placed[shift - 1:shift + batch.size - 2]
+        self.d2_placed = tmp[1, 1:]
+        # the half-time solves: the predictor on phase, the placed average
+        # on the new phase, each with the rows it solves
+        self.solves = tuple((solve, v[span]) for v, (span, solve) in (
+            (self.wp, batch.solver(phase)), (self.placed, batch.solver(self.new_phase))))
+
+
+def _predict(d2u: np.ndarray, fslope: np.ndarray, w: np.ndarray, eps_dx: float,
+             lam: float, out: np.ndarray) -> np.ndarray:
+    """w at t + dt/2 from D2 u, the flux slopes and w at the same slots:
+    w + (eps dx D2 u - fslope) lam / 2, formed in out in that rounding
+    order."""
+    np.multiply(d2u, eps_dx, out=out)
+    out -= fslope
+    out *= lam
+    out /= _TWO
+    out += w
+    return out
 
 
 def step(u: np.ndarray, phase: str, batch: Batch, variant: str,
@@ -258,54 +328,48 @@ def step(u: np.ndarray, phase: str, batch: Batch, variant: str,
     half-time u), is a NumericalError.  The boundary values were checked by
     the RunContexts.
     """
-    dx = batch.dx
+    v = batch.views[phase]
+    dx, eps, new_phase = batch.dx, batch.eps, v.new_phase
     dt = lam * dx
-    eps = batch.eps
-    new_phase = HALF_GRID if phase == INTEGER_GRID else INTEGER_GRID
-    shift = 1 if new_phase == HALF_GRID else 2  # the first slot an average lands on
-    new = slice(shift, shift + batch.size - 3)  # the slots the averages land on
-    wf, d2u, diff, slope, tmp, placed = (batch._wf, batch._d2u, batch._diff,
-                                         batch._slope, batch._tmp, batch._placed)
 
     # w and D2 u from u, then the slopes of w and f(u), and the staggered
     # average of w: the trapezoid solves it for u, the midpoint adds the
     # corrector to it in the new u's right-hand side
     batch.check_cfl(u, phase, lam)
-    w = wf[0]
-    helmholtz_apply(u, batch.c, dx, out=w[1:-1], d2=d2u)
-    slots = batch._frames[phase][0]
-    w[slots] = u[slots]
-    flux(u, batch.model, out=wf[1])
-    wslope, fslope = _slopes(wf, slope, diff, tmp)
+    helmholtz_apply(u, batch.c, dx, out=v.w_inner, d2=v.d2u)
+    v.w[v.frame] = u[v.frame]
+    flux(u, batch.model, out=v.f, work=v.fwork)
+    _slopes(*v.wf_slopes)
     rhs = np.empty(batch.size)
-    _staggered_average(w[1:-1], wslope,
-                       (placed if variant == TRAPEZOID else rhs)[new], tmp[0, 1:])
+    unknowns = rhs[v.new]  # every half cell, or the interior nodes
+    _staggered_average(*v.w_average, v.placed_new if variant == TRAPEZOID else unknowns)
 
     # predictor, converted to u at the half time; the midpoint first
     # averages it onto the new phase
-    wp = _predict(d2u, w, fslope, phase, batch, lam)
+    _predict(v.d2u, v.fslope, v.w_inner, eps * dx, lam, v.wp_inner)
+    up = batch.frame(v.wp, phase)
     if variant == MIDPOINT:
-        _staggered_average(wp[1:-1], _slopes(wp, slope[0], diff[0], tmp[0]),
-                           placed[new], tmp[0, 1:])
-    up = batch.solve(wp, phase)
+        _slopes(*v.wp_slopes)
+        _staggered_average(*v.wp_average, v.placed_new)
+    (solve, rows), (solve_new, rows_new) = v.solves
+    solve(rows, batch.g, batch.h)
     if not np.isfinite(up).all():
         raise NumericalError("half-time u contains NaN/Inf values")
     # the flux rows of wf and diff are free once their slopes are taken
-    fph = flux(up, batch.model, out=wf[1])
-    ldf = np.subtract(fph[2:-1], fph[1:-2], out=diff[1, 2:])
+    flux(up, batch.model, out=v.f, work=v.fwork)
+    ldf = np.subtract(*v.df)
     ldf *= lam
 
-    # the right-hand side on the new unknowns: every half cell, or the
-    # interior nodes
-    ubar = batch.solve(batch.frame(placed, new_phase), new_phase)
-    unknowns = rhs[new]
+    # the right-hand side on the new unknowns
+    ubar = batch.frame(v.placed, new_phase)
+    solve_new(rows_new, batch.g, batch.h)
     if variant == TRAPEZOID:
         delta = eps * dt / 2.0
         helmholtz_apply(ubar, batch.lowered(delta), dx, out=rhs[1:-1])
         unknowns -= ldf
     else:  # MIDPOINT
         delta = 0.0
-        d2 = _d2_order2(ubar[shift - 1:shift + len(ldf) + 1], dx, tmp[1, 1:])
+        d2 = _d2_order2(v.placed_ext, dx, v.d2_placed)
         d2 *= eps * dt
         unknowns -= ldf
         unknowns += d2

@@ -167,7 +167,7 @@ def test_loaded_ints_become_floats(tmp_path):
 @pytest.mark.parametrize("data", [
     {"M": "2.5"}, {"tau": True}, {"u_B": None}, {"scheme": b"trapezoid"},
     {"snapshot_times": 0.1}, {"snapshot_times": [0.1, "0.2"]}, {"L": 10 ** 5000},
-    {"lam": 0.1, "lambda": 0.1}, {"junk": 1},
+    {"lam": 0.1, "lambda": 0.1}, {"junk": 1}, {"output_dir": 5},
 ])
 def test_manifest_rejects_each_input_outside_its_types(data):
     name = next(iter(data)) if len(data) == 1 else "lambda"
@@ -1199,10 +1199,6 @@ def test_every_exported_name_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-# the analytic Riemann solution that the tau = 0 runs are checked against
-REFERENCE_ONLY = {"classical_bl_profile"}
-
-
 def test_every_exported_name_has_a_caller_in_the_package():
     # every exported name and every top-level function and class, private
     # ones included; a use is a loaded name or an attribute anywhere in the
@@ -1222,7 +1218,7 @@ def test_every_exported_name_has_a_caller_in_the_package():
                      if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
             names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
             used |= names - {getattr(node, "name", None)}
-    assert sorted(defined - used - REFERENCE_ONLY) == []
+    assert sorted(defined - used) == []
 
 
 def test_bounds_imports_neither_experiments_nor_cli():

@@ -55,6 +55,13 @@ def test_grid_spec_validation():
         GridSpec(L=1.0, n_cells=8, lam=0.0)
 
 
+def test_grid_spec_refuses_a_length_that_is_not_positive():
+    # without this check L = 0 and NaN fail on dx^2, and L < 0 on dx n_cells
+    for L in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="L must be positive"):
+            GridSpec(L=L, n_cells=8)
+
+
 def test_params_validation():
     p = MBLParams(epsilon=0.01, tau=5.0)
     assert p.disp == pytest.approx(5e-4)
@@ -334,6 +341,13 @@ def test_each_matrix_is_factored_once_per_run(monkeypatch):
                    if isinstance(a, np.ndarray)]
         assert factors and not any(a.flags.writeable for a in factors)
     assert calls[8:] == ["dpttrf", "dgbtrf"]
+
+
+def test_a_matrix_that_is_not_positive_definite_fails_its_factorisation():
+    # no public path passes a negative c; c = -dx^2 gives the order-2
+    # diagonal 1 - 2 = -1, and dpttrf stops at the first row
+    with pytest.raises(NumericalError, match=r"factorisation failed \(info=1\)"):
+        _Solve(INTEGER_GRID, 2, 0.1, ((5, -0.01),))
 
 
 def test_an_order4_solve_takes_one_segment():

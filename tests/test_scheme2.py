@@ -1,6 +1,9 @@
 """Staggered predictor-corrector scheme: frozen single-step values and invariants."""
+import gc
 import itertools
 import math
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from mblab import cli, cweno, staggered
 from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
-from mblab.flux import FluxModel, classical_bl_profile, flux, flux_deriv
+from mblab.flux import FluxModel, flux, flux_deriv
 from mblab.march import RunContext, landing_targets
 from mblab.operators import (
     Field,
@@ -30,10 +33,13 @@ from mblab.staggered import (
     _cfl_margin,
     _minmod,
     _predict,
+    _slope_views,
     _slopes,
     run,
     step,
 )
+
+from classical_bl import classical_bl_profile
 
 GRID = GridSpec(L=1.0, n_cells=4, dx=0.25, lam=0.1)
 PARAMS = MBLParams(epsilon=0.1, tau=1.0)
@@ -75,6 +81,12 @@ def _step(u, ctx, variant, lam):
     return batch.points(u_new, _other(phase))[0]
 
 
+def _slopes_of(ext):
+    """Minmod slopes of ghost-extended values, in new arrays."""
+    n = ext.shape[-1]
+    return _slopes(*_slope_views(ext, np.empty(n - 1), np.empty(n - 2), np.empty(n - 2)))
+
+
 def _padded(v, left, right):
     return np.concatenate([[left], v, [right]])
 
@@ -104,9 +116,12 @@ def test_predictor_case_a():
     dt = GRID.lam * GRID.dx
     batch = Batch([ctx])
     u_ext = batch.pack([u], INTEGER_GRID)
-    fslope = _slopes(flux(u_ext, MODEL))
+    fslope = _slopes_of(flux(u_ext, MODEL))
     w = batch.pack([_w(u, ctx)], INTEGER_GRID)
-    wp = _predict(_d2_order2(u_ext, GRID.dx), w, fslope, INTEGER_GRID, batch, GRID.lam)
+    wp = np.empty(batch.size)
+    _predict(_d2_order2(u_ext, GRID.dx), fslope, w[1:-1], PARAMS.epsilon * GRID.dx,
+             GRID.lam, wp[1:-1])
+    wp = batch.frame(wp, INTEGER_GRID)  # the pinned nodes keep the Dirichlet values
     up = helmholtz_solve(Field(batch.points(wp, INTEGER_GRID)[0], INTEGER_GRID,
                                dt / 2), 0.0, 0.9, PARAMS.disp, GRID.dx)
     assert up.values == pytest.approx(
@@ -183,7 +198,7 @@ def test_minmod_matches_the_sign_form_byte_for_byte(pairs):
 
 def test_slopes():
     v = np.array([0.0, 1.0, 3.0, 4.0])
-    s = _slopes(_padded(v, 0.0, 4.0))
+    s = _slopes_of(_padded(v, 0.0, 4.0))
     assert s.shape == v.shape
     assert s[1] == 1.0  # minmod(3-1, 1-0)
     assert s[2] == 1.0
@@ -448,6 +463,22 @@ def test_a_batch_steps_each_run_as_it_would_alone(data, variant, phase):
 _SIGNS = (0.0, -0.0, 0.3, -0.3)
 
 
+def _arrays_reached(obj):
+    """Every ndarray that obj reaches through instance attributes,
+    containers and partials, not through classes, modules or functions."""
+    seen, arrays, todo = set(), [], [obj]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            arrays.append(x)
+        else:
+            todo.extend(gc.get_referents(x))
+    return arrays
+
+
 @pytest.mark.parametrize("phase", [INTEGER_GRID, HALF_GRID])
 @pytest.mark.parametrize("variant", ["trapezoid", "midpoint"])
 def test_a_state_stepped_twice_gives_the_same_bytes_both_times(variant, phase):
@@ -472,10 +503,49 @@ def test_a_state_stepped_twice_gives_the_same_bytes_both_times(variant, phase):
         assert u.tobytes() == given
         assert first.tobytes() == kept
         assert second.tobytes() == kept
-        arrays = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
+        # every array the batch reaches, its prepared views and solves too
+        arrays = _arrays_reached(batch)
+        assert any(a is batch.views[phase].placed_new for a in arrays)
         for a in (first, second):
             assert not any(np.shares_memory(a, b) for b in arrays + [u])
         assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("phase", [INTEGER_GRID, HALF_GRID])
+@pytest.mark.parametrize("variant", ["trapezoid", "midpoint"])
+def test_a_step_allocates_little_beyond_the_u_it_returns(variant, phase):
+    # the temporaries of a step live in its batch's scratch: after a warm-up
+    # step (which builds the corrector's solve), a step's peak allocation
+    # over its baseline is the new u, two finiteness masks of an eighth of
+    # its size and the objects of the calls, below twice the new u
+    ctx = RunContext(GridSpec(L=1.0, n_cells=1000, dx=1e-3, lam=0.1),
+                     MBLParams(epsilon=0.01, tau=2.0), MODEL, (0.9, 0.0))
+    batch = Batch([ctx])
+    x = ctx.grid.points(phase)
+    u = batch.pack([np.where(x < 0.3, 0.9, 0.0)], phase)
+    step(u, phase, batch, variant, 0.1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        u_new = step(u, phase, batch, variant, 0.1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * u_new.nbytes, f"peak {peak} B against a new u of {u_new.nbytes} B"
+
+
+@pytest.mark.parametrize("phase", [INTEGER_GRID, HALF_GRID])
+def test_pack_refuses_a_point_list_of_the_wrong_length(phase):
+    # a short list would leave np.empty's garbage in the vector, a long one
+    # write into the next run's slots, and a missing run go unfilled
+    _, ctx = _state_a()
+    batch = Batch([ctx, ctx])
+    good = np.zeros(len(ctx.grid.points(phase)))
+    for points in ([good, good[:-1]], [good[1:], good], [good, np.zeros(good.size + 1)],
+                   [np.zeros(good.size + 1), good], [good], [good] * 3):
+        with pytest.raises(ValueError, match="need the point values of each run"):
+            batch.pack(points, phase)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.002])
