@@ -24,9 +24,17 @@ integrated by classical RK4 with dt = lam dx.
 
 The interface values w^- and w^+ travel as one two-column block: the
 reconstruction returns them as the rows of a C-ordered (2, interfaces)
-array, whose transpose is the Fortran-ordered (interfaces, 2) right-hand
-side of one order-4 solve for u^- and u^+, and the flux H takes both
-blocks in one flux evaluation.
+array, whose inner columns, copied into a Fortran-ordered (unknowns, 2)
+block, are the right-hand side of one order-4 solve for u^- and u^+, and
+the flux H takes both blocks in one flux evaluation.
+
+A run builds one Workspace, which holds every row its steps read or
+write and its two cached solves.  Each stage writes into those rows in
+the rounding order of the formulas above, so a step allocates only the
+new averages it returns and the masks of its finiteness tests.  The
+differences wb_{j+1} - wb_j form one row, whose two shifted windows are
+the left and right differences of each cell, and so do alpha_L and
+alpha_R, since c_L = c_R.
 """
 from __future__ import annotations
 
@@ -40,8 +48,9 @@ from .march import RunContext, _check_linear_gain, land_snapshots
 from .operators import (
     Field,
     HALF_GRID,
+    INTEGER_GRID,
     _d2_order4,
-    _solve_unknowns,
+    _lone_solves,
     helmholtz_solve,
 )
 
@@ -50,6 +59,7 @@ __all__ = [
     "numerical_flux",
     "semidiscrete_rhs",
     "rk4_step",
+    "Workspace",
     "run",
 ]
 
@@ -58,83 +68,156 @@ C_SIDE = 0.25
 C_CENTER = 0.5
 
 
-def cweno_reconstruct(wbar, dx: float, bc) -> np.ndarray:
+class _Reconstruction:
+    """The rows of a reconstruction of n cells, and the views of them that
+    it reads or writes, built once: the averages between two ghost cells a
+    side, their difference row (dm and dp are its two windows), the
+    side-weight row (alpha_L and alpha_R are its two windows, as c_L = c_R),
+    eight rows over the cells with their neighbours and the interface block
+    w.  Fewer than 5 cells is a ValueError."""
+
+    def __init__(self, n: int):
+        if n < 5:
+            raise ValueError(f"need at least 5 cell averages, got {n}")
+        self.ext = np.empty(n + 4)
+        self.averages, self.cells = self.ext[2:-2], self.ext[1:-1]
+        self.ext_hi, self.ext_lo = self.ext[1:], self.ext[:-1]
+        self.diff, self.side = np.empty((2, n + 3))
+        self.dm, self.dp = self.diff[:-1], self.diff[1:]
+        self.al, self.ar = self.side[:-1], self.side[1:]
+        (self.d2, self.dsum, self.ac, self.tmp, self.total, self.wl, self.wr,
+         self.a) = np.empty((8, n + 2))
+        self.w = np.empty((2, n + 1))
+        # what each interface reads of its two cells, A, B and C, and its row
+        # of w: the right end of the left cell, the left end of the right cell
+        self.minus = self.a[:-1], self.total[:-1], self.ac[:-1], self.w[0]
+        self.plus = self.a[1:], self.total[1:], self.ac[1:], self.w[1]
+
+
+def cweno_reconstruct(wbar, dx: float, bc, rows: _Reconstruction = None) -> np.ndarray:
     """Interface values of the per-cell quadratics, as one C-ordered
     (2, interfaces) block whose rows are w_minus and w_plus.
 
     Two constant ghost cells hold each boundary value of bc = (g, h), so
     the n + 1 interfaces of the n cells run from one domain end to the
     other; w_minus[i] and w_plus[i] are the one-sided values at interface i
-    from the cells on its left and right.  The arithmetic is done in place,
-    in the rounding order of the formulas in the module docstring.
+    from the cells on its left and right.  The arithmetic is done in the
+    rows of a _Reconstruction (new ones by default), whose w is returned, in
+    the rounding order of the formulas in the module docstring.
     """
     v = np.asarray(wbar, dtype=float)
-    if v.size < 5:
-        raise ValueError(f"need at least 5 cell averages, got {v.size}")
-    ext = np.empty(v.size + 4)
-    ext[:2], ext[2:-2], ext[-2:] = bc[0], v, bc[1]
-    cells = ext[1:-1]
-    dm = cells - ext[:-2]
-    dp = ext[2:] - cells
-    d2 = dp - dm
-    dsum = dp + dm
+    r = _Reconstruction(v.size) if rows is None else rows
+    r.ext[:2], r.averages[...], r.ext[-2:] = bc[0], v, bc[1]
+    dm, dp = r.dm, r.dp
+    np.subtract(r.ext_hi, r.ext_lo, out=r.diff)
+    d2 = np.subtract(dp, dm, out=r.d2)
+    dsum = np.add(dp, dm, out=r.dsum)
 
     # alpha_i = c_i / (eps0 + IS_i)^2, then the weights alpha_i / total
-    al = dm * dm
-    ar = dp * dp
-    ac = d2 * d2
+    side = np.multiply(r.diff, r.diff, out=r.side)
+    ac = np.multiply(d2, d2, out=r.ac)
     ac *= 13.0 / 3.0
-    ac += 0.25 * (dsum * dsum)
-    for alpha, weight in ((al, C_SIDE), (ar, C_SIDE), (ac, C_CENTER)):
+    tmp = np.multiply(dsum, dsum, out=r.tmp)
+    tmp *= 0.25
+    ac += tmp
+    for alpha, weight in ((side, C_SIDE), (ac, C_CENTER)):
         alpha += EPS0
         alpha *= alpha
         np.divide(weight, alpha, out=alpha)
-    total = al + ac
-    total += ar
-    al /= total
+    total = np.add(r.al, ac, out=r.total)
+    total += r.ar
+    wl = np.divide(r.al, total, out=r.wl)
+    wr = np.divide(r.ar, total, out=r.wr)
     ac /= total
-    ar /= total
 
-    # A, (dx/2) B and (dx^2/8) C of each cell's quadratic
-    a = ac / 12.0
+    # A, (dx/2) B and (dx^2/8) C of each cell's quadratic: B in the total
+    # row and C in the W_C row, each once its last reader is done
+    a = np.divide(ac, 12.0, out=r.a)
     a *= d2
-    np.subtract(cells, a, out=a)
-    b = ar * dp
-    b += (0.5 * ac) * dsum
-    b += np.multiply(al, dm, out=al)
+    np.subtract(r.cells, a, out=a)
+    b = np.multiply(wr, dp, out=total)
+    tmp = np.multiply(ac, 0.5, out=tmp)
+    tmp *= dsum
+    b += tmp
+    b += np.multiply(wl, dm, out=wl)
     b /= dx
     b *= 0.5 * dx
-    c = 2.0 * ac
+    c = ac
+    c *= 2.0
     c *= d2
     c /= dx ** 2
     c *= 0.125 * dx ** 2
 
-    out = np.empty((2, v.size + 1))
-    np.add(a[:-1], b[:-1], out=out[0])
-    out[0] += c[:-1]
-    np.subtract(a[1:], b[1:], out=out[1])
-    out[1] += c[1:]
-    return out
+    a, b, c, w_minus = r.minus
+    np.add(a, b, out=w_minus)
+    w_minus += c
+    a, b, c, w_plus = r.plus
+    np.subtract(a, b, out=w_plus)
+    w_plus += c
+    return r.w
 
 
-def numerical_flux(u: np.ndarray, w: np.ndarray, model: FluxModel) -> np.ndarray:
+def numerical_flux(u: np.ndarray, w: np.ndarray, model: FluxModel,
+                   out: np.ndarray = None, work: np.ndarray = None) -> np.ndarray:
     """(f(u+) + f(u-))/2 - (a/2)(w+ - w-) with the local speed
     a = max(f'(u-), f'(u+)), from one flux evaluation of the block.
 
     u and w are (2, interfaces) blocks whose rows are the minus and plus
-    interface values, as cweno_reconstruct returns them.
+    interface values, as cweno_reconstruct returns them.  The flux is formed
+    in out, and f, f' and the flux's temporaries in the five blocks of work,
+    each shaped like u, when given (new arrays by default).
     """
-    f, d = flux_and_deriv(u, model)
-    out = f[1] + f[0]
+    f, d, *rest = (np.empty_like(u) for _ in range(5)) if work is None else work
+    flux_and_deriv(u, model, out=(f, d), work=rest)
+    out = np.add(f[1], f[0], out=out)
     out *= 0.5
-    jump = np.maximum(d[0], d[1])
+    jump = np.maximum(d[0], d[1], out=d[0])
     jump *= 0.5
-    jump *= w[1] - w[0]
+    jump *= np.subtract(w[1], w[0], out=d[1])
     out -= jump
     return out
 
 
-def semidiscrete_rhs(wbar: np.ndarray, ctx: RunContext) -> np.ndarray:
+class Workspace:
+    """Every row that the third-order steps of one run read or write, and
+    the run's two cached solves, built once per run, as a staggered Batch
+    owns the arrays of its steps.  A step overwrites them all, so a
+    workspace steps one state at a time; nothing a step returns lives in
+    it.  It holds:
+
+      reconstruction  the rows of cweno_reconstruct, the interface block w
+      node4, rhs4, u  the cached order-4 solve of the interface values'
+                      unknowns, its F-ordered (n - 1, 2) right-hand side,
+                      and the (2, n + 1) u block
+      flux, h         f, f' and the flux's three work blocks, each shaped
+                      like u, and the interface flux row
+      half2, ubar, q  the cached order-2 half-grid solve, its right-hand
+                      side, and Q with its work row
+      k, stage        the four RK4 slopes and the stage row
+    """
+
+    def __init__(self, ctx: RunContext):
+        n, dx, c = ctx.grid.n_cells, ctx.grid.dx, ctx.params.disp
+        self.reconstruction = _Reconstruction(n)
+        self.node4 = _lone_solves(INTEGER_GRID, 4, dx, ((n - 1, c),))
+        self.half2 = _lone_solves(HALF_GRID, 2, dx, ((n, c),))
+        self.rhs4 = np.empty((n - 1, 2), order="F")
+        self.u = np.empty((2, n + 1))
+        # the interface values at the solve's unknowns, as its right-hand
+        # side takes them, and at the two domain ends, which are its boundary
+        # values and u's
+        w = self.reconstruction.w
+        self.w_inner, self.u_inner = w[:, 1:-1].T, self.u[:, 1:-1].T
+        self.w_left, self.w_right = w[:, 0], w[:, -1]
+        self.w_ends, self.u_ends = w[:, ::n], self.u[:, ::n]
+        self.flux, self.h = np.empty((5, 2, n + 1)), np.empty(n + 1)
+        self.h_hi, self.h_lo = self.h[1:], self.h[:-1]
+        self.ubar, self.q, self.q_work = np.empty(n), np.empty(n), np.empty(n - 4)
+        self.k, self.stage = tuple(np.empty((4, n))), np.empty(n)
+
+
+def semidiscrete_rhs(wbar: np.ndarray, ctx: RunContext, ws: Workspace = None,
+                     out: np.ndarray = None) -> np.ndarray:
     """-(H_{j+1/2} - H_{j-1/2})/dx + eps Q_j on the cell averages, at any
     time: the boundary data are constant, so the right-hand side is autonomous.
 
@@ -142,35 +225,63 @@ def semidiscrete_rhs(wbar: np.ndarray, ctx: RunContext) -> np.ndarray:
     reconstruction, so the outermost interfaces sit at the domain ends.
     The interface w-values, minus and plus, are converted to u-values as
     one two-column block by the order-4 solve on the interface-point grid;
-    its Field checks the interface values and their u for NaN/Inf.  The
-    diffusion term uses cell-average u from the tridiagonal half-grid
+    a NaN/Inf in the interface values or in their u is a NumericalError.
+    The diffusion term uses cell-average u from the tridiagonal half-grid
     solve, which reproduces the published convergence behaviour of the
-    scheme.
+    scheme.  Every intermediate lives in the rows of ws (a new Workspace
+    by default), and the result is formed in out (a new array by default).
     """
-    grid, params, model = ctx.grid, ctx.params, ctx.model
-    dx, c = grid.dx, params.disp
-    w = cweno_reconstruct(wbar, dx, ctx.bc)
-    u = helmholtz_solve(Field(w.T), w[:, 0], w[:, -1], c, dx, order=4).values.T
-    flux_h = numerical_flux(u, w, model)
-    out = flux_h[1:] - flux_h[:-1]
+    ws = Workspace(ctx) if ws is None else ws
+    dx = ctx.grid.dx
+    w = cweno_reconstruct(wbar, dx, ctx.bc, ws.reconstruction)
+    if not np.isfinite(w).all():
+        raise NumericalError("interface values contain NaN/Inf")
+    ws.rhs4[...] = ws.w_inner
+    ws.u_inner[...] = ws.node4(ws.rhs4, ws.w_left, ws.w_right)
+    ws.u_ends[...] = ws.w_ends
+    if not np.isfinite(ws.u).all():
+        raise NumericalError("interface u contains NaN/Inf")
+    numerical_flux(ws.u, w, ctx.model, ws.h, ws.flux)
+    out = np.subtract(ws.h_hi, ws.h_lo, out=out)
     out /= -dx
-    if params.epsilon != 0.0:
-        q = _d2_order4(_solve_unknowns(wbar.copy(), HALF_GRID, *ctx.bc, c, dx), dx)
-        q *= params.epsilon
+    if ctx.params.epsilon != 0.0:
+        ws.ubar[...] = wbar
+        q = _d2_order4(ws.half2(ws.ubar, *ctx.bc), dx, ws.q, ws.q_work)
+        q *= ctx.params.epsilon
         out += q
     return out
 
 
-def rk4_step(wbar: np.ndarray, dt: float, ctx: RunContext) -> np.ndarray:
-    """One classical RK4 step of the cell averages; NaN/Inf in the new
+def _stage(wbar: np.ndarray, h: float, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """wbar + h k, formed in out."""
+    np.multiply(k, h, out=out)
+    out += wbar
+    return out
+
+
+def rk4_step(wbar: np.ndarray, dt: float, ctx: RunContext,
+             ws: Workspace = None) -> np.ndarray:
+    """One classical RK4 step of the cell averages, whose stages live in the
+    rows of ws (a new Workspace by default).  It returns the new averages, a
+    new array that shares no memory with wbar or ws, and never writes wbar.
+    A dt that is not positive and finite is a ValueError; NaN/Inf in the new
     averages is a NumericalError."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    k1 = semidiscrete_rhs(wbar, ctx)
-    k2 = semidiscrete_rhs(wbar + 0.5 * dt * k1, ctx)
-    k3 = semidiscrete_rhs(wbar + 0.5 * dt * k2, ctx)
-    k4 = semidiscrete_rhs(wbar + dt * k3, ctx)
-    out = wbar + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    ws = Workspace(ctx) if ws is None else ws
+    s, (k1, k2, k3, k4) = ws.stage, ws.k
+    k1 = semidiscrete_rhs(wbar, ctx, ws, k1)
+    k2 = semidiscrete_rhs(_stage(wbar, 0.5 * dt, k1, s), ctx, ws, k2)
+    k3 = semidiscrete_rhs(_stage(wbar, 0.5 * dt, k2, s), ctx, ws, k3)
+    k4 = semidiscrete_rhs(_stage(wbar, dt, k3, s), ctx, ws, k4)
+    # wbar + (dt/6) (k1 + 2 k2 + 2 k3 + k4), in that rounding order
+    total = np.multiply(k2, 2.0, out=s)
+    total += k1
+    k3 *= 2.0
+    total += k3
+    total += k4
+    total *= dt / 6.0
+    out = wbar + total
     if not np.isfinite(out).all():
         raise NumericalError("new cell averages contain NaN/Inf values")
     return out
@@ -187,7 +298,8 @@ def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
     clamped, so C bounds the speed of u everywhere), and an RK4 factor
     above 1 for some mode of the diffusion term (march._check_linear_gain).
     A NaN or infinite time is a ValueError (march.landing_targets).  The
-    boundary values were checked by the RunContext.
+    boundary values were checked by the RunContext.  Every step runs in one
+    Workspace, built here.
     """
     grid, params = ctx.grid, ctx.params
     if grid.lam * ctx.model.C >= 0.5:
@@ -198,9 +310,11 @@ def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
     _check_linear_gain("third-order", [ctx], lambda s: s + s * s / 12.0,
                        lambda s, z: 1.0 - z * (1.0 - z / 2.0 * (1.0 - z / 3.0 * (1.0 - z / 4.0))))
 
+    ws = Workspace(ctx)
+
     def advance(state: tuple, dt: float) -> tuple:
         t, wbar = state
-        return t + dt, rk4_step(wbar, dt, ctx)
+        return t + dt, rk4_step(wbar, dt, ctx, ws)
 
     def read(state: tuple, time: float) -> list[Field]:
         return [helmholtz_solve(Field(state[1], HALF_GRID, time), *ctx.bc,

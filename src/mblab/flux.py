@@ -79,12 +79,14 @@ def _denominator(sq: np.ndarray, d: np.ndarray, M: float,
     return den
 
 
-def _deriv(uc: np.ndarray, d: np.ndarray, den: np.ndarray, M: float) -> np.ndarray:
-    """df/du = 2 M uc (1-uc) / den^2 from the clamped parts; exactly zero
-    outside (0, 1), where uc is 0 or 1 and f is flat."""
-    out = uc * (2.0 * M)
+def _deriv(uc: np.ndarray, d: np.ndarray, den: np.ndarray, M: float,
+           out: np.ndarray = None) -> np.ndarray:
+    """df/du = 2 M uc (1-uc) / den^2 from the clamped parts, formed in out
+    (a new array by default), with den^2 formed in uc, which it overwrites;
+    exactly zero outside (0, 1), where uc is 0 or 1 and f is flat."""
+    out = np.multiply(uc, 2.0 * M, out=out)
     out *= d
-    out /= den * den
+    out /= np.multiply(den, den, out=uc)
     return out
 
 
@@ -115,12 +117,17 @@ def flux_deriv(u, model: FluxModel):
     return out
 
 
-def flux_and_deriv(u: np.ndarray, model: FluxModel) -> tuple[np.ndarray, np.ndarray]:
-    """flux(u) and flux_deriv(u) of an array, from one clip and one denominator."""
-    uc, d = np.empty_like(u), np.empty_like(u)
+def flux_and_deriv(u: np.ndarray, model: FluxModel, out: tuple = None,
+                   work: tuple = None) -> tuple[np.ndarray, np.ndarray]:
+    """flux(u) and flux_deriv(u) of an array, from one clip and one
+    denominator, formed in the pair out and with the temporaries in the three
+    arrays of work, each shaped like u, when given (new arrays by default):
+    with both, it allocates nothing."""
+    f, df = (np.empty_like(u), np.empty_like(u)) if out is None else out
+    uc, d, den = (np.empty_like(u) for _ in range(3)) if work is None else work
     _clamped(u, uc, d)
-    f = uc * uc
-    den = _denominator(f, d, model.M)
-    df = _deriv(uc, d, den, model.M)
+    np.multiply(uc, uc, out=f)
+    _denominator(f, d, model.M, out=den)
+    _deriv(uc, d, den, model.M, out=df)
     f /= den
     return f, df

@@ -731,6 +731,33 @@ def test_constant_state_is_preserved_exactly():
         assert np.allclose(u, 0.4, rtol=0, atol=1e-14)
 
 
+@settings(deadline=None, max_examples=100)
+@given(scheme=st.sampled_from(["trapezoid", "midpoint", "third_order"]),
+       value=_UNIT, epsilon=st.floats(0.0, 0.05),
+       tau=st.one_of(st.just(0.0), st.floats(0.0, 10.0)), cells=st.integers(8, 40))
+def test_every_scheme_preserves_a_constant_state(scheme, value, epsilon, tau, cells):
+    # a constant state with its own value at both ends is a steady state of
+    # the equation: four staggered steps (two pairs) or two RK4 steps keep
+    # it to rounding
+    grid = GridSpec(L=1.0, n_cells=cells, lam=0.1)
+    ctx = RunContext(grid, MBLParams(epsilon=epsilon, tau=tau), MODEL, (value, value))
+    dt = grid.lam * grid.dx
+    if scheme == "third_order":
+        ws = cweno.Workspace(ctx)
+        states = [np.full(cells, value)]
+        for _ in range(2):
+            states.append(cweno.rk4_step(states[-1], dt, ctx, ws))
+    else:
+        batch = Batch([ctx])
+        u, phase = batch.pack([np.full(cells + 1, value)], INTEGER_GRID), INTEGER_GRID
+        states = []
+        for _ in range(4):
+            u, phase = step(u, phase, batch, scheme, grid.lam), _other(phase)
+            states.append(batch.points(u, phase)[0])
+    for state in states:
+        assert np.abs(state - value).max() <= 1e-14
+
+
 @pytest.mark.parametrize("epsilon, tau", [(0.0, 1.0), (0.01, 0.0), (0.01, 1.0),
                                           (0.01, 5.0)])
 @pytest.mark.parametrize("variant", ["trapezoid", "midpoint"])

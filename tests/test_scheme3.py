@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,15 @@ from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
 from mblab.flux import FluxModel, flux
 from mblab.march import RunContext
-from mblab.operators import INTEGER_GRID, GridSpec, MBLParams, _d2_order4
+from mblab.operators import (
+    INTEGER_GRID,
+    GridSpec,
+    MBLParams,
+    _d2_order4,
+    _lone_solves,
+)
+
+from test_scheme2 import _arrays_reached
 
 MODEL = FluxModel(2.0)
 
@@ -64,7 +73,7 @@ def test_reconstruct_scale_invariance():
 
 
 def test_reconstruct_needs_five_cells():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 5 cell averages"):
         cweno_reconstruct(np.ones(4), 0.1, (1.0, 1.0))
 
 
@@ -102,6 +111,12 @@ def test_d2_order4_polynomials():
     assert np.allclose(out[2:-2], 20.0 * xc[2:-2] ** 3, rtol=0, atol=1e-8)
 
 
+def test_d2_order4_needs_five_values():
+    # without the guard, numpy's own broadcast error would be a ValueError too
+    with pytest.raises(ValueError, match="at least 5 values"):
+        _d2_order4(np.ones(4), 0.1)
+
+
 def _ctx(n_cells=20, lam=0.1, epsilon=0.0, tau=1.0, g=0.8, h=0.0):
     grid = GridSpec(L=2.0, n_cells=n_cells, dx=2.0 / n_cells, lam=lam)
     params = MBLParams(epsilon=epsilon, tau=tau)
@@ -133,19 +148,20 @@ def test_run_rejects_a_nan_time(t_final, times):
 
 
 def test_rk4_rejects_bad_dt():
+    # a NaN or infinite dt would otherwise end in a NaN/Inf NumericalError
     ctx = _ctx()
-    with pytest.raises(ValueError):
-        rk4_step(np.full(20, 0.1), 0.0, ctx)
-    with pytest.raises(ValueError):
-        rk4_step(np.full(20, 0.1), -0.1, ctx)
+    for dt in (0.0, -0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            rk4_step(np.full(20, 0.1), dt, ctx)
 
 
 def test_rk4_exact_on_polynomial_rhs(monkeypatch):
     # dw/dt = 1 + 2t + 3t^2 integrates exactly through the quadrature; the
-    # right-hand side is autonomous, so the first value carries the clock t
+    # right-hand side is autonomous, so the first value carries the clock t.
+    # A right-hand side may return a new array instead of its workspace row
     ctx = _ctx()
 
-    def rhs(wbar, _ctx):
+    def rhs(wbar, _ctx, _ws, _out):
         t = wbar[0]
         out = np.full_like(wbar, 1.0 + 2.0 * t + 3.0 * t * t)
         out[0] = 1.0
@@ -188,26 +204,77 @@ def test_rk4_step_changes_the_mass_by_the_boundary_fluxes(epsilon, g, h, interio
 
 
 def test_rk4_step_makes_one_block_solve_and_one_flux_call_per_stage(monkeypatch):
-    # the minus and plus interface values travel as one two-column block:
-    # a refactor that splits it again doubles these counts
-    solves, fluxes = [], []
-    solve, flux_and_deriv = cweno.helmholtz_solve, cweno.flux_and_deriv
-
-    def counting_solve(w, *args, **kwargs):
-        solves.append((w.phase, kwargs.get("order"), w.values.shape))
-        return solve(w, *args, **kwargs)
-
-    def counting_flux(u, model):
-        fluxes.append(u.shape)
-        return flux_and_deriv(u, model)
-
-    monkeypatch.setattr(cweno, "helmholtz_solve", counting_solve)
-    monkeypatch.setattr(cweno, "flux_and_deriv", counting_flux)
+    # the minus and plus interface values travel as one two-column block
+    # through the workspace's cached order-4 solve: a refactor that splits
+    # it again doubles these counts
     ctx = _ctx(epsilon=0.02)
+    ws = cweno.Workspace(ctx)
+    solve = ws.node4
+    assert solve is _lone_solves(INTEGER_GRID, 4, ctx.grid.dx, ((19, ctx.params.disp),))
+    solves, fluxes = [], []
+    flux_and_deriv = cweno.flux_and_deriv
+
+    def counting_solve(rhs, left, right):
+        solves.append(rhs.shape)
+        return solve(rhs, left, right)
+
+    def counting_flux(u, model, **rows):
+        fluxes.append(u.shape)
+        return flux_and_deriv(u, model, **rows)
+
+    ws.node4 = counting_solve
+    monkeypatch.setattr(cweno, "flux_and_deriv", counting_flux)
     xc = (np.arange(20) + 0.5) * 0.1
-    rk4_step(0.4 * (1.0 - np.tanh((xc - 0.9) / 0.15)), 0.01, ctx)
-    assert solves == [(INTEGER_GRID, 4, (21, 2))] * 4
+    rk4_step(0.4 * (1.0 - np.tanh((xc - 0.9) / 0.15)), 0.01, ctx, ws)
+    assert solves == [(19, 2)] * 4
     assert fluxes == [(2, 21)] * 4
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.02])
+def test_a_state_stepped_twice_gives_the_same_bytes_both_times(epsilon):
+    # a landing fork steps the state that the main march steps next, and
+    # marches on: no step may write into the averages it is given, and
+    # nothing it returns may live in the workspace
+    ctx = _ctx(epsilon=epsilon)
+    ws = cweno.Workspace(ctx)
+    wbar = np.random.default_rng(12).random(20)
+    given = wbar.tobytes()
+    first = rk4_step(wbar, 0.01, ctx, ws)
+    kept = first.tobytes()
+    rk4_step(first, 0.003, ctx, ws)  # the fork marches on
+    second = rk4_step(wbar, 0.01, ctx, ws)
+    assert wbar.tobytes() == given
+    assert first.tobytes() == kept
+    assert second.tobytes() == kept
+    assert rk4_step(wbar, 0.01, ctx).tobytes() == kept  # a workspace of its own
+    # every array the workspace reaches, its rows, views and solves too
+    arrays = _arrays_reached(ws)
+    assert any(a is ws.reconstruction.minus[3] for a in arrays)
+    for a in (first, second):
+        assert not any(np.shares_memory(a, b) for b in arrays + [wbar])
+    assert not np.shares_memory(first, second)
+
+
+def test_a_step_allocates_little_beyond_the_averages_it_returns():
+    # the stages of a step live in its workspace: after a warm-up step, one
+    # desk-sized step's peak allocation over its baseline is the new
+    # averages, a finiteness mask and the objects of the calls, below twice
+    # the new averages
+    grid = GridSpec(L=0.75, n_cells=1500, dx=5e-4, lam=0.1)
+    ctx = RunContext(grid, MBLParams(epsilon=0.005, tau=5.0), MODEL, (0.8, 0.0))
+    ws = cweno.Workspace(ctx)
+    wbar = np.where(grid.centers() < 0.1, 0.8, 0.0)
+    dt = grid.lam * grid.dx
+    wbar = rk4_step(wbar, dt, ctx, ws)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        new = rk4_step(wbar, dt, ctx, ws)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * new.nbytes, f"peak {peak} B against new averages of {new.nbytes} B"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -226,9 +293,9 @@ def _poison_the_second_step(monkeypatch):
     calls = []
     rhs = cweno.semidiscrete_rhs
 
-    def poisoned(wbar, ctx):
+    def poisoned(wbar, ctx, ws, out):
         calls.append(None)
-        out = rhs(wbar, ctx)
+        out = rhs(wbar, ctx, ws, out)
         if len(calls) == 8:
             out[5] = math.inf
         return out
