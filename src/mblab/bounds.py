@@ -15,9 +15,10 @@ with phi1(0) = phi2(L) = 1 and phi1(L) = phi2(0) = 0.  Each is written
 once: _kernel_pair gives the two bracketed sums of G and K, with any
 weight e^{w/s} folded into the exponents before exponentiation so that
 small s never overflows, and _phi_pair gives phi1, phi2 and phi2' in
-double or in mpmath precision; only the L4i audit imports mpmath, when it
-runs.  s and its s > 0 check live in BoundParams.scale.  No
-finite-interval kernel is evaluated here.
+double precision or, for the L4i audit, in exact rationals whose
+exponentials _rational_exp forms to the audit's digits; only that audit
+imports fractions, when it runs.  s and its s > 0 check live in
+BoundParams.scale.  No finite-interval kernel is evaluated here.
 
 bound_constants assembles the explicit constants of the truncation
 estimate
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -119,11 +121,11 @@ def _kernel_pair(x, xi, s: float, w) -> tuple:
 
 
 def _phi_pair(x, L, s, lib=math) -> tuple:
-    """phi1, phi2 and phi2' at x in [0, L]; lib is math, or mpmath on mpf
-    arguments when the result is needed beyond double precision.  Each
-    difference of two exponentials is one exponential times an expm1, so
-    no digits cancel as L/s shrinks.  An L/s so small that expm1(-2L/s)
-    is 0 is a NumericalError."""
+    """phi1, phi2 and phi2' at x in [0, L]; lib is math, or _rational_exp
+    on Fraction arguments when the result is needed beyond double
+    precision.  Each difference of two exponentials is one exponential
+    times an expm1, so no digits cancel as L/s shrinks.  An L/s so small
+    that expm1(-2L/s) is 0 is a NumericalError."""
     denom = lib.expm1(-2 * L / s)
     if not denom:
         raise NumericalError(f"phi basis undefined: expm1(-2L/s) is 0 "
@@ -273,28 +275,89 @@ def _audit_quad(integrand, lo: float, hi: float, x: float, s: float) -> float:
 
 
 # the most decimal digits an L4i audit may work at; its cost grows about as
-# the square of the digits, so a small s would otherwise run for hours
+# the square of the digits (at 9960 digits a point takes 0.1 s at x = 0 and
+# 0.4 s at x = 0.3), so a small s would otherwise run for hours
 _MAX_DIGITS = 10_000
+
+# _expm1_fixed sums its series below 2**-_HALVINGS; each halving trades a
+# series term or so for one squaring, and the cost is flat from 8 to 28
+_HALVINGS = 16
+
+
+def _expm1_fixed(p: int, q: int, bits: int) -> tuple[int, int]:
+    """(y, f) with y / 2**f = expm1(p/q) for a rational p/q >= 0, within
+    a relative 2**-bits.  The Taylor series of expm1 sums at p/q halved h
+    times, in integers scaled by 2**f, and h rounds of y -> y (y + 2) undo
+    the halvings; each round at most doubles the relative error, which the
+    h + log2(bits) + 8 guard bits absorb."""
+    mag = p.bit_length() - q.bit_length()  # 2**(mag-1) < p/q < 2**(mag+1)
+    h = max(0, mag + 1 + _HALVINGS)
+    w = bits + h + bits.bit_length() + 8
+    q <<= h
+    f = w + h + 1 - mag  # the first term, p/q * 2**f, has more than w bits
+    term = y = (p << f) // q
+    k = 1
+    while term:
+        k += 1
+        term = term * p // (q * k)
+        y += term
+    for _ in range(h):
+        y = y * (y + (2 << f)) >> f
+        cut = y.bit_length() - w
+        if cut > f:
+            cut = f
+        if cut > 0:
+            y >>= cut
+            f -= cut
+    return y, f
+
+
+def _rational_exp(digits: int) -> SimpleNamespace:
+    """A lib for _phi_pair on Fraction arguments: exp and expm1 as
+    Fractions within a relative 10**-digits.  Both come from expm1 of the
+    exponent's magnitude, formed once per magnitude: e^q = 1 + expm1(q) and
+    e^-q = 1 / (1 + expm1(q)) for q >= 0, expm1(-q) = -expm1(q) / e^q."""
+    from fractions import Fraction
+
+    bits = math.ceil(digits * math.log2(10)) + 1
+    formed = {}
+
+    def expm1_abs(q):
+        key = abs(q.numerator), q.denominator
+        if key not in formed:
+            formed[key] = _expm1_fixed(*key, bits)
+        return formed[key]
+
+    def exp(q):
+        y, f = expm1_abs(q)
+        one = 1 << f
+        return Fraction(y + one, one) if q >= 0 else Fraction(one, y + one)
+
+    def expm1(q):
+        y, f = expm1_abs(q)
+        return Fraction(y, 1 << f) if q >= 0 else Fraction(-y, y + (1 << f))
+
+    return SimpleNamespace(exp=exp, expm1=expm1)
 
 
 def _audit_phi_identity(x: float, L: float, s: float) -> tuple[float, float, bool]:
     """|phi1 - e^{-x/s}| vs e^{-L/s}|phi2|: both sides fall below double
     precision (the difference is of size e^{-(L+x)/s}), so the comparison is
-    carried out at 60 + (L + x)/s decimal digits; a point that needs more
-    than _MAX_DIGITS is a NumericalError."""
+    carried out in exact rationals, with every exponential taken to
+    60 + (L + x)/s decimal digits; a point that needs more than _MAX_DIGITS
+    is a NumericalError."""
     span = (L + x) / s
     if not 60 + span <= _MAX_DIGITS:
         raise NumericalError(f"L4i audit needs {60 + span:.0f} digits at "
                              f"(L + x)/s = {span:.6g}, more than {_MAX_DIGITS}")
-    import mpmath
+    from fractions import Fraction
 
-    with mpmath.workdps(60 + int(span)):
-        xm, Lm, sm = mpmath.mpf(x), mpmath.mpf(L), mpmath.mpf(s)
-        phi1, phi2, _ = _phi_pair(xm, Lm, sm, mpmath)
-        lhs = abs(phi1 - mpmath.exp(-xm / sm))
-        rhs = mpmath.exp(-Lm / sm) * abs(phi2)
-        holds = bool(lhs <= rhs * (1 + mpmath.mpf(_SLACK)))
-        return float(lhs), float(rhs), holds
+    lib = _rational_exp(60 + int(span))
+    xq, Lq, sq = Fraction(x), Fraction(L), Fraction(s)
+    phi1, phi2, _ = _phi_pair(xq, Lq, sq, lib)
+    lhs = abs(phi1 - lib.exp(-xq / sq))
+    rhs = lib.exp(-Lq / sq) * abs(phi2)
+    return float(lhs), float(rhs), lhs <= rhs * (1 + Fraction(_SLACK))
 
 
 def lemma_audit(lemma_id: str, p: BoundParams, x: float) -> dict:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -266,6 +267,55 @@ REPINNED_LHS = {
     "L3i": 0.04954098683865352,
     "L3ii": 0.0003935556136738831,
 }
+
+
+# the benchmark's audit grid: L = 0.75, eps = 0.01, tau in {0.2, 5}; its
+# L4i items meet ten distinct (tau, x) points
+GRID_TAUS = (0.2, 5.0)
+GRID_L4I = [(tau, x) for tau in GRID_TAUS
+            for x in (0.0, 0.05, 0.1, 0.2,
+                      10.0 * dataclasses.replace(P_DESK, tau=tau).scale)]
+FROZEN_L4I_X = next(row[1] for row in FROZEN_AUDIT if row[0] == "L4i")
+
+
+@pytest.mark.parametrize("digits", [60, 272, 2000])
+def test_rational_exp_matches_mpmath(digits):
+    import mpmath
+
+    lib = bounds._rational_exp(digits)
+    scales = [dataclasses.replace(P_DESK, tau=tau).scale for tau in GRID_TAUS]
+    args = [0.0, -1e-30, -1.0, 1e-30, 1.0] + [-k * P_DESK.L / s for s in scales
+                                               for k in (1, 2)]
+    with mpmath.workdps(digits + 20):
+        for arg in args:
+            for got, ref in ((lib.exp(Fraction(arg)), mpmath.exp(arg)),
+                             (lib.expm1(Fraction(arg)), mpmath.expm1(arg))):
+                err = abs(mpmath.mpf(got.numerator) / got.denominator - ref)
+                assert err <= mpmath.mpf(10) ** -digits * abs(ref), (arg, digits)
+
+
+def _l4i_in_mpmath(x, L, s):
+    """The L4i comparison through _phi_pair on mpf values, at the audit's
+    60 + (L + x)/s digits."""
+    import mpmath
+
+    with mpmath.workdps(60 + int((L + x) / s)):
+        xm, Lm, sm = mpmath.mpf(x), mpmath.mpf(L), mpmath.mpf(s)
+        phi1, phi2, _ = _phi_pair(xm, Lm, sm, mpmath)
+        lhs = abs(phi1 - mpmath.exp(-xm / sm))
+        rhs = mpmath.exp(-Lm / sm) * abs(phi2)
+        return float(lhs), float(rhs), bool(lhs <= rhs * (1 + mpmath.mpf(bounds._SLACK)))
+
+
+# the grid's points and FROZEN_AUDIT's L4i point, today one of them
+@pytest.mark.parametrize("tau, x",
+                         list(dict.fromkeys(GRID_L4I + [(P_DESK.tau, FROZEN_L4I_X)])))
+def test_l4i_audit_matches_mpmath_bit_for_bit(tau, x):
+    p = dataclasses.replace(P_DESK, tau=tau)
+    out = lemma_audit("L4i", p, x)
+    got = (out["lhs"].hex(), out["rhs"].hex(), out["holds"])
+    lhs, rhs, holds = _l4i_in_mpmath(x, p.L, p.scale)
+    assert got == (lhs.hex(), rhs.hex(), holds)
 
 
 @pytest.mark.parametrize("item, x, lhs, rhs", FROZEN_AUDIT)
