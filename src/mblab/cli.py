@@ -12,7 +12,8 @@ Every verb reads one manifest JSON file plus optional override flags:
 
 main loads the manifest with its overrides once and passes it to the verb,
 which prints its report; main maps the outcome to the exit code:
-0 success, 2 validation error, 3 numerical failure, 4 I/O error.
+0 success, 2 validation error, 3 numerical failure (out of memory too),
+4 I/O error.
 """
 from __future__ import annotations
 
@@ -156,9 +157,8 @@ def _cmd_lemma_audit(manifest: experiments.RunManifest, args) -> None:
 def _cmd_bound(manifest: experiments.RunManifest, args) -> None:
     p = bounds._truncation_params(manifest, args.weight_rate)
     report = bounds.bound_constants(p, args.t)
-    for name in ("a_tau", "b_tau", "c_tau", "E1", "E2",
-                 "gamma1", "gamma2", "D1", "D2", "bound"):
-        print(f"{name} = {getattr(report, name):.10e}")
+    for field in dataclasses.fields(bounds.BoundReport):
+        print(f"{field.name} = {getattr(report, field.name):.10e}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,6 +224,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericalError, OverflowError) as exc:  # a float overflow is one too
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a grid too large to allocate
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

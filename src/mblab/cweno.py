@@ -29,12 +29,12 @@ block, are the right-hand side of one order-4 solve for u^- and u^+, and
 the flux H takes both blocks in one flux evaluation.
 
 A run builds one Workspace, which holds every row its steps read or
-write and its two cached solves.  Each stage writes into those rows in
-the rounding order of the formulas above, so a step allocates only the
-new averages it returns and the masks of its finiteness tests.  The
-differences wb_{j+1} - wb_j form one row, whose two shifted windows are
-the left and right differences of each cell, and so do alpha_L and
-alpha_R, since c_L = c_R.
+write and the two solves of its stages, each factored once per run.
+Each stage writes into those rows in the rounding order of the formulas
+above, so a step allocates only the new averages it returns and the
+masks of its finiteness tests.  The differences wb_{j+1} - wb_j form one
+row, whose two shifted windows are the left and right differences of
+each cell, and so do alpha_L and alpha_R, since c_L = c_R.
 """
 from __future__ import annotations
 
@@ -49,8 +49,8 @@ from .operators import (
     Field,
     HALF_GRID,
     INTEGER_GRID,
+    _Solve,
     _d2_order4,
-    _lone_solves,
     helmholtz_solve,
 )
 
@@ -180,27 +180,27 @@ def numerical_flux(u: np.ndarray, w: np.ndarray, model: FluxModel,
 
 class Workspace:
     """Every row that the third-order steps of one run read or write, and
-    the run's two cached solves, built once per run, as a staggered Batch
-    owns the arrays of its steps.  A step overwrites them all, so a
-    workspace steps one state at a time; nothing a step returns lives in
-    it.  It holds:
+    the two solves of its stages, built and factored once per run, as a
+    staggered Batch owns the arrays and solves of its steps.  A step
+    overwrites them all, so a workspace steps one state at a time; nothing
+    a step returns lives in it.  It holds:
 
       reconstruction  the rows of cweno_reconstruct, the interface block w
-      node4, rhs4, u  the cached order-4 solve of the interface values'
-                      unknowns, its F-ordered (n - 1, 2) right-hand side,
-                      and the (2, n + 1) u block
+      node4, rhs4, u  the order-4 solve of the interface values'
+                      unknowns, its F-ordered (n - 1, 2) right-hand
+                      side, and the (2, n + 1) u block
       flux, h         f, f' and the flux's three work blocks, each shaped
                       like u, and the interface flux row
-      half2, ubar, q  the cached order-2 half-grid solve, its right-hand
-                      side, and Q with its work row
+      half2, ubar, q  the order-2 half-grid solve, its right-hand side,
+                      and Q with its work row
       k, stage        the four RK4 slopes and the stage row
     """
 
     def __init__(self, ctx: RunContext):
         n, dx, c = ctx.grid.n_cells, ctx.grid.dx, ctx.params.disp
         self.reconstruction = _Reconstruction(n)
-        self.node4 = _lone_solves(INTEGER_GRID, 4, dx, ((n - 1, c),))
-        self.half2 = _lone_solves(HALF_GRID, 2, dx, ((n, c),))
+        self.node4 = _Solve(INTEGER_GRID, 4, dx, ((n - 1, c),))
+        self.half2 = _Solve(HALF_GRID, 2, dx, ((n, c),))
         self.rhs4 = np.empty((n - 1, 2), order="F")
         self.u = np.empty((2, n + 1))
         # the interface values at the solve's unknowns, as its right-hand
@@ -299,7 +299,8 @@ def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
     above 1 for some mode of the diffusion term (march._check_linear_gain).
     A NaN or infinite time is a ValueError (march.landing_targets).  The
     boundary values were checked by the RunContext.  Every step runs in one
-    Workspace, built here.
+    Workspace, built here; each landing reads u through its own
+    helmholtz_solve.
     """
     grid, params = ctx.grid, ctx.params
     if grid.lam * ctx.model.C >= 0.5:

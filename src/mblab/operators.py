@@ -368,22 +368,6 @@ class _Solve:
         return out
 
 
-_lone_solves = functools.lru_cache(maxsize=32)(_Solve)
-
-
-def _solve_unknowns(rhs: np.ndarray, phase: str, bc_left, bc_right,
-                    c: float, dx: float, order: int = 2) -> np.ndarray:
-    """The unknowns of (I - c D^2) u = w: every half cell, or the interior nodes.
-
-    rhs holds w at those unknowns, shaped (points,) or (points, runs), and
-    is overwritten; the boundary values (scalars, or one per run) enter
-    through the closures.  A one-segment _Solve, built and factored once
-    per matrix and kept in the module's solve cache.  No finiteness check:
-    callers decide where NaN/Inf is caught.
-    """
-    return _lone_solves(phase, order, dx, ((len(rhs), c),))(rhs, bc_left, bc_right)
-
-
 def helmholtz_solve(w: Field, bc_left, bc_right, c: float, dx: float,
                     order: int = 2) -> Field:
     """Solve (I - c D^2) u = w under Dirichlet data.
@@ -393,17 +377,20 @@ def helmholtz_solve(w: Field, bc_left, bc_right, c: float, dx: float,
     physical endpoint.  A (points, runs) block takes one boundary value per
     column (or one for all) and solves every column in one LAPACK call, each
     byte for byte as alone; its solution is built in Fortran order, the
-    layout LAPACK reads and writes, so no column is copied strided.
+    layout LAPACK reads and writes, so no column is copied strided.  Each
+    call factors its own _Solve: a caller that solves one matrix many times
+    keeps the _Solve instead.
     """
     v = w.values
-    if w.phase == INTEGER_GRID:
+    nodes = w.phase == INTEGER_GRID
+    unknowns = (v[1:-1] if nodes else v).copy(order="F")
+    solve = _Solve(w.phase, order, dx, ((len(unknowns), c),))
+    if nodes:
         out = np.empty(v.shape, order="F")
         out[0], out[-1] = bc_left, bc_right
-        out[1:-1] = _solve_unknowns(v[1:-1].copy(order="F"), w.phase, bc_left,
-                                    bc_right, c, dx, order)
+        out[1:-1] = solve(unknowns, bc_left, bc_right)
     else:
-        out = _solve_unknowns(v.copy(order="F"), w.phase, bc_left, bc_right, c, dx,
-                              order)
+        out = solve(unknowns, bc_left, bc_right)
     return Field(out, phase=w.phase, time=w.time)
 
 

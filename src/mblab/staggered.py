@@ -151,9 +151,9 @@ class Batch:
     time; nothing a step returns lives in them.  views[phase] holds every
     view of them that a step from phase reads or writes: the rows [w; f]
     and their differences, the minmod slopes and work rows, the averaging
-    targets, the predictor's inner slots, the lam df row, and the spans of
-    the two half-time solves with their _Solves.  They depend on the phase
-    only; what depends on lam is formed per step.
+    targets, the predictor's inner slots, the lam df row, and the _Solves
+    of the two half-time solves with the rows each solves.  They depend on
+    the phase only; what depends on lam is formed per step.
     """
 
     def __init__(self, ctxs: Sequence[RunContext]):
@@ -187,7 +187,6 @@ class Batch:
         # the boundary values of the runs, as the solves take them
         self.g, self.h = (v[0] if len(ctxs) == 1 else v for v in (g, h))
         self._solves = {}
-        self._lowered = {}  # delta -> c - delta
         # a step's scratch, which every step overwrites: the rows [w; f],
         # the flux's work row, D2 u at the inner slots, the differences of
         # [w; f], minmod slopes and work space, the predictor and the
@@ -222,32 +221,28 @@ class Batch:
         extra = 1 if phase == INTEGER_GRID else 0
         return [v[s + 1:s + 1 + n + extra] for s, n in zip(self.starts, self.n)]
 
-    def solver(self, phase: str, delta: float = 0.0) -> tuple[slice, _Solve]:
-        """The rows and the _Solve of (I - (c + delta) D^2) u = w on phase,
-        built and factored once per (phase, delta) for the batch.  It spans
-        the vector from the first run's first unknown to the last run's
-        last: a segment per run, the frame between."""
+    def solver(self, phase: str, delta: float = 0.0) -> tuple:
+        """The rows, the _Solve of (I - (c + delta) D^2) u = w on phase, and
+        c - delta, the coefficient of the trapezoid's right-hand side: one
+        entry per (phase, delta) for the batch, built and factored once.
+        The rows span the vector from the first run's first unknown to the
+        last run's last: a segment per run, the frame between."""
         key = (phase, delta)
         if key not in self._solves:
             first = 2 if phase == INTEGER_GRID else 1  # a run's first unknown slot
             segments = tuple((n + 1 - first, c + delta)
                              for n, c in zip(self.n, self.disp))
             self._solves[key] = (slice(first, self.size - 2),
-                                 _Solve(phase, 2, self.dx, segments, gap=first + 2))
+                                 _Solve(phase, 2, self.dx, segments, gap=first + 2),
+                                 self.c - delta)
         return self._solves[key]
 
     def solve(self, rhs: np.ndarray, phase: str, delta: float = 0.0) -> np.ndarray:
         """The unknowns of (I - (c + delta) D^2) u = w, solved in place in
         rhs, which holds w there; the frame keeps its values."""
-        span, solve = self.solver(phase, delta)
+        span, solve, _ = self.solver(phase, delta)
         solve(rhs[span], self.g, self.h)
         return rhs
-
-    def lowered(self, delta: float):
-        """c - delta, formed once per delta."""
-        if delta not in self._lowered:
-            self._lowered[delta] = self.c - delta
-        return self._lowered[delta]
 
     def check_cfl(self, u: np.ndarray, phase: str, lam: float) -> None:
         """A CFL violation at the points of u is a NumericalError.  f' is
@@ -295,7 +290,7 @@ class _StepViews:
         self.d2_placed = tmp[1, 1:]
         # the half-time solves: the predictor on phase, the placed average
         # on the new phase, each with the rows it solves
-        self.solves = tuple((solve, v[span]) for v, (span, solve) in (
+        self.solves = tuple((solve, v[span]) for v, (span, solve, _) in (
             (self.wp, batch.solver(phase)), (self.placed, batch.solver(self.new_phase))))
 
 
@@ -365,7 +360,7 @@ def step(u: np.ndarray, phase: str, batch: Batch, variant: str,
     solve_new(rows_new, batch.g, batch.h)
     if variant == TRAPEZOID:
         delta = eps * dt / 2.0
-        helmholtz_apply(ubar, batch.lowered(delta), dx, out=rhs[1:-1])
+        helmholtz_apply(ubar, batch.solver(new_phase, delta)[2], dx, out=rhs[1:-1])
         unknowns -= ldf
     else:  # MIDPOINT
         delta = 0.0

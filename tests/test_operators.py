@@ -22,7 +22,6 @@ from mblab.operators import (
     _d2_order2,
     _Solve,
     _d2_order4,
-    _solve_unknowns,
     helmholtz_apply,
     helmholtz_solve,
     weighted_h1_norm,
@@ -286,7 +285,7 @@ def test_solve_of_a_block_is_its_column_solves(phase, order):
     # solved in place, the pinned ends put back on the node grid
     v = cols[0]
     unknowns = v[1:-1] if phase == INTEGER_GRID else v
-    want = _solve_unknowns(unknowns.copy(), phase, 0.2, 0.05, c, dx, order)
+    want = _Solve(phase, order, dx, ((len(unknowns), c),))(unknowns.copy(), 0.2, 0.05)
     if phase == INTEGER_GRID:
         want = np.concatenate([[0.2], want, [0.05]])
     assert alone[0].values.shape == v.shape
@@ -315,7 +314,7 @@ def test_solve_with_nan_boundary_value_is_a_numerical_error(phase):
                         MBLParams(epsilon=0.1, tau=1.0).disp, 0.1)
 
 
-def test_each_matrix_is_factored_once_per_run(monkeypatch):
+def test_each_matrix_is_factored_once_per_run(monkeypatch, empty_run_cache):
     calls = []
 
     def counted(name):
@@ -328,7 +327,6 @@ def test_each_matrix_is_factored_once_per_run(monkeypatch):
 
     for name in ("dpttrf", "dgbtrf"):
         monkeypatch.setattr(operators, name, counted(name))
-    operators._lone_solves.cache_clear()
     run_manifest(desk_manifest(tau=5.0, t_final=0.002))  # 20 step pairs
     # both phases, each with eps^2 tau and the corrector's eps^2 tau + eps dt/2
     assert calls == ["dpttrf"] * 4
@@ -341,6 +339,17 @@ def test_each_matrix_is_factored_once_per_run(monkeypatch):
                    if isinstance(a, np.ndarray)]
         assert factors and not any(a.flags.writeable for a in factors)
     assert calls[8:] == ["dpttrf", "dgbtrf"]
+    # a third-order run factors its workspace's order-4 node solve and
+    # order-2 half-grid solve once, and each of its k + 1 landing reads its
+    # own order-4 half-grid solve; no solve outlives its run, so a second
+    # equal run (past the run cache) factors anew
+    for times in ((), (0.0001, 0.00015)):
+        for _ in range(2):
+            del calls[:]
+            empty_run_cache.clear()
+            run_manifest(desk_manifest(scheme="third_order", t_final=0.0002,
+                                       snapshot_times=times))  # 4 RK4 steps
+            assert calls == ["dgbtrf", "dpttrf"] + ["dgbtrf"] * (len(times) + 1)
 
 
 def test_a_matrix_that_is_not_positive_definite_fails_its_factorisation():

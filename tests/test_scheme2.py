@@ -22,8 +22,8 @@ from mblab.operators import (
     HALF_GRID,
     INTEGER_GRID,
     MBLParams,
+    _Solve,
     _d2_order2,
-    _solve_unknowns,
     helmholtz_apply,
     helmholtz_solve,
 )
@@ -552,7 +552,7 @@ def test_pack_refuses_a_point_list_of_the_wrong_length(phase):
 @pytest.mark.parametrize("phase", [INTEGER_GRID, HALF_GRID])
 def test_a_batch_solve_is_each_runs_own_solve(phase, delta):
     # one block-diagonal dpttrs call with identity rows between the runs
-    # against _solve_unknowns per run: three runs of 4, 5 and 6 cells, +-0
+    # against a one-segment _Solve per run: three runs of 4, 5 and 6 cells, +-0
     # or signed values in every right-hand side, and every sign of the
     # boundary values at the two joints.  tau = 0 makes a run's c-solve the
     # identity at delta = 0: the first, middle or last run, so that a kept
@@ -578,9 +578,9 @@ def test_a_batch_solve_is_each_runs_own_solve(phase, delta):
                                    phase)
                 for ctx, w, u in zip(ctxs, rhs, got):
                     want = w.copy()
-                    want[unknowns] = _solve_unknowns(w[unknowns].copy(), phase,
-                                                     *ctx.bc,
-                                                     ctx.params.disp + delta, 0.1)
+                    segment = ((len(w[unknowns]), ctx.params.disp + delta),)
+                    want[unknowns] = _Solve(phase, 2, 0.1, segment)(
+                        w[unknowns].copy(), *ctx.bc)
                     assert u.tobytes() == want.tobytes()
 
 

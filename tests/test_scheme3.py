@@ -20,11 +20,9 @@ from mblab.experiments import desk_manifest, run_manifest
 from mblab.flux import FluxModel, flux
 from mblab.march import RunContext
 from mblab.operators import (
-    INTEGER_GRID,
     GridSpec,
     MBLParams,
     _d2_order4,
-    _lone_solves,
 )
 
 from test_scheme2 import _arrays_reached
@@ -205,12 +203,11 @@ def test_rk4_step_changes_the_mass_by_the_boundary_fluxes(epsilon, g, h, interio
 
 def test_rk4_step_makes_one_block_solve_and_one_flux_call_per_stage(monkeypatch):
     # the minus and plus interface values travel as one two-column block
-    # through the workspace's cached order-4 solve: a refactor that splits
+    # through the workspace's order-4 solve: a refactor that splits
     # it again doubles these counts
     ctx = _ctx(epsilon=0.02)
     ws = cweno.Workspace(ctx)
     solve = ws.node4
-    assert solve is _lone_solves(INTEGER_GRID, 4, ctx.grid.dx, ((19, ctx.params.disp),))
     solves, fluxes = [], []
     flux_and_deriv = cweno.flux_and_deriv
 
