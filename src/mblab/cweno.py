@@ -29,10 +29,11 @@ block, are the right-hand side of one order-4 solve for u^- and u^+, and
 the flux H takes both blocks in one flux evaluation.
 
 A run builds one Workspace, which holds every row its steps read or
-write and the two solves of its stages, each factored once per run.
-Each stage writes into those rows in the rounding order of the formulas
-above, so a step allocates only the new averages it returns and the
-masks of its finiteness tests.  The differences wb_{j+1} - wb_j form one
+write and the two solves of its stages, each factored once per run; each
+kernel takes the rows it writes as arguments, with no default.  Each
+stage writes into those rows in the rounding order of the formulas above,
+so a step allocates only the new averages it returns and the masks of
+its finiteness tests.  The differences wb_{j+1} - wb_j form one
 row, whose two shifted windows are the left and right differences of
 each cell, and so do alpha_L and alpha_R, since c_L = c_R.
 """
@@ -94,47 +95,45 @@ class _Reconstruction:
         self.plus = self.a[1:], self.total[1:], self.ac[1:], self.w[1]
 
 
-def cweno_reconstruct(wbar, dx: float, bc, rows: _Reconstruction = None) -> np.ndarray:
+def cweno_reconstruct(wbar, dx: float, bc, rows: _Reconstruction) -> np.ndarray:
     """Interface values of the per-cell quadratics, as one C-ordered
     (2, interfaces) block whose rows are w_minus and w_plus.
 
     Two constant ghost cells hold each boundary value of bc = (g, h), so
     the n + 1 interfaces of the n cells run from one domain end to the
     other; w_minus[i] and w_plus[i] are the one-sided values at interface i
-    from the cells on its left and right.  The arithmetic is done in the
-    rows of a _Reconstruction (new ones by default), whose w is returned, in
-    the rounding order of the formulas in the module docstring.
+    from the cells on its left and right.  The arithmetic is done in rows, a
+    _Reconstruction of as many cells as wbar, whose w is returned, in the
+    rounding order of the formulas in the module docstring.
     """
-    v = np.asarray(wbar, dtype=float)
-    r = _Reconstruction(v.size) if rows is None else rows
-    r.ext[:2], r.averages[...], r.ext[-2:] = bc[0], v, bc[1]
-    dm, dp = r.dm, r.dp
-    np.subtract(r.ext_hi, r.ext_lo, out=r.diff)
-    d2 = np.subtract(dp, dm, out=r.d2)
-    dsum = np.add(dp, dm, out=r.dsum)
+    rows.ext[:2], rows.averages[...], rows.ext[-2:] = bc[0], wbar, bc[1]
+    dm, dp = rows.dm, rows.dp
+    np.subtract(rows.ext_hi, rows.ext_lo, out=rows.diff)
+    d2 = np.subtract(dp, dm, out=rows.d2)
+    dsum = np.add(dp, dm, out=rows.dsum)
 
     # alpha_i = c_i / (eps0 + IS_i)^2, then the weights alpha_i / total
-    side = np.multiply(r.diff, r.diff, out=r.side)
-    ac = np.multiply(d2, d2, out=r.ac)
+    side = np.multiply(rows.diff, rows.diff, out=rows.side)
+    ac = np.multiply(d2, d2, out=rows.ac)
     ac *= 13.0 / 3.0
-    tmp = np.multiply(dsum, dsum, out=r.tmp)
+    tmp = np.multiply(dsum, dsum, out=rows.tmp)
     tmp *= 0.25
     ac += tmp
     for alpha, weight in ((side, C_SIDE), (ac, C_CENTER)):
         alpha += EPS0
         alpha *= alpha
         np.divide(weight, alpha, out=alpha)
-    total = np.add(r.al, ac, out=r.total)
-    total += r.ar
-    wl = np.divide(r.al, total, out=r.wl)
-    wr = np.divide(r.ar, total, out=r.wr)
+    total = np.add(rows.al, ac, out=rows.total)
+    total += rows.ar
+    wl = np.divide(rows.al, total, out=rows.wl)
+    wr = np.divide(rows.ar, total, out=rows.wr)
     ac /= total
 
     # A, (dx/2) B and (dx^2/8) C of each cell's quadratic: B in the total
     # row and C in the W_C row, each once its last reader is done
-    a = np.divide(ac, 12.0, out=r.a)
+    a = np.divide(ac, 12.0, out=rows.a)
     a *= d2
-    np.subtract(r.cells, a, out=a)
+    np.subtract(rows.cells, a, out=a)
     b = np.multiply(wr, dp, out=total)
     tmp = np.multiply(ac, 0.5, out=tmp)
     tmp *= dsum
@@ -148,26 +147,26 @@ def cweno_reconstruct(wbar, dx: float, bc, rows: _Reconstruction = None) -> np.n
     c /= dx ** 2
     c *= 0.125 * dx ** 2
 
-    a, b, c, w_minus = r.minus
+    a, b, c, w_minus = rows.minus
     np.add(a, b, out=w_minus)
     w_minus += c
-    a, b, c, w_plus = r.plus
+    a, b, c, w_plus = rows.plus
     np.subtract(a, b, out=w_plus)
     w_plus += c
-    return r.w
+    return rows.w
 
 
 def numerical_flux(u: np.ndarray, w: np.ndarray, model: FluxModel,
-                   out: np.ndarray = None, work: np.ndarray = None) -> np.ndarray:
+                   out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """(f(u+) + f(u-))/2 - (a/2)(w+ - w-) with the local speed
     a = max(f'(u-), f'(u+)), from one flux evaluation of the block.
 
     u and w are (2, interfaces) blocks whose rows are the minus and plus
     interface values, as cweno_reconstruct returns them.  The flux is formed
     in out, and f, f' and the flux's temporaries in the five blocks of work,
-    each shaped like u, when given (new arrays by default).
+    each shaped like u.
     """
-    f, d, *rest = (np.empty_like(u) for _ in range(5)) if work is None else work
+    f, d, *rest = work
     flux_and_deriv(u, model, out=(f, d), work=rest)
     out = np.add(f[1], f[0], out=out)
     out *= 0.5
@@ -183,7 +182,8 @@ class Workspace:
     the two solves of its stages, built and factored once per run, as a
     staggered Batch owns the arrays and solves of its steps.  A step
     overwrites them all, so a workspace steps one state at a time; nothing
-    a step returns lives in it.  It holds:
+    a step returns lives in it; a caller that steps outside run builds its
+    own, Workspace(ctx).  It holds:
 
       reconstruction  the rows of cweno_reconstruct, the interface block w
       node4, rhs4, u  the order-4 solve of the interface values'
@@ -216,8 +216,8 @@ class Workspace:
         self.k, self.stage = tuple(np.empty((4, n))), np.empty(n)
 
 
-def semidiscrete_rhs(wbar: np.ndarray, ctx: RunContext, ws: Workspace = None,
-                     out: np.ndarray = None) -> np.ndarray:
+def semidiscrete_rhs(wbar: np.ndarray, ctx: RunContext, ws: Workspace,
+                     out: np.ndarray) -> np.ndarray:
     """-(H_{j+1/2} - H_{j-1/2})/dx + eps Q_j on the cell averages, at any
     time: the boundary data are constant, so the right-hand side is autonomous.
 
@@ -228,10 +228,9 @@ def semidiscrete_rhs(wbar: np.ndarray, ctx: RunContext, ws: Workspace = None,
     a NaN/Inf in the interface values or in their u is a NumericalError.
     The diffusion term uses cell-average u from the tridiagonal half-grid
     solve, which reproduces the published convergence behaviour of the
-    scheme.  Every intermediate lives in the rows of ws (a new Workspace
-    by default), and the result is formed in out (a new array by default).
+    scheme.  Every intermediate lives in the rows of ws, and the result is
+    formed in out.
     """
-    ws = Workspace(ctx) if ws is None else ws
     dx = ctx.grid.dx
     w = cweno_reconstruct(wbar, dx, ctx.bc, ws.reconstruction)
     if not np.isfinite(w).all():
@@ -260,15 +259,14 @@ def _stage(wbar: np.ndarray, h: float, k: np.ndarray, out: np.ndarray) -> np.nda
 
 
 def rk4_step(wbar: np.ndarray, dt: float, ctx: RunContext,
-             ws: Workspace = None) -> np.ndarray:
+             ws: Workspace) -> np.ndarray:
     """One classical RK4 step of the cell averages, whose stages live in the
-    rows of ws (a new Workspace by default).  It returns the new averages, a
-    new array that shares no memory with wbar or ws, and never writes wbar.
+    rows of ws.  It returns the new averages, a new array that shares no
+    memory with wbar or ws, and never writes wbar.
     A dt that is not positive and finite is a ValueError; NaN/Inf in the new
     averages is a NumericalError."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    ws = Workspace(ctx) if ws is None else ws
     s, (k1, k2, k3, k4) = ws.stage, ws.k
     k1 = semidiscrete_rhs(wbar, ctx, ws, k1)
     k2 = semidiscrete_rhs(_stage(wbar, 0.5 * dt, k1, s), ctx, ws, k2)

@@ -117,14 +117,13 @@ def flux_deriv(u, model: FluxModel):
     return out
 
 
-def flux_and_deriv(u: np.ndarray, model: FluxModel, out: tuple = None,
-                   work: tuple = None) -> tuple[np.ndarray, np.ndarray]:
+def flux_and_deriv(u: np.ndarray, model: FluxModel, out: tuple,
+                   work: tuple) -> tuple[np.ndarray, np.ndarray]:
     """flux(u) and flux_deriv(u) of an array, from one clip and one
     denominator, formed in the pair out and with the temporaries in the three
-    arrays of work, each shaped like u, when given (new arrays by default):
-    with both, it allocates nothing."""
-    f, df = (np.empty_like(u), np.empty_like(u)) if out is None else out
-    uc, d, den = (np.empty_like(u) for _ in range(3)) if work is None else work
+    arrays of work, each shaped like u: it allocates nothing."""
+    f, df = out
+    uc, d, den = work
     _clamped(u, uc, d)
     np.multiply(uc, uc, out=f)
     _denominator(f, d, model.M, out=den)

@@ -69,9 +69,6 @@ def _load_flapack():
     name = "scipy.linalg._flapack"
     path = os.path.join(os.path.dirname(scipy.__file__), "linalg",
                         "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    if not os.path.isfile(path):
-        raise ImportError(f"scipy's LAPACK extension is missing: no file {path}",
-                          name=name, path=path)
     spec = importlib.util.spec_from_file_location(
         name, path, loader=importlib.machinery.ExtensionFileLoader(name, path))
     module = importlib.util.module_from_spec(spec)
@@ -101,6 +98,9 @@ class GridSpec:
             raise ValueError("L must be positive")
         if self.dx is None:
             object.__setattr__(self, "dx", self.L / self.n_cells)
+        if (self.n_cells + 1) * 8 > np.iinfo(np.intp).max:  # bytes of the nodes
+            raise ValueError(f"L = {self.L!r} and dx = {self.dx!r} give more cells "
+                             "than any array can hold")
         if abs(self.dx * self.n_cells - self.L) > 1e-12 * self.L:
             raise ValueError(
                 f"dx*n_cells = {self.dx * self.n_cells!r} does not match L = {self.L!r}")

@@ -68,11 +68,11 @@ MIDPOINT = "midpoint"
 _ZERO, _HALF, _EIGHTH, _TWO = (np.array(v) for v in (0.0, 0.5, 0.125, 2.0))
 
 
-def _minmod(a: np.ndarray, b: np.ndarray, out: np.ndarray = None,
-            tmp: np.ndarray = None) -> np.ndarray:
+def _minmod(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+            tmp: np.ndarray) -> np.ndarray:
     """(sgn a + sgn b)/2 * min(|a|, |b|), elementwise, as the common positive
     part plus the common negative part (at most one is nonzero), formed in
-    out with tmp as work space (new arrays by default)."""
+    out with tmp as work space."""
     out = np.maximum(np.minimum(a, b, out=out), _ZERO, out=out)
     out += np.minimum(np.maximum(a, b, out=tmp), _ZERO, out=tmp)
     return out

@@ -1007,6 +1007,11 @@ def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
         "'holds': True} False"]
 
 
+# what the message of a row names, where its exit code alone says little
+_NAMED = {("--L", "1e16"): "L = 1e+16 and dx = 0.0025",
+          ("--L", "1e300"): "L = 1e+300 and dx = 0.0025"}
+
+
 @pytest.mark.parametrize("verb, args, code", [
     ("bound", ["--t", "100"], 3),  # exp overflows in the bound constants
     ("order-test", ["--levels", "0"], 2),
@@ -1048,6 +1053,9 @@ def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
     # is allocated (the third-order start fails in _initial_cell_w)
     *(("riemann", ["--L", "1e12", "--scheme", scheme], 3)
       for scheme in ("trapezoid", "third_order")),
+    # 4e18 and 4e302 cells: more than any array can index, so the grid itself
+    # refuses them, before anything is allocated
+    *(("riemann", ["--L", L], 2) for L in ("1e16", "1e300")),
 ])
 def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
                                                         verb, args, code):
@@ -1056,6 +1064,7 @@ def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
     assert err.startswith({2: ("validation error", "manifest error"),
                            3: "numerical failure"}[code])
     assert "Traceback" not in err
+    assert _NAMED.get(tuple(args), "") in err
 
 
 # the CLI exit-code property: every verb, on manifests whose numbers are

@@ -1,6 +1,7 @@
 """Central WENO reconstruction and the semidiscrete third-order scheme."""
 from __future__ import annotations
 
+import inspect
 import math
 import tracemalloc
 
@@ -17,13 +18,14 @@ from mblab.cweno import (
 )
 from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
-from mblab.flux import FluxModel, flux
+from mblab.flux import FluxModel, flux, flux_and_deriv
 from mblab.march import RunContext
 from mblab.operators import (
     GridSpec,
     MBLParams,
     _d2_order4,
 )
+from mblab.staggered import _minmod
 
 from test_scheme2 import _arrays_reached
 
@@ -40,7 +42,8 @@ def _quadratic_cell_averages():
 def _inner_interfaces(wbar, dx):
     """The interfaces between the cells of wbar, with its edge averages as
     the ghost values."""
-    return cweno_reconstruct(wbar, dx, (wbar[0], wbar[-1]))[:, 1:-1]
+    rows = cweno._Reconstruction(wbar.size)
+    return cweno_reconstruct(wbar, dx, (wbar[0], wbar[-1]), rows)[:, 1:-1]
 
 
 def test_reconstruct_quadratic_interfaces():
@@ -72,26 +75,31 @@ def test_reconstruct_scale_invariance():
 
 def test_reconstruct_needs_five_cells():
     with pytest.raises(ValueError, match="at least 5 cell averages"):
-        cweno_reconstruct(np.ones(4), 0.1, (1.0, 1.0))
+        cweno._Reconstruction(4)
+
+
+def _flux(u, w):
+    """numerical_flux of the blocks u and w, in rows of its own."""
+    return numerical_flux(u, w, MODEL, np.empty(u.shape[1]), np.empty((5,) + u.shape))
 
 
 def test_numerical_flux_hand_value():
     # rows of a block are the minus and plus interface values
     block = np.array([[0.3], [0.6]])
-    h = numerical_flux(block, block, MODEL)
+    h = _flux(block, block)
     assert h[0] == pytest.approx(-0.0046567280018108836, rel=1e-13)
     # the local speed max(f'(0.3), f'(0.6)), read back from the jump term
     a = (0.5 * (flux(0.3, MODEL) + flux(0.6, MODEL)) - h[0]) / (0.5 * 0.3)
     assert a == pytest.approx(2.0761245674740478, rel=1e-13)
     # symmetric in the two states
-    swapped = numerical_flux(block[::-1], block, MODEL)
+    swapped = _flux(block[::-1], block)
     assert swapped[0] == h[0]
 
 
 def test_numerical_flux_consistency():
     for u in (0.0, 0.25, 0.7, 1.0):
         block = np.full((2, 1), u)
-        h = numerical_flux(block, block, MODEL)
+        h = _flux(block, block)
         assert h[0] == pytest.approx(flux(u, MODEL), abs=1e-15)
 
 
@@ -121,10 +129,20 @@ def _ctx(n_cells=20, lam=0.1, epsilon=0.0, tau=1.0, g=0.8, h=0.0):
     return RunContext(grid=grid, params=params, model=MODEL, bc=(g, h))
 
 
+def _rhs(wbar, ctx):
+    """semidiscrete_rhs in a workspace and an output row of its own."""
+    return semidiscrete_rhs(wbar, ctx, cweno.Workspace(ctx), np.empty_like(wbar))
+
+
+def _step(wbar, dt, ctx):
+    """rk4_step in a workspace of its own."""
+    return rk4_step(wbar, dt, ctx, cweno.Workspace(ctx))
+
+
 def test_rhs_vanishes_on_constant_state():
     ctx = _ctx(g=0.5, h=0.5, epsilon=0.02)
     wbar = np.full(20, 0.5)
-    out = semidiscrete_rhs(wbar, ctx)
+    out = _rhs(wbar, ctx)
     assert np.allclose(out, 0.0, atol=1e-13)
 
 
@@ -134,7 +152,7 @@ def test_rhs_telescopes_to_boundary_fluxes():
     ctx = _ctx(g=g, h=h)
     ramp = np.clip((1.2 - (np.arange(20) + 0.5) * 0.1) / 0.6, 0.0, 1.0)
     wbar = g * ramp  # flat at g for the first cells, flat at 0 for the last
-    out = semidiscrete_rhs(wbar, ctx)
+    out = _rhs(wbar, ctx)
     total = out.sum() * ctx.grid.dx
     assert total == pytest.approx(flux(g, MODEL) - flux(h, MODEL), abs=1e-10)
 
@@ -150,7 +168,7 @@ def test_rk4_rejects_bad_dt():
     ctx = _ctx()
     for dt in (0.0, -0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
-            rk4_step(np.full(20, 0.1), dt, ctx)
+            _step(np.full(20, 0.1), dt, ctx)
 
 
 def test_rk4_exact_on_polynomial_rhs(monkeypatch):
@@ -168,7 +186,7 @@ def test_rk4_exact_on_polynomial_rhs(monkeypatch):
     monkeypatch.setattr(cweno, "semidiscrete_rhs", rhs)
     w0 = np.zeros(20)
     dt = 0.37
-    w1 = rk4_step(w0, dt, ctx)
+    w1 = _step(w0, dt, ctx)
     assert w1[0] == pytest.approx(dt, rel=1e-15)
     assert np.allclose(w1[1:], dt + dt**2 + dt**3, rtol=1e-14, atol=0)
 
@@ -176,7 +194,7 @@ def test_rk4_exact_on_polynomial_rhs(monkeypatch):
 def test_rk4_preserves_constant_state():
     ctx = _ctx(g=0.4, h=0.4, epsilon=0.05, tau=2.0)
     w0 = np.full(20, 0.4)
-    w1 = rk4_step(w0, 0.001, ctx)
+    w1 = _step(w0, 0.001, ctx)
     assert np.allclose(w1, 0.4, rtol=0, atol=1e-14)
 
 
@@ -195,10 +213,21 @@ def test_rk4_step_changes_the_mass_by_the_boundary_fluxes(epsilon, g, h, interio
     ctx = _ctx(n_cells=64, epsilon=epsilon, tau=0.0, g=g, h=h)
     wbar = np.concatenate([np.full(20, g), interior, np.full(20, h)])
     dt = ctx.grid.lam * ctx.grid.dx
-    w1 = rk4_step(wbar, dt, ctx)
+    w1 = _step(wbar, dt, ctx)
     change = ctx.grid.dx * (w1.sum() - wbar.sum())
     assert change == pytest.approx(dt * (flux(g, MODEL) - flux(h, MODEL)),
                                    rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [
+    cweno.cweno_reconstruct, cweno.numerical_flux, cweno.semidiscrete_rhs,
+    cweno.rk4_step, flux_and_deriv, _minmod])
+def test_the_marching_kernels_take_every_row_from_their_caller(kernel):
+    # one code path per kernel: a default would be a second one that builds
+    # fresh rows, which no caller in the package takes
+    defaults = [p.name for p in inspect.signature(kernel).parameters.values()
+                if p.default is not inspect.Parameter.empty]
+    assert defaults == []
 
 
 def test_rk4_step_makes_one_block_solve_and_one_flux_call_per_stage(monkeypatch):
@@ -243,7 +272,7 @@ def test_a_state_stepped_twice_gives_the_same_bytes_both_times(epsilon):
     assert wbar.tobytes() == given
     assert first.tobytes() == kept
     assert second.tobytes() == kept
-    assert rk4_step(wbar, 0.01, ctx).tobytes() == kept  # a workspace of its own
+    assert _step(wbar, 0.01, ctx).tobytes() == kept  # a workspace of its own
     # every array the workspace reaches, its rows, views and solves too
     arrays = _arrays_reached(ws)
     assert any(a is ws.reconstruction.minus[3] for a in arrays)
@@ -282,7 +311,7 @@ def test_rhs_of_non_finite_averages_is_a_numerical_error(bad):
     # an Inf meets inf - inf in the smoothness indicators, which numpy
     # would report as a warning before the check under test is reached
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="NaN/Inf"):
-        semidiscrete_rhs(wbar, ctx)
+        _rhs(wbar, ctx)
 
 
 def _poison_the_second_step(monkeypatch):
@@ -326,7 +355,7 @@ def test_rhs_moves_a_front_downstream():
     ctx = _ctx(g=g, h=0.0, epsilon=0.01, tau=0.5)
     xc = (np.arange(20) + 0.5) * 0.1
     wbar = g * 0.5 * (1.0 - np.tanh((xc - 0.9) / 0.15))
-    out = semidiscrete_rhs(wbar, ctx)
+    out = _rhs(wbar, ctx)
     assert out.shape == wbar.shape
     assert np.all(np.isfinite(out))
     # mass flows in from the left boundary faster than it leaves
