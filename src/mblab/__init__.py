@@ -12,7 +12,7 @@ truncation bounds quantifying the finite-domain error.
 __version__ = "0.1.0"
 
 from .errors import ManifestError, NumericalError
-from .flux import FluxModel, flux, flux_deriv
+from .flux import FluxModel, flux
 from .operators import (
     Field,
     GridSpec,
@@ -51,7 +51,6 @@ __all__ = [
     "NumericalError",
     "FluxModel",
     "flux",
-    "flux_deriv",
     "Field",
     "GridSpec",
     "HALF_GRID",

@@ -185,6 +185,8 @@ class Workspace:
     a step returns lives in it; a caller that steps outside run builds its
     own, Workspace(ctx).  It holds:
 
+      ctx             the run's RunContext, whose grid, boundary values,
+                      parameters and model every step of the workspace uses
       reconstruction  the rows of cweno_reconstruct, the interface block w
       node4, rhs4, u  the order-4 solve of the interface values'
                       unknowns, its F-ordered (n - 1, 2) right-hand
@@ -197,6 +199,7 @@ class Workspace:
     """
 
     def __init__(self, ctx: RunContext):
+        self.ctx = ctx
         n, dx, c = ctx.grid.n_cells, ctx.grid.dx, ctx.params.disp
         self.reconstruction = _Reconstruction(n)
         self.node4 = _Solve(INTEGER_GRID, 4, dx, ((n - 1, c),))
@@ -216,8 +219,7 @@ class Workspace:
         self.k, self.stage = tuple(np.empty((4, n))), np.empty(n)
 
 
-def semidiscrete_rhs(wbar: np.ndarray, ctx: RunContext, ws: Workspace,
-                     out: np.ndarray) -> np.ndarray:
+def semidiscrete_rhs(wbar: np.ndarray, ws: Workspace, out: np.ndarray) -> np.ndarray:
     """-(H_{j+1/2} - H_{j-1/2})/dx + eps Q_j on the cell averages, at any
     time: the boundary data are constant, so the right-hand side is autonomous.
 
@@ -228,9 +230,10 @@ def semidiscrete_rhs(wbar: np.ndarray, ctx: RunContext, ws: Workspace,
     a NaN/Inf in the interface values or in their u is a NumericalError.
     The diffusion term uses cell-average u from the tridiagonal half-grid
     solve, which reproduces the published convergence behaviour of the
-    scheme.  Every intermediate lives in the rows of ws, and the result is
-    formed in out.
+    scheme.  The run is that of ws, every intermediate lives in its rows,
+    and the result is formed in out.
     """
+    ctx = ws.ctx
     dx = ctx.grid.dx
     w = cweno_reconstruct(wbar, dx, ctx.bc, ws.reconstruction)
     if not np.isfinite(w).all():
@@ -258,20 +261,19 @@ def _stage(wbar: np.ndarray, h: float, k: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
-def rk4_step(wbar: np.ndarray, dt: float, ctx: RunContext,
-             ws: Workspace) -> np.ndarray:
-    """One classical RK4 step of the cell averages, whose stages live in the
-    rows of ws.  It returns the new averages, a new array that shares no
-    memory with wbar or ws, and never writes wbar.
+def rk4_step(wbar: np.ndarray, dt: float, ws: Workspace) -> np.ndarray:
+    """One classical RK4 step of the cell averages of the run of ws, whose
+    stages live in its rows.  It returns the new averages, a new array that
+    shares no memory with wbar or ws, and never writes wbar.
     A dt that is not positive and finite is a ValueError; NaN/Inf in the new
     averages is a NumericalError."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     s, (k1, k2, k3, k4) = ws.stage, ws.k
-    k1 = semidiscrete_rhs(wbar, ctx, ws, k1)
-    k2 = semidiscrete_rhs(_stage(wbar, 0.5 * dt, k1, s), ctx, ws, k2)
-    k3 = semidiscrete_rhs(_stage(wbar, 0.5 * dt, k2, s), ctx, ws, k3)
-    k4 = semidiscrete_rhs(_stage(wbar, dt, k3, s), ctx, ws, k4)
+    k1 = semidiscrete_rhs(wbar, ws, k1)
+    k2 = semidiscrete_rhs(_stage(wbar, 0.5 * dt, k1, s), ws, k2)
+    k3 = semidiscrete_rhs(_stage(wbar, 0.5 * dt, k2, s), ws, k3)
+    k4 = semidiscrete_rhs(_stage(wbar, dt, k3, s), ws, k4)
     # wbar + (dt/6) (k1 + 2 k2 + 2 k3 + k4), in that rounding order
     total = np.multiply(k2, 2.0, out=s)
     total += k1
@@ -313,7 +315,7 @@ def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
 
     def advance(state: tuple, dt: float) -> tuple:
         t, wbar = state
-        return t + dt, rk4_step(wbar, dt, ctx, ws)
+        return t + dt, rk4_step(wbar, dt, ws)
 
     def read(state: tuple, time: float) -> list[Field]:
         return [helmholtz_solve(Field(state[1], HALF_GRID, time), *ctx.bc,

@@ -4,11 +4,11 @@ classification, bifurcation/domain/epsilon sweeps, and file export.
 A RunManifest pins every knob of one run (scheme, model and grid
 parameters, initial-condition kind, snapshot times); runs are fully
 deterministic, so repeated executions of one manifest are bit-identical.
-Results are memoized per process in one run cache, keyed by manifest, and
-the sweeps fill it through one planner: manifests that differ only in
-t_final and snapshot_times share one march, and staggered-scheme marches
-that differ only in u_B, tau and L go as one batch (staggered.Batch), each
-run byte for byte as alone.
+Results are memoized per process in one run cache, keyed by manifest
+without output_dir, which no run reads, and the sweeps fill it through one
+planner: manifests that differ only in t_final and snapshot_times share one
+march, and staggered-scheme marches that differ only in u_B, tau and L go
+as one batch (staggered.Batch), each run byte for byte as alone.
 """
 from __future__ import annotations
 
@@ -283,8 +283,11 @@ def _context(manifest: RunManifest) -> RunContext:
                       model=FluxModel(manifest.M), bc=_bc_for(manifest.u_B))
 
 
+# the field that no run reads, so it splits neither the run cache, nor a
+# trajectory, nor a batch
+_UNREAD = "output_dir"
 # the fields in which the manifests of one staggered batch may differ
-_BATCH_FREE = {"u_B", "tau", "L"}
+_BATCH_FREE = {"u_B", "tau", "L", _UNREAD}
 
 
 def run_manifest(manifest: RunManifest | Sequence[RunManifest]) -> list:
@@ -292,10 +295,10 @@ def run_manifest(manifest: RunManifest | Sequence[RunManifest]) -> list:
     the final state (staggered schemes: node values; third_order: cell
     averages of u).
 
-    A list of staggered-scheme manifests that differ only in u_B, tau and L
-    marches as one batch and returns one such list of fields per manifest,
-    each byte for byte that manifest's own run.  A NumericalError in any
-    run fails the batch.
+    A list of staggered-scheme manifests that differ only in u_B, tau, L
+    and output_dir marches as one batch and returns one such list of fields
+    per manifest, each byte for byte that manifest's own run.  A
+    NumericalError in any run fails the batch.
     """
     if isinstance(manifest, RunManifest):
         if manifest.scheme != "third_order":
@@ -324,8 +327,9 @@ _RUN_CACHE: dict[str, tuple[Field, ...]] = {}
 
 
 def _key(manifest: RunManifest) -> str:
-    """The run cache's key: the JSON, which tells u_B = -0.0 from 0.0."""
-    return manifest.model_dump_json(by_alias=True)
+    """The run cache's key: the JSON, which tells u_B = -0.0 from 0.0,
+    without output_dir."""
+    return manifest.model_dump_json(by_alias=True, exclude={_UNREAD})
 
 
 def _targets(manifest: RunManifest) -> list[float]:
@@ -355,19 +359,20 @@ def _remember(march: RunManifest, members: Sequence[RunManifest],
 def _plan(manifests: Sequence[RunManifest]) -> None:
     """Fill the run cache for manifests, marching each trajectory once.
 
-    A trajectory is a manifest without t_final and snapshot_times.  Its
-    uncached manifests share one march to their latest t_final, landing on
-    each of their times (a lone one marches as itself): a field landed at s
-    is the final field of a run that ends at s.  Staggered marches that may
-    share a batch go as one run_manifest batch; after a NumericalError
-    there, each trajectory of two or more manifests marches alone, as a
-    third_order one does.  A manifest left uncached is left to run_cached,
-    which raises its own error; any other error propagates.
+    A trajectory is a manifest without t_final, snapshot_times and
+    output_dir.  Its uncached manifests share one march to their latest
+    t_final, landing on each of their times (a lone one marches as itself):
+    a field landed at s is the final field of a run that ends at s.
+    Staggered marches that may share a batch go as one run_manifest batch;
+    after a NumericalError there, each trajectory of two or more manifests
+    marches alone, as a third_order one does.  A manifest left uncached is
+    left to run_cached, which raises its own error; any other error
+    propagates.
     """
     trajectories: dict[str, dict[str, RunManifest]] = {}
     for m in manifests:
         if _key(m) not in _RUN_CACHE:
-            trajectory = m.model_dump_json(exclude={"t_final", "snapshot_times"})
+            trajectory = m.model_dump_json(exclude={"t_final", "snapshot_times", _UNREAD})
             trajectories.setdefault(trajectory, {})[_key(m)] = m
     plans, batches = [], {}
     with warnings.catch_warnings():  # the member that ends last warned

@@ -14,7 +14,6 @@ from .errors import NumericalError
 __all__ = [
     "FluxModel",
     "flux",
-    "flux_deriv",
     "flux_and_deriv",
 ]
 
@@ -65,9 +64,9 @@ def _clamped(u: np.ndarray, uc: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _denominator(sq: np.ndarray, d: np.ndarray, M: float,
-                 out: np.ndarray = None) -> np.ndarray:
+                 out: np.ndarray) -> np.ndarray:
     """The flux denominator u^2 + M (1-u)^2 from sq = u^2 and d = 1 - u of
-    the clipped u, formed in out, which may be d (a new array by default).
+    the clipped u, formed in out, which may be d.
 
     Squares are products: a 0-d ** 2 goes through C pow, which can differ
     from an array's squaring in the last bit.  The in-place updates here and
@@ -80,10 +79,10 @@ def _denominator(sq: np.ndarray, d: np.ndarray, M: float,
 
 
 def _deriv(uc: np.ndarray, d: np.ndarray, den: np.ndarray, M: float,
-           out: np.ndarray = None) -> np.ndarray:
-    """df/du = 2 M uc (1-uc) / den^2 from the clamped parts, formed in out
-    (a new array by default), with den^2 formed in uc, which it overwrites;
-    exactly zero outside (0, 1), where uc is 0 or 1 and f is flat."""
+           out: np.ndarray) -> np.ndarray:
+    """df/du = 2 M uc (1-uc) / den^2 from the clamped parts, formed in out,
+    with den^2 formed in uc, which it overwrites; exactly zero outside
+    (0, 1), where uc is 0 or 1 and f is flat, and NaN at NaN."""
     out = np.multiply(uc, 2.0 * M, out=out)
     out *= d
     out /= np.multiply(den, den, out=uc)
@@ -106,22 +105,12 @@ def flux(u, model: FluxModel, out: np.ndarray = None, work: np.ndarray = None):
     return out
 
 
-def flux_deriv(u, model: FluxModel):
-    """df/du; zero outside [0, 1] to match the clamped flux, NaN at NaN."""
-    u = np.asarray(u, dtype=float)
-    uc, d = np.empty_like(u), np.empty_like(u)
-    _clamped(u, uc, d)
-    out = _deriv(uc, d, _denominator(uc * uc, d, model.M), model.M)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def flux_and_deriv(u: np.ndarray, model: FluxModel, out: tuple,
                    work: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """flux(u) and flux_deriv(u) of an array, from one clip and one
-    denominator, formed in the pair out and with the temporaries in the three
-    arrays of work, each shaped like u: it allocates nothing."""
+    """flux(u) and df/du of an array (0-d too), from one clip and one
+    denominator, formed in the pair out and with the temporaries in the
+    three arrays of work, each shaped like u: it allocates nothing.  df/du
+    is zero outside [0, 1], to match the clamped flux, and NaN at NaN."""
     f, df = out
     uc, d, den = work
     _clamped(u, uc, d)

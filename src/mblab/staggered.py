@@ -27,24 +27,25 @@ one LAPACK call.  A single run is a batch of one.
 
 The march state is (t, u).  A step forms w and D2 u from u by
 helmholtz_apply, and every later intermediate, in scratch arrays that its
-Batch owns, each where the next stage reads it; the flux forms its
-temporaries in the batch's rows too.  The views of that scratch which a
-step reads or writes are built once per phase with the batch, so a step
-slices only its input u and its new right-hand side.  It allocates only
-the new u it returns, a new array, so a landing fork and the main march can
-step one state, and the two finiteness masks.  f' and the CFL test are
-evaluated only when the step's lam times FluxModel.C, which bounds the
-clamped f', reaches 1/2 (see Batch.check_cfl).
+Batch owns, each where the next stage reads it; the flux and the CFL test
+form their temporaries in the batch's rows too.  The views of that scratch
+which a step reads or writes are built once with the batch, so a step
+slices only its input u and its new right-hand side.  On every path it
+allocates only the new u it returns, a new array, so a landing fork and
+the main march can step one state, and the two finiteness masks.  f' and
+the CFL test are evaluated only when the step's lam times FluxModel.C,
+which bounds the clamped f', reaches 1/2 (see Batch.check_cfl).
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from .march import RunContext, _check_linear_gain, land_snapshots
 from .errors import NumericalError
-from .flux import flux, flux_deriv
+from .flux import flux, flux_and_deriv
 from .operators import (
     Field,
     HALF_GRID,
@@ -148,12 +149,14 @@ class Batch:
     flux model; c = eps^2 tau, the boundary pair and n may differ.
 
     A batch owns the scratch arrays of its steps, so it steps one state at a
-    time; nothing a step returns lives in them.  views[phase] holds every
-    view of them that a step from phase reads or writes: the rows [w; f]
-    and their differences, the minmod slopes and work rows, the averaging
-    targets, the predictor's inner slots, the lam df row, and the _Solves
-    of the two half-time solves with the rows each solves.  They depend on
-    the phase only; what depends on lam is formed per step.
+    time; nothing a step returns lives in them.  It builds every view of
+    them that a step reads or writes once: those a step from either phase
+    takes (the rows [w; f], the operands of the slopes and averages, the
+    predictor's inner slots, the lam df row) as its own attributes, and
+    those that differ by phase in views[phase]: the new phase and its
+    slots, the frame slots, the placed average, and the _Solves of the two
+    half-time solves with the rows each solves.  What depends on lam is
+    formed per step.
     """
 
     def __init__(self, ctxs: Sequence[RunContext]):
@@ -188,16 +191,39 @@ class Batch:
         self.g, self.h = (v[0] if len(ctxs) == 1 else v for v in (g, h))
         self._solves = {}
         # a step's scratch, which every step overwrites: the rows [w; f],
-        # the flux's work row, D2 u at the inner slots, the differences of
-        # [w; f], minmod slopes and work space, the predictor and the
-        # average placed on the new phase; and the views of it that a step
-        # from each phase takes
+        # the flux's work row, D2 u at the inner slots, the predictor, the
+        # average placed on the new phase, and the differences of [w; f],
+        # their minmod slopes and work space
         size = self.size
         self._wf, self._fwork = np.empty((2, size)), np.empty(size)
         self._d2u = np.empty(size - 2)
-        self._diff, self._slope, self._tmp = (np.empty((2, size - k)) for k in (1, 2, 2))
         self._wp, self._placed = np.empty(size), np.empty(size)
-        self.views = {p: _StepViews(self, p) for p in (INTEGER_GRID, HALF_GRID)}
+        wf, wp, placed = self._wf, self._wp, self._placed
+        diff, slope, tmp = (np.empty((2, size - k)) for k in (1, 2, 2))
+        # the views of it that a step from either phase takes; the flux
+        # difference across each new slot, with lam, and the midpoint's D2
+        # go to free rows
+        self._w, self._f = wf
+        self._w_inner, self._wp_inner = wf[0, 1:-1], wp[1:-1]
+        self._fslope = slope[1]
+        self._wf_slopes = _slope_views(wf, diff, slope, tmp)
+        self._wp_slopes = _slope_views(wp, diff[0], slope[0], tmp[0])
+        self._w_average, self._wp_average = (_average_views(v, slope[0], tmp[0, 1:])
+                                             for v in (self._w_inner, self._wp_inner))
+        self._df = wf[1, 2:-1], wf[1, 1:-2], diff[1, 2:]
+        self._d2_placed = tmp[1, 1:]
+        # and those that differ by phase: the averages land on the slots
+        # from shift; the half-time solves are the predictor's on phase and
+        # the placed average's on the new phase, each with its rows
+        self.views = {}
+        for phase, new_phase, shift in ((INTEGER_GRID, HALF_GRID, 1),
+                                        (HALF_GRID, INTEGER_GRID, 2)):
+            new = slice(shift, shift + size - 3)
+            self.views[phase] = SimpleNamespace(
+                new_phase=new_phase, new=new, frame=self._frames[phase][0],
+                placed_new=placed[new], placed_ext=placed[shift - 1:shift + size - 2],
+                solves=tuple((solve, v[span]) for v, (span, solve, _) in (
+                    (wp, self.solver(phase)), (placed, self.solver(new_phase)))))
 
     def frame(self, v: np.ndarray, phase: str) -> np.ndarray:
         """v with the boundary values put back in the frame of phase."""
@@ -237,61 +263,24 @@ class Batch:
                                  self.c - delta)
         return self._solves[key]
 
-    def solve(self, rhs: np.ndarray, phase: str, delta: float = 0.0) -> np.ndarray:
-        """The unknowns of (I - (c + delta) D^2) u = w, solved in place in
-        rhs, which holds w there; the frame keeps its values."""
-        span, solve, _ = self.solver(phase, delta)
-        solve(rhs[span], self.g, self.h)
-        return rhs
-
     def check_cfl(self, u: np.ndarray, phase: str, lam: float) -> None:
         """A CFL violation at the points of u is a NumericalError.  f' is
         evaluated only where lam * C reaches _CFL_SAFE: below it no point
-        can fail.  The node frame repeats the pinned values; the cell frame
-        is no point, so a failed test over the whole vector is redone on the
-        points alone."""
+        can fail.  f and f' are formed in the rows [w; f], with the flux's
+        temporaries in the rows of its work, the predictor and the placed
+        average, all of which the step overwrites in full.  The node frame
+        repeats the pinned values; the cell frame is no point, so its f' is
+        set to 0, which never decides the maximum of an f' >= 0."""
         if lam * self.model.C < _CFL_SAFE:
             return
-        speeds = flux_deriv(u, self.model)
+        _, speeds = flux_and_deriv(u, self.model, self._wf,
+                                   (self._fwork, self._wp, self._placed))
+        if phase == HALF_GRID:
+            speeds[self._frames[phase][0]] = 0.0
         margin = _cfl_margin(speeds, lam)
-        if not margin > 0.0 and phase == HALF_GRID:
-            margin = min(_cfl_margin(p, lam) for p in self.points(speeds, phase))
         if not margin > 0.0:
             raise NumericalError(
                 f"CFL violation: lambda*max|f'| = {0.5 - margin:.6g} >= 0.5")
-
-
-class _StepViews:
-    """The views of a batch's scratch that a step from one phase reads or
-    writes, built once per phase (see Batch)."""
-
-    def __init__(self, batch: Batch, phase: str):
-        self.new_phase = HALF_GRID if phase == INTEGER_GRID else INTEGER_GRID
-        # the first slot an average lands on, and the slots they land on
-        shift = 1 if self.new_phase == HALF_GRID else 2
-        self.new = slice(shift, shift + batch.size - 3)
-        self.frame = batch._frames[phase][0]
-        wf, diff, slope, tmp = batch._wf, batch._diff, batch._slope, batch._tmp
-        self.w, self.f = wf
-        self.fwork, self.d2u, self.wp = batch._fwork, batch._d2u, batch._wp
-        self.w_inner, self.wp_inner = wf[0, 1:-1], self.wp[1:-1]
-        self.fslope = slope[1]
-        self.wf_slopes = _slope_views(wf, diff, slope, tmp)
-        self.wp_slopes = _slope_views(self.wp, diff[0], slope[0], tmp[0])
-        self.w_average, self.wp_average = (_average_views(v, slope[0], tmp[0, 1:])
-                                           for v in (self.w_inner, self.wp_inner))
-        # the flux difference across each new slot, with lam, in a free row
-        self.df = wf[1, 2:-1], wf[1, 1:-2], diff[1, 2:]
-        # the average placed on the new phase, its new slots, and those with
-        # a ghost each side, whose D2 the midpoint forms in a free row
-        self.placed = batch._placed
-        self.placed_new = self.placed[self.new]
-        self.placed_ext = self.placed[shift - 1:shift + batch.size - 2]
-        self.d2_placed = tmp[1, 1:]
-        # the half-time solves: the predictor on phase, the placed average
-        # on the new phase, each with the rows it solves
-        self.solves = tuple((solve, v[span]) for v, (span, solve, _) in (
-            (self.wp, batch.solver(phase)), (self.placed, batch.solver(self.new_phase))))
 
 
 def _predict(d2u: np.ndarray, fslope: np.ndarray, w: np.ndarray, eps_dx: float,
@@ -331,44 +320,46 @@ def step(u: np.ndarray, phase: str, batch: Batch, variant: str,
     # average of w: the trapezoid solves it for u, the midpoint adds the
     # corrector to it in the new u's right-hand side
     batch.check_cfl(u, phase, lam)
-    helmholtz_apply(u, batch.c, dx, out=v.w_inner, d2=v.d2u)
-    v.w[v.frame] = u[v.frame]
-    flux(u, batch.model, out=v.f, work=v.fwork)
-    _slopes(*v.wf_slopes)
+    helmholtz_apply(u, batch.c, dx, out=batch._w_inner, d2=batch._d2u)
+    batch._w[v.frame] = u[v.frame]
+    flux(u, batch.model, out=batch._f, work=batch._fwork)
+    _slopes(*batch._wf_slopes)
     rhs = np.empty(batch.size)
     unknowns = rhs[v.new]  # every half cell, or the interior nodes
-    _staggered_average(*v.w_average, v.placed_new if variant == TRAPEZOID else unknowns)
+    _staggered_average(*batch._w_average,
+                       v.placed_new if variant == TRAPEZOID else unknowns)
 
     # predictor, converted to u at the half time; the midpoint first
     # averages it onto the new phase
-    _predict(v.d2u, v.fslope, v.w_inner, eps * dx, lam, v.wp_inner)
-    up = batch.frame(v.wp, phase)
+    _predict(batch._d2u, batch._fslope, batch._w_inner, eps * dx, lam, batch._wp_inner)
+    up = batch.frame(batch._wp, phase)
     if variant == MIDPOINT:
-        _slopes(*v.wp_slopes)
-        _staggered_average(*v.wp_average, v.placed_new)
+        _slopes(*batch._wp_slopes)
+        _staggered_average(*batch._wp_average, v.placed_new)
     (solve, rows), (solve_new, rows_new) = v.solves
     solve(rows, batch.g, batch.h)
     if not np.isfinite(up).all():
         raise NumericalError("half-time u contains NaN/Inf values")
     # the flux rows of wf and diff are free once their slopes are taken
-    flux(up, batch.model, out=v.f, work=v.fwork)
-    ldf = np.subtract(*v.df)
+    flux(up, batch.model, out=batch._f, work=batch._fwork)
+    ldf = np.subtract(*batch._df)
     ldf *= lam
 
-    # the right-hand side on the new unknowns
-    ubar = batch.frame(v.placed, new_phase)
+    # the right-hand side on the new unknowns, solved in place
+    ubar = batch.frame(batch._placed, new_phase)
     solve_new(rows_new, batch.g, batch.h)
     if variant == TRAPEZOID:
-        delta = eps * dt / 2.0
-        helmholtz_apply(ubar, batch.solver(new_phase, delta)[2], dx, out=rhs[1:-1])
+        span, solve, c_rhs = batch.solver(new_phase, eps * dt / 2.0)
+        helmholtz_apply(ubar, c_rhs, dx, out=rhs[1:-1])
         unknowns -= ldf
     else:  # MIDPOINT
-        delta = 0.0
-        d2 = _d2_order2(v.placed_ext, dx, v.d2_placed)
+        span, solve, _ = batch.solver(new_phase)
+        d2 = _d2_order2(v.placed_ext, dx, batch._d2_placed)
         d2 *= eps * dt
         unknowns -= ldf
         unknowns += d2
-    u_new = batch.solve(batch.frame(rhs, new_phase), new_phase, delta)
+    u_new = batch.frame(rhs, new_phase)
+    solve(u_new[span], batch.g, batch.h)
     if not np.isfinite(u_new).all():
         raise NumericalError("new u contains NaN/Inf values")
     return u_new

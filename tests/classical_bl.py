@@ -5,10 +5,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from mblab.flux import FluxModel, flux, flux_deriv
+from mblab.flux import FluxModel, flux, flux_and_deriv
 
 # states closer than this make no jump
 _SAME_STATE = 1e-14
+
+
+def fprime(u, model: FluxModel):
+    """df/du of a scalar or an array, by flux_and_deriv in rows of its own;
+    a float for a scalar."""
+    u = np.asarray(u, dtype=float)
+    _, df = flux_and_deriv(u, model, (np.empty_like(u), np.empty_like(u)),
+                           (np.empty_like(u), np.empty_like(u), np.empty_like(u)))
+    return float(df) if df.ndim == 0 else df
 
 
 def shock_speed(u_l: float, u_r: float, model: FluxModel) -> float:
@@ -21,10 +30,10 @@ def shock_speed(u_l: float, u_r: float, model: FluxModel) -> float:
 def _invert_fprime(xi: float, lo: float, hi: float, model: FluxModel) -> float:
     """Solve f'(u) = xi for u in [lo, hi] where f' is strictly decreasing."""
     a, b = lo, hi
-    fa = flux_deriv(a, model) - xi
+    fa = fprime(a, model) - xi
     while b - a >= 1e-12:
         mid = 0.5 * (a + b)
-        fm = flux_deriv(mid, model) - xi
+        fm = fprime(mid, model) - xi
         if (fa > 0) == (fm > 0):
             a, fa = mid, fm
         else:
@@ -48,7 +57,7 @@ def classical_bl_profile(u_B: float, model: FluxModel, xi) -> np.ndarray:
         if u_B >= _SAME_STATE:
             out[xi < shock_speed(u_B, 0.0, model)] = u_B
         return out
-    head = flux_deriv(u_B, model)
+    head = fprime(u_B, model)
     tail = model.D  # = f(alpha)/alpha = f'(alpha)
     out[xi <= head] = u_B
     fan = (xi > head) & (xi < tail)

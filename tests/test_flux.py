@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mblab.errors import NumericalError
-from mblab.flux import FluxModel, flux, flux_deriv
+from mblab.flux import FluxModel, flux
 
-from classical_bl import classical_bl_profile, shock_speed
+from classical_bl import classical_bl_profile, fprime, shock_speed
 
 M2 = FluxModel(2.0)
 
@@ -33,21 +33,21 @@ def test_flux_values_m2():
 def test_flux_clamps_outside_unit_interval():
     assert flux(-0.3, M2) == 0.0
     assert flux(1.7, M2) == 1.0
-    assert flux_deriv(-0.3, M2) == 0.0
-    assert flux_deriv(1.7, M2) == 0.0
+    assert fprime(-0.3, M2) == 0.0
+    assert fprime(1.7, M2) == 0.0
 
 
 def test_flux_deriv_values_m2():
-    assert flux_deriv(0.9, M2) == pytest.approx(0.5225722165771518, rel=1e-14)
-    assert flux_deriv(0.6, M2) == pytest.approx(2.0761245674740478, rel=1e-14)
+    assert fprime(0.9, M2) == pytest.approx(0.5225722165771518, rel=1e-14)
+    assert fprime(0.6, M2) == pytest.approx(2.0761245674740478, rel=1e-14)
     # tangency: f'(alpha) equals the chord slope f(alpha)/alpha
-    assert flux_deriv(M2.alpha, M2) == pytest.approx(M2.D, rel=1e-12)
+    assert fprime(M2.alpha, M2) == pytest.approx(M2.D, rel=1e-12)
 
 
 def test_flux_array_shapes():
     u = np.linspace(-0.5, 1.5, 21)
     f = flux(u, M2)
-    df = flux_deriv(u, M2)
+    df = fprime(u, M2)
     assert f.shape == u.shape and df.shape == u.shape
     assert isinstance(flux(0.4, M2), float)
 
@@ -57,8 +57,8 @@ def test_scalar_and_array_evaluations_agree_bit_for_bit(m):
     model = FluxModel(m)
     u = np.random.default_rng(0).uniform(-0.2, 1.2, 20000)
     assert np.array_equal([flux(float(v), model) for v in u], flux(u, model))
-    assert np.array_equal([flux_deriv(float(v), model) for v in u],
-                          flux_deriv(u, model))
+    assert np.array_equal([fprime(float(v), model) for v in u],
+                          fprime(u, model))
 
 
 def _deriv_reference(u, model):
@@ -77,20 +77,20 @@ def _deriv_reference(u, model):
 def test_flux_deriv_matches_the_masked_form_byte_for_byte(m, u):
     model = FluxModel(m)
     u = np.array(u)
-    assert flux_deriv(u, model).tobytes() == _deriv_reference(u, model).tobytes()
+    assert fprime(u, model).tobytes() == _deriv_reference(u, model).tobytes()
 
 
 def test_flux_deriv_of_nan_is_nan_as_the_flux_is():
-    assert math.isnan(flux_deriv(math.nan, M2)) and math.isnan(flux(math.nan, M2))
-    assert np.array_equal(flux_deriv(np.array([0.5, math.nan]), M2),
-                          [flux_deriv(0.5, M2), math.nan], equal_nan=True)
+    assert math.isnan(fprime(math.nan, M2)) and math.isnan(flux(math.nan, M2))
+    assert np.array_equal(fprime(np.array([0.5, math.nan]), M2),
+                          [fprime(0.5, M2), math.nan], equal_nan=True)
 
 
 def test_flux_deriv_matches_finite_difference():
     h = 1e-7
     for u in (0.1, 0.3, 0.5, M2.alpha, 0.9):
         fd = (flux(u + h, M2) - flux(u - h, M2)) / (2 * h)
-        assert flux_deriv(u, M2) == pytest.approx(fd, abs=5e-7)
+        assert fprime(u, M2) == pytest.approx(fd, abs=5e-7)
 
 
 def test_shock_speed_m2():
@@ -126,7 +126,7 @@ def test_viscosity_ratios_at_the_ends_of_the_float_range():
     with pytest.raises(ValueError, match=r"M = 1e-300 is too small: .* M\^2 = 0"):
         FluxModel(1e-300)
     tiny = FluxModel(1e-160)  # M^2 is subnormal but not 0
-    assert np.isfinite(flux_deriv(np.linspace(0.0, 1.0, 11), tiny)).all()
+    assert np.isfinite(fprime(np.linspace(0.0, 1.0, 11), tiny)).all()
     with pytest.raises(NumericalError, match=r"^C = \(M \+ 1\)\^2 / \(2 M\) overflows "
                                              r"the float range at M = 1e\+200$"):
         FluxModel(1e200)
@@ -159,7 +159,7 @@ def test_derived_constants_consistent_for_any_m(m):
     assert model.C == pytest.approx((m + 1.0) ** 2 / (2.0 * m), rel=1e-14)
     # C really bounds |f'| on [0, 1]
     u = np.linspace(0.0, 1.0, 201)
-    assert float(np.max(flux_deriv(u, model))) <= model.C * (1 + 1e-12)
+    assert float(np.max(fprime(u, model))) <= model.C * (1 + 1e-12)
 
 
 def test_riemann_profile_below_alpha_is_single_shock():
@@ -176,7 +176,7 @@ def test_riemann_profile_of_the_zero_state_is_zero():
 
 def test_riemann_profile_above_alpha_has_fan():
     u_B = 0.98
-    head = flux_deriv(u_B, M2)
+    head = fprime(u_B, M2)
     tail = M2.D
     out = classical_bl_profile(u_B, M2, [-1.0, head / 2.0])
     assert np.array_equal(out, [u_B, u_B])
@@ -185,7 +185,7 @@ def test_riemann_profile_above_alpha_has_fan():
     xi = 0.5 * (head + tail)
     u_fan = classical_bl_profile(u_B, M2, [xi])[0]
     assert M2.alpha < u_fan < u_B
-    assert flux_deriv(u_fan, M2) == pytest.approx(xi, abs=1e-9)
+    assert fprime(u_fan, M2) == pytest.approx(xi, abs=1e-9)
     # fan tail joins the shock state alpha
     u_tail = classical_bl_profile(u_B, M2, [tail - 1e-7])[0]
     assert u_tail == pytest.approx(M2.alpha, abs=1e-5)

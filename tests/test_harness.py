@@ -638,6 +638,24 @@ def runs(empty_run_cache, monkeypatch) -> list:
     return runs
 
 
+def test_output_dir_splits_neither_the_run_cache_nor_a_sweep_nor_a_batch(runs):
+    # no run reads output_dir: a manifest that differs from a cached one
+    # only there gets the same read-only tuple, a sweep from a base that
+    # differs only there marches nothing, and a batch may mix output dirs
+    a = _tiny(t_final=0.005)
+    fields = run_cached(a)
+    assert run_cached(a.derive(output_dir="elsewhere")) is fields
+    assert not fields[-1].values.flags.writeable
+    assert runs == [a]
+    base = _tiny()
+    entries = bifurcation_sweep([(1.0, 0.75)], base)
+    assert bifurcation_sweep([(1.0, 0.75)], base.derive(output_dir="elsewhere")) == entries
+    assert runs == [a, base.derive(tau=1.0, u_B=0.75)]
+    pair = [base, base.derive(u_B=0.9, output_dir="elsewhere")]
+    assert [f[-1].values.tobytes() for f in run_manifest(pair)] == \
+        [run_manifest(m)[-1].values.tobytes() for m in pair]
+
+
 def test_domain_study_runs_each_domain_once(runs):
     base, L_values, times = _tiny(), [0.2, 0.3], [0.0063, 0.01]  # 0.0063 is off-grid
     study = domain_study(base, L_values, times)

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from mblab import cli, cweno, staggered
 from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
-from mblab.flux import FluxModel, flux, flux_deriv
+from mblab.flux import FluxModel, flux
 from mblab.march import RunContext, landing_targets
 from mblab.operators import (
     Field,
@@ -39,7 +39,7 @@ from mblab.staggered import (
     step,
 )
 
-from classical_bl import classical_bl_profile
+from classical_bl import classical_bl_profile, fprime
 
 GRID = GridSpec(L=1.0, n_cells=4, dx=0.25, lam=0.1)
 PARAMS = MBLParams(epsilon=0.1, tau=1.0)
@@ -208,8 +208,8 @@ def test_slopes():
 
 
 def test_cfl_margin():
-    assert _cfl_margin(flux_deriv(np.array([0.0, 0.1, 0.2]), MODEL), GRID.lam) > 0
-    assert not _cfl_margin(flux_deriv(np.array([0.6, 0.6, 0.6]), MODEL), 0.5) > 0
+    assert _cfl_margin(fprime(np.array([0.0, 0.1, 0.2]), MODEL), GRID.lam) > 0
+    assert not _cfl_margin(fprime(np.array([0.6, 0.6, 0.6]), MODEL), 0.5) > 0
 
 
 def _largest_unchecked_lam(model):
@@ -222,9 +222,15 @@ def _largest_unchecked_lam(model):
 
 def test_c_is_reached_by_the_computed_f_prime_at_m_1_and_u_one_half():
     model = FluxModel(1.0)
-    assert flux_deriv(0.5, model) == model.C == 2.0
-    assert _cfl_margin(flux_deriv(np.array([0.5]), model),
+    assert fprime(0.5, model) == model.C == 2.0
+    assert _cfl_margin(fprime(np.array([0.5]), model),
                        _largest_unchecked_lam(model)) > 0
+    # there lam = 1/4 makes lam max f' = 1/2 exactly, which the strict
+    # bound refuses, at a node or a cell that is a point
+    ctx = RunContext(GridSpec(L=1.0, n_cells=4, lam=0.25), PARAMS, model, (0.3, 0.0))
+    for points in ([0.3, 0.5, 0.1, 0.0, 0.0], [0.3, 0.5, 0.1, 0.0]):
+        with pytest.raises(NumericalError, match="= 0.5 >= 0.5"):
+            _step(np.array(points), ctx, "trapezoid", 0.25)
 
 
 @settings(max_examples=400, deadline=None)
@@ -234,7 +240,7 @@ def test_c_bounds_the_computed_f_prime(M, u):
     # rests on C bounding every computed f', up to the rounding the cut
     # leaves room for
     model = FluxModel(M)
-    speeds = flux_deriv(np.array([u]), model)
+    speeds = fprime(np.array([u]), model)
     assert speeds[0] <= model.C * (1.0 + 2.0 ** -50)
     assert _cfl_margin(speeds, _largest_unchecked_lam(model)) > 0
 
@@ -254,7 +260,7 @@ def test_a_cfl_violation_that_appears_mid_run_fails_the_step_it_appears_in(
     checked_step = staggered.step
 
     def step_seen(u, phase, batch, variant, lam):
-        speeds = flux_deriv(np.concatenate(batch.points(u, phase)), model)
+        speeds = fprime(np.concatenate(batch.points(u, phase)), model)
         failing.append(not _cfl_margin(speeds, lam) > 0)
         return checked_step(u, phase, batch, variant, lam)
 
@@ -519,22 +525,26 @@ def test_a_step_allocates_little_beyond_the_u_it_returns(variant, phase):
     # the temporaries of a step live in its batch's scratch: after a warm-up
     # step (which builds the corrector's solve), a step's peak allocation
     # over its baseline is the new u, two finiteness masks of an eighth of
-    # its size and the objects of the calls, below twice the new u
+    # its size and the objects of the calls, below twice the new u.  At
+    # lam = 0.23, lam C is above 1/2, so the step tests CFL, in its batch's
+    # rows too; the state's largest f', at 0.9, keeps it stable
     ctx = RunContext(GridSpec(L=1.0, n_cells=1000, dx=1e-3, lam=0.1),
                      MBLParams(epsilon=0.01, tau=2.0), MODEL, (0.9, 0.0))
     batch = Batch([ctx])
     x = ctx.grid.points(phase)
     u = batch.pack([np.where(x < 0.3, 0.9, 0.0)], phase)
-    step(u, phase, batch, variant, 0.1)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        u_new = step(u, phase, batch, variant, 0.1)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * u_new.nbytes, f"peak {peak} B against a new u of {u_new.nbytes} B"
+    for lam in (0.1, 0.23):
+        step(u, phase, batch, variant, lam)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            u_new = step(u, phase, batch, variant, lam)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * u_new.nbytes, \
+            f"lam {lam}: peak {peak} B against a new u of {u_new.nbytes} B"
 
 
 @pytest.mark.parametrize("phase", [INTEGER_GRID, HALF_GRID])
@@ -576,8 +586,10 @@ def test_a_batch_solve_is_each_runs_own_solve(phase, delta):
                     if phase == INTEGER_GRID:  # the pinned nodes hold the bc
                         w[0], w[-1] = ctx.bc
                     rhs.append(w)
-                got = batch.points(batch.solve(batch.pack(rhs, phase), phase, delta),
-                                   phase)
+                v = batch.pack(rhs, phase)
+                span, solve, _ = batch.solver(phase, delta)
+                solve(v[span], batch.g, batch.h)
+                got = batch.points(v, phase)
                 for ctx, w, u in zip(ctxs, rhs, got):
                     want = w.copy()
                     segment = ((len(w[unknowns]), ctx.params.disp + delta),)
@@ -602,16 +614,23 @@ def test_a_batch_holds_runs_of_one_dx_lambda_epsilon_and_model():
 
 def test_the_cfl_test_of_half_cells_leaves_out_their_ghosts():
     # f' peaks at the inflow value g: on the half cells g sits only in the
-    # ghost, so the step runs; on the nodes it is a pinned point
+    # ghost, so the step runs; on the nodes it is a pinned point.  So too in
+    # a batch of two whose second run flows in at g: its ghost g lies
+    # between the runs, after the first run's ghost h and spare slot
     u = np.linspace(0.0, 1.0, 2001)
-    g = float(u[np.argmax(flux_deriv(u, MODEL))])
-    lam = 0.5 / flux_deriv(g, MODEL) * 1.001
+    g = float(u[np.argmax(fprime(u, MODEL))])
+    lam = 0.5 / fprime(g, MODEL) * 1.001
     grid = GridSpec(L=1.0, n_cells=8, lam=lam)
     ctx = RunContext(grid, PARAMS, MODEL, (g, 0.0))
     cells = np.zeros(8)
     _step(cells, ctx, "trapezoid", lam)
     with pytest.raises(NumericalError, match="CFL"):
         _step(np.zeros(9), ctx, "trapezoid", lam)
+    batch = Batch([RunContext(grid, PARAMS, MODEL, (0.3, 0.0)), ctx])
+    step(batch.pack([cells, cells], HALF_GRID), HALF_GRID, batch, "trapezoid", lam)
+    nodes = batch.pack([np.r_[0.3, np.zeros(8)], np.r_[g, np.zeros(8)]], INTEGER_GRID)
+    with pytest.raises(NumericalError, match="CFL"):
+        step(nodes, INTEGER_GRID, batch, "trapezoid", lam)
 
 
 @pytest.mark.parametrize("g", [math.nan])
@@ -748,7 +767,7 @@ def test_every_scheme_preserves_a_constant_state(scheme, value, epsilon, tau, ce
         ws = cweno.Workspace(ctx)
         states = [np.full(cells, value)]
         for _ in range(2):
-            states.append(cweno.rk4_step(states[-1], dt, ctx, ws))
+            states.append(cweno.rk4_step(states[-1], dt, ws))
     else:
         batch = Batch([ctx])
         u, phase = batch.pack([np.full(cells + 1, value)], INTEGER_GRID), INTEGER_GRID

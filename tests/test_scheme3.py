@@ -131,12 +131,12 @@ def _ctx(n_cells=20, lam=0.1, epsilon=0.0, tau=1.0, g=0.8, h=0.0):
 
 def _rhs(wbar, ctx):
     """semidiscrete_rhs in a workspace and an output row of its own."""
-    return semidiscrete_rhs(wbar, ctx, cweno.Workspace(ctx), np.empty_like(wbar))
+    return semidiscrete_rhs(wbar, cweno.Workspace(ctx), np.empty_like(wbar))
 
 
 def _step(wbar, dt, ctx):
     """rk4_step in a workspace of its own."""
-    return rk4_step(wbar, dt, ctx, cweno.Workspace(ctx))
+    return rk4_step(wbar, dt, cweno.Workspace(ctx))
 
 
 def test_rhs_vanishes_on_constant_state():
@@ -177,7 +177,7 @@ def test_rk4_exact_on_polynomial_rhs(monkeypatch):
     # A right-hand side may return a new array instead of its workspace row
     ctx = _ctx()
 
-    def rhs(wbar, _ctx, _ws, _out):
+    def rhs(wbar, _ws, _out):
         t = wbar[0]
         out = np.full_like(wbar, 1.0 + 2.0 * t + 3.0 * t * t)
         out[0] = 1.0
@@ -251,7 +251,7 @@ def test_rk4_step_makes_one_block_solve_and_one_flux_call_per_stage(monkeypatch)
     ws.node4 = counting_solve
     monkeypatch.setattr(cweno, "flux_and_deriv", counting_flux)
     xc = (np.arange(20) + 0.5) * 0.1
-    rk4_step(0.4 * (1.0 - np.tanh((xc - 0.9) / 0.15)), 0.01, ctx, ws)
+    rk4_step(0.4 * (1.0 - np.tanh((xc - 0.9) / 0.15)), 0.01, ws)
     assert solves == [(19, 2)] * 4
     assert fluxes == [(2, 21)] * 4
 
@@ -265,10 +265,10 @@ def test_a_state_stepped_twice_gives_the_same_bytes_both_times(epsilon):
     ws = cweno.Workspace(ctx)
     wbar = np.random.default_rng(12).random(20)
     given = wbar.tobytes()
-    first = rk4_step(wbar, 0.01, ctx, ws)
+    first = rk4_step(wbar, 0.01, ws)
     kept = first.tobytes()
-    rk4_step(first, 0.003, ctx, ws)  # the fork marches on
-    second = rk4_step(wbar, 0.01, ctx, ws)
+    rk4_step(first, 0.003, ws)  # the fork marches on
+    second = rk4_step(wbar, 0.01, ws)
     assert wbar.tobytes() == given
     assert first.tobytes() == kept
     assert second.tobytes() == kept
@@ -291,12 +291,12 @@ def test_a_step_allocates_little_beyond_the_averages_it_returns():
     ws = cweno.Workspace(ctx)
     wbar = np.where(grid.centers() < 0.1, 0.8, 0.0)
     dt = grid.lam * grid.dx
-    wbar = rk4_step(wbar, dt, ctx, ws)
+    wbar = rk4_step(wbar, dt, ws)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        new = rk4_step(wbar, dt, ctx, ws)
+        new = rk4_step(wbar, dt, ws)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -319,9 +319,9 @@ def _poison_the_second_step(monkeypatch):
     calls = []
     rhs = cweno.semidiscrete_rhs
 
-    def poisoned(wbar, ctx, ws, out):
+    def poisoned(wbar, ws, out):
         calls.append(None)
-        out = rhs(wbar, ctx, ws, out)
+        out = rhs(wbar, ws, out)
         if len(calls) == 8:
             out[5] = math.inf
         return out
