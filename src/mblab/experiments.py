@@ -7,8 +7,8 @@ deterministic, so repeated executions of one manifest are bit-identical.
 Results are memoized per process in one run cache, keyed by manifest
 without output_dir, which no run reads, and the sweeps fill it through one
 planner: manifests that differ only in t_final and snapshot_times share one
-march, and staggered-scheme marches that differ only in u_B, tau and L go
-as one batch (staggered.Batch), each run byte for byte as alone.
+march, and staggered marches to one t_final that differ only in u_B, tau,
+L and snapshot_times go as one batch, each run byte for byte as alone.
 """
 from __future__ import annotations
 
@@ -363,11 +363,11 @@ def _plan(manifests: Sequence[RunManifest]) -> None:
     output_dir.  Its uncached manifests share one march to their latest
     t_final, landing on each of their times (a lone one marches as itself):
     a field landed at s is the final field of a run that ends at s.
-    Staggered marches that may share a batch go as one run_manifest batch;
-    after a NumericalError there, each trajectory of two or more manifests
-    marches alone, as a third_order one does.  A manifest left uncached is
-    left to run_cached, which raises its own error; any other error
-    propagates.
+    Staggered marches to one t_final that may share a batch, whatever their
+    times, go as one run_manifest batch that lands on all of them; after a
+    NumericalError there, each trajectory of two or more manifests marches
+    alone, as a third_order one does.  A manifest left uncached is left to
+    run_cached, which raises its own error; any other error propagates.
     """
     trajectories: dict[str, dict[str, RunManifest]] = {}
     for m in manifests:
@@ -375,7 +375,7 @@ def _plan(manifests: Sequence[RunManifest]) -> None:
             trajectory = m.model_dump_json(exclude={"t_final", "snapshot_times", _UNREAD})
             trajectories.setdefault(trajectory, {})[_key(m)] = m
     plans, batches = [], {}
-    with warnings.catch_warnings():  # the member that ends last warned
+    with warnings.catch_warnings():  # the manifests of a march warned
         warnings.filterwarnings("ignore", "domain-sizing", UserWarning)
         for members in (list(t.values()) for t in trajectories.values()):
             march = members[0] if len(members) == 1 else members[0].derive(
@@ -383,10 +383,13 @@ def _plan(manifests: Sequence[RunManifest]) -> None:
                 snapshot_times=sorted({s for m in members for s in _targets(m)}))
             plans.append((march, members))
             if march.scheme != "third_order":
-                batches.setdefault(march.model_dump_json(exclude=_BATCH_FREE),
-                                   []).append((march, members))
-    for batch in batches.values():
-        if len(batch) > 1:
+                batches.setdefault(march.model_dump_json(
+                    exclude=_BATCH_FREE | {"snapshot_times"}), []).append((march, members))
+        for batch in (b for b in batches.values() if len(b) > 1):
+            times = sorted({s for march, _ in batch for s in _targets(march)})
+            batch = [(march if _targets(march) == times else
+                      march.derive(snapshot_times=times), members)
+                     for march, members in batch]
             try:
                 runs = run_manifest([march for march, _ in batch])
             except NumericalError:  # its trajectories march alone below

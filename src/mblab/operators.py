@@ -7,9 +7,9 @@ operator is (I - c D^2) with c = eps^2 tau (or a scheme-supplied
 coefficient); its inverse is a LAPACK solve: LDL^T (dpttrf/dpttrs) for
 the symmetric positive definite order-2 tridiagonal matrices, banded LU
 (dgbtrf/dgbtrs) for the order-4 ones.
-The four routines come from scipy's LAPACK extension module, loaded on
-its own: the scipy.linalg package would also import numpy's optional
-subpackages, about 0.2 s of start-up on every run that no solve needs.
+The four routines come from scipy's LAPACK extension module, loaded from
+its file: the inits of scipy and scipy.linalg, which load modules no solve
+needs (see _load_flapack), do not run.
 
 Every solve is one _Solve, which assembles and factors its matrix once:
 the factorisation, the closure terms of the boundary values, the c = 0
@@ -36,7 +36,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .errors import NumericalError
 
@@ -56,22 +55,29 @@ HALF_GRID = "half_grid"
 
 
 def _load_flapack():
-    """scipy's f2py LAPACK module scipy.linalg._flapack, without scipy.linalg.
+    """scipy's f2py LAPACK module scipy.linalg._flapack, loaded from its
+    file in the directory find_spec gives for scipy, which runs no init.
 
-    Importing scipy.linalg.lapack runs scipy/linalg/__init__, whose array-API
-    layer reads every numpy attribute and so imports numpy.f2py, numpy.ma,
-    numpy.random, numpy.testing and numpy.polynomial: about 260 modules that
-    no solve uses.  A plain `import scipy` has already done scipy's own
-    shared-library set-up.  CPython keeps one copy of an extension module per
-    file and name, so the routines taken from here are the very objects that
-    scipy.linalg.lapack exports, whichever of the two is imported first.
+    The scipy init would load about 20 modules no solve uses (subprocess,
+    sysconfig, signal, scipy's test runner), and the scipy.linalg init
+    another 260 (numpy.f2py, numpy.ma, numpy.random, numpy.testing and
+    numpy.polynomial).  Where the direct load fails, as it may for a wheel
+    whose scipy init sets up its shared libraries, scipy is imported and the
+    load tried once more; a second failure is module_from_spec's
+    ImportError, which names the path.  CPython keeps one copy of an
+    extension module per file and name, so the routines taken from here are
+    the very objects that scipy.linalg.lapack exports.
     """
     name = "scipy.linalg._flapack"
-    path = os.path.join(os.path.dirname(scipy.__file__), "linalg",
-                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    path = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                        "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
     spec = importlib.util.spec_from_file_location(
         name, path, loader=importlib.machinery.ExtensionFileLoader(name, path))
-    module = importlib.util.module_from_spec(spec)
+    try:
+        module = importlib.util.module_from_spec(spec)
+    except ImportError:
+        import scipy  # its init may set up the shared libraries the file needs
+        module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 

@@ -737,10 +737,10 @@ def test_domain_study_plans_around_a_cached_entry_and_a_third_order_base(runs):
         runs.clear()
         study = domain_study(base, L_values, times)
         if base.scheme == "trapezoid":
-            # L = 0.2 is left one entry, which runs alone; L = 0.3 marches
-            # once, alone, as its times differ from the one L = 0.2 entry's
-            assert runs == [base.derive(L=0.3, t_final=0.01, snapshot_times=times),
-                            base.derive(L=0.2, t_final=0.01, snapshot_times=[])]
+            # L = 0.2 is left one entry, which ends where L = 0.3 does: the
+            # two march as one batch, landing on the times of both
+            assert runs == [tuple(base.derive(L=L, t_final=0.01, snapshot_times=times)
+                                  for L in (0.3, 0.2))]
         else:  # each domain marches once, alone
             assert runs == [base.derive(L=L, t_final=0.01, snapshot_times=times)
                             for L in L_values]
@@ -760,6 +760,24 @@ def test_domain_study_plans_around_a_cached_entry_and_a_third_order_base(runs):
                                  "classification": report.classification,
                                  "sizing_ok": L > MODEL.D * t, **cmp})
         assert study["entries"] == expected
+
+
+def test_marches_to_one_t_final_share_a_batch_whatever_times_they_land_on(runs):
+    # each march lands on the batch's every time, and each manifest keeps
+    # its own fields, byte for byte its solo run's; a march to another
+    # t_final stays apart, so no run marches past its own end (a lone one
+    # is left to run_cached)
+    a = _tiny(L=0.2, snapshot_times=[0.0043])  # off the step grid
+    b = _tiny(u_B=0.9, snapshot_times=[0.006, 0.0081])
+    c = _tiny(tau=5.0)
+    late = _tiny(L=0.25, t_final=0.012, snapshot_times=[0.006])
+    experiments._plan([a, b, c, late])
+    times = (0.0043, 0.006, 0.0081, 0.01)
+    assert runs == [tuple(m.derive(snapshot_times=times) for m in (a, b, c))]
+    for m in (a, b, c, late):
+        fields, alone = run_cached(m), run_manifest(m)
+        assert [f.time for f in fields] == [f.time for f in alone]
+        assert [f.values.tobytes() for f in fields] == [f.values.tobytes() for f in alone]
 
 
 def test_a_short_domain_warns_for_each_manifest_and_never_for_a_march(runs):
@@ -992,10 +1010,10 @@ def test_cli_has_one_override_flag_per_manifest_field():
 
 def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
     # scipy serves the LAPACK solves only, through its extension module and
-    # not the scipy.linalg package; the lemma audit integrates on its own,
-    # the manifest validates itself without a model library, fractions
-    # waits for an L4i audit, and that audit, which gives the value
-    # test_theory pins, needs no mpmath
+    # neither the scipy nor the scipy.linalg package; the lemma audit
+    # integrates on its own, the manifest validates itself without a model
+    # library, fractions waits for an L4i audit, and that audit, which gives
+    # the value test_theory pins, needs no mpmath
     code = "\n".join([
         "import sys, mblab.cli",
         "from mblab.bounds import AUDIT_ITEMS, BoundParams, lemma_audit",
@@ -1007,7 +1025,7 @@ def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
         "for scheme in ('trapezoid', 'third_order'):",
         "    run_manifest(desk_manifest(scheme=scheme, epsilon=0.025, tau=1.0, u_B=0.75,",
         "                               L=0.3, L0=0.05, dx=0.0025, t_final=0.01))",
-        "print(*[m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special',",
+        "print(*[m for m in ('scipy', 'scipy.integrate', 'scipy.optimize', 'scipy.special',",
         "                    'scipy.sparse', 'scipy.linalg', 'numpy.f2py', 'numpy.ma',",
         "                    'numpy.random', 'numpy.testing', 'pydantic',",
         "                    'pydantic_core', 'annotated_types', 'asyncio', 'mpmath',",

@@ -1,7 +1,12 @@
 """Grids, fields, and the dispersive Helmholtz transfer operators."""
 from __future__ import annotations
 
+import importlib.machinery
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,11 +92,40 @@ def test_the_lapack_routines_are_the_ones_scipy_linalg_exports():
 
 
 def test_the_lapack_loader_names_a_missing_extension(tmp_path, monkeypatch):
-    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    # find_spec returns the spec of an imported scipy as it stands
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(scipy, "__spec__", spec)
     with pytest.raises(ImportError) as exc_info:
         operators._load_flapack()
     assert str(tmp_path / "linalg" / "_flapack") in str(exc_info.value)
     assert exc_info.value.path.startswith(str(tmp_path / "linalg" / "_flapack"))
+
+
+def test_the_lapack_loader_imports_scipy_and_loads_again_after_a_failed_load():
+    # a wheel whose scipy init sets up the shared libraries: the first,
+    # direct load fails before scipy is imported, the second follows it
+    code = "\n".join([
+        "import importlib.machinery, sys",
+        "loader = importlib.machinery.ExtensionFileLoader",
+        "real, seen = loader.create_module, []",
+        "def once(self, spec):",
+        "    if spec.name == 'scipy.linalg._flapack':",
+        "        seen.append('scipy' in sys.modules)",
+        "        if len(seen) == 1:",
+        "            raise ImportError('no shared libraries', path=spec.origin)",
+        "    return real(self, spec)",
+        "loader.create_module = once",
+        "from mblab import operators",
+        "print(seen)",
+        "import scipy.linalg.lapack",
+        "print(operators.dpttrs is scipy.linalg.lapack.dpttrs)",
+    ])
+    src = str(pathlib.Path(operators.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.splitlines() == ["[False, True]", "True"]
 
 
 def test_field_rejects_nan():
