@@ -137,7 +137,10 @@ def _phi_pair(x, L, s, lib=math) -> tuple:
 
 
 def bound_constants(p: BoundParams, t: float) -> BoundReport:
-    """Evaluate every constant of the truncation estimate at time t."""
+    """Evaluate every constant of the truncation estimate at time t.
+
+    The constants grow with r = t / (epsilon tau): an epsilon * tau that
+    underflows to 0, and a constant that overflows, are NumericalErrors."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and nonnegative")
     s = p.scale
@@ -154,7 +157,11 @@ def bound_constants(p: BoundParams, t: float) -> BoundReport:
     a_tau = p.g_sup * (1.0 + d_chord * sqt * (e1m + 1.0)) / (2.0 * e1m)
     c_tau = p.C_u * (1.0 + d_chord * sqt)
 
-    r = t / (p.epsilon * p.tau)
+    eps_tau = p.epsilon * p.tau
+    if eps_tau == 0.0:  # s > 0, so both are positive: the product underflowed
+        raise NumericalError(f"bound constants undefined: epsilon*tau underflows "
+                             f"to 0 at epsilon = {p.epsilon!r}, tau = {p.tau!r}")
+    r = t / eps_tau
     try:
         e_b = math.exp(b_tau * r)
         e_bm1 = math.exp((b_tau - 1.0) * r)
@@ -215,6 +222,10 @@ _G_WEIGHTS[1:10:2] = _G_WEIGHTS[19:10:-2] = (
 _ROUNDING = 50.0 * np.finfo(float).eps
 _UNDERFLOW = np.finfo(float).tiny / _ROUNDING
 _PANEL_LIMIT = 500
+# the fewest ulps of x that s must span: a quadrature node rounds to the
+# floats near x, which moves the kernels, whose scale is s, by up to a
+# relative ulp(x)/s; at this cut that is the slack that decides a verdict
+_MIN_ULPS = 1.0 / _SLACK
 
 
 def _gk21(integrand, a: np.ndarray, b: np.ndarray) -> tuple:
@@ -243,7 +254,13 @@ def _audit_quad(integrand, lo: float, hi: float, x: float, s: float) -> float:
     where the kernels have their kink or jump.  Each round bisects every
     panel whose error estimate exceeds an equal share of the tolerance, all
     in one integrand call, until the total estimate meets a relative 1e-11.
+    An s of at most _MIN_ULPS ulps of x is a NumericalError: there the
+    nodes near x cannot resolve the kernels, and no error estimate sees it.
     """
+    if not s > _MIN_ULPS * math.ulp(x):
+        raise NumericalError(
+            f"audit point unresolvable: s = {s:.6g} spans only {s / math.ulp(x):.3g} "
+            f"ulps of x = {x:g}, not more than {_MIN_ULPS:g}")
     cuts, step = {lo, hi, x}, s
     while step < max(x - lo, hi - x):
         cuts |= {x - step, x + step}

@@ -28,14 +28,17 @@ array, whose inner columns, copied into a Fortran-ordered (unknowns, 2)
 block, are the right-hand side of one order-4 solve for u^- and u^+, and
 the flux H takes both blocks in one flux evaluation.
 
-A run builds one Workspace, which holds every row its steps read or
-write and the two solves of its stages, each factored once per run; each
-kernel takes the rows it writes as arguments, with no default.  Each
-stage writes into those rows in the rounding order of the formulas above,
-so a step allocates only the new averages it returns and the masks of
-its finiteness tests.  The differences wb_{j+1} - wb_j form one
-row, whose two shifted windows are the left and right differences of
-each cell, and so do alpha_L and alpha_R, since c_L = c_R.
+A run starts from the cell averages of u, as a staggered run starts from
+its node values, and forms wb = ubar - c D^2 ubar itself.  It builds one
+Workspace, which holds every row its start and steps read or write, the
+reconstruction's among them, and the two solves of its stages, each
+factored once per run; each kernel takes its workspace or the rows it
+writes as arguments, with no default.  Each stage writes into those rows
+in the rounding order of the formulas above, so a step allocates only
+the new averages it returns and the masks of its finiteness tests.  The
+differences wb_{j+1} - wb_j form one row, whose two shifted windows are
+the left and right differences of each cell, and so do alpha_L and
+alpha_R, since c_L = c_R.
 """
 from __future__ import annotations
 
@@ -69,71 +72,46 @@ C_SIDE = 0.25
 C_CENTER = 0.5
 
 
-class _Reconstruction:
-    """The rows of a reconstruction of n cells, and the views of them that
-    it reads or writes, built once: the averages between two ghost cells a
-    side, their difference row (dm and dp are its two windows), the
-    side-weight row (alpha_L and alpha_R are its two windows, as c_L = c_R),
-    eight rows over the cells with their neighbours and the interface block
-    w.  Fewer than 5 cells is a ValueError."""
-
-    def __init__(self, n: int):
-        if n < 5:
-            raise ValueError(f"need at least 5 cell averages, got {n}")
-        self.ext = np.empty(n + 4)
-        self.averages, self.cells = self.ext[2:-2], self.ext[1:-1]
-        self.ext_hi, self.ext_lo = self.ext[1:], self.ext[:-1]
-        self.diff, self.side = np.empty((2, n + 3))
-        self.dm, self.dp = self.diff[:-1], self.diff[1:]
-        self.al, self.ar = self.side[:-1], self.side[1:]
-        (self.d2, self.dsum, self.ac, self.tmp, self.total, self.wl, self.wr,
-         self.a) = np.empty((8, n + 2))
-        self.w = np.empty((2, n + 1))
-        # what each interface reads of its two cells, A, B and C, and its row
-        # of w: the right end of the left cell, the left end of the right cell
-        self.minus = self.a[:-1], self.total[:-1], self.ac[:-1], self.w[0]
-        self.plus = self.a[1:], self.total[1:], self.ac[1:], self.w[1]
-
-
-def cweno_reconstruct(wbar, dx: float, bc, rows: _Reconstruction) -> np.ndarray:
+def cweno_reconstruct(wbar, ws: Workspace) -> np.ndarray:
     """Interface values of the per-cell quadratics, as one C-ordered
     (2, interfaces) block whose rows are w_minus and w_plus.
 
-    Two constant ghost cells hold each boundary value of bc = (g, h), so
+    Two constant ghost cells hold each boundary value of the run of ws, so
     the n + 1 interfaces of the n cells run from one domain end to the
     other; w_minus[i] and w_plus[i] are the one-sided values at interface i
-    from the cells on its left and right.  The arithmetic is done in rows, a
-    _Reconstruction of as many cells as wbar, whose w is returned, in the
-    rounding order of the formulas in the module docstring.
+    from the cells on its left and right.  The arithmetic is done in the
+    reconstruction rows of ws, with its run's dx, and its w is returned, in
+    the rounding order of the formulas in the module docstring.
     """
-    rows.ext[:2], rows.averages[...], rows.ext[-2:] = bc[0], wbar, bc[1]
-    dm, dp = rows.dm, rows.dp
-    np.subtract(rows.ext_hi, rows.ext_lo, out=rows.diff)
-    d2 = np.subtract(dp, dm, out=rows.d2)
-    dsum = np.add(dp, dm, out=rows.dsum)
+    dx, (g, h) = ws.ctx.grid.dx, ws.ctx.bc
+    ws.ext[:2], ws.averages[...], ws.ext[-2:] = g, wbar, h
+    dm, dp = ws.dm, ws.dp
+    np.subtract(ws.ext_hi, ws.ext_lo, out=ws.diff)
+    d2 = np.subtract(dp, dm, out=ws.d2)
+    dsum = np.add(dp, dm, out=ws.dsum)
 
     # alpha_i = c_i / (eps0 + IS_i)^2, then the weights alpha_i / total
-    side = np.multiply(rows.diff, rows.diff, out=rows.side)
-    ac = np.multiply(d2, d2, out=rows.ac)
+    side = np.multiply(ws.diff, ws.diff, out=ws.side)
+    ac = np.multiply(d2, d2, out=ws.ac)
     ac *= 13.0 / 3.0
-    tmp = np.multiply(dsum, dsum, out=rows.tmp)
+    tmp = np.multiply(dsum, dsum, out=ws.tmp)
     tmp *= 0.25
     ac += tmp
     for alpha, weight in ((side, C_SIDE), (ac, C_CENTER)):
         alpha += EPS0
         alpha *= alpha
         np.divide(weight, alpha, out=alpha)
-    total = np.add(rows.al, ac, out=rows.total)
-    total += rows.ar
-    wl = np.divide(rows.al, total, out=rows.wl)
-    wr = np.divide(rows.ar, total, out=rows.wr)
+    total = np.add(ws.al, ac, out=ws.total)
+    total += ws.ar
+    wl = np.divide(ws.al, total, out=ws.wl)
+    wr = np.divide(ws.ar, total, out=ws.wr)
     ac /= total
 
     # A, (dx/2) B and (dx^2/8) C of each cell's quadratic: B in the total
     # row and C in the W_C row, each once its last reader is done
-    a = np.divide(ac, 12.0, out=rows.a)
+    a = np.divide(ac, 12.0, out=ws.a)
     a *= d2
-    np.subtract(rows.cells, a, out=a)
+    np.subtract(ws.cells, a, out=a)
     b = np.multiply(wr, dp, out=total)
     tmp = np.multiply(ac, 0.5, out=tmp)
     tmp *= dsum
@@ -147,13 +125,13 @@ def cweno_reconstruct(wbar, dx: float, bc, rows: _Reconstruction) -> np.ndarray:
     c /= dx ** 2
     c *= 0.125 * dx ** 2
 
-    a, b, c, w_minus = rows.minus
+    a, b, c, w_minus = ws.minus
     np.add(a, b, out=w_minus)
     w_minus += c
-    a, b, c, w_plus = rows.plus
+    a, b, c, w_plus = ws.plus
     np.subtract(a, b, out=w_plus)
     w_plus += c
-    return rows.w
+    return ws.w
 
 
 def numerical_flux(u: np.ndarray, w: np.ndarray, model: FluxModel,
@@ -183,25 +161,45 @@ class Workspace:
     staggered Batch owns the arrays and solves of its steps.  A step
     overwrites them all, so a workspace steps one state at a time; nothing
     a step returns lives in it; a caller that steps outside run builds its
-    own, Workspace(ctx).  It holds:
+    own, Workspace(ctx).  Fewer than 5 cells is a ValueError.  It holds:
 
       ctx             the run's RunContext, whose grid, boundary values,
                       parameters and model every step of the workspace uses
-      reconstruction  the rows of cweno_reconstruct, the interface block w
+      ext, ..., w     the reconstruction rows of cweno_reconstruct: the
+                      averages between two ghost cells a side, their
+                      difference row (dm and dp are its two windows), the
+                      side-weight row (alpha_L and alpha_R are its two
+                      windows, as c_L = c_R), eight rows over the cells
+                      with their neighbours, and the interface block w
       node4, rhs4, u  the order-4 solve of the interface values'
                       unknowns, its F-ordered (n - 1, 2) right-hand
                       side, and the (2, n + 1) u block
       flux, h         f, f' and the flux's three work blocks, each shaped
                       like u, and the interface flux row
       half2, ubar, q  the order-2 half-grid solve, its right-hand side,
-                      and Q with its work row
+                      and Q with its work row, where run also forms the
+                      start's D^2 u
       k, stage        the four RK4 slopes and the stage row
     """
 
     def __init__(self, ctx: RunContext):
         self.ctx = ctx
         n, dx, c = ctx.grid.n_cells, ctx.grid.dx, ctx.params.disp
-        self.reconstruction = _Reconstruction(n)
+        if n < 5:
+            raise ValueError(f"need at least 5 cell averages, got {n}")
+        self.ext = np.empty(n + 4)
+        self.averages, self.cells = self.ext[2:-2], self.ext[1:-1]
+        self.ext_hi, self.ext_lo = self.ext[1:], self.ext[:-1]
+        self.diff, self.side = np.empty((2, n + 3))
+        self.dm, self.dp = self.diff[:-1], self.diff[1:]
+        self.al, self.ar = self.side[:-1], self.side[1:]
+        (self.d2, self.dsum, self.ac, self.tmp, self.total, self.wl, self.wr,
+         self.a) = np.empty((8, n + 2))
+        self.w = w = np.empty((2, n + 1))
+        # what each interface reads of its two cells, A, B and C, and its row
+        # of w: the right end of the left cell, the left end of the right cell
+        self.minus = self.a[:-1], self.total[:-1], self.ac[:-1], w[0]
+        self.plus = self.a[1:], self.total[1:], self.ac[1:], w[1]
         self.node4 = _Solve(INTEGER_GRID, 4, dx, ((n - 1, c),))
         self.half2 = _Solve(HALF_GRID, 2, dx, ((n, c),))
         self.rhs4 = np.empty((n - 1, 2), order="F")
@@ -209,7 +207,6 @@ class Workspace:
         # the interface values at the solve's unknowns, as its right-hand
         # side takes them, and at the two domain ends, which are its boundary
         # values and u's
-        w = self.reconstruction.w
         self.w_inner, self.u_inner = w[:, 1:-1].T, self.u[:, 1:-1].T
         self.w_left, self.w_right = w[:, 0], w[:, -1]
         self.w_ends, self.u_ends = w[:, ::n], self.u[:, ::n]
@@ -235,7 +232,7 @@ def semidiscrete_rhs(wbar: np.ndarray, ws: Workspace, out: np.ndarray) -> np.nda
     """
     ctx = ws.ctx
     dx = ctx.grid.dx
-    w = cweno_reconstruct(wbar, dx, ctx.bc, ws.reconstruction)
+    w = cweno_reconstruct(wbar, ws)
     if not np.isfinite(w).all():
         raise NumericalError("interface values contain NaN/Inf")
     ws.rhs4[...] = ws.w_inner
@@ -287,20 +284,24 @@ def rk4_step(wbar: np.ndarray, dt: float, ws: Workspace) -> np.ndarray:
     return out
 
 
-def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
+def run(ubar0: np.ndarray, ctx: RunContext, t_final: float,
         snapshot_times: Sequence[float] = ()) -> list[Field]:
-    """Advance the cell averages of w from t = 0 by RK4 steps of dt = lam dx,
-    landing exactly on each requested time.
+    """Advance the cell averages ubar0 of u at t = 0 by RK4 steps of
+    dt = lam dx on the cell averages of w, landing exactly on each requested
+    time.
 
-    Returns the one run of march.land_snapshots: fields holding the cell
-    averages of u (the order-4 half-grid solve), the final state last.  Two
-    conditions are rejected before the first step: lam * C >= 1/2 (f' is
-    clamped, so C bounds the speed of u everywhere), and an RK4 factor
-    above 1 for some mode of the diffusion term (march._check_linear_gain).
-    A NaN or infinite time is a ValueError (march.landing_targets).  The
-    boundary values were checked by the RunContext.  Every step runs in one
-    Workspace, built here; each landing reads u through its own
-    helmholtz_solve.
+    The start w0 = ubar0 - c D^2 ubar0 is formed here, with c = eps^2 tau
+    and the order-4 _d2_order4 over every average, the first and last taking
+    its one-sided edge closures over the averages themselves; at c = 0 the
+    start is ubar0 itself.  Returns the one run of march.land_snapshots:
+    fields holding the cell averages of u (the order-4 half-grid solve), the
+    final state last.  Two conditions are rejected before the first step:
+    lam * C >= 1/2 (f' is clamped, so C bounds the speed of u everywhere),
+    and an RK4 factor above 1 for some mode of the diffusion term
+    (march._check_linear_gain).  A NaN or infinite time is a ValueError
+    (march.landing_targets).  The boundary values were checked by the
+    RunContext.  The start and every step run in one Workspace, built here;
+    each landing reads u through its own helmholtz_solve.
     """
     grid, params = ctx.grid, ctx.params
     if grid.lam * ctx.model.C >= 0.5:
@@ -312,6 +313,11 @@ def run(wbar0: np.ndarray, ctx: RunContext, t_final: float,
                        lambda s, z: 1.0 - z * (1.0 - z / 2.0 * (1.0 - z / 3.0 * (1.0 - z / 4.0))))
 
     ws = Workspace(ctx)
+    wbar0 = ubar0
+    if params.disp != 0.0:
+        cd2 = _d2_order4(ubar0, grid.dx, ws.q, ws.q_work)
+        cd2 *= params.disp
+        wbar0 = ubar0 - cd2
 
     def advance(state: tuple, dt: float) -> tuple:
         t, wbar = state

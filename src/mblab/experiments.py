@@ -29,7 +29,7 @@ from . import __version__
 from .bounds import _truncation_params, compare_domains
 from .errors import ManifestError, NumericalError
 from .flux import FluxModel
-from .operators import Field, GridSpec, INTEGER_GRID, MBLParams, _d2_order4
+from .operators import Field, GridSpec, HALF_GRID, INTEGER_GRID, MBLParams
 from . import cweno, staggered
 from .march import RunContext, landing_targets
 
@@ -254,27 +254,18 @@ def _initial_nodes(manifest: RunManifest, grid: GridSpec) -> np.ndarray:
     return smooth_ramp_ic(x, manifest.u_B)
 
 
-def _initial_cell_w(manifest: RunManifest, grid: GridSpec,
-                    params: MBLParams) -> np.ndarray:
-    """Cell averages of w(.,0) for the semi-discrete scheme.
-
-    The one order-4 w = u - c D^2 u of the package, over every cell
-    average, the first and last included: those two take the one-sided
-    edge closures of _d2_order4 over the averages themselves.
-    """
+def _initial_cells(manifest: RunManifest, grid: GridSpec) -> np.ndarray:
+    """Cell averages of u at t = 0, exact for the riemann step and by
+    Simpson's rule for the smooth ramp."""
     xl = grid.nodes()[:-1]
     if manifest.ic_kind == "riemann":
         frac = np.clip((manifest.L0 - xl) / grid.dx, 0.0, 1.0)
-        ubar = manifest.u_B * frac
-    else:
-        xr = xl + grid.dx
-        xm = grid.centers()
-        ubar = (smooth_ramp_ic(xl, manifest.u_B)
-                + 4.0 * smooth_ramp_ic(xm, manifest.u_B)
-                + smooth_ramp_ic(xr, manifest.u_B)) / 6.0
-    if params.disp == 0.0:
-        return ubar
-    return ubar - params.disp * _d2_order4(ubar, grid.dx)
+        return manifest.u_B * frac
+    xr = xl + grid.dx
+    xm = grid.centers()
+    return (smooth_ramp_ic(xl, manifest.u_B)
+            + 4.0 * smooth_ramp_ic(xm, manifest.u_B)
+            + smooth_ramp_ic(xr, manifest.u_B)) / 6.0
 
 
 def _context(manifest: RunManifest) -> RunContext:
@@ -301,11 +292,7 @@ def run_manifest(manifest: RunManifest | Sequence[RunManifest]) -> list:
     NumericalError in any run fails the batch.
     """
     if isinstance(manifest, RunManifest):
-        if manifest.scheme != "third_order":
-            return _march([manifest])[0]
-        ctx = _context(manifest)
-        return cweno.run(_initial_cell_w(manifest, ctx.grid, ctx.params), ctx,
-                         manifest.t_final, manifest.snapshot_times)
+        return _march([manifest])[0]
     batch = list(manifest)
     if not batch or any(m.scheme == "third_order" for m in batch):
         raise ValueError("a batch holds one or more staggered-scheme manifests")
@@ -317,8 +304,13 @@ def run_manifest(manifest: RunManifest | Sequence[RunManifest]) -> list:
 
 
 def _march(batch: list[RunManifest]) -> list[list[Field]]:
+    """One list of fields per manifest of batch: a staggered batch, or one
+    third_order manifest."""
     ctxs = [_context(m) for m in batch]
     head = batch[0]
+    if head.scheme == "third_order":
+        return [cweno.run(_initial_cells(head, ctxs[0].grid), ctxs[0],
+                          head.t_final, head.snapshot_times)]
     return staggered.run([_initial_nodes(m, ctx.grid) for m, ctx in zip(batch, ctxs)],
                          ctxs, head.scheme, head.t_final, head.snapshot_times)
 
@@ -412,8 +404,10 @@ def _order_test_manifest(scheme: str, tau: float, u_B: float, n: int) -> RunMani
                        snapshot_times=[], ic_kind="smooth_ramp")
 
 
-def _self_difference(scheme: str, coarse: Field, fine: Field, dx: float) -> dict:
-    if scheme == "third_order":
+def _self_difference(coarse: Field, fine: Field, dx: float) -> dict:
+    """Norms of fine restricted to coarse's points, less coarse: a cell
+    average of two fine cells, or every other node."""
+    if fine.phase == HALF_GRID:
         fine_on_coarse = 0.5 * (fine.values[0::2] + fine.values[1::2])
         diff = fine_on_coarse - coarse.values
     else:
@@ -436,7 +430,7 @@ def order_table(scheme: str, params_triple: tuple[float, float],
     for n in levels:
         coarse = run_cached(_order_test_manifest(scheme, tau, u_B, n))[-1]
         fine = run_cached(_order_test_manifest(scheme, tau, u_B, 2 * n))[-1]
-        errs = _self_difference(scheme, coarse, fine, 30.0 / n)
+        errs = _self_difference(coarse, fine, 30.0 / n)
         row = {"N": n, **errs}
         for norm in ("l1", "l2", "linf"):
             row[f"order_{norm}"] = (math.log2(prev[norm] / errs[norm])

@@ -193,20 +193,17 @@ _LEFT_EDGE = np.array([35.0, -104.0, 114.0, -56.0, 11.0]) / 12.0
 _LEFT_IN = np.array([11.0, -20.0, 6.0, 4.0, -1.0]) / 12.0
 
 
-def _d2_order4(v: np.ndarray, dx: float, out: np.ndarray = None,
-               work: np.ndarray = None) -> np.ndarray:
+def _d2_order4(v: np.ndarray, dx: float, out: np.ndarray,
+               work: np.ndarray) -> np.ndarray:
     """Five-point fourth-order second derivative with one-sided closures.
 
     The interior rows are (((-a + 16 b) - 30 c) + 16 d) - e over 12 dx^2,
     formed in place in that rounding order (16 b - a is -a + 16 b exactly),
-    in out (n values) with the 30 c and 16 d terms in work (n - 4 values)
-    when given (new arrays by default).
+    in out (n values) with the 30 c and 16 d terms in work (n - 4 values).
     """
     n = v.size
     if n < 5:
         raise ValueError("need at least 5 values for the 5-point stencil")
-    if out is None:
-        out = np.empty(n)
     inner = np.multiply(v[1:-3], 16.0, out=out[2:-2])
     inner -= v[:-4]
     term = np.multiply(v[2:-2], 30.0, out=work)

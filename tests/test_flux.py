@@ -115,10 +115,9 @@ def test_chord_slope_from_the_origin_peaks_at_alpha():
 
 
 def test_bad_viscosity_ratio():
-    with pytest.raises(ValueError):
-        FluxModel(0.0)
-    with pytest.raises(ValueError):
-        FluxModel(-1.0)
+    for M in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="M must be positive"):
+            FluxModel(M)
 
 
 def test_viscosity_ratios_at_the_ends_of_the_float_range():

@@ -79,6 +79,15 @@ def test_manifest_validation():
         desk_manifest(dx=-0.1)
     with pytest.raises(ManifestError):
         desk_manifest(ic_kind="sawtooth")
+    for field in ("dx", "L", "t_final"):
+        with pytest.raises(ManifestError, match="must be positive"):
+            desk_manifest(**{field: 0.0})
+    with pytest.raises(ManifestError, match="need 0 <= L0 < L"):
+        desk_manifest(L0=0.75)  # L0 = L
+    desk_manifest(epsilon=0.0)  # the inviscid limit
+    # lambda = 0 is the grid's to refuse, by name
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        experiments._grid_for(desk_manifest(lam=0.0))
 
 
 @pytest.mark.parametrize("field", ["t_final", "L", "tau", "epsilon", "M", "dx"])
@@ -101,9 +110,20 @@ def test_derive_validates_and_keeps_the_cache_key():
         base.model_copy(update={"u_B": 1.5})
 
 
+@pytest.mark.parametrize("past, value", [(0.7e-12, 0.9), (1.5e-12, 0.0)])
+def test_the_riemann_start_holds_u_B_at_a_node_up_to_1e_12_past_L0(past, value):
+    m = desk_manifest(L=1.0, L0=0.25 - past, dx=0.25)
+    assert experiments._initial_nodes(m, experiments._grid_for(m))[1] == value
+
+
 def test_manifest_warns_when_domain_is_too_short():
     with pytest.warns(UserWarning):
         desk_manifest(t_final=5.0)
+    # a domain as long as the leading wave travels is too short as well
+    t_final = 0.75 / FluxModel(2.0).D
+    assert FluxModel(2.0).D * t_final == 0.75
+    with pytest.warns(UserWarning, match="domain-sizing"):
+        desk_manifest(t_final=t_final)
 
 
 def test_domain_sizing_warning_points_at_the_code_that_built_the_manifest(tmp_path):
@@ -707,6 +727,18 @@ def test_domain_study_isolates_a_numerical_error(monkeypatch):
         [e for e in intact if (e["t"], e["L"]) not in {(0.01, 0.2), (0.01, 0.25)}]
 
 
+def test_domain_study_reports_an_eps_tau_that_underflows_per_entry(empty_run_cache):
+    # s = eps sqrt(tau) = 1e-300 is positive, so the study starts, but each
+    # truncated entry's bound divides by eps * tau, which underflows to 0
+    entries = domain_study(_tiny(epsilon=1e-200, tau=1e-200), [0.2, 0.3],
+                           [0.005, 0.01])["entries"]
+    assert [(e["t"], e["L"], e.get("error")) for e in entries] == [
+        (t, L, None if L == 0.3 else "NumericalError: bound constants undefined: "
+         "epsilon*tau underflows to 0 at epsilon = 1e-200, tau = 1e-200")
+        for t in (0.005, 0.01) for L in (0.2, 0.3)]
+    assert all(e["classification"] is not None for e in entries)
+
+
 def test_domain_study_survives_a_failed_domain_run(runs, monkeypatch):
     base, L_values, times = _tiny(), [0.2, 0.3], [0.005, 0.01]
     intact = domain_study(base, L_values, times)["entries"]
@@ -988,6 +1020,14 @@ def test_cli_lemma_audit(manifest_file, capsys):
     assert "# all audits hold" in capsys.readouterr().out
 
 
+def test_cli_lemma_audit_takes_the_phi_items_up_to_x_equal_to_L(manifest_file, capsys):
+    # the tiny manifest has L = 0.3
+    assert cli.main(["lemma-audit", "--manifest", str(manifest_file),
+                     "--items", "L4ii", "--x", "0.3,0.4"]) == 0
+    rows = capsys.readouterr().out.splitlines()[:-1]
+    assert [row.split()[1] for row in rows] == ["x=0.3"]
+
+
 def test_cli_lemma_audit_overflow_is_a_numerical_failure(tmp_path, capsys):
     # s = eps sqrt(tau) = 1e-4: the box bound 2 C_u s e^{lam L0/s} overflows
     path = tmp_path / "m.json"
@@ -1045,7 +1085,10 @@ def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
 
 # what the message of a row names, where its exit code alone says little
 _NAMED = {("--L", "1e16"): "L = 1e+16 and dx = 0.0025",
-          ("--L", "1e300"): "L = 1e+300 and dx = 0.0025"}
+          ("--L", "1e300"): "L = 1e+300 and dx = 0.0025",
+          ("--t", "0.1", "--epsilon", "1e-200", "--tau", "1e-200"):
+              "epsilon*tau underflows to 0",
+          ("--epsilon", "1e-17", "--items", "L2i,L3i,L2ii,L3ii"): "unresolvable"}
 
 
 @pytest.mark.parametrize("verb, args, code", [
@@ -1086,12 +1129,16 @@ _NAMED = {("--L", "1e16"): "L = 1e+16 and dx = 0.0025",
     # t + lambda * dx rounds to t long before t_final: the clock never gets there
     ("riemann", ["--t-final", "1e300"], 2),
     # 4e14 cells: the grid's 3.2 PB lie beyond any address space, so nothing
-    # is allocated (the third-order start fails in _initial_cell_w)
+    # is allocated (the third-order start fails in _initial_cells)
     *(("riemann", ["--L", "1e12", "--scheme", scheme], 3)
       for scheme in ("trapezoid", "third_order")),
     # 4e18 and 4e302 cells: more than any array can index, so the grid itself
     # refuses them, before anything is allocated
     *(("riemann", ["--L", L], 2) for L in ("1e16", "1e300")),
+    # s = eps sqrt(tau) = 1e-300 > 0, but eps * tau underflows to 0
+    ("bound", ["--t", "0.1", "--epsilon", "1e-200", "--tau", "1e-200"], 3),
+    # s = 1e-17 spans 2.9 ulps of x = L0/2: the audit cannot resolve the point
+    ("lemma-audit", ["--epsilon", "1e-17", "--items", "L2i,L3i,L2ii,L3ii"], 3),
 ])
 def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
                                                         verb, args, code):

@@ -57,6 +57,16 @@ def test_grid_spec_validation():
         GridSpec(L=1.0, n_cells=8, dx=0.2)  # 8 * 0.2 != 1
     with pytest.raises(ValueError):
         GridSpec(L=1.0, n_cells=8, lam=0.0)
+    # NaN fails every comparison, so each check is written to refuse it
+    with pytest.raises(ValueError, match="no normal float"):
+        GridSpec(L=1.0, n_cells=8, dx=math.nan)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        GridSpec(L=1.0, n_cells=8, lam=math.nan)
+    GridSpec(L=2.0 ** -509, n_cells=4)  # dx^2 = 2^-1022, the smallest normal
+    # dx n_cells may miss L by a relative 1e-12, and no more
+    GridSpec(L=1.0, n_cells=8, dx=0.125 * (1.0 + 0.7e-12))
+    with pytest.raises(ValueError, match="does not match"):
+        GridSpec(L=1.0, n_cells=8, dx=0.125 * (1.0 + 1.5e-12))
 
 
 def test_grid_spec_refuses_a_length_that_is_not_positive():
@@ -151,12 +161,17 @@ def _random_node_field(n, seed):
     return rng.uniform(0.2, 0.9, n + 1)
 
 
+def _d2_order4_alone(v, dx):
+    """_d2_order4 of v in rows of its own."""
+    return _d2_order4(v, dx, np.empty(v.size), np.empty(v.size - 4))
+
+
 def _apply_nodes(u, c, dx, order=2):
     """w on the nodes: u - c D^2 u inside, by helmholtz_apply at order 2 and
     by the order-4 kernel at order 4; identity boundary rows."""
     w = u.copy()
     w[1:-1] = (helmholtz_apply(u, c, dx) if order == 2
-               else u[1:-1] - c * _d2_order4(u, dx)[1:-1])
+               else u[1:-1] - c * _d2_order4_alone(u, dx)[1:-1])
     return w
 
 
@@ -220,7 +235,7 @@ def test_order4_stencil_exact_on_quintic_interior():
     x = np.linspace(0.0, 1.0, n + 1)
     u = x**5 - 2.0 * x**4 + x**3 + 0.5 * x - 3.0
     d2 = 20.0 * x**3 - 24.0 * x**2 + 6.0 * x
-    resid = u[1:-1] - (u[1:-1] - _d2_order4(u, dx)[1:-1])  # c D2 u, c = 1
+    resid = u[1:-1] - (u[1:-1] - _d2_order4_alone(u, dx)[1:-1])  # c D2 u, c = 1
     assert np.allclose(resid[1:-1], d2[2:-2], rtol=0, atol=1e-9)
 
 
@@ -230,7 +245,7 @@ def test_one_sided_closures_exact_on_quartic():
     x = np.linspace(0.0, 1.0, n + 1)
     u = x**4 - x**2 + 0.25
     d2 = 12.0 * x**2 - 2.0
-    resid = u[1:-1] - (u[1:-1] - _d2_order4(u, dx)[1:-1])
+    resid = u[1:-1] - (u[1:-1] - _d2_order4_alone(u, dx)[1:-1])
     assert np.allclose(resid, d2[1:-1], rtol=0, atol=1e-9)
 
 

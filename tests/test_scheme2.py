@@ -15,7 +15,7 @@ from mblab import cli, cweno, staggered
 from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
 from mblab.flux import FluxModel, flux
-from mblab.march import RunContext, landing_targets
+from mblab.march import RunContext, land_snapshots, landing_targets
 from mblab.operators import (
     Field,
     GridSpec,
@@ -837,6 +837,58 @@ def test_run_validates_times():
         _run_a(t_final=0.1, snapshot_times=[0.2])
     with pytest.raises(ValueError):
         _run_a(t_final=0.1, snapshot_times=[-0.05])
+    with pytest.raises(ValueError):
+        _run_a(t_final=0.1, snapshot_times=[0.0])  # the start is no landing
+
+
+def _march(t_final, dt_nom, value=0.5):
+    """The steps land_snapshots takes to t_final from t = 0 in nominal steps
+    of dt_nom, on a state that is its clock alone, landing a one-point
+    field of value."""
+    steps = []
+
+    def advance(state, dt):
+        steps.append(dt)
+        return (state[0] + dt,)
+
+    land_snapshots(advance, lambda state, time: [Field(np.array([value]), INTEGER_GRID, time)],
+                   (0.0,), t_final, (), dt_nom)
+    return steps
+
+
+@pytest.mark.parametrize("left, nominal", [(0.7e-12, True), (1.5e-12, False)])
+def test_a_time_left_within_1e_12_of_a_step_takes_a_nominal_step(left, nominal):
+    assert _march(0.1 - left, 0.1) == ([0.1] if nominal else [0.1 - left])
+
+
+@pytest.mark.parametrize("left, stepped", [(0.7e-12, False), (1.5e-12, True)])
+def test_a_time_left_within_1e_12_is_landed_on_without_a_step(left, stepped):
+    steps = _march(0.1 + left, 0.1)
+    assert len(steps) == (2 if stepped else 1) and steps[0] == 0.1
+
+
+def test_the_landing_tolerance_bounds_the_nominal_step():
+    assert _march(3e-12, 1.5e-12) == [1.5e-12, 1.5e-12]
+    for dt_nom in (1e-12, math.nan):  # a short march, should the guard let one by
+        with pytest.raises(ValueError, match="landing tolerance"):
+            _march(3e-12, dt_nom)
+
+
+def test_snapshot_times_may_pass_t_final_by_1e_12():
+    assert 1.0 + 1e-12 in landing_targets(0.0, 1.0, [1.0 + 1e-12])
+    with pytest.raises(ValueError, match="snapshot times"):
+        landing_targets(0.0, 1.0, [1.0 + 1.5e-12])
+    # one within 1e-12 of t_final is its landing, one further off is its own
+    assert landing_targets(0.0, 1.0, [1.0 - 0.7e-12]) == [1.0 - 0.7e-12]
+    assert landing_targets(0.0, 1.0, [1.0 - 1.5e-12]) == [1.0 - 1.5e-12, 1.0]
+
+
+def test_a_landed_field_may_reach_minus_one_and_two_and_no_further():
+    for value in (-1.0, 2.0):
+        _march(0.1, 0.1, value)
+    for value in (np.nextafter(-1.0, -2.0), np.nextafter(2.0, 3.0)):
+        with pytest.raises(NumericalError, match=r"leaves \[-1, 2\]"):
+            _march(0.1, 0.1, value)
 
 
 def test_a_non_finite_landing_time_is_a_value_error():

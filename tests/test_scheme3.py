@@ -20,13 +20,10 @@ from mblab.errors import NumericalError
 from mblab.experiments import desk_manifest, run_manifest
 from mblab.flux import FluxModel, flux, flux_and_deriv
 from mblab.march import RunContext
-from mblab.operators import (
-    GridSpec,
-    MBLParams,
-    _d2_order4,
-)
+from mblab.operators import GridSpec, MBLParams, _d2_order4
 from mblab.staggered import _minmod
 
+from test_operators import _d2_order4_alone
 from test_scheme2 import _arrays_reached
 
 MODEL = FluxModel(2.0)
@@ -41,9 +38,11 @@ def _quadratic_cell_averages():
 
 def _inner_interfaces(wbar, dx):
     """The interfaces between the cells of wbar, with its edge averages as
-    the ghost values."""
-    rows = cweno._Reconstruction(wbar.size)
-    return cweno_reconstruct(wbar, dx, (wbar[0], wbar[-1]), rows)[:, 1:-1]
+    the ghost values, in the workspace of a run with cells of width dx."""
+    n = wbar.size
+    ctx = RunContext(GridSpec(L=n * dx, n_cells=n, dx=dx), MBLParams(0.0, 0.0), MODEL,
+                     (wbar[0], wbar[-1]))
+    return cweno_reconstruct(wbar, cweno.Workspace(ctx))[:, 1:-1]
 
 
 def test_reconstruct_quadratic_interfaces():
@@ -74,8 +73,14 @@ def test_reconstruct_scale_invariance():
 
 
 def test_reconstruct_needs_five_cells():
+    # a grid may have 4 cells; the reconstruction rows of its workspace may not
+    def ctx(n):
+        return RunContext(GridSpec(L=0.1 * n, n_cells=n), MBLParams(0.0, 0.0), MODEL,
+                          (0.5, 0.0))
+
     with pytest.raises(ValueError, match="at least 5 cell averages"):
-        cweno._Reconstruction(4)
+        cweno.Workspace(ctx(4))
+    assert cweno.Workspace(ctx(5)).w.shape == (2, 6)
 
 
 def _flux(u, w):
@@ -108,19 +113,20 @@ def test_d2_order4_polynomials():
     n = 24
     dx = 1.0 / n
     xc = (np.arange(n) + 0.5) * dx
-    assert np.allclose(_d2_order4(np.full(n, 0.3), dx), 0.0, rtol=0, atol=1e-12)
+    assert np.allclose(_d2_order4_alone(np.full(n, 0.3), dx), 0.0, rtol=0, atol=1e-12)
     # degree <= 4 is exact everywhere, closures included
-    assert np.allclose(_d2_order4(xc**2, dx), 2.0, rtol=0, atol=1e-9)
-    assert np.allclose(_d2_order4(xc**4, dx), 12.0 * xc**2, rtol=0, atol=1e-8)
+    assert np.allclose(_d2_order4_alone(xc**2, dx), 2.0, rtol=0, atol=1e-9)
+    assert np.allclose(_d2_order4_alone(xc**4, dx), 12.0 * xc**2, rtol=0, atol=1e-8)
     # degree 5 only on the interior five-point rows
-    out = _d2_order4(xc**5, dx)
+    out = _d2_order4_alone(xc**5, dx)
     assert np.allclose(out[2:-2], 20.0 * xc[2:-2] ** 3, rtol=0, atol=1e-8)
 
 
 def test_d2_order4_needs_five_values():
     # without the guard, numpy's own broadcast error would be a ValueError too
     with pytest.raises(ValueError, match="at least 5 values"):
-        _d2_order4(np.ones(4), 0.1)
+        _d2_order4_alone(np.ones(4), 0.1)
+    assert np.allclose(_d2_order4_alone(np.ones(5), 0.1), 0.0, rtol=0, atol=1e-12)
 
 
 def _ctx(n_cells=20, lam=0.1, epsilon=0.0, tau=1.0, g=0.8, h=0.0):
@@ -139,6 +145,19 @@ def _step(wbar, dt, ctx):
     return rk4_step(wbar, dt, cweno.Workspace(ctx))
 
 
+def test_run_from_the_exact_cell_averages_of_u_is_the_manifest_run():
+    # dx = 2^-8 puts the step at L0 on a cell edge, so its exact averages are
+    # u_B and 0; run forms the start w from them, as for any manifest
+    m = desk_manifest(scheme="third_order", L=1.0, L0=0.25, dx=2.0 ** -8,
+                      t_final=0.01, snapshot_times=[0.005])
+    ctx = RunContext(GridSpec(L=1.0, n_cells=256, dx=2.0 ** -8, lam=m.lam),
+                     MBLParams(m.epsilon, m.tau), MODEL, (m.u_B, 0.0))
+    ubar0 = np.where(ctx.grid.centers() < m.L0, m.u_B, 0.0)
+    ran = cweno.run(ubar0, ctx, m.t_final, m.snapshot_times)
+    assert [(f.time, f.phase, f.values.tobytes()) for f in ran] == \
+        [(f.time, f.phase, f.values.tobytes()) for f in run_manifest(m)]
+
+
 def test_rhs_vanishes_on_constant_state():
     ctx = _ctx(g=0.5, h=0.5, epsilon=0.02)
     wbar = np.full(20, 0.5)
@@ -155,6 +174,20 @@ def test_rhs_telescopes_to_boundary_fluxes():
     out = _rhs(wbar, ctx)
     total = out.sum() * ctx.grid.dx
     assert total == pytest.approx(flux(g, MODEL) - flux(h, MODEL), abs=1e-10)
+
+
+@pytest.mark.parametrize("lam, rejected", [(0.25, True), (np.nextafter(0.25, 0.0), False)])
+def test_run_rejects_lambda_c_from_one_half(lam, rejected):
+    # M = 1 gives C = 2 exactly, so lam = 1/4 puts lam * C at 1/2
+    model = FluxModel(1.0)
+    assert model.C == 2.0
+    ctx = RunContext(GridSpec(L=2.0, n_cells=20, lam=lam), MBLParams(0.0, 1.0), model,
+                     (0.5, 0.5))
+    if rejected:
+        with pytest.raises(NumericalError, match="CFL violation"):
+            cweno.run(np.full(20, 0.5), ctx, t_final=0.05)
+    else:
+        assert cweno.run(np.full(20, 0.5), ctx, t_final=0.05)[-1].values.shape == (20,)
 
 
 @pytest.mark.parametrize("t_final, times", [(math.nan, ()), (1.0, [math.nan])])
@@ -221,7 +254,7 @@ def test_rk4_step_changes_the_mass_by_the_boundary_fluxes(epsilon, g, h, interio
 
 @pytest.mark.parametrize("kernel", [
     cweno.cweno_reconstruct, cweno.numerical_flux, cweno.semidiscrete_rhs,
-    cweno.rk4_step, flux_and_deriv, _minmod])
+    cweno.rk4_step, flux_and_deriv, _minmod, _d2_order4])
 def test_the_marching_kernels_take_every_row_from_their_caller(kernel):
     # one code path per kernel: a default would be a second one that builds
     # fresh rows, which no caller in the package takes
@@ -275,7 +308,7 @@ def test_a_state_stepped_twice_gives_the_same_bytes_both_times(epsilon):
     assert _step(wbar, 0.01, ctx).tobytes() == kept  # a workspace of its own
     # every array the workspace reaches, its rows, views and solves too
     arrays = _arrays_reached(ws)
-    assert any(a is ws.reconstruction.minus[3] for a in arrays)
+    assert any(a is ws.minus[3] for a in arrays)
     for a in (first, second):
         assert not any(np.shares_memory(a, b) for b in arrays + [wbar])
     assert not np.shares_memory(first, second)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mblab import bounds, cli
 from mblab.bounds import (
@@ -165,6 +165,9 @@ def test_bound_params_validation():
                          ("epsilon", math.nan), ("tau", math.inf)]:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             BoundParams(lam=0.5, **{**kw, field: value})
+    with pytest.raises(ValueError, match="need L > L0"):
+        BoundParams(lam=0.5, **{**kw, "L0": kw["L"]})
+    BoundParams(lam=0.5, **{**kw, "g_sup": 0.0})  # no inflow at all is a bound
 
 
 def test_bound_params_rejects_a_negative_inflow_bound():
@@ -204,12 +207,35 @@ def test_bound_constants_errors():
         bound_constants(degen, 0.1)
     with pytest.raises(NumericalError, match="overflow"):
         bound_constants(P_DESK, 100.0)
+    # s = eps sqrt(tau) = 1e-300 is positive, eps * tau underflows to 0
+    tiny = dataclasses.replace(P_DESK, epsilon=1e-200, tau=1e-200)
+    with pytest.raises(NumericalError, match=r"epsilon\*tau underflows to 0"):
+        bound_constants(tiny, 0.1)
     # the desk manifest (eps = 0.005, L0 = 0): every exponential is finite at
     # t = 3, their products are not
     desk = BoundParams(lam=0.5, C_u=ALPHA, L0=0.0, L=0.75, g_sup=ALPHA,
                        M=2.0, epsilon=0.005, tau=5.0)
     with pytest.raises(NumericalError, match="gamma1.*not finite"):
         bound_constants(desk, 3.0)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(epsilon=_FINITE, tau=_FINITE, t=_FINITE, M=_FINITE, L0=_FINITE, L=_FINITE,
+       lam=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(epsilon=1e-200, tau=1e-200, t=0.1, M=2.0, L0=0.1, L=0.75, lam=0.5)
+def test_bound_constants_are_finite_or_a_documented_error(epsilon, tau, t, M, L0, L, lam):
+    # every outcome is ten finite constants or an error cli.main maps to exit
+    # code 2 (ValueError) or 3 (NumericalError, OverflowError)
+    try:
+        report = bound_constants(BoundParams(lam=lam, C_u=ALPHA, L0=L0, L=L, g_sup=ALPHA,
+                                             M=M, epsilon=epsilon, tau=tau), t)
+    except (ValueError, NumericalError, OverflowError):
+        return
+    values = dataclasses.astuple(report)
+    assert len(values) == 10 and all(math.isfinite(v) for v in values)
 
 
 def test_lemma_audit_errors():
@@ -230,10 +256,36 @@ def test_l4i_audit_refuses_a_point_past_its_precision_cap():
     p = BoundParams(lam=0.5, C_u=ALPHA, L0=0.1, L=0.75, g_sup=ALPHA,
                     M=2.0, epsilon=0.75 / 9900, tau=1.0)
     assert lemma_audit("L4i", p, 0.0)["holds"]
+    at_cap = dataclasses.replace(p, epsilon=2.0 ** -14, L=9940 * 2.0 ** -14)
+    assert lemma_audit("L4i", at_cap, 0.0)["holds"]  # L/s = 9940: 10 000 digits
     with pytest.raises(NumericalError, match="L4i audit needs 19860 digits"):
         lemma_audit("L4i", p, 0.75)
     with pytest.raises(NumericalError, match="needs inf digits"):
         lemma_audit("L4i", dataclasses.replace(p, epsilon=1e-320), 0.0)
+
+
+@pytest.mark.parametrize("item", ["L2i", "L3i", "L2ii", "L3ii"])
+def test_lemma_audit_refuses_an_s_within_a_few_ulps_of_x(item):
+    # s = 1e-17 spans 1.44 ulps of x = 0.05: the graded cuts x +- s 2^k
+    # collapse, and L2i's quadrature once returned lhs 2.97e-17 > rhs 2.67e-17
+    p = dataclasses.replace(P_DESK, C_u=0.9, g_sup=0.9, epsilon=1e-17, tau=1.0)
+    with pytest.raises(NumericalError, match="spans only 1.44 ulps of x = 0.05"):
+        lemma_audit(item, p, 0.05)
+
+
+@pytest.mark.parametrize("ulps, resolved", [(1e8, False), (1.1e8, True)])
+def test_the_audit_resolves_s_past_1e8_ulps_of_x(ulps, resolved):
+    # at the cut, a node's rounding moves the kernels by the verdict's slack;
+    # past it the saturated L2i integral 2s/(1 - lam^2) comes out within 1e-8
+    x = 0.3
+    p = dataclasses.replace(P_DESK, epsilon=ulps * math.ulp(x), tau=1.0)
+    if not resolved:
+        with pytest.raises(NumericalError, match="unresolvable"):
+            lemma_audit("L2i", p, x)
+        return
+    out = lemma_audit("L2i", p, x)
+    assert out["holds"]
+    assert out["lhs"] == pytest.approx(out["rhs"], rel=1e-8)
 
 
 def test_lemma_audit_spot_checks():
