@@ -1,4 +1,4 @@
-"""Green's kernels, truncation-bound constants, and quadrature audits.
+"""Green's kernels, truncation-bound constants, and the lemma audits.
 
 The half-line problem (I - s^2 D^2) acting on the dispersive part has the
 kernel pair (s = eps sqrt(tau))
@@ -11,25 +11,25 @@ with K = -dG/dxi, and the interval [0, L] has the boundary pair
   phi1(x) = (e^{-x/s} - e^{(x-2L)/s}) / (1 - e^{-2L/s})
   phi2(x) = (e^{(x-L)/s} - e^{-(x+L)/s}) / (1 - e^{-2L/s})
 
-with phi1(0) = phi2(L) = 1 and phi1(L) = phi2(0) = 0.  Each is written
-once: _kernel_pair gives the two bracketed sums of G and K, with any
-weight e^{w/s} folded into the exponents before exponentiation so that
-small s never overflows, and _phi_pair gives phi1, phi2 and phi2' in
-double precision or, for the L4i audit, in exact rationals whose
-exponentials _rational_exp forms to the audit's digits; only that audit
-imports fractions, when it runs.  s and its s > 0 check live in
-BoundParams.scale.  No finite-interval kernel is evaluated here.
+with phi1(0) = phi2(L) = 1 and phi1(L) = phi2(0) = 0.  _phi_pair gives
+phi1, phi2 and phi2' in double precision or, for the L4i audit, in exact
+rationals whose exponentials _rational_exp forms to the audit's digits;
+only that audit imports fractions, when it runs.  s and its s > 0 check
+live in BoundParams.scale.  No finite-interval kernel is evaluated here.
 
 bound_constants assembles the explicit constants of the truncation
 estimate
 
   ||u_halfline - u_[0,L]||_{H^1} <= D1(t) e^{-lam L/s} + D2(t) e^{-lam (L-L0)/s}
 
-and lemma_audit checks the nine supporting kernel/weight inequalities by
-adaptive Gauss-Kronrod quadrature (_audit_quad), on arrays of panels.
-compare_domains sets the measured difference of two given final profiles
-beside the bound; the runs themselves belong to experiments.domain_study,
-and this module imports nothing from experiments or cli.
+and lemma_audit checks the nine supporting kernel/weight inequalities.
+Under the audits' weights e^{w/s}, with w linear in xi, |G| and |K| are
+sums of at most two exponentials in xi on each side of x, so the L2/L3
+integrals are taken in closed form, by _exp_integral; no quadrature is
+involved.  compare_domains sets the measured difference of two given
+final profiles beside the bound; the runs themselves belong to
+experiments.domain_study, and this module imports nothing from
+experiments or cli.
 """
 from __future__ import annotations
 
@@ -110,16 +110,6 @@ class BoundReport:
     bound: float
 
 
-def _kernel_pair(x, xi, s: float, w) -> tuple:
-    """e^{w/s} times the bracketed sums of G and K: 2 G / s and 2 K, at
-    scalar or array xi and w.  Both are factored on e^{-|x-xi|/s}, with
-    e^{-(x+xi)/s} = e^{-|x-xi|/s} e^{-2 min(x,xi)/s}, so that the sums that
-    nearly cancel where min(x, xi) << s keep their relative precision."""
-    e_diff = np.exp((w - np.abs(x - xi)) / s)
-    g_sum = e_diff * np.expm1(-2.0 * np.minimum(x, xi) / s)
-    return g_sum, g_sum + (1.0 + np.sign(x - xi)) * e_diff
-
-
 def _phi_pair(x, L, s, lib=math) -> tuple:
     """phi1, phi2 and phi2' at x in [0, L]; lib is math, or _rational_exp
     on Fraction arguments when the result is needed beyond double
@@ -193,102 +183,6 @@ def bound_constants(p: BoundParams, t: float) -> BoundReport:
 # --- lemma audits -----------------------------------------------------------
 
 _SLACK = 1e-8
-
-
-# QUADPACK's qk21 rule (Piessens et al., QUADPACK, Springer 1983): the 21
-# Kronrod nodes on [-1, 1] with their weights, and the weights of the
-# embedded 10-point Gauss rule, whose nodes are the odd-indexed ones
-_GK_NODES = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0])
-_GK_NODES = np.concatenate([_GK_NODES, -_GK_NODES[-2::-1]])
-_K_WEIGHTS = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821])
-_K_WEIGHTS = np.concatenate([_K_WEIGHTS, _K_WEIGHTS[-2::-1]])
-_G_WEIGHTS = np.zeros(21)
-_G_WEIGHTS[1:10:2] = _G_WEIGHTS[19:10:-2] = (
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338)
-_ROUNDING = 50.0 * np.finfo(float).eps
-_UNDERFLOW = np.finfo(float).tiny / _ROUNDING
-_PANEL_LIMIT = 500
-# the fewest ulps of x that s must span: a quadrature node rounds to the
-# floats near x, which moves the kernels, whose scale is s, by up to a
-# relative ulp(x)/s; at this cut that is the slack that decides a verdict
-_MIN_ULPS = 1.0 / _SLACK
-
-
-def _gk21(integrand, a: np.ndarray, b: np.ndarray) -> tuple:
-    """qk21 on each panel [a, b]: the integral and QUADPACK's error
-    estimate, with its resasc scaling and its 50 eps resabs rounding floor."""
-    half = 0.5 * (b - a)
-    f = integrand((0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES)
-    if not np.isfinite(f).all():
-        raise NumericalError("quadrature met a non-finite integrand value")
-    res_k = f @ _K_WEIGHTS
-    err = np.abs((res_k - f @ _G_WEIGHTS) * half)
-    res_abs = np.abs(f) @ _K_WEIGHTS * half
-    res_asc = np.abs(f - 0.5 * res_k[:, None]) @ _K_WEIGHTS * half
-    err = np.where((res_asc != 0) & (err != 0),
-                   res_asc * np.minimum(1.0, (200.0 * err / res_asc) ** 1.5), err)
-    err = np.where(res_abs > _UNDERFLOW, np.maximum(_ROUNDING * res_abs, err), err)
-    return res_k * half, err
-
-
-def _audit_quad(integrand, lo: float, hi: float, x: float, s: float) -> float:
-    """Integral of a vectorised integrand over [lo, hi] by adaptive qk21,
-    tight enough for inequalities that are exact at saturation; refuses to
-    return a value whose error estimate could flip the verdict.
-
-    The first panels are graded by powers of two of s on either side of x,
-    where the kernels have their kink or jump.  Each round bisects every
-    panel whose error estimate exceeds an equal share of the tolerance, all
-    in one integrand call, until the total estimate meets a relative 1e-11.
-    An s of at most _MIN_ULPS ulps of x is a NumericalError: there the
-    nodes near x cannot resolve the kernels, and no error estimate sees it.
-    """
-    if not s > _MIN_ULPS * math.ulp(x):
-        raise NumericalError(
-            f"audit point unresolvable: s = {s:.6g} spans only {s / math.ulp(x):.3g} "
-            f"ulps of x = {x:g}, not more than {_MIN_ULPS:g}")
-    cuts, step = {lo, hi, x}, s
-    while step < max(x - lo, hi - x):
-        cuts |= {x - step, x + step}
-        step *= 2.0
-    edges = np.array(sorted(c for c in cuts if lo <= c <= hi))
-    a, b = edges[:-1], edges[1:]
-    with np.errstate(all="ignore"):
-        res, err = _gk21(integrand, a, b)
-        while True:
-            val, total = float(res.sum()), float(err.sum())
-            tol = max(1e-300, 1e-11 * abs(val))
-            if total <= tol:
-                break
-            if a.size > _PANEL_LIMIT:
-                raise NumericalError(
-                    f"quadrature did not converge (estimated error {total:.3g} "
-                    f"on {a.size} panels)")
-            split = err > tol / a.size
-            keep = ~split
-            mid = 0.5 * (a[split] + b[split])
-            new_a, new_b = np.r_[a[split], mid], np.r_[mid, b[split]]
-            new_res, new_err = _gk21(integrand, new_a, new_b)
-            a, b = np.r_[a[keep], new_a], np.r_[b[keep], new_b]
-            res, err = np.r_[res[keep], new_res], np.r_[err[keep], new_err]
-    if total > max(val, 1e-300) * 1e-9:
-        raise NumericalError(
-            f"quadrature too loose: estimated error {total:.3g} on value {val:.6g}")
-    return val
 
 
 # the most decimal digits an L4i audit may work at; its cost grows about as
@@ -377,9 +271,20 @@ def _audit_phi_identity(x: float, L: float, s: float) -> tuple[float, float, boo
     return float(lhs), float(rhs), lhs <= rhs * (1 + Fraction(_SLACK))
 
 
+def _exp_integral(top: float, rate: float, length: float, s: float) -> float:
+    """The integral of e^{(top - rate t)/s} over t in [0, length], for
+    rate >= 0: an exponential anchored at its larger end, e^{top/s} times
+    length expm1(z)/z with z = -rate length/s, written s (-expm1(z))/rate
+    so that a length/s that overflows still gives s/rate.  Its exponent
+    is never the difference of two large numbers."""
+    z = -rate * length / s
+    return math.exp(top / s) * (-math.expm1(z) * s / rate if z else length)
+
+
 def lemma_audit(lemma_id: str, p: BoundParams, x: float) -> dict:
-    """Check one kernel/weight inequality at position x; lhs by quadrature
-    (or closed form for the phi items), rhs from the stated bound."""
+    """Check one kernel/weight inequality at position x; lhs in closed
+    form (exact rationals for L4i), rhs from the stated bound.  A
+    non-finite lhs is a NumericalError."""
     if lemma_id not in AUDIT_ITEMS:
         raise ValueError(f"unknown audit item {lemma_id!r}")
     if not (math.isfinite(x) and x >= 0):
@@ -400,30 +305,40 @@ def lemma_audit(lemma_id: str, p: BoundParams, x: float) -> dict:
             lhs, rhs = abs(dphi2), 2.0 / s
         return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + _SLACK)}
 
-    # L2 bounds the G sum, L3 the K sum, each under the weight e^{w(xi)/s}
-    which = 0 if lemma_id.startswith("L2") else 1
+    # L2 integrates |2G/s|, L3 |2K|, under the weight e^{w/s} with
+    # w(xi) = w_x + w1 (xi - x), over [0, b] left of x and a length reach
+    # right of it
     height = 1.0
     item = lemma_id[2:]
-    if item == "i":
-        weight = lambda xi: lam * (x - xi)
-        hi = x + 40.0 * s
+    if item == "i":  # w = lam (x - xi) on [0, x + 40 s]
+        w_x, w1, b, reach = 0.0, -lam, x, 40.0 * s
         rhs = 2.0 * s / (1.0 - lam ** 2)
-    elif item == "ii":
-        weight = lambda xi: lam * x - xi
-        hi = x + 40.0 * s
+    elif item == "ii":  # w = lam x - xi on [0, x + 40 s]
+        w_x, w1, b, reach = (lam - 1.0) * x, -1.0, x, 40.0 * s
         rhs = (s / (math.e * (1.0 - lam)) if lemma_id == "L2ii"
                else s + s / (math.e * (1.0 - lam)))
-    else:  # iii: box initial state of height C_u on [0, L0]
-        weight = lambda xi: lam * x
-        height = p.C_u
-        hi = p.L0
+    else:  # iii: w = lam x on [0, L0], a box initial state of height C_u
+        w_x, w1, b, reach, height = lam * x, 0.0, min(x, p.L0), p.L0 - x, p.C_u
         try:
             rhs = 2.0 * p.C_u * s * math.exp(lam * p.L0 / s)
         except OverflowError:
             raise NumericalError(
                 f"audit bound overflows at L0/s = {p.L0 / s:g}") from None
-    integrand = lambda xi: height * np.abs(_kernel_pair(x, xi, s, weight(xi))[which])
-    lhs = _audit_quad(integrand, 0.0, hi, x, s)
+    # left of x the kernels are near -+ image: e^{w/s} e^{-(x-xi)/s} is
+    # largest at xi = b, e^{w/s} e^{-(x+xi)/s} at xi = 0
+    near = _exp_integral(w_x - (1.0 + w1) * (x - b), 1.0 + w1, b, s)
+    if lemma_id == "L2iii":  # w1 = 0: the image is near e^{-b/s}, and nothing cancels
+        left = -near * math.expm1(-b / s)
+    else:  # near - image loses digits only where x << s, and there the
+        # right piece, of size x, outweighs it
+        image = _exp_integral(w_x - (1.0 + w1) * x, 1.0 - w1, b, s)
+        left = near - image if lemma_id.startswith("L2") else near + image
+    # right of x both are e^{-(xi-x)/s} (1 - e^{-2x/s}), largest at xi = x
+    right = (-math.expm1(-2.0 * x / s) * _exp_integral(w_x, 1.0 - w1, reach, s)
+             if reach > 0.0 else 0.0)
+    lhs = height * (left + right)
+    if not math.isfinite(lhs):
+        raise NumericalError(f"{lemma_id} audit lhs is not finite at x = {x:g}")
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + _SLACK)}
 
 

@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eps_sweep)
 
     p = sub.add_parser("lemma-audit", parents=[parent],
-                       help="quadrature audit of the kernel/weight bounds")
+                       help="audit of the kernel/weight bounds")
     p.add_argument("--weight-rate", type=float, default=0.5,
                    help="exponential weight rate in (0,1)")
     p.add_argument("--items", type=lambda s: s.split(","), default=None)

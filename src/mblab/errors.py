@@ -6,4 +6,5 @@ class ManifestError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """NaN/Inf contamination, CFL violation, or quadrature failure (exit code 3)."""
+    """NaN/Inf contamination, a CFL violation or diverged run, an overflow,
+    or an audit point past its precision cap (exit code 3)."""

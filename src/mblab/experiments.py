@@ -421,9 +421,12 @@ def order_table(scheme: str, params_triple: tuple[float, float],
                 levels: list[int]) -> list[dict]:
     """Self-convergence table on the smooth-ramp configuration (eps=1, M=2,
     domain [-10, 20], T=1).  Row N holds ||u_N - u_2N|| in three norms and
-    the orders log2(e_{N/2}/e_N) against the previous row."""
-    if any(n < 1 for n in levels):
-        raise ValueError("levels must be at least 1")
+    the orders log2(e_{N/2}/e_N) against the previous row.  Level N is an
+    N-cell grid, so a level below a run's fewest cells (4, and 5 for
+    third_order) is a ValueError."""
+    fewest = 5 if scheme == "third_order" else 4
+    if any(n < fewest for n in levels):
+        raise ValueError(f"{scheme} levels must be at least {fewest} cells")
     tau, u_B = params_triple
     rows: list[dict] = []
     prev: Optional[dict] = None

@@ -75,19 +75,27 @@ def _check_linear_gain(scheme: str, ctxs: Sequence[RunContext], symbol: Callable
                              f"at eps*lam/dx = {r:.6g}")
 
 
+def _past(t: float, target: float) -> bool:
+    """Whether time t lies past target by more than the landing tolerance,
+    1e-12; a time at most that far past a target lands on it."""
+    return t > target + 1e-12
+
+
 def landing_targets(t0: float, t_final: float,
                     snapshot_times: Sequence[float]) -> list[float]:
-    """The times a run from t0 lands on: the sorted distinct snapshot times,
-    then t_final unless the last of them is within 1e-12 of it.  A NaN or
-    infinite time is a ValueError."""
+    """The times a run from t0 lands on: the sorted distinct snapshot times
+    short of t_final, then t_final unless the last of them is within 1e-12
+    of it.  A snapshot time at most 1e-12 past t_final lands with t_final.
+    A NaN or infinite time is a ValueError."""
     times = sorted(set(float(s) for s in snapshot_times))
     if not np.isfinite([t_final, *times]).all():
         raise ValueError("t_final and the snapshot times must be finite")
     if t_final <= t0:
         raise ValueError("t_final must exceed the current time")
-    if any(s <= t0 or s > t_final + 1e-12 for s in times):
+    if any(s <= t0 or _past(s, t_final) for s in times):
         raise ValueError("snapshot times must lie in (t0, t_final]")
-    return times if times and abs(times[-1] - t_final) < 1e-12 else times + [t_final]
+    times = [s for s in times if s < t_final]
+    return times if times and not _past(t_final, times[-1]) else times + [t_final]
 
 
 def land_snapshots(advance: Callable[[tuple, float], tuple],
@@ -116,11 +124,10 @@ def land_snapshots(advance: Callable[[tuple, float], tuple],
     landed: list[list[Field]] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for target in landing_targets(state[0], t_final, snapshot_times):
-            while target - state[0] >= dt_nom - 1e-12:
+            while not _past(state[0] + dt_nom, target):
                 state = advance(state, dt_nom)
-            remaining = target - state[0]
-            fields = read(advance(state, remaining) if remaining > 1e-12 else state,
-                          target)
+            fields = read(advance(state, target - state[0])
+                          if _past(target, state[0]) else state, target)
             reach = max(float(np.abs(f.values - _RANGE_CENTRE).max()) for f in fields)
             if not reach <= _RANGE_REACH:
                 raise NumericalError(

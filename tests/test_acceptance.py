@@ -14,7 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from mblab.bounds import AUDIT_ITEMS, BoundParams, lemma_audit
+from mblab.bounds import (
+    AUDIT_ITEMS,
+    BoundParams,
+    _truncation_params,
+    compare_domains,
+    lemma_audit,
+)
 from mblab.experiments import (
     bifurcation_sweep,
     classify_profile,
@@ -243,6 +249,26 @@ def test_criterion_8_truncation_error_bound():
     _verdict(8, "truncation-error bound", ok,
              "; ".join(problems) if problems else
              "measured difference under the bound and decreasing in L")
+
+
+@pytest.mark.filterwarnings("ignore:domain-sizing")
+def test_criterion_8_error_decays_at_least_at_the_weight_rate():
+    # the estimate holds for each lam in (0, 1), so the measured difference
+    # falls with L at least as fast as e^{-lam L/s}, at compare_domains' lam;
+    # criterion 8's runs, read back from the run cache
+    base = desk_manifest(tau=5.0, u_B=ALPHA, epsilon=0.01, dx=0.001)
+    p = _truncation_params(base)
+    lengths = (0.15, 0.25, 0.35)
+    for t in (0.05, 0.1):
+        diffs = []
+        for L in lengths:
+            small, large = (base.derive(L=length, t_final=t, snapshot_times=[])
+                            for length in (L, 2.0 * L))
+            diffs.append(compare_domains(small, run_cached(small)[-1].values,
+                                         run_cached(large)[-1].values)["h1_diff"])
+        rates = [math.log(a / b) / (L_b - L_a)
+                 for a, b, L_a, L_b in zip(diffs, diffs[1:], lengths, lengths[1:])]
+        assert min(rates) >= p.lam / p.scale, (t, rates)
 
 
 def test_criterion_9_viscous_scaling_invariance():

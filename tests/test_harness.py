@@ -1088,7 +1088,9 @@ _NAMED = {("--L", "1e16"): "L = 1e+16 and dx = 0.0025",
           ("--L", "1e300"): "L = 1e+300 and dx = 0.0025",
           ("--t", "0.1", "--epsilon", "1e-200", "--tau", "1e-200"):
               "epsilon*tau underflows to 0",
-          ("--epsilon", "1e-17", "--items", "L2i,L3i,L2ii,L3ii"): "unresolvable"}
+          ("--levels", "3"): "trapezoid levels must be at least 4 cells",
+          ("--scheme", "third_order", "--levels", "4"):
+              "third_order levels must be at least 5 cells"}
 
 
 @pytest.mark.parametrize("verb, args, code", [
@@ -1137,15 +1139,19 @@ _NAMED = {("--L", "1e16"): "L = 1e+16 and dx = 0.0025",
     *(("riemann", ["--L", L], 2) for L in ("1e16", "1e300")),
     # s = eps sqrt(tau) = 1e-300 > 0, but eps * tau underflows to 0
     ("bound", ["--t", "0.1", "--epsilon", "1e-200", "--tau", "1e-200"], 3),
-    # s = 1e-17 spans 2.9 ulps of x = L0/2: the audit cannot resolve the point
-    ("lemma-audit", ["--epsilon", "1e-17", "--items", "L2i,L3i,L2ii,L3ii"], 3),
+    # s = 1e-17 spans 2.9 ulps of x = L0/2, and the closed-form audit holds there
+    ("lemma-audit", ["--epsilon", "1e-17", "--items", "L2i,L3i,L2ii,L3ii"], 0),
+    # a level is a count of cells, below the fewest a run of the scheme takes
+    ("order-test", ["--levels", "3"], 2),
+    ("order-test", ["--scheme", "third_order", "--levels", "4"], 2),
 ])
 def test_cli_bad_arguments_exit_with_a_documented_code(manifest_file, capsys,
                                                         verb, args, code):
     assert cli.main([verb, "--manifest", str(manifest_file), *args]) == code
-    err = capsys.readouterr().err
-    assert err.startswith({2: ("validation error", "manifest error"),
+    out, err = capsys.readouterr()
+    assert err.startswith({0: "", 2: ("validation error", "manifest error"),
                            3: "numerical failure"}[code])
+    assert code or (err, out.splitlines()[-1]) == ("", "# all audits hold")
     assert "Traceback" not in err
     assert _NAMED.get(tuple(args), "") in err
 

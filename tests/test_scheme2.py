@@ -875,12 +875,24 @@ def test_the_landing_tolerance_bounds_the_nominal_step():
 
 
 def test_snapshot_times_may_pass_t_final_by_1e_12():
-    assert 1.0 + 1e-12 in landing_targets(0.0, 1.0, [1.0 + 1e-12])
+    # such a time lands with t_final, and the targets stay sorted
+    assert landing_targets(0.0, 1.0, [1.0 + 1e-12]) == [1.0]
+    assert landing_targets(0.0, 1.0, [0.5, 1.0 + 1e-12]) == [0.5, 1.0]
     with pytest.raises(ValueError, match="snapshot times"):
         landing_targets(0.0, 1.0, [1.0 + 1.5e-12])
     # one within 1e-12 of t_final is its landing, one further off is its own
     assert landing_targets(0.0, 1.0, [1.0 - 0.7e-12]) == [1.0 - 0.7e-12]
     assert landing_targets(0.0, 1.0, [1.0 - 1.5e-12]) == [1.0 - 1.5e-12, 1.0]
+
+
+def test_a_snapshot_just_past_t_final_is_the_final_landing():
+    # each landing reads its clock; a snapshot 1e-12 past t_final once
+    # landed first, from a state already at t_final, then t_final again
+    landed = land_snapshots(lambda state, dt: (state[0] + dt,),
+                            lambda state, time: [Field(np.array([state[0]]), INTEGER_GRID,
+                                                       time)],
+                            (0.0,), 1.0, [1.0 + 1e-12], 0.25)
+    assert [(f.time, f.values[0]) for f in landed[0]] == [(1.0, 1.0)]
 
 
 def test_a_landed_field_may_reach_minus_one_and_two_and_no_further():
