@@ -70,6 +70,7 @@ __all__ = [
 EPS0 = 1e-6
 C_SIDE = 0.25
 C_CENTER = 0.5
+MIN_CELLS = 5  # the fewest cell averages a Workspace takes
 
 
 def cweno_reconstruct(wbar, ws: Workspace) -> np.ndarray:
@@ -185,8 +186,8 @@ class Workspace:
     def __init__(self, ctx: RunContext):
         self.ctx = ctx
         n, dx, c = ctx.grid.n_cells, ctx.grid.dx, ctx.params.disp
-        if n < 5:
-            raise ValueError(f"need at least 5 cell averages, got {n}")
+        if n < MIN_CELLS:
+            raise ValueError(f"need at least {MIN_CELLS} cell averages, got {n}")
         self.ext = np.empty(n + 4)
         self.averages, self.cells = self.ext[2:-2], self.ext[1:-1]
         self.ext_hi, self.ext_lo = self.ext[1:], self.ext[:-1]

@@ -29,7 +29,7 @@ from . import __version__
 from .bounds import _truncation_params, compare_domains
 from .errors import ManifestError, NumericalError
 from .flux import FluxModel
-from .operators import Field, GridSpec, HALF_GRID, INTEGER_GRID, MBLParams
+from .operators import Field, GridSpec, HALF_GRID, INTEGER_GRID, MBLParams, MIN_CELLS
 from . import cweno, staggered
 from .march import RunContext, landing_targets
 
@@ -422,9 +422,10 @@ def order_table(scheme: str, params_triple: tuple[float, float],
     """Self-convergence table on the smooth-ramp configuration (eps=1, M=2,
     domain [-10, 20], T=1).  Row N holds ||u_N - u_2N|| in three norms and
     the orders log2(e_{N/2}/e_N) against the previous row.  Level N is an
-    N-cell grid, so a level below a run's fewest cells (4, and 5 for
-    third_order) is a ValueError."""
-    fewest = 5 if scheme == "third_order" else 4
+    N-cell grid, so a level below the fewest cells a run of the scheme takes
+    (operators.MIN_CELLS, or cweno.MIN_CELLS for third_order) is a
+    ValueError."""
+    fewest = cweno.MIN_CELLS if scheme == "third_order" else MIN_CELLS
     if any(n < fewest for n in levels):
         raise ValueError(f"{scheme} levels must be at least {fewest} cells")
     tau, u_B = params_triple

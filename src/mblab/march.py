@@ -83,10 +83,10 @@ def _past(t: float, target: float) -> bool:
 
 def landing_targets(t0: float, t_final: float,
                     snapshot_times: Sequence[float]) -> list[float]:
-    """The times a run from t0 lands on: the sorted distinct snapshot times
-    short of t_final, then t_final unless the last of them is within 1e-12
-    of it.  A snapshot time at most 1e-12 past t_final lands with t_final.
-    A NaN or infinite time is a ValueError."""
+    """The times a run from t0 lands on: the sorted distinct snapshot times,
+    a time at most 1e-12 past t_final taken as t_final, then t_final unless
+    the last of them is within 1e-12 of it.  A NaN or infinite time is a
+    ValueError."""
     times = sorted(set(float(s) for s in snapshot_times))
     if not np.isfinite([t_final, *times]).all():
         raise ValueError("t_final and the snapshot times must be finite")
@@ -94,7 +94,7 @@ def landing_targets(t0: float, t_final: float,
         raise ValueError("t_final must exceed the current time")
     if any(s <= t0 or _past(s, t_final) for s in times):
         raise ValueError("snapshot times must lie in (t0, t_final]")
-    times = [s for s in times if s < t_final]
+    times = sorted({min(s, t_final) for s in times})
     return times if times and not _past(t_final, times[-1]) else times + [t_final]
 
 

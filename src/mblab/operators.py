@@ -45,6 +45,7 @@ __all__ = [
     "MBLParams",
     "INTEGER_GRID",
     "HALF_GRID",
+    "MIN_CELLS",
     "helmholtz_apply",
     "helmholtz_solve",
     "weighted_h1_norm",
@@ -52,6 +53,7 @@ __all__ = [
 
 INTEGER_GRID = "integer_grid"
 HALF_GRID = "half_grid"
+MIN_CELLS = 4  # the fewest cells a grid takes
 
 
 def _load_flapack():
@@ -98,8 +100,8 @@ class GridSpec:
     x0: float = 0.0
 
     def __post_init__(self):
-        if self.n_cells < 4:
-            raise ValueError(f"need at least 4 cells, got {self.n_cells}")
+        if self.n_cells < MIN_CELLS:
+            raise ValueError(f"need at least {MIN_CELLS} cells, got {self.n_cells}")
         if not self.L > 0:
             raise ValueError("L must be positive")
         if self.dx is None:

@@ -794,6 +794,20 @@ def test_domain_study_plans_around_a_cached_entry_and_a_third_order_base(runs):
         assert study["entries"] == expected
 
 
+def test_a_domain_study_at_two_times_within_the_landing_tolerance(runs):
+    # the march to the later time lands on both, and each entry reads the
+    # field of its own run
+    times = [0.01 - 5e-13, 0.01]
+    study = domain_study(_tiny(), [0.2, 0.3], times)
+    assert [e["t"] for e in study["entries"]] == [t for t in times for _ in (0.2, 0.3)]
+    assert runs == [tuple(_tiny(L=L, snapshot_times=times) for L in (0.2, 0.3))]
+    for t in times:
+        for L in (0.2, 0.3):
+            m = _tiny(L=L, t_final=t, snapshot_times=[])
+            assert run_cached(m)[-1].values.tobytes() == \
+                run_manifest(m)[-1].values.tobytes()
+
+
 def test_marches_to_one_t_final_share_a_batch_whatever_times_they_land_on(runs):
     # each march lands on the batch's every time, and each manifest keeps
     # its own fields, byte for byte its solo run's; a march to another

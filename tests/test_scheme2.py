@@ -878,6 +878,7 @@ def test_snapshot_times_may_pass_t_final_by_1e_12():
     # such a time lands with t_final, and the targets stay sorted
     assert landing_targets(0.0, 1.0, [1.0 + 1e-12]) == [1.0]
     assert landing_targets(0.0, 1.0, [0.5, 1.0 + 1e-12]) == [0.5, 1.0]
+    assert landing_targets(0.0, 1.0, [1.0 - 0.5e-12, 1.0]) == [1.0 - 0.5e-12, 1.0]
     with pytest.raises(ValueError, match="snapshot times"):
         landing_targets(0.0, 1.0, [1.0 + 1.5e-12])
     # one within 1e-12 of t_final is its landing, one further off is its own

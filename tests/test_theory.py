@@ -273,9 +273,7 @@ def test_l4i_audit_refuses_a_point_past_its_precision_cap():
 
 @pytest.mark.parametrize("item", ["L2i", "L3i", "L2ii", "L3ii"])
 def test_lemma_audit_refuses_an_s_within_a_few_ulps_of_x(item):
-    # The name is kept from the quadrature audit, which refused this point:
-    # s = 1e-17 spans 1.44 ulps of x = 0.05, and its nodes collapsed onto
-    # the floats near x.  The closed form takes no nodes and must resolve it.
+    # s = 1e-17 spans 1.44 ulps of x = 0.05, and every item holds there
     p = dataclasses.replace(P_DESK, C_u=0.9, g_sup=0.9, epsilon=1e-17, tau=1.0)
     out = lemma_audit(item, p, 0.05)
     assert out["holds"]
@@ -287,11 +285,10 @@ def test_lemma_audit_refuses_an_s_within_a_few_ulps_of_x(item):
         assert out["lhs"] == pytest.approx(out["rhs"], rel=1e-13)
 
 
-@pytest.mark.parametrize("ulps, resolved", [(1e8, False), (1.1e8, True)])
-def test_the_audit_resolves_s_past_1e8_ulps_of_x(ulps, resolved):
-    # `resolved` is whether the quadrature audit resolved this s; it refused
-    # s up to 1e8 ulps of x.  The closed form resolves both, and the
-    # saturated L2i integral comes out at its bound 2s/(1 - lam^2).
+@pytest.mark.parametrize("ulps", [1e8, 1.1e8],
+                         ids=["100000000.0-False", "110000000.0-True"])
+def test_the_audit_resolves_s_past_1e8_ulps_of_x(ulps):
+    # the saturated L2i integral comes out at its bound 2s/(1 - lam^2)
     x = 0.3
     p = dataclasses.replace(P_DESK, epsilon=ulps * math.ulp(x), tau=1.0)
     out = lemma_audit("L2i", p, x)
@@ -300,6 +297,8 @@ def test_the_audit_resolves_s_past_1e8_ulps_of_x(ulps, resolved):
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@example(item="L2i", lam=0.5, epsilon=1e-17, tau=1.0, x=0.05, L0=0.1)
+@example(item="L2i", lam=0.5, epsilon=1e8 * math.ulp(0.3), tau=1.0, x=0.3, L0=0.1)
 @given(item=st.sampled_from(AUDIT_ITEMS[:6]), lam=st.floats(0.01, 0.99),
        epsilon=st.floats(-17.0, -1.0).map(lambda e: 10.0 ** e),
        tau=st.floats(0.01, 10.0), x=st.floats(0.0, 1.0),
