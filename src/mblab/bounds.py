@@ -12,10 +12,9 @@ with K = -dG/dxi, and the interval [0, L] has the boundary pair
   phi2(x) = (e^{(x-L)/s} - e^{-(x+L)/s}) / (1 - e^{-2L/s})
 
 with phi1(0) = phi2(L) = 1 and phi1(L) = phi2(0) = 0.  _phi_pair gives
-phi1, phi2 and phi2' in double precision or, for the L4i audit, in exact
-rationals whose exponentials _rational_exp forms to the audit's digits;
-only that audit imports fractions, when it runs.  s and its s > 0 check
-live in BoundParams.scale.  No finite-interval kernel is evaluated here.
+phi2 and phi2'; phi1 enters only the L4i audit, which takes phi1 - e^{-x/s}
+in closed form.  s and its s > 0 check live in BoundParams.scale.  No
+finite-interval kernel is evaluated here.
 
 bound_constants assembles the explicit constants of the truncation
 estimate
@@ -26,16 +25,15 @@ and lemma_audit checks the nine supporting kernel/weight inequalities.
 Under the audits' weights e^{w/s}, with w linear in xi, |G| and |K| are
 sums of at most two exponentials in xi on each side of x, so the L2/L3
 integrals are taken in closed form, by _exp_integral; no quadrature is
-involved.  compare_domains sets the measured difference of two given
-final profiles beside the bound; the runs themselves belong to
-experiments.domain_study, and this module imports nothing from
-experiments or cli.
+involved, and every audit works in double precision.  compare_domains
+sets the measured difference of two given final profiles beside the
+bound; the runs themselves belong to experiments.domain_study, and this
+module imports nothing from experiments or cli.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -110,27 +108,35 @@ class BoundReport:
     bound: float
 
 
-def _phi_pair(x, L, s, lib=math) -> tuple:
-    """phi1, phi2 and phi2' at x in [0, L]; lib is math, or _rational_exp
-    on Fraction arguments when the result is needed beyond double
-    precision.  Each difference of two exponentials is one exponential
-    times an expm1, so no digits cancel as L/s shrinks.  An L/s so small
-    that expm1(-2L/s) is 0 is a NumericalError."""
-    denom = lib.expm1(-2 * L / s)
+def _phi_pair(x: float, L: float, s: float) -> tuple[float, float]:
+    """phi2 and phi2' at x in [0, L].  The difference of two exponentials
+    in phi2 is one exponential times an expm1, so no digits cancel as L/s
+    shrinks.  An L/s so small that expm1(-2L/s) is 0 is a NumericalError."""
+    denom = math.expm1(-2 * L / s)
     if not denom:
         raise NumericalError(f"phi basis undefined: expm1(-2L/s) is 0 "
-                             f"at L/s = {float(L / s):.6g}")
-    right = lib.exp((x - L) / s)
-    phi1 = lib.exp(-x / s) * lib.expm1(-2 * (L - x) / s) / denom
-    phi2 = right * lib.expm1(-2 * x / s) / denom
-    return phi1, phi2, (right + lib.exp(-(x + L) / s)) / (s * -denom)
+                             f"at L/s = {L / s:.6g}")
+    right = math.exp((x - L) / s)
+    return (right * math.expm1(-2 * x / s) / denom,
+            (right + math.exp(-(x + L) / s)) / (s * -denom))
+
+
+def _ramp_integral(y: float) -> float:
+    """int_0^1 u e^{y u} du = (y e^y - expm1(y)) / y^2, whose two terms
+    cancel as y -> 0; for |y| <= 1/2 the series sum_n y^n / (n! (n + 2))."""
+    if abs(y) > 0.5:
+        return (y * math.exp(y) - math.expm1(y)) / (y * y)
+    # the terms past n = 19 add below 1e-25 of the sum
+    return math.fsum(y ** n / (math.factorial(n) * (n + 2)) for n in range(20))
 
 
 def bound_constants(p: BoundParams, t: float) -> BoundReport:
     """Evaluate every constant of the truncation estimate at time t.
 
     The constants grow with r = t / (epsilon tau): an epsilon * tau that
-    underflows to 0, and a constant that overflows, are NumericalErrors."""
+    underflows to 0, and a constant that overflows, are NumericalErrors.
+    gamma1 and gamma2 hold e^{b r} - 1 and int_0^r tau e^{(b - 1) tau} dtau,
+    which vanish with r; expm1 and _ramp_integral keep their digits there."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and nonnegative")
     s = p.scale
@@ -162,9 +168,8 @@ def bound_constants(p: BoundParams, t: float) -> BoundReport:
     E2 = c_tau * r * e_bm1
 
     pref = growth * (c_growth * sqt + 1.0) * math.sqrt(p.L)
-    gamma1 = pref * (p.g_sup * r + (a_tau / b_tau) * (e_b - 1.0))
-    gamma2 = pref * c_tau * (r / (b_tau - 1.0) * e_bm1
-                             - (e_bm1 - 1.0) / (b_tau - 1.0) ** 2)
+    gamma1 = pref * (p.g_sup * r + (a_tau / b_tau) * math.expm1(b_tau * r))
+    gamma2 = pref * c_tau * r * r * _ramp_integral((b_tau - 1.0) * r)
 
     root5L = math.sqrt(5.0 * p.L)
     D1 = gamma1 + root5L * E1
@@ -185,92 +190,6 @@ def bound_constants(p: BoundParams, t: float) -> BoundReport:
 _SLACK = 1e-8
 
 
-# the most decimal digits an L4i audit may work at; its cost grows about as
-# the square of the digits (at 9960 digits a point takes 0.1 s at x = 0 and
-# 0.4 s at x = 0.3), so a small s would otherwise run for hours
-_MAX_DIGITS = 10_000
-
-# _expm1_fixed sums its series below 2**-_HALVINGS; each halving trades a
-# series term or so for one squaring, and the cost is flat from 8 to 28
-_HALVINGS = 16
-
-
-def _expm1_fixed(p: int, q: int, bits: int) -> tuple[int, int]:
-    """(y, f) with y / 2**f = expm1(p/q) for a rational p/q >= 0, within
-    a relative 2**-bits.  The Taylor series of expm1 sums at p/q halved h
-    times, in integers scaled by 2**f, and h rounds of y -> y (y + 2) undo
-    the halvings; each round at most doubles the relative error, which the
-    h + log2(bits) + 8 guard bits absorb."""
-    mag = p.bit_length() - q.bit_length()  # 2**(mag-1) < p/q < 2**(mag+1)
-    h = max(0, mag + 1 + _HALVINGS)
-    w = bits + h + bits.bit_length() + 8
-    q <<= h
-    f = w + h + 1 - mag  # the first term, p/q * 2**f, has more than w bits
-    term = y = (p << f) // q
-    k = 1
-    while term:
-        k += 1
-        term = term * p // (q * k)
-        y += term
-    for _ in range(h):
-        y = y * (y + (2 << f)) >> f
-        cut = y.bit_length() - w
-        if cut > f:
-            cut = f
-        if cut > 0:
-            y >>= cut
-            f -= cut
-    return y, f
-
-
-def _rational_exp(digits: int) -> SimpleNamespace:
-    """A lib for _phi_pair on Fraction arguments: exp and expm1 as
-    Fractions within a relative 10**-digits.  Both come from expm1 of the
-    exponent's magnitude, formed once per magnitude: e^q = 1 + expm1(q) and
-    e^-q = 1 / (1 + expm1(q)) for q >= 0, expm1(-q) = -expm1(q) / e^q."""
-    from fractions import Fraction
-
-    bits = math.ceil(digits * math.log2(10)) + 1
-    formed = {}
-
-    def expm1_abs(q):
-        key = abs(q.numerator), q.denominator
-        if key not in formed:
-            formed[key] = _expm1_fixed(*key, bits)
-        return formed[key]
-
-    def exp(q):
-        y, f = expm1_abs(q)
-        one = 1 << f
-        return Fraction(y + one, one) if q >= 0 else Fraction(one, y + one)
-
-    def expm1(q):
-        y, f = expm1_abs(q)
-        return Fraction(y, 1 << f) if q >= 0 else Fraction(-y, y + (1 << f))
-
-    return SimpleNamespace(exp=exp, expm1=expm1)
-
-
-def _audit_phi_identity(x: float, L: float, s: float) -> tuple[float, float, bool]:
-    """|phi1 - e^{-x/s}| vs e^{-L/s}|phi2|: both sides fall below double
-    precision (the difference is of size e^{-(L+x)/s}), so the comparison is
-    carried out in exact rationals, with every exponential taken to
-    60 + (L + x)/s decimal digits; a point that needs more than _MAX_DIGITS
-    is a NumericalError."""
-    span = (L + x) / s
-    if not 60 + span <= _MAX_DIGITS:
-        raise NumericalError(f"L4i audit needs {60 + span:.0f} digits at "
-                             f"(L + x)/s = {span:.6g}, more than {_MAX_DIGITS}")
-    from fractions import Fraction
-
-    lib = _rational_exp(60 + int(span))
-    xq, Lq, sq = Fraction(x), Fraction(L), Fraction(s)
-    phi1, phi2, _ = _phi_pair(xq, Lq, sq, lib)
-    lhs = abs(phi1 - lib.exp(-xq / sq))
-    rhs = lib.exp(-Lq / sq) * abs(phi2)
-    return float(lhs), float(rhs), lhs <= rhs * (1 + Fraction(_SLACK))
-
-
 def _exp_integral(top: float, rate: float, length: float, s: float) -> float:
     """The integral of e^{(top - rate t)/s} over t in [0, length], for
     rate >= 0: an exponential anchored at its larger end, e^{top/s} times
@@ -283,8 +202,24 @@ def _exp_integral(top: float, rate: float, length: float, s: float) -> float:
 
 def lemma_audit(lemma_id: str, p: BoundParams, x: float) -> dict:
     """Check one kernel/weight inequality at position x; lhs in closed
-    form (exact rationals for L4i), rhs from the stated bound.  A
-    non-finite lhs is a NumericalError."""
+    form, rhs from the stated bound.  A non-finite lhs is a NumericalError.
+
+    L4i sets |phi1 - e^{-x/s}| against e^{-L/s} |phi2|.  Over phi1's
+    denominator 1 - e^{-2L/s},
+
+      phi1 - e^{-x/s} = (e^{-x/s} e^{-2L/s} - e^{(x-2L)/s}) / (1 - e^{-2L/s})
+                      = -e^{(x-2L)/s} (1 - e^{-2x/s}) / (1 - e^{-2L/s}),
+
+    that is e^{-x/s} e^{-2L/s} expm1(2x/s) / -expm1(-2L/s) in magnitude,
+    taken with the one exponential e^{(x-2L)/s}, which cannot overflow.
+    Both sides are of size e^{(x-2L)/s} (1 - e^{-2x/s}), subnormal past
+    (2L - x)/s = 708 or at an x/s below 1e-308, and there their roundings
+    alone can set lhs above rhs.  So the verdict compares them scaled by
+    e^{L/s}: e^{(x-L)/s} expm1(-2x/s) / expm1(-2L/s), rounded in the order
+    _phi_pair rounds phi2, against |phi2|.  The scaling lifts both out of
+    the subnormal range wherever phi2 is normal, and the shared order
+    makes them round alike where it is not.  (Logarithms would not do: at
+    a large L/s their ulps exceed _SLACK.)"""
     if lemma_id not in AUDIT_ITEMS:
         raise ValueError(f"unknown audit item {lemma_id!r}")
     if not (math.isfinite(x) and x >= 0):
@@ -295,10 +230,13 @@ def lemma_audit(lemma_id: str, p: BoundParams, x: float) -> dict:
     if lemma_id.startswith("L4"):
         if x > p.L:
             raise ValueError("phi audits need x <= L")
+        phi2, dphi2 = _phi_pair(x, p.L, s)
         if lemma_id == "L4i":
-            lhs, rhs, holds = _audit_phi_identity(x, p.L, s)
-            return {"lhs": lhs, "rhs": rhs, "holds": holds}
-        _, phi2, dphi2 = _phi_pair(x, p.L, s)
+            e1, denom = math.expm1(-2 * x / s), math.expm1(-2 * p.L / s)
+            scaled = math.exp((x - p.L) / s) * e1 / denom
+            return {"lhs": math.exp((x - 2 * p.L) / s) * e1 / denom,
+                    "rhs": math.exp(-p.L / s) * abs(phi2),
+                    "holds": scaled <= abs(phi2) * (1.0 + _SLACK)}
         if lemma_id == "L4ii":
             lhs, rhs = abs(phi2), 1.0
         else:  # L4iii

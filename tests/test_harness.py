@@ -1066,16 +1066,15 @@ def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
     # scipy serves the LAPACK solves only, through its extension module and
     # neither the scipy nor the scipy.linalg package; the lemma audit
     # integrates on its own, the manifest validates itself without a model
-    # library, fractions waits for an L4i audit, and that audit, which gives
-    # the value test_theory pins, needs no mpmath
+    # library, and the L4i audit, which gives the value test_theory pins,
+    # works in double precision: neither fractions nor decimal ever loads
     code = "\n".join([
         "import sys, mblab.cli",
         "from mblab.bounds import AUDIT_ITEMS, BoundParams, lemma_audit",
         "from mblab.experiments import desk_manifest, run_manifest",
         "p = BoundParams(lam=0.5, C_u=0.8, L0=0.1, L=0.75, g_sup=0.8, M=2.0,",
         "                epsilon=0.01, tau=5.0)",
-        "for item in AUDIT_ITEMS[:6]:",
-        "    lemma_audit(item, p, 0.05)",
+        "audits = {item: lemma_audit(item, p, 0.05) for item in AUDIT_ITEMS}",
         "for scheme in ('trapezoid', 'third_order'):",
         "    run_manifest(desk_manifest(scheme=scheme, epsilon=0.025, tau=1.0, u_B=0.75,",
         "                               L=0.3, L0=0.05, dx=0.0025, t_final=0.01))",
@@ -1083,9 +1082,9 @@ def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
         "                    'scipy.sparse', 'scipy.linalg', 'numpy.f2py', 'numpy.ma',",
         "                    'numpy.random', 'numpy.testing', 'pydantic',",
         "                    'pydantic_core', 'annotated_types', 'asyncio', 'mpmath',",
-        "                    'fractions')",
+        "                    'fractions', 'decimal')",
         "         if m in sys.modules])",
-        "print(lemma_audit('L4i', p, 0.05), 'mpmath' in sys.modules)",
+        "print(audits['L4i'])",
     ])
     src = str(pathlib.Path(mblab.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -1093,8 +1092,8 @@ def test_cli_and_runs_load_neither_scipy_linalg_nor_the_unused_numpy_modules():
                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.splitlines() == [
         "",
-        "{'lhs': 6.803979870140214e-29, 'rhs': 6.803979870140214e-29, "
-        "'holds': True} False"]
+        "{'lhs': 6.803979870140214e-29, 'rhs': 6.803979870140238e-29, "
+        "'holds': True}"]
 
 
 # what the message of a row names, where its exit code alone says little
@@ -1134,8 +1133,8 @@ _NAMED = {("--L", "1e16"): "L = 1e+16 and dx = 0.0025",
                           ("third_order", "1"), ("trapezoid", "1"))),
     # M^2 underflows to 0 and f' divides by it; the manifest is refused
     ("riemann", ["--M", "1e-300"], 2),
-    # 60 + (L + x)/s digits pass the L4i audit's cap of 10 000
-    ("lemma-audit", ["--epsilon", "1e-6", "--items", "L4i"], 3),
+    # L/s = 3e5: both L4i sides underflow to 0, and the verdict still holds
+    ("lemma-audit", ["--epsilon", "1e-6", "--items", "L4i"], 0),
     # the midpoint gain overflows to NaN, and the stability guard refuses it
     ("riemann", ["--scheme", "midpoint", "--lambda", "1e300"], 3),
     # a step within the 1e-12 landing tolerance would march past t_final
