@@ -148,8 +148,6 @@ def bound_constants(p: BoundParams, t: float) -> BoundReport:
     e1m = math.e * (1.0 - lam)
 
     b_tau = (1.0 + d_chord * sqt) / (1.0 - lam ** 2)
-    if abs(b_tau - 1.0) < 1e-14:
-        raise ValueError("degenerate b_tau")
     a_tau = p.g_sup * (1.0 + d_chord * sqt * (e1m + 1.0)) / (2.0 * e1m)
     c_tau = p.C_u * (1.0 + d_chord * sqt)
 

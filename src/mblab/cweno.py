@@ -1,21 +1,28 @@
 """Third-order semi-discrete central scheme on cell averages of w.
 
 CWENO reconstruction blends left/center/right stencil polynomials per cell,
-with weights driven by smoothness indicators:
+with weights driven by smoothness indicators.  With the left and right
+differences dm = wb_j - wb_{j-1} and dp = wb_{j+1} - wb_j of cell j,
 
-  IS_L = (wb_j - wb_{j-1})^2
-  IS_R = (wb_{j+1} - wb_j)^2
-  IS_C = (13/3)(wb_{j+1} - 2 wb_j + wb_{j-1})^2 + (1/4)(wb_{j+1} - wb_{j-1})^2
+  IS_L = dm^2,  IS_R = dp^2,  IS_C = (13/3)(dp - dm)^2 + (1/4)(dp + dm)^2
   alpha_i = c_i / (eps0 + IS_i)^2,  c_L = c_R = 1/4, c_C = 1/2, eps0 = 1e-6
 
-The blended quadratic on cell j has
+Kurganov & Levy's blended quadratic on the cell, with the weights
+W_i = alpha_i / total and total = alpha_L + alpha_C + alpha_R, is
 
-  A_j = wb_j - (W_C/12)(wb_{j+1} - 2 wb_j + wb_{j-1})
-  B_j = [W_R (wb_{j+1}-wb_j) + W_C (wb_{j+1}-wb_{j-1})/2 + W_L (wb_j-wb_{j-1})]/dx
-  C_j = 2 W_C (wb_{j+1} - 2 wb_j + wb_{j-1}) / dx^2
+  A_j = wb_j - (W_C/12)(dp - dm)
+  B_j = [W_R dp + W_C (dp + dm)/2 + W_L dm]/dx
+  C_j = 2 W_C (dp - dm) / dx^2
 
-and the interface values are w^-_{j+1/2} from cell j, w^+_{j+1/2} from
-cell j+1.  The semi-discrete update is
+and a stage reads only its values at the cell's two ends,
+A_j +- (dx/2) B_j + (dx^2/8) C_j.  These are formed directly, with no dx:
+
+  w at the right / left end of cell j = wb_j + (even +- odd) / total
+  even = alpha_C (dp - dm) / 6
+  odd  = (alpha_R dp + alpha_C (dp + dm)/2 + alpha_L dm) / 2
+
+The right end of cell j is w^-_{j+1/2}, the left end of cell j+1 is
+w^+_{j+1/2}.  The semi-discrete update is
 
   d wb_j / dt = -(H_{j+1/2} - H_{j-1/2})/dx + eps Q_j
 
@@ -34,11 +41,11 @@ Workspace, which holds every row its start and steps read or write, the
 reconstruction's among them, and the two solves of its stages, each
 factored once per run; each kernel takes its workspace or the rows it
 writes as arguments, with no default.  Each stage writes into those rows
-in the rounding order of the formulas above, so a step allocates only
-the new averages it returns and the masks of its finiteness tests.  The
-differences wb_{j+1} - wb_j form one row, whose two shifted windows are
-the left and right differences of each cell, and so do alpha_L and
-alpha_R, since c_L = c_R.
+in the rounding order of the formulas above (A, B and C are never
+formed), so a step allocates only the new averages it returns and the
+masks of its finiteness tests.  The differences form one row, whose two
+shifted windows are dm and dp, and so do alpha_L and alpha_R, since
+c_L = c_R.
 """
 from __future__ import annotations
 
@@ -53,6 +60,7 @@ from .operators import (
     Field,
     HALF_GRID,
     INTEGER_GRID,
+    MIN_CELLS4,
     _Solve,
     _d2_order4,
     helmholtz_solve,
@@ -70,68 +78,57 @@ __all__ = [
 EPS0 = 1e-6
 C_SIDE = 0.25
 C_CENTER = 0.5
-MIN_CELLS = 5  # the fewest cell averages a Workspace takes
 
 
 def cweno_reconstruct(wbar, ws: Workspace) -> np.ndarray:
     """Interface values of the per-cell quadratics, as one C-ordered
     (2, interfaces) block whose rows are w_minus and w_plus.
 
-    Two constant ghost cells hold each boundary value of the run of ws, so
-    the n + 1 interfaces of the n cells run from one domain end to the
-    other; w_minus[i] and w_plus[i] are the one-sided values at interface i
-    from the cells on its left and right.  The arithmetic is done in the
-    reconstruction rows of ws, with its run's dx, and its w is returned, in
-    the rounding order of the formulas in the module docstring.
+    The averages go between the two constant ghost cells a side that the
+    Workspace wrote, so the n + 1 interfaces of the n cells run from one
+    domain end to the other; w_minus[i] and w_plus[i] are the one-sided
+    values at interface i from the cells on its left and right.  The
+    arithmetic is done in the reconstruction rows of ws, and its w is
+    returned, in the rounding order of the formulas in the module docstring.
     """
-    dx, (g, h) = ws.ctx.grid.dx, ws.ctx.bc
-    ws.ext[:2], ws.averages[...], ws.ext[-2:] = g, wbar, h
+    ws.averages[...] = wbar
     dm, dp = ws.dm, ws.dp
     np.subtract(ws.ext_hi, ws.ext_lo, out=ws.diff)
     d2 = np.subtract(dp, dm, out=ws.d2)
     dsum = np.add(dp, dm, out=ws.dsum)
 
-    # alpha_i = c_i / (eps0 + IS_i)^2, then the weights alpha_i / total
+    # alpha_i = c_i / (eps0 + IS_i)^2, with IS_C's second term in the
+    # total row until the total takes it
     side = np.multiply(ws.diff, ws.diff, out=ws.side)
     ac = np.multiply(d2, d2, out=ws.ac)
     ac *= 13.0 / 3.0
-    tmp = np.multiply(dsum, dsum, out=ws.tmp)
-    tmp *= 0.25
-    ac += tmp
+    total = np.multiply(dsum, dsum, out=ws.total)
+    total *= 0.25
+    ac += total
     for alpha, weight in ((side, C_SIDE), (ac, C_CENTER)):
         alpha += EPS0
         alpha *= alpha
         np.divide(weight, alpha, out=alpha)
-    total = np.add(ws.al, ac, out=ws.total)
+    total = np.add(ws.al, ac, out=total)
     total += ws.ar
-    wl = np.divide(ws.al, total, out=ws.wl)
-    wr = np.divide(ws.ar, total, out=ws.wr)
-    ac /= total
 
-    # A, (dx/2) B and (dx^2/8) C of each cell's quadratic: B in the total
-    # row and C in the W_C row, each once its last reader is done
-    a = np.divide(ac, 12.0, out=ws.a)
-    a *= d2
-    np.subtract(ws.cells, a, out=a)
-    b = np.multiply(wr, dp, out=total)
-    tmp = np.multiply(ac, 0.5, out=tmp)
-    tmp *= dsum
-    b += tmp
-    b += np.multiply(wl, dm, out=wl)
-    b /= dx
-    b *= 0.5 * dx
-    c = ac
-    c *= 2.0
-    c *= d2
-    c /= dx ** 2
-    c *= 0.125 * dx ** 2
+    # the even part in the d2 row, the odd part in the dsum row, and the
+    # products alpha_R dp and alpha_L dm in the alpha_C row once it is read
+    even = np.multiply(ac, d2, out=d2)
+    even /= 6.0
+    odd = np.multiply(ac, dsum, out=dsum)
+    odd *= 0.5
+    odd += np.multiply(ws.ar, dp, out=ac)
+    odd += np.multiply(ws.al, dm, out=ac)
+    odd *= 0.5
 
-    a, b, c, w_minus = ws.minus
-    np.add(a, b, out=w_minus)
-    w_minus += c
-    a, b, c, w_plus = ws.plus
-    np.subtract(a, b, out=w_plus)
-    w_plus += c
+    w_minus, w_plus = ws.w
+    np.add(even[:-1], odd[:-1], out=w_minus)
+    w_minus /= total[:-1]
+    w_minus += ws.cells[:-1]
+    np.subtract(even[1:], odd[1:], out=w_plus)
+    w_plus /= total[1:]
+    w_plus += ws.cells[1:]
     return ws.w
 
 
@@ -160,18 +157,22 @@ class Workspace:
     """Every row that the third-order steps of one run read or write, and
     the two solves of its stages, built and factored once per run, as a
     staggered Batch owns the arrays and solves of its steps.  A step
-    overwrites them all, so a workspace steps one state at a time; nothing
+    overwrites every row but the ghost cells, so a workspace steps one
+    state at a time; nothing
     a step returns lives in it; a caller that steps outside run builds its
-    own, Workspace(ctx).  Fewer than 5 cells is a ValueError.  It holds:
+    own, Workspace(ctx).  Fewer than 5 cells (operators.MIN_CELLS4) is a
+    ValueError.  It holds:
 
       ctx             the run's RunContext, whose grid, boundary values,
                       parameters and model every step of the workspace uses
       ext, ..., w     the reconstruction rows of cweno_reconstruct: the
-                      averages between two ghost cells a side, their
-                      difference row (dm and dp are its two windows), the
-                      side-weight row (alpha_L and alpha_R are its two
-                      windows, as c_L = c_R), eight rows over the cells
-                      with their neighbours, and the interface block w
+                      averages between two ghost cells a side, which hold
+                      the run's boundary values and are written once, here;
+                      their difference row (dm and dp are its two windows),
+                      the side-weight row (alpha_L and alpha_R are its two
+                      windows, as c_L = c_R), the rows d2, dsum, alpha_C
+                      and total over the cells with their neighbours, and
+                      the interface block w
       node4, rhs4, u  the order-4 solve of the interface values'
                       unknowns, its F-ordered (n - 1, 2) right-hand
                       side, and the (2, n + 1) u block
@@ -186,21 +187,17 @@ class Workspace:
     def __init__(self, ctx: RunContext):
         self.ctx = ctx
         n, dx, c = ctx.grid.n_cells, ctx.grid.dx, ctx.params.disp
-        if n < MIN_CELLS:
-            raise ValueError(f"need at least {MIN_CELLS} cell averages, got {n}")
+        if n < MIN_CELLS4:  # the order-4 node solve and diffusion term
+            raise ValueError(f"need at least {MIN_CELLS4} cell averages, got {n}")
         self.ext = np.empty(n + 4)
+        self.ext[:2], self.ext[-2:] = ctx.bc
         self.averages, self.cells = self.ext[2:-2], self.ext[1:-1]
         self.ext_hi, self.ext_lo = self.ext[1:], self.ext[:-1]
         self.diff, self.side = np.empty((2, n + 3))
         self.dm, self.dp = self.diff[:-1], self.diff[1:]
         self.al, self.ar = self.side[:-1], self.side[1:]
-        (self.d2, self.dsum, self.ac, self.tmp, self.total, self.wl, self.wr,
-         self.a) = np.empty((8, n + 2))
+        self.d2, self.dsum, self.ac, self.total = np.empty((4, n + 2))
         self.w = w = np.empty((2, n + 1))
-        # what each interface reads of its two cells, A, B and C, and its row
-        # of w: the right end of the left cell, the left end of the right cell
-        self.minus = self.a[:-1], self.total[:-1], self.ac[:-1], w[0]
-        self.plus = self.a[1:], self.total[1:], self.ac[1:], w[1]
         self.node4 = _Solve(INTEGER_GRID, 4, dx, ((n - 1, c),))
         self.half2 = _Solve(HALF_GRID, 2, dx, ((n, c),))
         self.rhs4 = np.empty((n - 1, 2), order="F")

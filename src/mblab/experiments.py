@@ -29,7 +29,7 @@ from . import __version__
 from .bounds import _truncation_params, compare_domains
 from .errors import ManifestError, NumericalError
 from .flux import FluxModel
-from .operators import Field, GridSpec, HALF_GRID, INTEGER_GRID, MBLParams, MIN_CELLS
+from .operators import Field, GridSpec, HALF_GRID, INTEGER_GRID, MBLParams, MIN_CELLS, MIN_CELLS4
 from . import cweno, staggered
 from .march import RunContext, landing_targets
 
@@ -417,18 +417,18 @@ def _self_difference(coarse: Field, fine: Field, dx: float) -> dict:
             "linf": float(np.max(np.abs(diff)))}
 
 
-def order_table(scheme: str, params_triple: tuple[float, float],
+def order_table(scheme: str, params: tuple[float, float],
                 levels: list[int]) -> list[dict]:
-    """Self-convergence table on the smooth-ramp configuration (eps=1, M=2,
-    domain [-10, 20], T=1).  Row N holds ||u_N - u_2N|| in three norms and
-    the orders log2(e_{N/2}/e_N) against the previous row.  Level N is an
-    N-cell grid, so a level below the fewest cells a run of the scheme takes
-    (operators.MIN_CELLS, or cweno.MIN_CELLS for third_order) is a
-    ValueError."""
-    fewest = cweno.MIN_CELLS if scheme == "third_order" else MIN_CELLS
+    """Self-convergence table of params = (tau, u_B) on the smooth-ramp
+    configuration (eps=1, M=2, domain [-10, 20], T=1).  Row N holds
+    ||u_N - u_2N|| in three norms and the orders log2(e_{N/2}/e_N) against
+    the previous row.  Level N is an N-cell grid, so a level below the
+    fewest cells a run of the scheme takes (operators.MIN_CELLS, or
+    operators.MIN_CELLS4 for third_order) is a ValueError."""
+    fewest = MIN_CELLS4 if scheme == "third_order" else MIN_CELLS
     if any(n < fewest for n in levels):
         raise ValueError(f"{scheme} levels must be at least {fewest} cells")
-    tau, u_B = params_triple
+    tau, u_B = params
     rows: list[dict] = []
     prev: Optional[dict] = None
     for n in levels:

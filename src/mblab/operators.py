@@ -54,6 +54,7 @@ __all__ = [
 INTEGER_GRID = "integer_grid"
 HALF_GRID = "half_grid"
 MIN_CELLS = 4  # the fewest cells a grid takes
+MIN_CELLS4 = 5  # the fewest cells an order-4 solve, or values its stencil, takes
 
 
 def _load_flapack():
@@ -204,8 +205,8 @@ def _d2_order4(v: np.ndarray, dx: float, out: np.ndarray,
     in out (n values) with the 30 c and 16 d terms in work (n - 4 values).
     """
     n = v.size
-    if n < 5:
-        raise ValueError("need at least 5 values for the 5-point stencil")
+    if n < MIN_CELLS4:
+        raise ValueError(f"need at least {MIN_CELLS4} values for the 5-point stencil")
     inner = np.multiply(v[1:-3], 16.0, out=out[2:-2])
     inner -= v[:-4]
     term = np.multiply(v[2:-2], 30.0, out=work)
@@ -314,7 +315,7 @@ class _Solve:
             raise ValueError(f"an order-4 solve takes one segment, got {len(segments)}")
         ms, cs = (np.array(v) for v in zip(*segments))
         live = cs != 0.0  # a segment with c = 0 keeps its right-hand side
-        need = 5 if order == 4 else 4
+        need = MIN_CELLS4 if order == 4 else MIN_CELLS
         if (ms[live] + (phase == INTEGER_GRID) < need).any():  # m nodes: m + 1 cells
             raise ValueError(f"order-{order} solve needs at least {need} cells")
         self.trivial = not live.any()

@@ -42,7 +42,10 @@ def test_traced_names_and_labels_match_the_package():
     # their landing reads are order-4 half-grid helmholtz_solve calls
     assert summary["operators.helmholtz_solve.half4"]["calls"] > 0
     assert summary["operators.helmholtz_apply"]["calls"] > 0
-    assert summary["cweno.rk4_step"]["calls"] > 0
+    # the third-order stage's layers, so that no refactor of the stage
+    # empties the benchmark's per-layer rows of desk_cweno
+    for name in ("cweno.rk4_step", "cweno.cweno_reconstruct", "cweno.numerical_flux"):
+        assert summary[name]["calls"] > 0
 
 
 def test_a_traced_sweep_reaches_run_manifest(empty_run_cache):

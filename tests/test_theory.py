@@ -234,10 +234,15 @@ def test_bound_constants_errors():
                      M=2.0, epsilon=0.0, tau=5.0)
     with pytest.raises(ValueError):
         bound_constants(p0, 0.1)
-    degen = BoundParams(lam=1e-8, C_u=ALPHA, L0=0.1, L=0.75, g_sup=ALPHA,
-                        M=2.0, epsilon=1.0, tau=1e-30)
-    with pytest.raises(ValueError, match="degenerate"):
-        bound_constants(degen, 0.1)
+    # b_tau = 1 + 1.3e-15: no constant divides by b_tau - 1, so the point is
+    # evaluated; at r = t/(eps tau) = 0.1, gamma2 is pref c r^2/2 to rounding
+    near_one = BoundParams(lam=1e-8, C_u=ALPHA, L0=0.1, L=0.75, g_sup=ALPHA,
+                           M=2.0, epsilon=1.0, tau=1e-30)
+    report = bound_constants(near_one, 1e-31)
+    assert report.gamma1 == pytest.approx(0.08438973621336582, rel=1e-14)
+    assert report.gamma2 == pytest.approx(0.0035355339059327502, rel=1e-14)
+    with pytest.raises(NumericalError, match="overflow"):
+        bound_constants(near_one, 0.1)
     with pytest.raises(NumericalError, match="overflow"):
         bound_constants(P_DESK, 100.0)
     # s = eps sqrt(tau) = 1e-300 is positive, eps * tau underflows to 0
