@@ -134,7 +134,7 @@ def cweno_reconstruct(wbar, ws: Workspace) -> np.ndarray:
 
 def numerical_flux(u: np.ndarray, w: np.ndarray, model: FluxModel,
                    out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """(f(u+) + f(u-))/2 - (a/2)(w+ - w-) with the local speed
+    """((f(u+) + f(u-)) - a (w+ - w-)) / 2 with the local speed
     a = max(f'(u-), f'(u+)), from one flux evaluation of the block.
 
     u and w are (2, interfaces) blocks whose rows are the minus and plus
@@ -145,11 +145,10 @@ def numerical_flux(u: np.ndarray, w: np.ndarray, model: FluxModel,
     f, d, *rest = work
     flux_and_deriv(u, model, out=(f, d), work=rest)
     out = np.add(f[1], f[0], out=out)
-    out *= 0.5
     jump = np.maximum(d[0], d[1], out=d[0])
-    jump *= 0.5
     jump *= np.subtract(w[1], w[0], out=d[1])
     out -= jump
+    out *= 0.5
     return out
 
 
@@ -307,7 +306,7 @@ def run(ubar0: np.ndarray, ctx: RunContext, t_final: float,
             f"CFL violation: lambda*C = {grid.lam * ctx.model.C:.6g} >= 0.5")
     # RK4's degree-4 Taylor polynomial of e^-z on the symbol s + s^2/12 of
     # the fourth-order Q
-    _check_linear_gain("third-order", [ctx], lambda s: s + s * s / 12.0,
+    _check_linear_gain("third-order", [ctx], 4,
                        lambda s, z: 1.0 - z * (1.0 - z / 2.0 * (1.0 - z / 3.0 * (1.0 - z / 4.0))))
 
     ws = Workspace(ctx)

@@ -710,10 +710,13 @@ def export(fields: list[Field], manifest: RunManifest,
         csv_path = out_dir / "snapshots.csv"
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x,u,t\n")
-            for f in fields:  # Python floats format faster than numpy scalars
+            # x formatted once a phase, as Python floats (faster than numpy scalars)
+            xs = {phase: [f"{xi:.17g}," for xi in grid.points(phase).tolist()]
+                  for phase in {f.phase for f in fields}}
+            for f in fields:
                 tail = f",{f.time:.17g}\n"
-                fh.write("".join([f"{xi:.17g},{ui:.17g}{tail}" for xi, ui in
-                                  zip(grid.points(f.phase).tolist(), f.values.tolist())]))
+                fh.write("".join([f"{xi}{ui:.17g}{tail}" for xi, ui in
+                                  zip(xs[f.phase], f.values.tolist())]))
         paths["csv"] = str(csv_path)
         plot_path = out_dir / "plot.py"
         with open(plot_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .flux import FluxModel
-from .operators import Field, GridSpec, MBLParams
+from .operators import _SYMBOLS, Field, GridSpec, MBLParams
 
 # the centre of the saturation range [0, 1] and the largest distance from
 # it that a landed value may have: one range width beyond each end
@@ -55,18 +55,19 @@ class RunContext:
             raise NumericalError("boundary value is NaN/Inf")
 
 
-def _check_linear_gain(scheme: str, ctxs: Sequence[RunContext], symbol: Callable,
+def _check_linear_gain(scheme: str, ctxs: Sequence[RunContext], order: int,
                        factor: Callable) -> None:
     """Reject runs of ctxs (which share eps, lam and dx) whose explicit
     diffusion amplifies a linear mode: a NumericalError named after scheme
     when max |factor(s, z)| > 1 over the modes s = 4 sin^2(theta/2) in
-    [0, 4], with z = r q / (1 + kappa s), q = symbol(s), r = eps lam / dx
+    [0, 4], with z = r q / (1 + kappa s), q the symbol of the order-2 or
+    order-4 stencil (operators._SYMBOLS[order]), r = eps lam / dx
     and each distinct kappa = eps^2 tau / dx^2 of the runs; an r so large
     that the factor overflows is rejected too."""
     grid = ctxs[0].grid
     r = ctxs[0].params.epsilon * grid.lam / grid.dx
     s = np.linspace(0.0, 4.0, 4001)
-    q = symbol(s)
+    q = _SYMBOLS[order](s)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN gain fails
         gain = float(np.max([np.abs(factor(s, r * q / (1.0 + c / grid.dx ** 2 * s)))
                              for c in {ctx.params.disp for ctx in ctxs}]))

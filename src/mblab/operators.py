@@ -21,6 +21,10 @@ and every field with c = 0, are identity rows that hold +0 during the call
 and get their values back after it, so each field comes out byte for byte
 as its own solve.
 
+Each stencil is written once: the interior ones and their symbols in
+_STENCILS and _SYMBOLS, the one-sided order-4 rows in _ONE_SIDED, which
+both _d2_order4 and the order-4 node matrix read.
+
 Boundary closures for half-grid fields: a solve places the boundary value
 midway between the first unknown and a reflected ghost (linear
 interpolation to the physical endpoint), while explicit stencil
@@ -191,9 +195,10 @@ def _d2_order2(ext: np.ndarray, dx: float, out: np.ndarray = None) -> np.ndarray
     return out
 
 
-# one-sided second-derivative closures, exact through degree 4
-_LEFT_EDGE = np.array([35.0, -104.0, 114.0, -56.0, 11.0]) / 12.0
-_LEFT_IN = np.array([11.0, -20.0, 6.0, 4.0, -1.0]) / 12.0
+# 12 dx^2 u'' at the first and at the second of five points, one-sided and
+# exact through degree 4
+_ONE_SIDED = np.array([[35.0, -104.0, 114.0, -56.0, 11.0],
+                       [11.0, -20.0, 6.0, 4.0, -1.0]])
 
 
 def _d2_order4(v: np.ndarray, dx: float, out: np.ndarray,
@@ -202,7 +207,8 @@ def _d2_order4(v: np.ndarray, dx: float, out: np.ndarray,
 
     The interior rows are (((-a + 16 b) - 30 c) + 16 d) - e over 12 dx^2,
     formed in place in that rounding order (16 b - a is -a + 16 b exactly),
-    in out (n values) with the 30 c and 16 d terms in work (n - 4 values).
+    in out (n values) with the 30 c and 16 d terms in work (n - 4 values);
+    the two values at each end take the _ONE_SIDED rows, mirrored at the right.
     """
     n = v.size
     if n < MIN_CELLS4:
@@ -213,11 +219,9 @@ def _d2_order4(v: np.ndarray, dx: float, out: np.ndarray,
     inner -= term
     inner += np.multiply(v[3:-1], 16.0, out=term)
     inner -= v[4:]
-    inner /= 12.0 * dx ** 2
-    out[0] = _LEFT_EDGE @ v[:5] / dx ** 2
-    out[1] = _LEFT_IN @ v[:5] / dx ** 2
-    out[-1] = _LEFT_EDGE @ v[-5:][::-1] / dx ** 2
-    out[-2] = _LEFT_IN @ v[-5:][::-1] / dx ** 2
+    out[:2] = _ONE_SIDED @ v[:5]
+    out[:-3:-1] = _ONE_SIDED @ v[-5:][::-1]
+    out /= 12.0 * dx ** 2
     return out
 
 
@@ -235,34 +239,28 @@ def helmholtz_apply(ext: np.ndarray, c, dx: float, out: np.ndarray = None,
     return np.subtract(ext[1:-1], cd2, out=out)
 
 
-# Band tables of (I - c D^2) u = w.  An interior row is the identity plus
-# ct times the stencil, with ct = c / (scale dx^2).  Each closure gives the
-# rows that replace the interior ones at the left edge (column -> weight,
-# the diagonal adding 1) and the weights of the boundary value on the
-# right-hand side of the first rows.  The right edge mirrors the left.  A
-# tuple of weights is added term by term: the order-2 half-grid edge adds
-# its ghost term to the interior diagonal, and 1 + 3ct would round
-# differently.
+# Band tables of (I - c D^2) u = w.  Each stencil is -scale dx^2 D^2, with
+# its symbol in s = 4 sin^2(theta/2) for march._check_linear_gain.  Every
+# entry is one weight times ct = c / (scale dx^2), plus 1 on the diagonal.
+# Each closure gives the rows that replace the interior ones at the left
+# edge (column -> weight) and the weights of the boundary value on the
+# right-hand side of the first rows.  The right edge mirrors the left.
 _STENCILS = {2: (1.0, (-1.0, 2.0, -1.0)),
              4: (12.0, (1.0, -16.0, 30.0, -16.0, 1.0))}
+_SYMBOLS = {2: lambda s: s, 4: lambda s: s + s * s / 12.0}
 _CLOSURES = {
     # nodes: the endpoints are pinned and move to the right-hand side; at
-    # order 4 the first unknown takes the one-sided closure over nodes 0..4
+    # order 4 the first unknown takes the _ONE_SIDED row at the second of
+    # nodes 0..4, negated like the stencils, and the second the interior one
     (INTEGER_GRID, 2): ((), (1.0,)),
-    (INTEGER_GRID, 4): (({0: 20.0, 1: -6.0, 2: -4.0, 3: 1.0},), (11.0, -1.0)),
-    # half grid: reflected ghosts v(-1/2) = 2 bc - v(1/2), v(-3/2) = 2 bc - v(3/2)
-    (HALF_GRID, 2): (({0: (2.0, 1.0), 1: -1.0},), (2.0,)),
+    (INTEGER_GRID, 4): ((dict(enumerate(-_ONE_SIDED[1, 1:])),),
+                        (_ONE_SIDED[1, 0], -_STENCILS[4][1][0])),
+    # half grid: reflected ghosts v(-1/2) = 2 bc - v(1/2), v(-3/2) = 2 bc - v(3/2),
+    # folded into the first unknowns' weights
+    (HALF_GRID, 2): (({0: 3.0, 1: -1.0},), (2.0,)),
     (HALF_GRID, 4): (({0: 46.0, 1: -17.0, 2: 1.0},
                       {0: -17.0, 1: 30.0, 2: -16.0, 3: 1.0}), (30.0, -2.0)),
 }
-
-
-def _entry(weight, ct: float, diagonal: bool) -> float:
-    terms = weight if isinstance(weight, tuple) else (weight,)
-    value = 1.0 + terms[0] * ct if diagonal else terms[0] * ct
-    for extra in terms[1:]:
-        value += extra * ct
-    return value
 
 
 def _bands(m: int, phase: str, order: int, ct: float) -> np.ndarray:
@@ -274,15 +272,14 @@ def _bands(m: int, phase: str, order: int, ct: float) -> np.ndarray:
     ab = np.zeros((2 * width + 1, m))
     for k, weight in enumerate(stencil):
         off = k - half  # column minus row
-        ab[width - off, max(off, 0):m + min(off, 0)] = _entry(weight, ct, off == 0)
+        ab[width - off, max(off, 0):m + min(off, 0)] = weight * ct + (off == 0)
     # entry (i, j) sits at ab[width + i - j, j]; its mirror (m-1-i, m-1-j)
     # at ab[width + j - i, m-1-j]
     for i, row in enumerate(rows):
         for j in range(max(i - width, 0), min(i + width + 1, m)):
             ab[width + i - j, j] = ab[width + j - i, m - 1 - j] = 0.0
         for j, weight in row.items():
-            ab[width + i - j, j] = ab[width + j - i, m - 1 - j] = \
-                _entry(weight, ct, i == j)
+            ab[width + i - j, j] = ab[width + j - i, m - 1 - j] = weight * ct + (i == j)
     return ab
 
 

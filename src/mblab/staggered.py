@@ -66,17 +66,17 @@ MIDPOINT = "midpoint"
 
 
 # 0-d operands: a Python float costs each ufunc call a scalar conversion
-_ZERO, _HALF, _EIGHTH, _TWO = (np.array(v) for v in (0.0, 0.5, 0.125, 2.0))
+_ZERO, _HALF, _EIGHTH = (np.array(v) for v in (0.0, 0.5, 0.125))
 
 
 def _minmod(a: np.ndarray, b: np.ndarray, out: np.ndarray,
             tmp: np.ndarray) -> np.ndarray:
-    """(sgn a + sgn b)/2 * min(|a|, |b|), elementwise, as the common positive
-    part plus the common negative part (at most one is nonzero), formed in
-    out with tmp as work space."""
-    out = np.maximum(np.minimum(a, b, out=out), _ZERO, out=out)
-    out += np.minimum(np.maximum(a, b, out=tmp), _ZERO, out=tmp)
-    return out
+    """(sgn a + sgn b)/2 * min(|a|, |b|), elementwise, as the median of a, b
+    and 0, max(min(a, b), min(max(a, b), 0)), formed in out with tmp as work
+    space."""
+    np.minimum(a, b, out=out)
+    np.minimum(np.maximum(a, b, out=tmp), _ZERO, out=tmp)
+    return np.maximum(out, tmp, out=out)
 
 
 def _slope_views(ext: np.ndarray, diff: np.ndarray, out: np.ndarray,
@@ -286,12 +286,11 @@ class Batch:
 def _predict(d2u: np.ndarray, fslope: np.ndarray, w: np.ndarray, eps_dx: float,
              lam: float, out: np.ndarray) -> np.ndarray:
     """w at t + dt/2 from D2 u, the flux slopes and w at the same slots:
-    w + (eps dx D2 u - fslope) lam / 2, formed in out in that rounding
+    w + (eps dx D2 u - fslope) (lam / 2), formed in out in that rounding
     order."""
     np.multiply(d2u, eps_dx, out=out)
     out -= fslope
-    out *= lam
-    out /= _TWO
+    out *= lam / 2.0
     out += w
     return out
 
@@ -388,7 +387,7 @@ def run(starts: Sequence[np.ndarray], ctxs: Sequence[RunContext], variant: str,
     if variant == MIDPOINT:
         # the corrector's factor cos(theta/2) (1 - z + z^2/2) on the
         # order-2 symbol s
-        _check_linear_gain("midpoint", ctxs, lambda s: s,
+        _check_linear_gain("midpoint", ctxs, 2,
                            lambda s, z: np.sqrt(1.0 - s / 4.0) * (1.0 - z + 0.5 * z * z))
     # a NaN/Inf start fails in its Field
     u0 = batch.pack([Field(u, INTEGER_GRID).values for u in starts], INTEGER_GRID)
